@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, bench, render
 from .dynamics import SolverConfig, TbmParams, random_initial, run_batch
-from .errors import DivergenceError, PowerIterationError, ValidationError
+from .errors import DivergenceError, ValidationError
 from .instance import (
     CATALOGUE,
     Instance,
@@ -557,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DivergenceError, PowerIterationError) as exc:
+    except DivergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -120,6 +120,17 @@ def _direct_energies(j: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("ri,ri->r", p @ j, p)
 
 
+def closed_form_applies(ps: PatternSet, inst: Instance) -> bool:
+    """Whether the orthogonal closed forms describe ps on inst.
+
+    They need an orthogonal, unperturbed pattern set and couplings that
+    were not coarse-grained.  planted_spectrum and oracle.max_eigenvalue
+    both ask this one predicate, and both still verify the closed form
+    against the matrix itself before trusting it.
+    """
+    return ps.is_orthogonal() and not ps.is_perturbed() and inst.coarse_delta is None
+
+
 def planted_spectrum(ps: PatternSet, inst: Instance, method: str = "auto") -> PlantedSpectrum:
     """Planted energies of the binary patterns of ps on inst.coupling.
 
@@ -133,9 +144,7 @@ def planted_spectrum(ps: PatternSet, inst: Instance, method: str = "auto") -> Pl
     j = inst.coupling
     if j.shape[0] != ps.n:
         raise ValidationError("pattern set and instance dimensions differ")
-    closed_ok = (
-        ps.is_orthogonal() and not ps.is_perturbed() and inst.coarse_delta is None
-    )
+    closed_ok = closed_form_applies(ps, inst)
     if method == "closed" and not closed_ok:
         raise ValidationError(
             "closed form needs an orthogonal unperturbed set on uncoarsened couplings"
@@ -234,7 +243,8 @@ class OutcomeClassifier:
                         self._table.setdefault((-state).tobytes(), entry)
 
     def _nearest_planted(self, x: np.ndarray) -> int:
-        overlap = self.ps.patterns.astype(np.int64) @ x.astype(np.int64)
+        # float64 rides BLAS and is exact for +-1 entries, n <= 2^53
+        overlap = self.ps.patterns.astype(np.float64) @ x.astype(np.float64)
         return int(np.min((self.ps.n - np.abs(overlap)) // 2))
 
     def classify(self, x: np.ndarray, energy: float) -> OutcomeLabel:

@@ -2,9 +2,8 @@
 
 The hierarchy is intentionally shallow: anything raised for bad input,
 malformed files, or violated structural invariants derives from
-ValidationError; numerical failures (diverging trajectories, a power
-iteration that cannot meet its tolerance) get their own classes so
-callers can map them to distinct exit codes.
+ValidationError; a numerical failure (a diverging trajectory) gets its
+own class so callers can map it to a distinct exit code.
 """
 
 
@@ -38,15 +37,3 @@ class DivergenceError(PlantbenchError):
             f"trajectory diverged at step {step} (max |x| = {max_abs:.3e})"
         )
 
-
-class PowerIterationError(PlantbenchError):
-    """Power iteration failed to reach the requested tolerance."""
-
-    def __init__(self, estimate: float, residual: float, iterations: int):
-        self.estimate = estimate
-        self.residual = residual
-        self.iterations = iterations
-        super().__init__(
-            f"power iteration stalled after {iterations} iterations "
-            f"(estimate {estimate:.12g}, residual {residual:.3e})"
-        )

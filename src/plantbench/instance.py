@@ -90,15 +90,21 @@ class PatternSet:
             eff = eff + self.perturbations
         return eff
 
+    def gram(self) -> np.ndarray:
+        """Integer-valued xi^mu . xi^nu of the binary patterns, (k, k) float64.
+
+        Float64 so the product runs on BLAS; every partial sum of +-1
+        products is an integer of magnitude <= n, exact for n <= 2^53.
+        """
+        p = self.patterns.astype(np.float64)
+        return p @ p.T
+
     def overlap_matrix(self) -> np.ndarray:
         """Q_{mu nu} = (1/n) xi^mu . xi^nu of the binary patterns."""
-        p = self.patterns.astype(np.int64)
-        return (p @ p.T) / self.n
+        return self.gram() / self.n
 
     def is_orthogonal(self) -> bool:
-        p = self.patterns.astype(np.int64)
-        gram = p @ p.T
-        return bool(np.array_equal(gram, self.n * np.eye(self.k, dtype=np.int64)))
+        return bool(np.array_equal(self.gram(), self.n * np.eye(self.k)))
 
     def is_perturbed(self) -> bool:
         return self.perturbations is not None and bool(np.any(self.perturbations))
@@ -498,9 +504,7 @@ def coarse_grain(inst: Instance, delta_j: float) -> Instance:
 
 def hamming_distances(ps: PatternSet) -> np.ndarray:
     """Pairwise Hamming distances of the binary patterns, (k, k) int."""
-    p = ps.patterns.astype(np.int64)
-    overlap = p @ p.T
-    return ((ps.n - overlap) // 2).astype(np.int64)
+    return ((ps.n - ps.gram()) // 2).astype(np.int64)
 
 
 def shared_sign_coordinate(ps: PatternSet) -> int:

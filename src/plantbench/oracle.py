@@ -2,11 +2,15 @@
 
 brute_force enumerates half the hypercube (the first spin is pinned to
 +1, since E(x) = E(-x) makes mirror pairs redundant) in vectorised
-chunks, so n = 24 is the practical ceiling.  max_eigenvalue runs power
-iteration on J + sigma*I with sigma the Gershgorin row-sum bound; the
-shift makes the matrix positive semidefinite, so the algebraically
-largest eigenvalue of J is also the dominant one of the shifted matrix
-and the Rayleigh quotient converges to it from below.
+chunks, so n = 24 is the practical ceiling.
+
+max_eigenvalue takes one of two direct routes.  On an orthogonal
+unperturbed pattern set with uncoarsened couplings,
+J = sum_m w_m xi^m (xi^m)^T - W*I with W = sum(w), so each pattern is an
+eigenvector with eigenvalue n*w_m - W and the n - K directions
+orthogonal to all patterns share the eigenvalue -W.  That closed form
+is used only after the matrix itself certifies it; everything else
+goes to a dense symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, PowerIterationError
-from .instance import Instance
+from .energy import closed_form_applies
+from .errors import CapacityError
+from .instance import Instance, PatternSet
 
 __all__ = ["SpectrumReport", "brute_force", "max_eigenvalue"]
 
@@ -25,10 +30,8 @@ FULL_SPECTRUM_LIMIT = 16
 
 _CHUNK_BITS = 16
 
-# Verification column and restart seeds for the power iteration; fixed
-# so results are reproducible run to run.
-_VERIFY_SEED = 0x5EED
-_RESTART_SEED = 7919
+# Relative tolerance of the closed-form eigenvalue certificate.
+_CERT_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -108,60 +111,47 @@ def brute_force(inst: "Instance | np.ndarray", full_spectrum: bool = False) -> S
     )
 
 
-def max_eigenvalue(
-    inst: "Instance | np.ndarray",
-    tol: float = 1e-10,
-    max_iterations: int = 2_000_000,
-) -> float:
-    """Largest eigenvalue of the coupling matrix by shifted power iteration.
+def _certified_closed_form(j: np.ndarray, ps: PatternSet) -> float | None:
+    """Largest eigenvalue from the orthogonal closed form, or None.
 
-    Two columns are iterated together: the deterministic all-ones start
-    and a fixed-seed random verification start, guarding against the
-    all-ones vector being exactly orthogonal to the dominant eigenvector
-    (which happens for balanced patterns).  A column whose image
-    collapses to zero sits in the nullspace of the shifted matrix and is
-    re-randomised from a recorded seed.  Convergence requires the
-    eigenpair residual ||Av - rho*v|| <= tol * max(1, rho) for both
-    columns; since Rayleigh quotients of the positive semidefinite
-    shifted matrix never exceed its largest eigenvalue, the larger
-    column wins.  Raises PowerIterationError when the iteration budget
-    runs out.
+    The closed form is accepted only when the matrix confirms it, each
+    check to _CERT_TOL relative: J xi^m = lam_m xi^m for every pattern,
+    trace(J) = 0, and ||J||_F^2 = sum(lam_m^2) + (n - K) W^2.  The first
+    check fixes K eigenpairs; the trace and Frobenius norm then give
+    the other n - K eigenvalues sum -(n - K) W and sum of squares
+    (n - K) W^2, which by Cauchy-Schwarz pins every one of them to -W
+    (within sqrt(_CERT_TOL) * ||J||_F).
+    """
+    n, k = ps.n, ps.k
+    total = float(np.sum(ps.weights))
+    lam = n * ps.weights - total
+    # the claimed spectral norm of J, the scale of both linear checks
+    norm = max(float(np.max(np.abs(lam))), abs(total))
+    p = ps.patterns.T.astype(np.float64)
+    if np.max(np.abs(j @ p - p * lam)) > _CERT_TOL * norm:
+        return None
+    if abs(float(np.trace(j))) > _CERT_TOL * norm:
+        return None
+    want = float(np.sum(lam * lam)) + (n - k) * total * total
+    if abs(float(np.vdot(j, j)) - want) > _CERT_TOL * want:
+        return None
+    top = float(lam.max())
+    return max(top, -total) if k < n else top
+
+
+def max_eigenvalue(inst: "Instance | np.ndarray") -> float:
+    """Largest eigenvalue of the coupling matrix.
+
+    Instances whose pattern set admits the orthogonal closed form (see
+    energy.closed_form_applies) get n*max(w) - sum(w), or -sum(w) when
+    K < n and that is larger, once the certificate of
+    _certified_closed_form holds.  Every other input, a failed certificate included, takes
+    the last value of np.linalg.eigvalsh.
     """
     j = _coupling_of(inst)
-    n = j.shape[0]
-    sigma = float(np.max(np.abs(j).sum(axis=1)))
-    if sigma == 0.0:
-        return 0.0
-    v = np.empty((n, 2))
-    v[:, 0] = 1.0 / np.sqrt(n)
-    rng = np.random.default_rng(_VERIFY_SEED)
-    col = rng.standard_normal(n)
-    v[:, 1] = col / np.linalg.norm(col)
-    restarts = 0
-    rho = np.zeros(2)
-    done = np.zeros(2, dtype=bool)
-    residual = np.full(2, np.inf)
-    for iteration in range(max_iterations):
-        y = j @ v + sigma * v
-        norms = np.linalg.norm(y, axis=0)
-        restarted = np.zeros(2, dtype=bool)
-        for c in range(2):
-            if norms[c] < 1e-300:
-                # nullspace hit: restart the column from a recorded seed
-                rng = np.random.default_rng(_RESTART_SEED + restarts)
-                restarts += 1
-                col = rng.standard_normal(n)
-                y[:, c] = col / np.linalg.norm(col)
-                norms[c] = 1.0
-                restarted[c] = True
-        rho = np.einsum("ic,ic->c", v, y)
-        residual = np.linalg.norm(y - v * rho, axis=0)
-        done = (residual <= tol * np.maximum(1.0, rho)) & ~restarted
-        if done.all():
-            return float(rho.max() - sigma)
-        v = y / norms
-    raise PowerIterationError(
-        estimate=float(rho.max() - sigma),
-        residual=float(residual.max()),
-        iterations=max_iterations,
-    )
+    ps = inst.pattern_set if isinstance(inst, Instance) else None
+    if ps is not None and closed_form_applies(ps, inst):
+        top = _certified_closed_form(j, ps)
+        if top is not None:
+            return top
+    return float(np.linalg.eigvalsh(j)[-1])

@@ -4,15 +4,14 @@ The tests run in the order the guarantees are documented in the
 README.  Statistical checks pin their seeds, grids, and run counts so
 every assertion is reproducible bit for bit; thresholds leave room for
 the binomial noise of the pinned run counts.  The large-scale mean
-energy check integrates 300 trajectories at n = 1024 and is marked
-slow (run it with `pytest -m slow`).
+energy check integrates 300 trajectories at n = 1024 and is the
+longest test in the default run (about a minute).
 """
 
 import math
 import time
 
 import numpy as np
-import pytest
 
 from plantbench import (
     CataloguePerturbationFactory,
@@ -267,7 +266,6 @@ def test_medium_scale_label_and_histogram_regimes():
 # 10. large-scale mean energy follows the halving rule
 
 
-@pytest.mark.slow
 def test_large_scale_mean_energy_follows_halving_rule():
     for entry in sweep_k(1024, [200, 300, 500], base_seed=0, threads=3):
         span = entry.planted_max - entry.planted_min

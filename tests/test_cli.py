@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from plantbench import PowerIterationError, load_instance
+from plantbench import DivergenceError, load_instance
 from plantbench.cli import main
 
 
@@ -113,7 +113,7 @@ def test_oracle_numeric_failure_exits_4(monkeypatch, small_c, capsys):
     import plantbench.cli as cli_mod
 
     def boom(inst):
-        raise PowerIterationError(estimate=0.0, residual=1.0, iterations=1)
+        raise DivergenceError(step=1, max_abs=1e300)
 
     monkeypatch.setattr(cli_mod.oracle_mod, "max_eigenvalue", boom)
     code = run_cli(["oracle", "--instance", str(small_c), "--eig"])

@@ -73,6 +73,19 @@ def test_too_many_patterns_rejected():
         generate_orthogonal_patterns(8, 9, seed=0)
 
 
+def test_gram_products_exact_at_full_load():
+    # n = K = 1024: the float64 Gram products of +-1 rows are exact integers
+    ps = generate_orthogonal_patterns(1024, 1024, seed=1)
+    assert ps.is_orthogonal() is True
+    assert np.array_equal(ps.overlap_matrix(), np.eye(1024))
+    dist = hamming_distances(ps)
+    assert dist.dtype == np.int64
+    assert np.array_equal(dist, 512 * (1 - np.eye(1024, dtype=np.int64)))
+    broken = ps.patterns.copy()
+    broken[0, 0] = -broken[0, 0]
+    assert make_pattern_set(broken).is_orthogonal() is False
+
+
 # ---------------------------------------------------------------------------
 # catalogue
 

@@ -1,16 +1,21 @@
 """Exhaustive ground states and dominant eigenvalues against references."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from plantbench import (
     CapacityError,
-    PowerIterationError,
     brute_force,
     build_couplings,
     catalogue_pattern_set,
+    coarse_grain,
     generate_orthogonal_patterns,
+    generate_small_scale,
+    make_pattern_set,
     max_eigenvalue,
+    perturb_patterns,
 )
 from plantbench.oracle import BRUTE_FORCE_LIMIT, FULL_SPECTRUM_LIMIT
 
@@ -119,8 +124,7 @@ def test_max_eigenvalue_on_planted_instance():
 
 
 def test_max_eigenvalue_survives_all_ones_orthogonal_start():
-    # dominant eigenvector orthogonal to the all-ones start: the
-    # verification column must still find it
+    # dominant eigenvector orthogonal to the all-ones vector
     v = np.array([1.0, -1.0, 1.0, -1.0])
     j = np.outer(v, v)
     np.fill_diagonal(j, 0.0)
@@ -132,8 +136,76 @@ def test_max_eigenvalue_zero_matrix():
     assert max_eigenvalue(np.zeros((5, 5))) == 0.0
 
 
-def test_max_eigenvalue_exhausted_budget_raises():
-    j = random_symmetric(12, seed=9)
-    with pytest.raises(PowerIterationError) as info:
-        max_eigenvalue(j, tol=1e-10, max_iterations=2)
-    assert info.value.iterations == 2
+def _forbid_eigvalsh(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed form expected, eigvalsh was called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+
+
+@pytest.mark.parametrize(
+    "n, k, w0, dw, rule",
+    [
+        (64, 5, 1.0, 0.002, "hebb"),        # K < n: top pattern beats -W
+        (64, 40, 1.0, 0.0006, "hebb"),
+        (16, 16, 1.0, 0.01, "hebb"),        # K = n, non-flat ladder
+        (16, 16, 1.0, 0.0, "hebb"),         # K = n, flat ladder: J = 0
+        (32, 6, 1.0, 0.01, "pseudoinverse"),
+        (8, 3, -1.0, 0.1, "hebb"),          # negative ladder: -W on top
+    ],
+)
+def test_max_eigenvalue_closed_form(monkeypatch, n, k, w0, dw, rule):
+    ps = generate_orthogonal_patterns(n, k, seed=3, w0=w0, dw=dw)
+    inst = build_couplings(ps, rule=rule)
+    total = float(np.sum(ps.weights))
+    want = max(n * float(ps.weights.max()) - total, -total if k < n else -np.inf)
+    dense = float(np.linalg.eigvalsh(inst.coupling)[-1])
+    _forbid_eigvalsh(monkeypatch)
+    got = max_eigenvalue(inst)
+    assert got == want
+    assert got == pytest.approx(dense, rel=1e-12, abs=1e-12)
+    if k == n and dw == 0.0:
+        assert got == 0.0
+
+
+def _altered_couplings(kind):
+    """Orthogonal instance whose couplings no longer match its patterns."""
+    extra = generate_orthogonal_patterns(32, 6, seed=5, dw=0.01)
+    ps = make_pattern_set(extra.patterns[:4], w0=1.0, dw=0.01)
+    inst = build_couplings(ps)
+    j = inst.coupling.copy()
+    if kind == "eigenvector":
+        j[0, 1] += 2.0
+        j[1, 0] += 2.0
+    else:
+        # a trace-free rank-2 term orthogonal to every pattern keeps each
+        # pattern an eigenvector; only the Frobenius check can notice it
+        u, v = extra.patterns[4:].astype(np.float64)
+        j += 2.0 * (np.outer(u, u) - np.outer(v, v))
+    j.setflags(write=False)
+    return replace(inst, coupling=j)
+
+
+@pytest.mark.parametrize(
+    "case", ["perturbed", "coarse", "catalogue", "ndarray", "eigenvector", "frobenius"]
+)
+def test_max_eigenvalue_falls_back_to_eigvalsh(case):
+    ps = generate_orthogonal_patterns(32, 4, seed=5, dw=0.01)
+    if case == "perturbed":
+        inst = build_couplings(perturb_patterns(ps, [(0, 3, 0.25)]))
+    elif case == "coarse":
+        inst = coarse_grain(build_couplings(ps), 0.3)
+    elif case == "catalogue":
+        inst = generate_small_scale("c")
+    elif case == "ndarray":
+        inst = np.array(build_couplings(ps).coupling)
+    else:
+        inst = _altered_couplings(case)
+    coupling = inst if isinstance(inst, np.ndarray) else inst.coupling
+    want = float(np.linalg.eigvalsh(coupling)[-1])
+    assert max_eigenvalue(inst) == want
+    if case in ("eigenvector", "frobenius"):
+        closed = 32 * float(inst.pattern_set.weights.max()) - float(
+            np.sum(inst.pattern_set.weights)
+        )
+        assert abs(want - closed) > 0.05
