@@ -8,8 +8,9 @@ the recorded argv reproduces every output byte for byte, including
 SVGs and independent of --threads.
 
 Grids are given as "lo:hi:num", "lo:hi:num:log", or an explicit comma
-list "0.1,0.2,0.4".  Worker count comes from --threads, then the
-PLANTBENCH_THREADS environment variable, then the CPU count.
+list "0.1,0.2,0.4"; nan and inf values are rejected.  Worker count
+comes from --threads, then the PLANTBENCH_THREADS environment variable,
+then the CPU count.
 
 Exit codes: 0 success, 2 usage error, 3 validation error (bad flags,
 bad files, unsupported sizes), 4 numerical failure (divergence,
@@ -51,9 +52,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     text = text.strip()
     if "," in text or ":" not in text:
         try:
-            return tuple(float(tok) for tok in text.split(",") if tok.strip())
+            values = tuple(float(tok) for tok in text.split(",") if tok.strip())
         except ValueError:
             raise ValidationError(f"cannot parse grid value list {text!r}") from None
+        _check_finite(text, values)
+        return values
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ValidationError(f"grid spec {text!r} must be lo:hi:num[:log]")
@@ -61,6 +64,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValidationError(f"cannot parse grid spec {text!r}") from None
+    _check_finite(text, (lo, hi))
     if num < 1:
         raise ValidationError("grid needs at least one point")
     if len(parts) == 4:
@@ -70,6 +74,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise ValidationError("log grids need positive endpoints")
         return tuple(float(v) for v in np.geomspace(lo, hi, num))
     return tuple(float(v) for v in np.linspace(lo, hi, num))
+
+
+def _check_finite(text: str, values: tuple[float, ...]) -> None:
+    if not np.isfinite(values).all():
+        raise ValidationError(f"grid {text!r} has a non-finite value")
 
 
 def _threads(args) -> int:

@@ -23,14 +23,19 @@ window [-w, w]: a coordinate crossing it is clamped to the boundary
 and its velocity zeroed, which acts as the threshold element of the
 bifurcation machine.  A trajectory is steady once
 max_i |delta x_i| < steady_tol * dt; steady_tol = 0 therefore never
-converges and runs a fixed step count.  States beyond |x| = 1e6 abort
-as divergence.
+converges and runs a fixed step count.  A state with an entry beyond
+|x| = 1e6, or a non-finite one, aborts as divergence.
 
-Whole blocks of trajectories integrate together as (runs, n) arrays;
-rows freeze once converged or diverged, and a row's trajectory never
-depends on the other rows of the block.  Final energies are evaluated
-in one vectorised pass over the block, whose floating-point rounding
-can differ in the last ulp from a single-row evaluation.
+Whole blocks of trajectories integrate together as (runs, n) arrays.
+Each step touches only the rows still running, held as compact arrays;
+a row that converges or diverges is written back into the block once
+and dropped.  Output bytes are deterministic: the same inputs give the
+same bits on replay and at any worker count, because workers never
+change a block's shape.  BLAS may round the coupling product of a row
+differently depending on how many rows share it, so a row run alone
+and the same row inside a block agree in spins, steps, status and
+label, and in states and energies to 1e-12 relative, but not
+necessarily bit for bit.
 """
 
 from __future__ import annotations
@@ -192,6 +197,71 @@ def _phi(name: str) -> Callable[[np.ndarray], np.ndarray]:
 RUNNING, CONVERGED, DIVERGED = 0, 1, 2
 
 
+class _Rows:
+    """Status and step bookkeeping of a (runs, n) block of trajectories.
+
+    The integrators step compact arrays holding only the live rows, the
+    ones still running; ``live`` maps them to their rows in the block.
+    A row that converges or diverges is written into ``x`` once and
+    dropped from ``live``.  With a threshold <= 0 no row can converge,
+    so ``steady`` is False and the integrators skip the steady measure.
+    """
+
+    def __init__(self, x0: np.ndarray, max_steps: int, threshold: float,
+                 record: list | None):
+        self.x = np.array(x0, dtype=np.float64)
+        r = self.x.shape[0]
+        self.steps = np.full(r, max_steps, dtype=np.int64)
+        self.status = np.full(r, RUNNING, dtype=np.int8)
+        self.live = np.arange(r)
+        self.threshold = threshold
+        self.steady = threshold > 0
+        self.record = record
+        # Per-row flags live in one preallocated buffer: numpy keeps
+        # freed arrays under 1 KiB for reuse, one set per byte size, so
+        # fresh flag arrays at every live count would pin that memory.
+        self._flags = np.empty((3, r), dtype=bool)
+        if record is not None:
+            record.append(self.x.copy())
+
+    def retire(self, step: int, x: np.ndarray, move: np.ndarray | None):
+        """Settle the live rows after step; return the mask of rows kept.
+
+        x holds the live states after the step and move the per-entry
+        steady measure, or None when not self.steady.  A row diverges
+        once any entry is non-finite or beyond the limit, and converges
+        once every entry of move is below the threshold.  Returns None
+        when every live row keeps running; the mask is a view that the
+        next call overwrites.
+        """
+        if self.record is not None:
+            snapshot = self.x.copy()
+            snapshot[self.live] = x
+            self.record.append(snapshot)
+        diverged, done, keep = self._flags[:, : len(x)]
+        (np.abs(x) <= DIVERGENCE_LIMIT).all(axis=1, out=diverged)
+        np.logical_not(diverged, out=diverged)
+        if move is None:
+            done[:] = diverged
+        else:
+            (move < self.threshold).all(axis=1, out=done)
+            done |= diverged
+        if not done.any():
+            return None
+        rows = self.live[done]
+        self.x[rows] = x[done]
+        self.status[rows] = np.where(diverged[done], DIVERGED, CONVERGED)
+        self.steps[rows] = step + 1
+        np.logical_not(done, out=keep)
+        self.live = self.live[keep]
+        return keep
+
+    def result(self, x: np.ndarray):
+        """Full block of final states, steps used and status codes."""
+        self.x[self.live] = x
+        return self.x, self.steps, self.status
+
+
 def _first_order(
     j: np.ndarray,
     x0: np.ndarray,
@@ -203,31 +273,24 @@ def _first_order(
     steady_tol: float,
     record: list | None = None,
 ):
-    x = np.array(x0, dtype=np.float64)
-    r = x.shape[0]
-    steps = np.full(r, max_steps, dtype=np.int64)
-    status = np.full(r, RUNNING, dtype=np.int8)
-    threshold = steady_tol * dt
-    if record is not None:
-        record.append(x.copy())
+    rows = _Rows(x0, max_steps, steady_tol * dt, record)
+    x = rows.x.copy()
     for step in range(max_steps):
-        running = status == RUNNING
-        if not running.any():
+        if not len(x):
             break
         a = _value(alpha, step)
         b = _value(beta, step)
-        dx = dt * (b * (phi(x) @ j) - a * x)
-        x = np.where(running[:, None], x + dx, x)
-        if record is not None:
-            record.append(x.copy())
-        move = np.abs(dx).max(axis=1)
-        amp = np.abs(x).max(axis=1)
-        diverged = running & (amp > DIVERGENCE_LIMIT)
-        converged = running & ~diverged & (move < threshold)
-        status[diverged] = DIVERGED
-        status[converged] = CONVERGED
-        steps[diverged | converged] = step + 1
-    return x, steps, status
+        # dx = dt * (b * (phi(x) @ j) - a * x), evaluated in place
+        dx = phi(x) @ j
+        dx *= b
+        dx -= a * x
+        dx *= dt
+        x += dx
+        move = np.abs(dx, out=dx) if rows.steady else None
+        keep = rows.retire(step, x, move)
+        if keep is not None:
+            x = x[keep]
+    return rows.result(x)
 
 
 def _second_order(
@@ -246,44 +309,39 @@ def _second_order(
 ):
     if not window > 0:
         raise ValidationError("derivative window must be positive")
-    x = np.array(x0, dtype=np.float64)
+    rows = _Rows(x0, max_steps, steady_tol * dt, record)
+    x = rows.x.copy()
     v = np.array(v0, dtype=np.float64)
-    r = x.shape[0]
-    steps = np.full(r, max_steps, dtype=np.int64)
-    status = np.full(r, RUNNING, dtype=np.int8)
-    threshold = steady_tol * dt
-    if record is not None:
-        record.append(x.copy())
     for step in range(max_steps):
-        running = status == RUNNING
-        if not running.any():
+        if not len(x):
             break
         a = _value(alpha, step)
         b = _value(beta, step)
         g = _value(gamma, step)
-        acc = g * v - a * x + b * (phi(x) @ j)
+        # acc = g * v - a * x + b * (phi(x) @ j)
+        acc = phi(x) @ j
+        acc *= b
+        acc += g * v - a * x
         x_new = x + dt * v
-        v_new = v + dt * acc
+        v += dt * acc
         over = np.abs(x_new) > window
         if over.any():
-            x_new = np.clip(x_new, -window, window)
-            v_new = np.where(over, 0.0, v_new)
-        # Steady only when both the realized move and the imminent move
-        # dt*|v| are below threshold; with v0 = 0 the first realized
-        # move is identically zero and alone would trip the detector.
-        dx = np.maximum(np.abs(x_new - x), dt * np.abs(v_new))
-        x = np.where(running[:, None], x_new, x)
-        v = np.where(running[:, None], v_new, v)
-        if record is not None:
-            record.append(x.copy())
-        move = dx.max(axis=1)
-        amp = np.abs(x).max(axis=1)
-        diverged = running & (amp > DIVERGENCE_LIMIT)
-        converged = running & ~diverged & (move < threshold)
-        status[diverged] = DIVERGED
-        status[converged] = CONVERGED
-        steps[diverged | converged] = step + 1
-    return x, steps, status
+            np.clip(x_new, -window, window, out=x_new)
+            v[over] = 0.0
+        move = None
+        if rows.steady:
+            # Steady only when both the realized move and the imminent
+            # move dt*|v| are below threshold; with v0 = 0 the first
+            # realized move is identically zero and alone would trip
+            # the detector.
+            move = np.abs(x_new - x)
+            np.maximum(move, dt * np.abs(v), out=move)
+        x = x_new
+        keep = rows.retire(step, x, move)
+        if keep is not None:
+            x = x[keep]
+            v = v[keep]
+    return rows.result(x)
 
 
 def _tbm_mapped(cfg: SolverConfig) -> SolverConfig:

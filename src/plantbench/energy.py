@@ -249,7 +249,7 @@ class OutcomeClassifier:
 
     def classify(self, x: np.ndarray, energy: float) -> OutcomeLabel:
         x = np.asarray(x)
-        if not np.isin(x, (-1, 1)).all():
+        if not ((x == 1) | (x == -1)).all():
             raise ValidationError("state entries must be +1 or -1")
         x = x.astype(np.int8)
         spec = self.spectrum

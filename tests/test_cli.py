@@ -154,6 +154,17 @@ def test_grid_spec_parsing(capsys, tmp_path):
     assert code == 3
 
 
+
+@pytest.mark.parametrize("grid", ["nan,3", "3,inf", "nan:3:4", "0:-inf:3:log"])
+def test_grid_rejects_non_finite_values(capsys, tmp_path, grid):
+    # a NaN alpha used to integrate and report spins as labels
+    csv = tmp_path / "x.csv"
+    code = run_cli(["sweep-sr", "--small", "c", "--solver", "class1",
+                    f"--alpha-grid={grid}", "--runs", "20", "--out", str(csv)])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not csv.exists()
+
 def test_threads_env_fallback(monkeypatch, tmp_path, capsys):
     csv = tmp_path / "s.csv"
     monkeypatch.setenv("PLANTBENCH_THREADS", "2")

@@ -18,6 +18,8 @@ from plantbench import (
     ValidationError,
     build_couplings,
     catalogue_pattern_set,
+    generate_orthogonal_patterns,
+    max_eigenvalue,
     random_initial,
     run,
     run_batch,
@@ -27,6 +29,7 @@ from plantbench import (
     run_tbm,
     trajectory,
 )
+from plantbench import dynamics
 
 
 def zero_instance(n):
@@ -40,6 +43,22 @@ def zero_instance(n):
 @pytest.fixture(scope="module")
 def inst_c():
     return build_couplings(catalogue_pattern_set("c"))
+
+
+@pytest.fixture(scope="module")
+def inst_n64():
+    return build_couplings(generate_orthogonal_patterns(64, 48, seed=5, dw=0.001))
+
+
+def n64_config(inst):
+    # the sweep_k setting: alpha = lambda/2, dt capped by the spectral edges
+    alpha = max_eigenvalue(inst) / 2.0
+    dt = min(0.1, 0.5 / (alpha + float(np.sum(inst.pattern_set.weights))))
+    return SolverConfig(kind="I", alpha=alpha, beta=1.0, dt=dt, max_steps=1000)
+
+
+def start_block(n, rows, seed=0):
+    return np.vstack([random_initial(n, seed=seed + r) for r in range(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +263,146 @@ def test_mirror_equivariance(inst_c, kind):
     assert np.abs(pos + neg).max() < 1e-12
 
 
-def test_batch_rows_are_independent(inst_c):
-    cfg = SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=500)
-    block = np.vstack([random_initial(8, seed=s) for s in range(6)])
-    batch = run_batch(inst_c, cfg, block)
-    for i in range(6):
-        single = run(inst_c, cfg, block[i])
-        # trajectories are exactly independent; the energy reduction is
-        # vectorised over the block, so rounding may differ in the last ulp
-        assert batch[i].final_energy == pytest.approx(
-            single.final_energy, rel=1e-12
+def test_batch_rows_are_independent(inst_c, inst_n64):
+    # A row inside a block and the same row run alone agree in spins,
+    # steps, status and label; BLAS may round the block's matrix
+    # product differently from a single row's, so energies agree to
+    # 1e-12 relative rather than bit for bit.
+    cases = [
+        (inst_c, SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=500), 6),
+        (inst_c, SolverConfig(kind="TBM", dt=0.1, max_steps=300,
+                              tbm=TbmParams(delta=4.2, xi0=0.64)), 6),
+        (inst_n64, n64_config(inst_n64), 8),
+    ]
+    for inst, cfg, rows in cases:
+        block = start_block(inst.n, rows)
+        batch = run_batch(inst, cfg, block)
+        for i in range(rows):
+            single = run_batch(inst, cfg, block[i:i + 1])[0]
+            assert batch[i].final_energy == pytest.approx(
+                single.final_energy, rel=1e-12
+            )
+            assert batch[i].steps_used == single.steps_used
+            assert batch[i].converged == single.converged
+            assert batch[i].diverged == single.diverged
+            assert batch[i].label == single.label
+            assert np.array_equal(batch[i].final_spins, single.final_spins)
+
+
+def test_batch_replay_is_bitwise_stable(inst_n64):
+    cfg = n64_config(inst_n64)
+    block = start_block(64, 50)
+    first = dynamics._integrate_block(inst_n64, cfg, block, None)
+    again = dynamics._integrate_block(inst_n64, cfg, block.copy(), None)
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# active rows against a plain masked loop
+
+
+def masked_reference(j, x0, alpha, beta, gamma, phi, dt, max_steps, steady_tol,
+                     window=None):
+    """Whole-block forward Euler that freezes finished rows with a mask.
+
+    window=None selects the first-order update.  Every step updates the
+    full block; rows that converged or diverged keep their state.
+    Returns (states, steps, status) with status 0 running, 1 converged,
+    2 diverged.
+    """
+    def value(coeff, step):
+        return coeff(step) if callable(coeff) else coeff
+
+    x = np.array(x0, dtype=np.float64)
+    v = np.zeros_like(x)
+    steps = np.full(len(x), max_steps)
+    status = np.zeros(len(x), dtype=int)
+    for step in range(max_steps):
+        running = status == 0
+        if not running.any():
+            break
+        a, b, g = value(alpha, step), value(beta, step), value(gamma, step)
+        h = phi(x) @ j
+        if window is None:
+            dx = dt * (b * h - a * x)
+            x_new, move = x + dx, np.abs(dx)
+        else:
+            acc = g * v - a * x + b * h
+            x_new = x + dt * v
+            v_new = v + dt * acc
+            over = np.abs(x_new) > window
+            x_new = np.clip(x_new, -window, window)
+            v_new[over] = 0.0
+            move = np.maximum(np.abs(x_new - x), dt * np.abs(v_new))
+            v = np.where(running[:, None], v_new, v)
+        x = np.where(running[:, None], x_new, x)
+        diverged = running & (
+            ~np.isfinite(x).all(axis=1) | (np.abs(x) > 1e6).any(axis=1)
         )
-        assert batch[i].steps_used == single.steps_used
-        assert np.array_equal(batch[i].final_spins, single.final_spins)
+        converged = running & ~diverged & (move.max(axis=1) < steady_tol * dt)
+        status[diverged] = 2
+        status[converged] = 1
+        steps[diverged | converged] = step + 1
+    return x, steps, status
+
+
+def assert_matches_reference(inst, cfg, x0, reference):
+    x, steps, status = dynamics._integrate_block(inst, cfg, x0, None)
+    ref_x, ref_steps, ref_status = reference
+    assert np.array_equal(status, ref_status)
+    assert np.array_equal(steps, ref_steps)
+    assert np.array_equal(x >= 0, ref_x >= 0)
+    np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=1e-12)
+    return status
+
+
+def test_active_rows_match_masked_loop_first_order(inst_n64):
+    cfg = n64_config(inst_n64)
+    x0 = start_block(64, 200)
+    ref = masked_reference(inst_n64.coupling, x0, cfg.alpha, cfg.beta, 0.0,
+                           np.tanh, cfg.dt, cfg.max_steps, cfg.steady_tol)
+    status = assert_matches_reference(inst_n64, cfg, x0, ref)
+    # both outcomes occur, so rows really leave the live set early
+    assert (status == 1).any() and (status == 0).any()
+
+
+def test_active_rows_match_masked_loop_second_order(inst_c):
+    cfg = SolverConfig(kind="III", alpha=2.0, beta=1.0, gamma=-0.8, dt=0.1,
+                       max_steps=600, steady_tol=1e-6, derivative_window=1.0)
+    x0 = start_block(8, 300)
+    ref = masked_reference(inst_c.coupling, x0, 2.0, 1.0, -0.8, np.tanh,
+                           0.1, 600, 1e-6, window=1.0)
+    status = assert_matches_reference(inst_c, cfg, x0, ref)
+    assert (status == 1).any()
+
+
+def test_active_rows_match_masked_loop_tbm(inst_c):
+    delta, xi0, steps = 4.2, 0.64, 400
+    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps,
+                       tbm=TbmParams(delta=delta, xi0=xi0))
+    pump = PumpRamp(steps)
+    x0 = start_block(8, 100)
+    ref = masked_reference(inst_c.coupling, x0,
+                           lambda s: delta * (delta - pump(s)), delta * xi0,
+                           0.0, np.sign, 0.1, steps, 0.0, window=1.0)
+    status = assert_matches_reference(inst_c, cfg, x0, ref)
+    assert (status == 0).all()
+
+
+def test_active_rows_retire_diverged_rows_mid_block(inst_c):
+    # alpha < 0 for 20 steps lifts the scaled rows past the divergence
+    # limit; the other rows stay finite and converge once alpha = 3
+    def alpha(step):
+        return -5.0 if step < 20 else 3.0
+
+    cfg = SolverConfig(kind="II", alpha=alpha, beta=1.0, dt=0.1, max_steps=800)
+    x0 = start_block(8, 40)
+    x0[::3] *= 1e3
+    ref = masked_reference(inst_c.coupling, x0, alpha, 1.0, 0.0, np.tanh,
+                           0.1, 800, cfg.steady_tol)
+    status = assert_matches_reference(inst_c, cfg, x0, ref)
+    assert (status == 2).any() and (status == 1).any()
 
 
 def test_batch_shape_validation(inst_c):
@@ -288,6 +434,20 @@ def test_divergence_raises_in_run_and_flags_in_batch(inst_c):
     assert out.diverged and not out.converged
     assert out.label is None
 
+
+
+def test_non_finite_state_counts_as_diverged(inst_c):
+    # NaN > limit is False and sign(NaN) would read as -1: a NaN row
+    # must still stop as diverged at the step that produced it
+    def alpha(step):
+        return float("nan") if step == 3 else 3.0
+
+    cfg = SolverConfig(kind="II", alpha=alpha, beta=1.0, dt=0.1, max_steps=500)
+    out = run_batch(inst_c, cfg, start_block(8, 3))
+    for row in out:
+        assert row.diverged and not row.converged
+        assert row.label is None
+        assert row.steps_used == 4
 
 def test_outcomes_carry_labels_on_planted_instances(inst_c):
     cfg = SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=1000)

@@ -140,6 +140,23 @@ def test_spurious_and_range_labels(c_classifier):
     assert out.category == "planted" and out.out_of_range
 
 
+
+@pytest.mark.parametrize("bad", [0, 2, np.nan])
+def test_classify_rejects_non_spin_entries(c_classifier, bad):
+    ps, inst, clf = c_classifier
+    probe = ps.patterns[0].astype(np.float64)
+    probe[3] = bad
+    with pytest.raises(ValidationError, match="must be \\+1 or -1"):
+        clf.classify(probe, 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+def test_classify_accepts_spin_dtypes(c_classifier, dtype):
+    ps, inst, clf = c_classifier
+    e = float(inst.spectrum.energies[0])
+    assert clf.classify(ps.patterns[0].astype(dtype), e).short() == "planted:1"
+    assert clf.classify(-ps.patterns[0].astype(dtype), e).short() == "mirror:1"
+
 def test_classifier_precedence_prefers_planted():
     # pattern 2 equals the mirror of pattern 1: its own planted entry
     # must win the table slot over the mirror alias
