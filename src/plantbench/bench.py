@@ -29,24 +29,29 @@ projection strength to half the dominant eigenvalue, and aggregate an
 energy histogram (uniform bins between the found extremes, log density
 shifted by delta = 3e-5, Gaussian smoothing of one bin width for
 plotting only) together with the label and band tallies.
+
+Both sweep kinds run a block of trajectories per grid point or K
+through one integrate-and-tally path, and spread points over worker
+processes through one in-order map.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from . import energy as energy_mod
 from . import oracle as oracle_mod
-from .dynamics import RunOutcome, SolverConfig, TbmParams, random_initial, run_batch
+from .dynamics import SolverConfig, TbmParams, random_initial, run_batch
 from .errors import ValidationError
 from .instance import (
     Instance,
+    _fmt,
     build_couplings,
     catalogue_pattern_set,
     generate_orthogonal_patterns,
@@ -65,6 +70,7 @@ __all__ = [
     "CataloguePerturbationFactory",
     "CatalogueWeightStepFactory",
     "EquidistantPerturbationFactory",
+    "SCAN_FACTORIES",
     "derive_seed",
     "default_alpha_grid",
     "sweep_sr",
@@ -126,7 +132,8 @@ class SweepSpec:
     names: alpha, beta, gamma, dt, window, delta, xi0 (the last two
     address the bifurcation-machine parameters).  ground_truth is
     "oracle", "largest-weight", or "auto" (oracle up to the brute-force
-    cap, largest-weight beyond).
+    cap, largest-weight beyond).  Band counts use
+    energy.DEFAULT_FRACTIONS.
     """
 
     instance: InstanceSource
@@ -135,8 +142,6 @@ class SweepSpec:
     runs_per_point: int = 200
     base_seed: int = 0
     ground_truth: str = "auto"
-    keep_energies: bool = False
-    fractions: tuple[float, ...] = energy_mod.DEFAULT_FRACTIONS
 
     def __post_init__(self):
         if not self.axes or len(self.axes) > 2:
@@ -190,7 +195,10 @@ class SweepSpec:
         h.update(repr(self.solver).encode())
         h.update(repr(self.axes).encode())
         h.update(
-            repr((self.runs_per_point, self.base_seed, self.ground_truth, self.fractions)).encode()
+            repr(
+                (self.runs_per_point, self.base_seed, self.ground_truth,
+                 energy_mod.DEFAULT_FRACTIONS)
+            ).encode()
         )
         return h.hexdigest()
 
@@ -207,16 +215,11 @@ class PointResult:
     label_counts: tuple[tuple[str, int], ...]
     measure_counts: tuple[tuple[str, int], ...]
     diverged: int
-    energies: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered grid-point aggregates plus reproducibility metadata.
-
-    wall_time is informational only and never serialized, so emitted
-    files stay byte-identical across replays and worker counts.
-    """
+    """Ordered grid-point aggregates plus reproducibility metadata."""
 
     spec_hash: str
     axes: tuple[tuple[str, tuple[float, ...]], ...]
@@ -226,7 +229,6 @@ class SweepResult:
     ground_truth: str
     instance_label: str
     solver_repr: str
-    wall_time: float
 
     @property
     def sr_grid(self) -> np.ndarray:
@@ -349,15 +351,14 @@ def _ground_state(inst: Instance, mode: str) -> np.ndarray:
     return ps.patterns[heaviest].copy()
 
 
-def _measure_counts(
-    spectrum, energies: np.ndarray, fractions: tuple[float, ...]
-) -> dict[str, int]:
+def _measure_counts(spectrum, energies: np.ndarray) -> dict[str, int]:
     """Band counts that tolerate a zero-span (single level) spectrum.
 
     With all planted energies equal, an energy at that level (within
     the usual 1e-9 relative tolerance) counts as the full band "1",
     strictly lower counts as below, higher as above.
     """
+    fractions = energy_mod.DEFAULT_FRACTIONS
     labels = [energy_mod.band_label(f) for f in fractions]
     counts = dict.fromkeys(labels + ["below", "above"], 0)
     if spectrum is None:
@@ -372,41 +373,36 @@ def _measure_counts(
     return counts
 
 
-def _aggregate_point(
-    spec: SweepSpec,
-    index: int,
+def _run_point(
     inst: Instance,
     cfg: SolverConfig,
-    ground: np.ndarray,
-    outcomes: list[RunOutcome],
-) -> PointResult:
-    hits = 0
-    label_counts = dict.fromkeys(LABEL_CATEGORIES, 0)
-    kept: list[float] = []
-    for out in outcomes:
-        if out.diverged:
-            label_counts["diverged"] += 1
-            continue
-        if out.label is None:
-            label_counts["unlabelled"] += 1
-        else:
-            label_counts[out.label.category] += 1
-        kept.append(out.final_energy)
-        spins = out.final_spins
-        if np.array_equal(spins, ground) or np.array_equal(spins, -ground):
-            hits += 1
-    measure = _measure_counts(inst.spectrum, np.array(kept), spec.fractions)
-    return PointResult(
-        index=index,
-        coords=spec.point_coords(index),
-        n_runs=spec.runs_per_point,
-        hits=hits,
-        sr=hits / spec.runs_per_point,
-        label_counts=tuple(label_counts.items()),
-        measure_counts=tuple(measure.items()),
-        diverged=label_counts["diverged"],
-        energies=tuple(kept) if spec.keep_energies else None,
+    seeds: np.ndarray,
+    ground: np.ndarray | None = None,
+) -> tuple[dict[str, int], np.ndarray, int]:
+    """Integrate one run per seed and tally the outcomes.
+
+    Returns the LABEL_CATEGORIES counts, the final energies of the runs
+    that did not diverge, and how many of those ended on ground or its
+    mirror (0 when ground is None).
+    """
+    x0 = np.vstack(
+        [random_initial(inst.n, cfg.init_amplitude, int(s)) for s in seeds]
     )
+    counts = dict.fromkeys(LABEL_CATEGORIES, 0)
+    kept: list[float] = []
+    hits = 0
+    for out in run_batch(inst, cfg, x0, seeds=seeds):
+        if out.diverged:
+            counts["diverged"] += 1
+            continue
+        counts[out.label.category if out.label is not None else "unlabelled"] += 1
+        kept.append(out.final_energy)
+        if ground is not None and (
+            np.array_equal(out.final_spins, ground)
+            or np.array_equal(out.final_spins, -ground)
+        ):
+            hits += 1
+    return counts, np.array(kept), hits
 
 
 def _eval_point(spec: SweepSpec, index: int) -> PointResult:
@@ -420,32 +416,35 @@ def _eval_point(spec: SweepSpec, index: int) -> PointResult:
     cfg = spec.solver
     for name, value in solver_axes:
         cfg = _apply_solver_param(cfg, name, value)
-    ground = _ground_state(inst, spec.ground_truth)
     seeds = np.array(
         [derive_seed(spec.base_seed, index, r) for r in range(spec.runs_per_point)],
         dtype=np.int64,
     )
-    x0 = np.vstack(
-        [random_initial(inst.n, cfg.init_amplitude, int(s)) for s in seeds]
+    counts, kept, hits = _run_point(
+        inst, cfg, seeds, _ground_state(inst, spec.ground_truth)
     )
-    classifier = None
-    ps = inst.pattern_set
-    if ps is not None and inst.spectrum is not None:
-        classifier = energy_mod.OutcomeClassifier(ps, inst.spectrum)
-    outcomes = run_batch(inst, cfg, x0, seeds=seeds, classifier=classifier)
-    return _aggregate_point(spec, index, inst, cfg, ground, outcomes)
+    return PointResult(
+        index=index,
+        coords=coords,
+        n_runs=spec.runs_per_point,
+        hits=hits,
+        sr=hits / spec.runs_per_point,
+        label_counts=tuple(counts.items()),
+        measure_counts=tuple(_measure_counts(inst.spectrum, kept).items()),
+        diverged=counts["diverged"],
+    )
 
 
-def _run_points(spec: SweepSpec, threads: int) -> list[PointResult]:
-    indices = range(spec.n_points)
+def _map_in_order(fn: Callable, items: Sequence, threads: int) -> list:
+    """[fn(item) for item in items], over up to threads worker processes.
+
+    Executor.map yields results in input order, so the worker count
+    changes wall time only, never results.
+    """
     if threads <= 1:
-        return [_eval_point(spec, i) for i in indices]
-    results: dict[int, PointResult] = {}
+        return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = {i: pool.submit(_eval_point, spec, i) for i in indices}
-        for i, fut in futures.items():
-            results[i] = fut.result()
-    return [results[i] for i in indices]
+        return list(pool.map(fn, items))
 
 
 def sweep_sr(spec: SweepSpec, threads: int = 1) -> SweepResult:
@@ -454,8 +453,7 @@ def sweep_sr(spec: SweepSpec, threads: int = 1) -> SweepResult:
     Output is byte-stable for a given spec: worker count only changes
     wall time, never results (points are reduced in index order).
     """
-    start = time.perf_counter()
-    points = _run_points(spec, threads)
+    points = _map_in_order(partial(_eval_point, spec), range(spec.n_points), threads)
     if isinstance(spec.instance, Instance):
         label = spec.instance.label
     else:
@@ -469,11 +467,10 @@ def sweep_sr(spec: SweepSpec, threads: int = 1) -> SweepResult:
         ground_truth=spec.ground_truth,
         instance_label=label,
         solver_repr=repr(spec.solver),
-        wall_time=time.perf_counter() - start,
     )
 
 
-_SCAN_FACTORIES = {
+SCAN_FACTORIES = {
     "dxi": CataloguePerturbationFactory,
     "dw": CatalogueWeightStepFactory,
     "p": EquidistantPerturbationFactory,
@@ -488,12 +485,10 @@ def scan_transition(spec: SweepSpec, threads: int = 1) -> SweepResult:
     deformation); the optional second axis is a solver parameter,
     normally alpha.
     """
-    if isinstance(spec.instance, Instance):
-        raise ValidationError("scan_transition needs an instance factory, not a fixed instance")
-    if not isinstance(spec.instance, tuple(_SCAN_FACTORIES.values())):
+    if not isinstance(spec.instance, tuple(SCAN_FACTORIES.values())):
         raise ValidationError(
-            "instance factory must be one of "
-            + ", ".join(c.__name__ for c in _SCAN_FACTORIES.values())
+            "scan_transition needs an instance factory, one of "
+            + ", ".join(c.__name__ for c in SCAN_FACTORIES.values())
         )
     return sweep_sr(spec, threads)
 
@@ -663,20 +658,9 @@ class KSweepEntry:
     hist: HistogramReport
 
 
-def _eval_k(
-    n: int,
-    k: int,
-    runs: int,
-    base_seed: int,
-    dw: float,
-    w0: float,
-    amplitude: float,
-    max_steps: int,
-    n_bins: int,
-    fractions: tuple[float, ...],
-) -> KSweepEntry:
+def _eval_k(n: int, k: int, runs: int, base_seed: int, dw: float) -> KSweepEntry:
     ps = generate_orthogonal_patterns(
-        n, k, seed=derive_seed(base_seed, "instance", k), w0=w0, dw=dw
+        n, k, seed=derive_seed(base_seed, "instance", k), dw=dw
     )
     inst = build_couplings(ps, label=f"orthogonal-n{n}-k{k}")
     lam = oracle_mod.max_eigenvalue(inst)
@@ -685,24 +669,13 @@ def _eval_k(
     # eigenvalue; the orthogonal ladder's lower spectral edge is exactly
     # -sum(weights), so cap the step with a 4x margin against both edges.
     dt = min(0.1, 0.5 / (alpha + float(np.sum(ps.weights))))
-    cfg = SolverConfig(kind="I", alpha=alpha, beta=1.0, dt=dt, max_steps=max_steps)
+    cfg = SolverConfig(
+        kind="I", alpha=alpha, beta=1.0, dt=dt, max_steps=2000 if n >= 1024 else 1000
+    )
     seeds = np.array(
         [derive_seed(base_seed, k, r) for r in range(runs)], dtype=np.int64
     )
-    x0 = np.vstack([random_initial(n, amplitude, int(s)) for s in seeds])
-    classifier = energy_mod.OutcomeClassifier(ps, inst.spectrum)
-    outcomes = run_batch(inst, cfg, x0, seeds=seeds, classifier=classifier)
-    label_counts = dict.fromkeys(LABEL_CATEGORIES, 0)
-    energies: list[float] = []
-    for out in outcomes:
-        if out.diverged:
-            label_counts["diverged"] += 1
-            continue
-        label_counts[out.label.category if out.label is not None else "unlabelled"] += 1
-        energies.append(out.final_energy)
-    e = np.array(energies)
-    measure = _measure_counts(inst.spectrum, e, fractions)
-    hist = histogram(e, n_bins=n_bins, planted=inst.spectrum)
+    counts, e, _ = _run_point(inst, cfg, seeds)
     return KSweepEntry(
         k=k,
         n=n,
@@ -712,9 +685,9 @@ def _eval_k(
         planted_max=float(inst.spectrum.e_max),
         mean_energy=float(e.mean()),
         n_runs=runs,
-        label_counts=tuple(label_counts.items()),
-        measure_counts=tuple(measure.items()),
-        hist=hist,
+        label_counts=tuple(counts.items()),
+        measure_counts=tuple(_measure_counts(inst.spectrum, e).items()),
+        hist=histogram(e, planted=inst.spectrum),
     )
 
 
@@ -724,51 +697,30 @@ def sweep_k(
     runs_per_k: int | None = None,
     base_seed: int = 0,
     dw: float = 0.001,
-    w0: float = 1.0,
-    amplitude: float = 0.5,
-    max_steps: int | None = None,
-    n_bins: int = HIST_BINS,
-    fractions: tuple[float, ...] = energy_mod.DEFAULT_FRACTIONS,
     threads: int = 1,
 ) -> tuple[KSweepEntry, ...]:
     """Relaxation statistics per pattern count K at alpha = lambda/2.
 
-    Each K regenerates an orthogonal instance with the given dw and a
-    seed derived from (base_seed, "instance", K), then integrates
-    runs_per_k first-order trajectories from uniform starts, with the
-    step size capped by the spectral edges of the instance so forward
-    Euler stays stable at any scale.  Defaults: 1000 runs below
-    n = 1024, 100 runs and 2000 steps at n >= 1024.
+    Each K regenerates an orthogonal instance (w0 = 1, the given dw) with
+    a seed derived from (base_seed, "instance", K), then integrates
+    runs_per_k first-order trajectories from uniform starts on
+    [-0.5, 0.5]^n, with the step size capped by the spectral edges of
+    the instance so forward Euler stays stable at any scale.  Runs
+    default to 1000 with 1000 steps below n = 1024, and to 100 with
+    2000 steps at n >= 1024.  Histograms use HIST_BINS bins and bands
+    energy.DEFAULT_FRACTIONS.
     """
     ks = [int(k) for k in k_values]
     if not ks:
         raise ValidationError("k_values is empty")
     if runs_per_k is None:
         runs_per_k = 100 if n >= 1024 else 1000
-    if max_steps is None:
-        max_steps = 2000 if n >= 1024 else 1000
-    args = [
-        (n, k, runs_per_k, base_seed, dw, w0, amplitude, max_steps, n_bins, fractions)
-        for k in ks
-    ]
-    if threads <= 1:
-        return tuple(_eval_k(*a) for a in args)
-    results: dict[int, KSweepEntry] = {}
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = {i: pool.submit(_eval_k, *a) for i, a in enumerate(args)}
-        for i, fut in futures.items():
-            results[i] = fut.result()
-    return tuple(results[i] for i in range(len(args)))
+    evaluate = partial(_eval_k, n, runs=runs_per_k, base_seed=base_seed, dw=dw)
+    return tuple(_map_in_order(evaluate, ks, threads))
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _count_headers(measure_counts) -> list[str]:

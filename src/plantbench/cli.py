@@ -8,20 +8,23 @@ the recorded argv reproduces every output byte for byte, including
 SVGs and independent of --threads.
 
 Grids are given as "lo:hi:num", "lo:hi:num:log", or an explicit comma
-list "0.1,0.2,0.4"; nan and inf values are rejected.  Worker count
-comes from --threads, then the PLANTBENCH_THREADS environment variable,
-then the CPU count.
+list "0.1,0.2,0.4"; empty grids, nan and inf values, and specs asking
+for more than MAX_GRID_POINTS points are rejected.  Worker count comes
+from --threads, then the PLANTBENCH_THREADS environment variable, then
+the CPU count.  The catalogue id b* may also be spelled bstar.
 
 Exit codes: 0 success, 2 usage error, 3 validation error (bad flags,
-bad files, unsupported sizes), 4 numerical failure (divergence,
-eigenvalue non-convergence).
+bad files, unsupported sizes), 4 numerical failure (a diverging
+single trajectory).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
+import shlex
 import sys
 
 import numpy as np
@@ -43,6 +46,8 @@ from . import oracle as oracle_mod
 
 __all__ = ["main"]
 
+MAX_GRID_POINTS = 100_000
+
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -55,30 +60,39 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             values = tuple(float(tok) for tok in text.split(",") if tok.strip())
         except ValueError:
             raise ValidationError(f"cannot parse grid value list {text!r}") from None
-        _check_finite(text, values)
-        return values
-    parts = text.split(":")
-    if len(parts) not in (3, 4):
-        raise ValidationError(f"grid spec {text!r} must be lo:hi:num[:log]")
-    try:
-        lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ValidationError(f"cannot parse grid spec {text!r}") from None
-    _check_finite(text, (lo, hi))
-    if num < 1:
-        raise ValidationError("grid needs at least one point")
-    if len(parts) == 4:
-        if parts[3] != "log":
-            raise ValidationError(f"unknown grid scale {parts[3]!r}; only 'log'")
-        if lo <= 0 or hi <= 0:
-            raise ValidationError("log grids need positive endpoints")
-        return tuple(float(v) for v in np.geomspace(lo, hi, num))
-    return tuple(float(v) for v in np.linspace(lo, hi, num))
+    else:
+        parts = text.split(":")
+        if len(parts) not in (3, 4):
+            raise ValidationError(f"grid spec {text!r} must be lo:hi:num[:log]")
+        try:
+            lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValidationError(f"cannot parse grid spec {text!r}") from None
+        _check_finite(text, (lo, hi))
+        if not 1 <= num <= MAX_GRID_POINTS:
+            raise ValidationError(f"grid needs 1 to {MAX_GRID_POINTS} points, got {num}")
+        if len(parts) == 4:
+            if parts[3] != "log":
+                raise ValidationError(f"unknown grid scale {parts[3]!r}; only 'log'")
+            if lo <= 0 or hi <= 0:
+                raise ValidationError("log grids need positive endpoints")
+        spaced = np.geomspace if len(parts) == 4 else np.linspace
+        values = tuple(float(v) for v in spaced(lo, hi, num))
+    if not values:
+        raise ValidationError(f"grid {text!r} is empty")
+    # finite endpoints can still overflow the step, as in 1e308:-1e308:3
+    _check_finite(text, values)
+    return values
 
 
 def _check_finite(text: str, values: tuple[float, ...]) -> None:
     if not np.isfinite(values).all():
         raise ValidationError(f"grid {text!r} has a non-finite value")
+
+
+def _catalogue_id(text: str) -> str:
+    """Argparse type for catalogue ids: bstar is a shell-safe b*."""
+    return "b*" if text == "bstar" else text
 
 
 def _threads(args) -> int:
@@ -110,7 +124,7 @@ def _write_manifest(command: str, argv: list[str], inputs: list[str], outputs: l
         "format: plantbench-manifest 1",
         f"tool_version: {__version__}",
         f"command: {command}",
-        "argv: " + " ".join(argv),
+        "argv: " + shlex.join(argv),
     ]
     for path in inputs:
         lines.append(f"input: {path} blake2b={_digest(path)}")
@@ -159,14 +173,13 @@ def _cmd_gen(args, argv) -> int:
 
 
 def _cmd_gen_small(args, argv) -> int:
-    ident = {"bstar": "b*"}.get(args.id, args.id)
-    ps = catalogue_pattern_set(ident, literal_weights=args.literal_weights)
-    inst = build_couplings(ps, label=f"small-{ident}")
-    dists, cat_dw = CATALOGUE[ident]
+    ps = catalogue_pattern_set(args.id, literal_weights=args.literal_weights)
+    inst = build_couplings(ps, label=f"small-{args.id}")
+    dists, cat_dw = CATALOGUE[args.id]
     # Distances around the pattern cycle 1..k..1: (d12, d23, d13) for
     # three patterns, (d12, d23, d34, d14) for four.
     cyc = tuple(dists[i][(i + 1) % ps.k] for i in range(ps.k))
-    print(f"catalogue {ident}: distances {cyc} dw={cat_dw!r}")
+    print(f"catalogue {args.id}: distances {cyc} dw={cat_dw!r}")
     _print_spectrum(inst)
     if args.out:
         save_instance(inst, args.out)
@@ -178,6 +191,19 @@ _SOLVER_KINDS = {"class1": "I", "class2": "II", "class3": "III", "tbm": "TBM"}
 
 
 def _solver_config(args) -> SolverConfig:
+    for flag in ("alpha", "beta", "gamma", "delta", "xi0"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise ValidationError(f"--{flag} must be finite, got {value!r}")
+    for flag in ("dt", "amplitude"):
+        value = getattr(args, flag)
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"--{flag} must be finite and > 0, got {value!r}")
+    # inf is allowed: it disables the derivative window
+    if not args.window > 0:
+        raise ValidationError(f"--window must be > 0, got {args.window!r}")
+    if args.steps < 1:
+        raise ValidationError(f"--steps must be >= 1, got {args.steps}")
     kind = _SOLVER_KINDS[args.solver]
     tbm = None
     if kind == "TBM":
@@ -276,8 +302,7 @@ def _sweep_axes(args, inst: Instance) -> tuple[tuple[str, tuple[float, ...]], ..
 def _cmd_sweep_sr(args, argv) -> int:
     inputs = []
     if args.small:
-        ident = {"bstar": "b*"}.get(args.small, args.small)
-        inst = build_couplings(catalogue_pattern_set(ident), label=f"small-{ident}")
+        inst = build_couplings(catalogue_pattern_set(args.small), label=f"small-{args.small}")
     else:
         if not args.instance:
             raise ValidationError("need --instance FILE or --small ID")
@@ -309,13 +334,7 @@ _SCAN_DEFAULT_VALUES = {
 
 def _cmd_scan(args, argv) -> int:
     ident = args.id or ("f" if args.kind == "p" else "c")
-    ident = {"bstar": "b*"}.get(ident, ident)
-    if args.kind == "dxi":
-        factory = bench.CataloguePerturbationFactory(ident)
-    elif args.kind == "dw":
-        factory = bench.CatalogueWeightStepFactory(ident)
-    else:
-        factory = bench.EquidistantPerturbationFactory(ident)
+    factory = bench.SCAN_FACTORIES[args.kind](ident)
     values = _parse_grid(args.values or _SCAN_DEFAULT_VALUES[args.kind])
     if args.alpha_grid:
         alphas = _parse_grid(args.alpha_grid)
@@ -340,7 +359,10 @@ def _cmd_scan(args, argv) -> int:
 
 def _cmd_sweep_k(args, argv) -> int:
     if args.k_list:
-        ks = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
+        try:
+            ks = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
+        except ValueError:
+            raise ValidationError(f"cannot parse K list {args.k_list!r}") from None
     else:
         k_max = args.k_max if args.k_max is not None else args.n
         ks = list(range(args.k_min, k_max + 1, args.k_step))
@@ -363,8 +385,11 @@ def _cmd_sweep_k(args, argv) -> int:
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     if not os.path.exists(path):
         raise ValidationError(f"input CSV not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.rstrip("\n") for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [line.rstrip("\n") for line in fh if line.strip()]
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path} is not UTF-8 text") from None
     if len(rows) < 2:
         raise ValidationError(f"{path} has no data rows")
     header = rows[0].split(",")
@@ -473,8 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("gen-small", help="build a catalogue instance")
-    p.add_argument("--id", required=True,
-                   choices=["a", "b", "b*", "bstar", "c", "d", "e", "f"])
+    p.add_argument("--id", required=True, type=_catalogue_id, choices=sorted(CATALOGUE))
     p.add_argument("--literal-weights", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen_small)
@@ -510,8 +534,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-sr", help="success-rate grid")
     p.add_argument("--instance", default=None)
-    p.add_argument("--small", default=None,
-                   choices=["a", "b", "b*", "bstar", "c", "d", "e", "f"])
+    p.add_argument("--small", default=None, type=_catalogue_id,
+                   choices=sorted(CATALOGUE))
     solver_flags(p)
     p.add_argument("--alpha-grid", default=None)
     p.add_argument("--beta-grid", default=None)
@@ -524,8 +548,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_sr)
 
     p = sub.add_parser("scan", help="complexity-transition scan")
-    p.add_argument("--kind", required=True, choices=["dxi", "dw", "p"])
-    p.add_argument("--id", default=None)
+    p.add_argument("--kind", required=True, choices=list(bench.SCAN_FACTORIES))
+    p.add_argument("--id", default=None, type=_catalogue_id)
     p.add_argument("--values", default=None)
     p.add_argument("--alpha-grid", default=None)
     p.add_argument("--runs", type=int, default=200)

@@ -399,13 +399,13 @@ def run_batch(
     x0_block: np.ndarray,
     v0_block: np.ndarray | None = None,
     seeds: np.ndarray | None = None,
-    classifier: "object | None" = None,
 ) -> list[RunOutcome]:
     """Integrate a (runs, n) block of initial states in one sweep.
 
     Diverged rows come back flagged instead of raising, so harnesses
-    can count them as a failure category.  classifier, when given,
-    overrides the instance-derived outcome classifier.
+    can count them as a failure category.  When the instance carries a
+    pattern set and planted spectrum, one OutcomeClassifier built for
+    the block labels every row that did not diverge.
     """
     from . import energy as energy_mod
 
@@ -418,8 +418,9 @@ def run_batch(
     x, steps, status = _integrate_block(inst, cfg, x0_block, v0_block)
     spins = _spins(x)
     energies = energy_mod.qubo_energy_many(inst.coupling, spins)
+    classifier = None
     ps = inst.pattern_set
-    if classifier is None and ps is not None and inst.spectrum is not None:
+    if ps is not None and inst.spectrum is not None:
         classifier = energy_mod.OutcomeClassifier(ps, inst.spectrum)
     outcomes = []
     for i in range(r):

@@ -33,7 +33,7 @@ from math import comb
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-from .instance import Instance, PatternSet, make_pattern_set
+from .instance import Instance, PatternSet, _readonly, make_pattern_set
 
 __all__ = [
     "PlantedSpectrum",
@@ -59,11 +59,6 @@ DEFAULT_FRACTIONS: tuple[float, ...] = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0)
 DEFAULT_MIXED_CAP = 20000
 
 _REL_TOL = 1e-9
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _coupling_of(inst: "Instance | np.ndarray") -> np.ndarray:

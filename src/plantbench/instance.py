@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -527,9 +528,53 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _validate_coupling(j: np.ndarray, n: int) -> np.ndarray:
-    if j.shape != (n, n):
-        raise ValidationError(f"coupling must be {n} x {n}, got {j.shape}")
+def _read_text(path: str | os.PathLike) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{os.fspath(path)} is not UTF-8 text") from None
+
+
+def _int(text: str, what: str, least: int | None = None) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValidationError(f"{what} must be an integer, got {text!r}") from None
+    if least is not None and value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def _finite(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"{what} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {text!r}")
+    return value
+
+
+def _float_row(text: str, what: str) -> list[float]:
+    return [_finite(t, what) for t in text.split()]
+
+
+def _pattern_row(text: str) -> list[int]:
+    row = [_int(t, "pattern entry") for t in text.split()]
+    if any(v not in (1, -1) for v in row):
+        raise ValidationError("pattern entries must be +1 or -1")
+    return row
+
+
+def _block(rows: list[list], k: int, n: int, what: str, dtype) -> np.ndarray:
+    """rows as a (k, n) array, or ValidationError naming what."""
+    if len(rows) != k or any(len(row) != n for row in rows):
+        raise ValidationError(f"{what} rows do not match the declared {k} x {n}")
+    return np.array(rows, dtype=dtype)
+
+
+def _validate_coupling(j: np.ndarray) -> np.ndarray:
     if not np.array_equal(j, j.T):
         raise ValidationError("coupling matrix is not symmetric")
     if np.any(np.diagonal(j) != 0.0):
@@ -573,7 +618,7 @@ def save_instance(inst: Instance, path: str | os.PathLike, dense: bool | None = 
         lines.append("coupling:")
         for row in inst.coupling:
             lines.append(" ".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -581,81 +626,76 @@ def load_instance(path: str | os.PathLike) -> Instance:
     """Read an instance written by save_instance.
 
     Structural invariants (exact coupling symmetry, zero diagonal,
-    declared sizes) are validated; violations raise ValidationError.
+    declared sizes, finite numbers, +-1 pattern entries) are validated;
+    violations and unparsable values raise ValidationError.
     """
     fields: dict[str, str] = {}
     pattern_rows: list[list[int]] = []
     pert_rows: list[list[float]] = []
     coupling_rows: list[list[float]] = []
     in_coupling = False
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if in_coupling:
-                coupling_rows.append([float(t) for t in line.split()])
-                continue
-            if ":" not in line:
-                raise ValidationError(f"malformed line in instance file: {line!r}")
-            key, _, value = line.partition(":")
-            key = key.strip()
-            value = value.strip()
-            if key == "pattern":
-                pattern_rows.append([int(t) for t in value.split()])
-            elif key == "perturbation":
-                pert_rows.append([float(t) for t in value.split()])
-            elif key == "coupling":
-                in_coupling = True
-            else:
-                fields[key] = value
-    try:
-        version = int(fields["format_version"])
-        n = int(fields["n"])
-    except KeyError as exc:
-        raise ValidationError(f"instance file missing required field {exc}") from None
+    for line in _read_text(path).split("\n"):
+        if not line.strip():
+            continue
+        if in_coupling:
+            coupling_rows.append(_float_row(line, "coupling entry"))
+            continue
+        if ":" not in line:
+            raise ValidationError(f"malformed line in instance file: {line!r}")
+        key, _, value = line.partition(":")
+        key = key.strip()
+        value = value.strip()
+        if key == "pattern":
+            pattern_rows.append(_pattern_row(value))
+        elif key == "perturbation":
+            pert_rows.append(_float_row(value, "perturbation"))
+        elif key == "coupling":
+            in_coupling = True
+        else:
+            fields[key] = value
+    for key in ("format_version", "n"):
+        if key not in fields:
+            raise ValidationError(f"instance file missing required field {key!r}")
+    version = _int(fields["format_version"], "format_version")
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported format_version {version}")
+    n = _int(fields["n"], "n", least=1)
     label = fields.get("label", "")
-    seed = int(fields.get("seed", "0"))
+    seed = _int(fields.get("seed", "0"), "seed")
 
     ps = None
     if "k" in fields:
-        k = int(fields["k"])
-        w0 = float(fields.get("w0", "1.0"))
-        dw = float(fields.get("dw", "0.0"))
+        k = _int(fields["k"], "k", least=1)
+        w0 = _finite(fields.get("w0", "1.0"), "w0")
+        dw = _finite(fields.get("dw", "0.0"), "dw")
         weights = None
         if "weights" in fields:
-            weights = np.array([float(t) for t in fields["weights"].split()])
+            weights = np.array(_float_row(fields["weights"], "weight"))
             if weights.shape != (k,):
                 raise ValidationError("weights row does not match k")
         generator = None
         if "generator" in fields:
             kind, _, gseed = fields["generator"].partition(" ")
-            generator = (kind.strip(), int(gseed))
             if kind.strip() != "hadamard":
                 raise ValidationError(f"unknown generator kind {kind!r}")
+            generator = (kind.strip(), _int(gseed, "generator seed", least=0))
             patterns = generate_orthogonal_patterns(n, k, generator[1]).patterns
         elif pattern_rows:
-            patterns = np.array(pattern_rows, dtype=np.int8)
-            if patterns.shape != (k, n):
-                raise ValidationError("pattern rows do not match declared k and n")
+            patterns = _block(pattern_rows, k, n, "pattern", np.int8)
         else:
             raise ValidationError("pattern source declared but no patterns present")
         pert = None
         if pert_rows:
-            pert = np.array(pert_rows, dtype=np.float64)
-            if pert.shape != (k, n):
-                raise ValidationError("perturbation rows do not match declared k and n")
+            pert = _block(pert_rows, k, n, "perturbation", np.float64)
         ps = make_pattern_set(
             patterns, w0=w0, dw=dw, weights=weights, perturbations=pert,
             generator=generator,
         )
 
-    coarse = float(fields["coarse_grain"]) if "coarse_grain" in fields else None
+    coarse = _finite(fields["coarse_grain"], "coarse_grain") if "coarse_grain" in fields else None
 
     if coupling_rows:
-        j = _validate_coupling(np.array(coupling_rows, dtype=np.float64), n)
+        j = _validate_coupling(_block(coupling_rows, n, n, "coupling", np.float64))
         inst = Instance(
             n=n,
             coupling=_readonly(j),
@@ -684,25 +724,18 @@ def save_dense(inst: Instance, path: str | os.PathLike) -> None:
     lines = [str(inst.n)]
     for row in inst.coupling:
         lines.append(" ".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_dense(path: str | os.PathLike, label: str | None = None) -> Instance:
     """Read a bare coupling matrix written by save_dense."""
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
-    rows = [line for line in tokens if line.strip()]
+    rows = [line for line in _read_text(path).split("\n") if line.strip()]
     if not rows:
         raise ValidationError("empty coupling file")
-    try:
-        n = int(rows[0])
-    except ValueError:
-        raise ValidationError("first line of a dense file must be the size") from None
-    if len(rows) != n + 1:
-        raise ValidationError(f"expected {n} coupling rows, found {len(rows) - 1}")
-    j = np.array([[float(t) for t in line.split()] for line in rows[1:]])
-    j = _validate_coupling(j, n)
+    n = _int(rows[0], "the size line of a dense file", least=1)
+    coupling_rows = [_float_row(line, "coupling entry") for line in rows[1:]]
+    j = _validate_coupling(_block(coupling_rows, n, n, "coupling", np.float64))
     if label is None:
         label = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return Instance(

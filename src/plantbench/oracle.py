@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import closed_form_applies
+from .energy import _coupling_of, closed_form_applies
 from .errors import CapacityError
-from .instance import Instance, PatternSet
+from .instance import Instance, PatternSet, _readonly
 
 __all__ = ["SpectrumReport", "brute_force", "max_eigenvalue"]
 
@@ -32,11 +32,6 @@ _CHUNK_BITS = 16
 
 # Relative tolerance of the closed-form eigenvalue certificate.
 _CERT_TOL = 1e-9
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,12 +48,6 @@ class SpectrumReport:
     ground_energy: float
     degeneracy: int
     energy_multiset: np.ndarray | None = None
-
-
-def _coupling_of(inst: "Instance | np.ndarray") -> np.ndarray:
-    if isinstance(inst, Instance):
-        return inst.coupling
-    return np.asarray(inst, dtype=np.float64)
 
 
 def brute_force(inst: "Instance | np.ndarray", full_spectrum: bool = False) -> SpectrumReport:

@@ -1,6 +1,7 @@
 """Command-line behaviour: subcommands, exit codes, manifests, replay."""
 
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ def test_solve_missing_instance_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_malformed_instance_file_exits_3(tmp_path, small_c, capsys):
+    # an unparsable field used to escape as a ValueError traceback (exit 1)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(small_c.read_text().replace("n: 8", "n: abc"))
+    assert run_cli(["solve", "--instance", str(bad)]) == 3
+    assert "n must be an integer" in capsys.readouterr().err
+
+
 def test_oracle_reports_ground_state(small_c, capsys):
     assert run_cli(["oracle", "--instance", str(small_c),
                     "--full-spectrum", "--eig"]) == 0
@@ -165,6 +174,29 @@ def test_grid_rejects_non_finite_values(capsys, tmp_path, grid):
     assert "non-finite" in capsys.readouterr().err
     assert not csv.exists()
 
+@pytest.mark.parametrize(
+    "flag, value, code",
+    [
+        ("--dt", "nan", 3), ("--dt", "inf", 3), ("--dt", "-0.1", 3), ("--dt", "0", 3),
+        ("--amplitude", "nan", 3), ("--amplitude", "inf", 3), ("--amplitude", "0", 3),
+        ("--alpha", "nan", 3), ("--beta", "inf", 3), ("--gamma", "-inf", 3),
+        ("--delta", "nan", 3), ("--xi0", "inf", 3),
+        ("--window", "0", 3), ("--window", "-1", 3), ("--window", "nan", 3),
+        ("--steps", "-1", 3), ("--steps", "0", 3),
+        ("--window", "inf", 0),  # an infinite window disables it
+    ],
+)
+def test_solver_flags_are_validated(capsys, tmp_path, flag, value, code):
+    # bad values used to run and report every trajectory as diverged
+    csv = tmp_path / "x.csv"
+    assert run_cli(["sweep-sr", "--small", "c", "--solver", "class1",
+                    "--alpha-grid", "3", "--runs", "20", f"{flag}={value}",
+                    "--out", str(csv)]) == code
+    if code:
+        assert f"error: {flag} must be" in capsys.readouterr().err
+        assert not csv.exists()
+
+
 def test_threads_env_fallback(monkeypatch, tmp_path, capsys):
     csv = tmp_path / "s.csv"
     monkeypatch.setenv("PLANTBENCH_THREADS", "2")
@@ -200,6 +232,14 @@ def test_sweep_k_and_all_report_kinds(tmp_path, capsys):
                     "--out", str(tmp_path / "m.svg")]) == 0
 
 
+def test_sweep_k_rejects_unparsable_k_list(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    assert run_cli(["sweep-k", "--n", "16", "--k-list", "2,x",
+                    "--out", str(out)]) == 3
+    assert "cannot parse K list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_empty_csv_writes_nothing(tmp_path, capsys):
     src = tmp_path / "empty.csv"
     src.write_text("alpha,sr\n")
@@ -227,25 +267,28 @@ def test_report_wrong_schema_exits_3(tmp_path, capsys):
 def read_manifest_argv(path):
     for line in open(path):
         if line.startswith("argv: "):
-            return line[len("argv: "):].split()
+            return shlex.split(line[len("argv: "):])
     raise AssertionError("no argv line in manifest")
 
 
 def test_manifest_replay_reproduces_bytes(tmp_path, capsys):
-    csv = tmp_path / "sweep.csv"
-    args = ["sweep-sr", "--small", "b", "--alpha-grid", "1:6:3",
-            "--runs", "20", "--seed", "7", "--threads", "2",
-            "--out", str(csv)]
-    assert run_cli(args) == 0
-    first = csv.read_bytes()
-    meta_first = (tmp_path / "sweep.csv.meta.txt").read_bytes()
-    replay = read_manifest_argv(str(csv) + ".manifest.txt")
-    assert replay == args
-    # replay under a different worker count: bytes must not change
-    replay[replay.index("--threads") + 1] = "1"
-    assert run_cli(replay) == 0
-    assert csv.read_bytes() == first
-    assert (tmp_path / "sweep.csv.meta.txt").read_bytes() == meta_first
+    # the second output directory holds a space, which the argv line quotes
+    for out_dir in (tmp_path, tmp_path / "with space"):
+        out_dir.mkdir(exist_ok=True)
+        csv = out_dir / "sweep.csv"
+        args = ["sweep-sr", "--small", "b", "--alpha-grid", "1:6:3",
+                "--runs", "20", "--seed", "7", "--threads", "2",
+                "--out", str(csv)]
+        assert run_cli(args) == 0
+        first = csv.read_bytes()
+        meta_first = (out_dir / "sweep.csv.meta.txt").read_bytes()
+        replay = read_manifest_argv(str(csv) + ".manifest.txt")
+        assert replay == args
+        # replay under a different worker count: bytes must not change
+        replay[replay.index("--threads") + 1] = "1"
+        assert run_cli(replay) == 0
+        assert csv.read_bytes() == first
+        assert (out_dir / "sweep.csv.meta.txt").read_bytes() == meta_first
 
 
 def test_manifest_records_input_digest(tmp_path, small_c, capsys):

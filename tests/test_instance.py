@@ -270,3 +270,72 @@ def test_load_rejects_asymmetric_matrix(tmp_path):
     path.write_text("2\n0.0 1.0\n0.5 0.0\n")
     with pytest.raises(ValidationError):
         load_dense(path)
+
+
+def _catalogue_c_lines(tmp_path):
+    path = tmp_path / "c.txt"
+    save_instance(build_couplings(catalogue_pattern_set("c")), path)
+    return path.read_text().splitlines()
+
+
+def _first(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def _set_coupling(lines, i, j, token):
+    """Replace entry (i, j) of the dense coupling block."""
+    row = _first(lines, "coupling:") + 1 + i
+    tokens = lines[row].split()
+    tokens[j] = token
+    lines[row] = " ".join(tokens)
+
+
+def _drop_last_coupling_entry(lines):
+    row = _first(lines, "coupling:") + 1
+    lines[row] = lines[row].rsplit(" ", 1)[0]
+
+
+def _replace_line(prefix, new):
+    def edit(lines):
+        lines[_first(lines, prefix)] = new
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_replace_line("n:", "n: abc"), "n must be an integer"),
+        (_replace_line("pattern:", "pattern: 1 1 1 x 1 1 1 1"), "pattern entry"),
+        (_replace_line("pattern:", "pattern: 1 1 1 300 1 1 1 1"), r"\+1 or -1"),
+        (lambda lines: _set_coupling(lines, 0, 1, "x"), "coupling entry"),
+        (_drop_last_coupling_entry, "coupling rows"),
+        (lambda lines: (_set_coupling(lines, 0, 1, "nan"), _set_coupling(lines, 1, 0, "nan")),
+         "coupling entry must be finite"),
+    ],
+    ids=["n", "pattern-token", "pattern-overflow", "coupling-token", "coupling-ragged",
+         "coupling-nan"],
+)
+def test_load_instance_rejects_malformed_values(tmp_path, edit, message):
+    # these used to escape as ValueError/OverflowError, and NaN as "not symmetric"
+    lines = _catalogue_c_lines(tmp_path)
+    edit(lines)
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=message):
+        load_instance(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\n0.0 x\nx 0.0\n", "coupling entry"),
+        ("2\n0.0 1.0\n1.0\n", "coupling rows"),
+        ("2\n0.0 nan\nnan 0.0\n", "coupling entry must be finite"),
+    ],
+    ids=["token", "ragged", "nan"],
+)
+def test_load_dense_rejects_malformed_rows(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=message):
+        load_dense(path)
