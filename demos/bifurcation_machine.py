@@ -12,6 +12,7 @@ Run:  python3 demos/bifurcation_machine.py [--runs 200]
 """
 
 import argparse
+import os
 import pathlib
 
 from plantbench import (
@@ -32,7 +33,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=200, help="runs per grid point")
     args = parser.parse_args()
-    out_dir = pathlib.Path(__file__).parent / "out"
+    # Run from the repository root, so the manifests record demos/out/...
+    # wherever the checkout is and whatever the working directory.
+    os.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    out_dir = pathlib.Path("demos", "out")
     out_dir.mkdir(exist_ok=True)
 
     spec = SweepSpec(

@@ -18,6 +18,7 @@ Run:  python3 demos/complexity_transitions.py [--runs 200]
 """
 
 import argparse
+import os
 import pathlib
 
 import numpy as np
@@ -47,7 +48,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=200, help="runs per grid point")
     args = parser.parse_args()
-    out_dir = pathlib.Path(__file__).parent / "out"
+    # Run from the repository root, so the manifests record demos/out/...
+    # wherever the checkout is and whatever the working directory.
+    os.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    out_dir = pathlib.Path("demos", "out")
     out_dir.mkdir(exist_ok=True)
 
     for name, factory, values, base_id in SCANS:

@@ -15,6 +15,7 @@ Run:  python3 demos/medium_scale_regimes.py [--runs 300]
 """
 
 import argparse
+import os
 import pathlib
 
 from plantbench import sweep_k, write_hist_csv, write_ksweep_csv
@@ -27,7 +28,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=300, help="runs per K")
     args = parser.parse_args()
-    out_dir = pathlib.Path(__file__).parent / "out"
+    # Run from the repository root, so the manifests record demos/out/...
+    # wherever the checkout is and whatever the working directory.
+    os.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    out_dir = pathlib.Path("demos", "out")
     out_dir.mkdir(exist_ok=True)
 
     entries = sweep_k(64, K_VALUES, runs_per_k=args.runs, base_seed=0)

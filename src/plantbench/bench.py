@@ -38,7 +38,6 @@ processes through one in-order map.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence, Union
@@ -391,16 +390,18 @@ def _run_point(
     counts = dict.fromkeys(LABEL_CATEGORIES, 0)
     kept: list[float] = []
     hits = 0
+    # final_spins are int8 rows, so equal bytes mean equal spins
+    targets = set()
+    if ground is not None:
+        ground = np.asarray(ground, dtype=np.int8)
+        targets = {ground.tobytes(), (-ground).tobytes()}
     for out in run_batch(inst, cfg, x0, seeds=seeds):
         if out.diverged:
             counts["diverged"] += 1
             continue
         counts[out.label.category if out.label is not None else "unlabelled"] += 1
         kept.append(out.final_energy)
-        if ground is not None and (
-            np.array_equal(out.final_spins, ground)
-            or np.array_equal(out.final_spins, -ground)
-        ):
+        if out.final_spins.tobytes() in targets:
             hits += 1
     return counts, np.array(kept), hits
 
@@ -443,6 +444,10 @@ def _map_in_order(fn: Callable, items: Sequence, threads: int) -> list:
     """
     if threads <= 1:
         return [fn(item) for item in items]
+    # Imported here: the pool module pulls in multiprocessing, which a
+    # serial run never needs and would pay for at start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

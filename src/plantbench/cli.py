@@ -35,6 +35,8 @@ from .errors import DivergenceError, ValidationError
 from .instance import (
     CATALOGUE,
     Instance,
+    _finite,
+    _int,
     build_couplings,
     catalogue_pattern_set,
     coarse_grain,
@@ -396,6 +398,13 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     return header, [row.split(",") for row in rows[1:]]
 
 
+def _cell(row: list[str], col: int, parse=_finite):
+    """Cell col of a report CSV row, parsed by _finite or _int."""
+    if col >= len(row):
+        raise ValidationError(f"CSV row {','.join(row)!r} has no column {col + 1}")
+    return parse(row[col], f"CSV column {col + 1}")
+
+
 def _render_heatmap(header: list[str], rows: list[list[str]]) -> str:
     if "sr" not in header:
         raise ValidationError("heatmap input needs an 'sr' column")
@@ -404,12 +413,12 @@ def _render_heatmap(header: list[str], rows: list[list[str]]) -> str:
     if not axis_names or len(axis_names) > 2:
         raise ValidationError("heatmap input needs one or two axis columns")
     if len(axis_names) == 1:
-        xs = [float(r[0]) for r in rows]
-        grid = [[float(r[sr_col]) for r in rows]]
+        xs = [_cell(r, 0) for r in rows]
+        grid = [[_cell(r, sr_col) for r in rows]]
         return render.heatmap_svg(xs, [0.0], grid, axis_names[0], "", "success rate")
-    ys = sorted({float(r[0]) for r in rows})
-    xs = sorted({float(r[1]) for r in rows})
-    lookup = {(float(r[0]), float(r[1])): float(r[sr_col]) for r in rows}
+    lookup = {(_cell(r, 0), _cell(r, 1)): _cell(r, sr_col) for r in rows}
+    ys = sorted({y for y, _ in lookup})
+    xs = sorted({x for _, x in lookup})
     if len(lookup) != len(xs) * len(ys):
         raise ValidationError("heatmap input is not a full grid")
     grid = [[lookup[(y, x)] for x in xs] for y in ys]
@@ -425,18 +434,18 @@ def _render_hist(header: list[str], rows: list[list[str]], k_arg: int | None) ->
     if missing:
         raise ValidationError(f"histogram input lacks columns: {missing}")
     col = {name: header.index(name) for name in needed}
-    ks = [int(r[col["k"]]) for r in rows]
+    ks = [_cell(r, col["k"], _int) for r in rows]
     k = k_arg if k_arg is not None else ks[0]
-    sel = [r for r in rows if int(r[col["k"]]) == k]
+    sel = [r for r, rk in zip(rows, ks) if rk == k]
     if not sel:
         raise ValidationError(f"no rows for k={k}")
     return render.histogram_svg(
-        [float(r[col["left"]]) for r in sel],
-        [float(r[col["right"]]) for r in sel],
-        [float(r[col["log_density_shifted"]]) for r in sel],
-        [float(r[col["smoothed_density"]]) for r in sel],
-        float(sel[0][col["planted_min"]]),
-        float(sel[0][col["planted_max"]]),
+        [_cell(r, col["left"]) for r in sel],
+        [_cell(r, col["right"]) for r in sel],
+        [_cell(r, col["log_density_shifted"]) for r in sel],
+        [_cell(r, col["smoothed_density"]) for r in sel],
+        _cell(sel[0], col["planted_min"]),
+        _cell(sel[0], col["planted_max"]),
         f"found energies, K={k}",
     )
 
@@ -450,11 +459,11 @@ def _render_measure(header: list[str], rows: list[list[str]]) -> str:
     k_col, n_col = header.index("k"), header.index("n_runs")
     ks, shares = [], []
     for row in rows:
-        total = int(row[n_col])
-        counts = [int(row[header.index(b)]) for b in bands]
+        total = _cell(row, n_col, _int)
+        counts = [_cell(row, header.index(b), _int) for b in bands]
         if total <= 0 or sum(counts) != total:
             raise ValidationError("band counts of each row must sum to n_runs")
-        ks.append(int(row[k_col]))
+        ks.append(_cell(row, k_col, _int))
         shares.append([c / total for c in counts])
     names = [b.split(":", 1)[1] for b in bands]
     return render.measure_svg(ks, names, shares, "planted-range band shares")

@@ -167,8 +167,8 @@ class RunOutcome:
     seed: int
 
 
-def _clip_unit(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, -1.0, 1.0)
+def _clip_unit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.clip(x, -1.0, 1.0, out=out)
 
 
 _NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -224,33 +224,51 @@ class _Rows:
         if record is not None:
             record.append(self.x.copy())
 
-    def retire(self, step: int, x: np.ndarray, move: np.ndarray | None):
+    def work(self, count: int) -> np.ndarray:
+        """count work arrays shaped like the block; the first holds x."""
+        work = np.empty((count,) + self.x.shape)
+        work[0] = self.x
+        return work
+
+    def retire(self, step: int, x: np.ndarray, move: np.ndarray | None,
+               scratch: np.ndarray):
         """Settle the live rows after step; return the mask of rows kept.
 
         x holds the live states after the step and move the per-entry
-        steady measure, or None when not self.steady.  A row diverges
-        once any entry is non-finite or beyond the limit, and converges
-        once every entry of move is below the threshold.  Returns None
-        when every live row keeps running; the mask is a view that the
-        next call overwrites.
+        steady measure, or None when not self.steady; scratch, shaped
+        like x, is overwritten.  A row diverges once any entry is
+        non-finite or beyond the limit, and converges once every entry
+        of move is below the threshold.  Returns None when every live
+        row keeps running; the mask is a view that the next call
+        overwrites.
         """
         if self.record is not None:
             snapshot = self.x.copy()
             snapshot[self.live] = x
             self.record.append(snapshot)
+        size = np.abs(x, out=scratch)
+        # The maximum is NaN when any entry is, and NaN <= limit is
+        # False, so a bounded block has no diverged row.
+        bounded = size.max() <= DIVERGENCE_LIMIT
+        if bounded and move is None:
+            return None
         diverged, done, keep = self._flags[:, : len(x)]
-        (np.abs(x) <= DIVERGENCE_LIMIT).all(axis=1, out=diverged)
-        np.logical_not(diverged, out=diverged)
-        if move is None:
-            done[:] = diverged
-        else:
+        if move is not None:
             (move < self.threshold).all(axis=1, out=done)
-            done |= diverged
+        if not bounded:
+            (size <= DIVERGENCE_LIMIT).all(axis=1, out=diverged)
+            np.logical_not(diverged, out=diverged)
+            if move is None:
+                done[:] = diverged
+            else:
+                done |= diverged
         if not done.any():
             return None
         rows = self.live[done]
         self.x[rows] = x[done]
-        self.status[rows] = np.where(diverged[done], DIVERGED, CONVERGED)
+        self.status[rows] = (
+            CONVERGED if bounded else np.where(diverged[done], DIVERGED, CONVERGED)
+        )
         self.steps[rows] = step + 1
         np.logical_not(done, out=keep)
         self.live = self.live[keep]
@@ -260,6 +278,23 @@ class _Rows:
         """Full block of final states, steps used and status codes."""
         self.x[self.live] = x
         return self.x, self.steps, self.status
+
+
+def _compact(work: np.ndarray, keep: np.ndarray, *state: np.ndarray) -> np.ndarray:
+    """Move the kept rows of each state array to the front of its work array.
+
+    state[i] goes to work[i]; returns work cut to the kept rows.
+    """
+    live = np.count_nonzero(keep)
+    for buf, arr in zip(work, state):
+        buf[:live] = arr[keep]
+    return work[:, :live]
+
+
+# The step loops below allocate nothing: every temporary is written
+# through out= into work arrays made once per block and cut to the live
+# rows.  Each element still sees the same operations in the same order
+# as the plain expressions in the comments, so the bits are the same.
 
 
 def _first_order(
@@ -274,29 +309,32 @@ def _first_order(
     record: list | None = None,
 ):
     rows = _Rows(x0, max_steps, steady_tol * dt, record)
-    x = rows.x.copy()
+    # f holds phi(x), then a * x, then the divergence scratch
+    work = rows.work(3)
+    x, f, dx = work
     for step in range(max_steps):
         if not len(x):
             break
         a = _value(alpha, step)
         b = _value(beta, step)
-        # dx = dt * (b * (phi(x) @ j) - a * x), evaluated in place
-        dx = phi(x) @ j
-        dx *= b
-        dx -= a * x
+        # dx = dt * (b * (phi(x) @ j) - a * x)
+        np.matmul(phi(x, out=f), j, out=dx)
+        if b != 1.0:  # 1.0 * y == y exactly
+            dx *= b
+        dx -= np.multiply(x, a, out=f)
         dx *= dt
         x += dx
         move = np.abs(dx, out=dx) if rows.steady else None
-        keep = rows.retire(step, x, move)
+        keep = rows.retire(step, x, move, f)
         if keep is not None:
-            x = x[keep]
+            x, f, dx = _compact(work, keep, x)
     return rows.result(x)
 
 
 def _second_order(
     j: np.ndarray,
     x0: np.ndarray,
-    v0: np.ndarray,
+    v0: np.ndarray | float,
     alpha: Schedule,
     beta: Schedule,
     gamma: Schedule,
@@ -310,8 +348,12 @@ def _second_order(
     if not window > 0:
         raise ValidationError("derivative window must be positive")
     rows = _Rows(x0, max_steps, steady_tol * dt, record)
-    x = rows.x.copy()
-    v = np.array(v0, dtype=np.float64)
+    # x and x_new swap every step; f holds phi(x), then a * x, then
+    # |x_new|, then the divergence scratch
+    work = rows.work(6)
+    work[1] = v0
+    x, v, x_new, f, acc, t = work
+    over = np.empty(x.shape, dtype=bool)
     for step in range(max_steps):
         if not len(x):
             break
@@ -319,28 +361,31 @@ def _second_order(
         b = _value(beta, step)
         g = _value(gamma, step)
         # acc = g * v - a * x + b * (phi(x) @ j)
-        acc = phi(x) @ j
+        np.matmul(phi(x, out=f), j, out=acc)
         acc *= b
-        acc += g * v - a * x
-        x_new = x + dt * v
-        v += dt * acc
-        over = np.abs(x_new) > window
+        np.multiply(v, g, out=t)
+        t -= np.multiply(x, a, out=f)
+        acc += t
+        # x_new = x + dt * v; v += dt * acc
+        np.add(x, np.multiply(v, dt, out=t), out=x_new)
+        v += np.multiply(acc, dt, out=t)
+        np.greater(np.abs(x_new, out=f), window, out=over)
         if over.any():
             np.clip(x_new, -window, window, out=x_new)
-            v[over] = 0.0
+            np.putmask(v, over, 0.0)
         move = None
         if rows.steady:
-            # Steady only when both the realized move and the imminent
-            # move dt*|v| are below threshold; with v0 = 0 the first
-            # realized move is identically zero and alone would trip
-            # the detector.
-            move = np.abs(x_new - x)
-            np.maximum(move, dt * np.abs(v), out=move)
-        x = x_new
-        keep = rows.retire(step, x, move)
+            # move = max(|x_new - x|, dt * |v|): steady only when both
+            # the realized move and the imminent move are below
+            # threshold; with v0 = 0 the first realized move is
+            # identically zero and alone would trip the detector.
+            move = np.abs(np.subtract(x_new, x, out=acc), out=acc)
+            np.maximum(move, np.multiply(np.abs(v, out=t), dt, out=t), out=move)
+        x, x_new = x_new, x
+        keep = rows.retire(step, x, move, f)
         if keep is not None:
-            x = x[keep]
-            v = v[keep]
+            x, v, x_new, f, acc, t = _compact(work, keep, x, v)
+            over = over[: len(x)]
     return rows.result(x)
 
 
@@ -381,7 +426,9 @@ def _integrate_block(
         )
     if cfg.kind == "III":
         if v0 is None:
-            v0 = np.zeros_like(np.asarray(x0, dtype=np.float64))
+            v0 = 0.0
+        elif np.shape(v0) != np.shape(x0):
+            raise ValidationError("initial velocities must match the initial states")
         return _second_order(
             inst.coupling, x0, v0, cfg.alpha, cfg.beta, cfg.gamma, phi,
             cfg.dt, cfg.max_steps, cfg.steady_tol, cfg.derivative_window, record,
@@ -414,7 +461,10 @@ def run_batch(
         raise ValidationError(f"initial block must be (runs, {inst.n})")
     r = x0_block.shape[0]
     if seeds is None:
-        seeds = np.full(r, cfg.seed, dtype=np.int64)
+        seeds = np.full(r, cfg.seed)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if seeds.shape != (r,):
+        raise ValidationError(f"seeds must hold one entry per row ({r})")
     x, steps, status = _integrate_block(inst, cfg, x0_block, v0_block)
     spins = _spins(x)
     energies = energy_mod.qubo_energy_many(inst.coupling, spins)
@@ -423,20 +473,22 @@ def run_batch(
     if ps is not None and inst.spectrum is not None:
         classifier = energy_mod.OutcomeClassifier(ps, inst.spectrum)
     outcomes = []
-    for i in range(r):
-        diverged = status[i] == DIVERGED
+    columns = zip(spins, energies.tolist(), steps.tolist(), status.tolist(),
+                  seeds.tolist())
+    for row_spins, energy, steps_used, code, seed in columns:
+        diverged = code == DIVERGED
         label = None
         if classifier is not None and not diverged:
-            label = classifier.classify(spins[i], float(energies[i]))
+            label = classifier.classify(row_spins, energy)
         outcomes.append(
             RunOutcome(
-                final_spins=spins[i],
-                final_energy=float(energies[i]),
-                steps_used=int(steps[i]),
-                converged=bool(status[i] == CONVERGED),
-                diverged=bool(diverged),
+                final_spins=row_spins,
+                final_energy=energy,
+                steps_used=steps_used,
+                converged=code == CONVERGED,
+                diverged=diverged,
                 label=label,
-                seed=int(seeds[i]),
+                seed=seed,
             )
         )
     return outcomes

@@ -10,6 +10,7 @@ from plantbench import (
     SolverConfig,
     SweepSpec,
     ValidationError,
+    brute_force,
     build_couplings,
     catalogue_pattern_set,
     cluster_report,
@@ -19,6 +20,8 @@ from plantbench import (
     derive_seed,
     histogram,
     qubo_energy,
+    random_initial,
+    run_batch,
     scan_transition,
     shared_sign_coordinate,
     sweep_k,
@@ -28,6 +31,7 @@ from plantbench import (
     write_sidecar,
     write_sweep_csv,
 )
+from plantbench import bench
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +159,20 @@ def test_sweep_two_axes_shape(inst_a):
     result = sweep_sr(spec)
     assert result.sr_grid.shape == (2, 3)
     assert [p.index for p in result.points] == list(range(6))
+
+
+def test_hits_count_ground_and_mirror_for_any_ground_dtype(inst_a):
+    cfg = SolverConfig(kind="I", alpha=3.0, max_steps=400)
+    seeds = np.arange(80, dtype=np.int64)
+    ground = brute_force(inst_a).ground_state
+    x0 = np.vstack([random_initial(8, cfg.init_amplitude, int(s)) for s in seeds])
+    spins = [o.final_spins for o in run_batch(inst_a, cfg, x0, seeds=seeds)]
+    plain = sum(np.array_equal(s, ground) for s in spins)
+    mirror = sum(np.array_equal(s, -ground) for s in spins)
+    assert plain > 0 and mirror > 0
+    for g in (ground, ground.astype(np.int64), ground.astype(np.float64)):
+        assert bench._run_point(inst_a, cfg, seeds, g)[2] == plain + mirror
+    assert bench._run_point(inst_a, cfg, seeds)[2] == 0
 
 
 def test_ground_truth_largest_weight(inst_a):

@@ -249,6 +249,32 @@ def test_report_empty_csv_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+HIST_HEADER = "k,left,right,log_density_shifted,smoothed_density,planted_min,planted_max\n"
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("heatmap", "alpha,sr\nx,0.5\n"),
+    ("heatmap", "alpha,sr\n1\n"),
+    ("heatmap", "alpha,sr\n1,nan\n"),
+    ("heatmap", "delta,xi0,sr\n1,2,0.5\n1,oops,0.5\n"),
+    ("heatmap", "delta,xi0,sr\n1,2\n"),
+    ("hist", HIST_HEADER + "40,0,1,-2,0.1,x,1\n"),
+    ("hist", HIST_HEADER + "40,0,1\n"),
+    ("hist", HIST_HEADER + "4.5,0,1,-2,0.1,-1,1\n"),
+    ("measure", "k,n_runs,band:1\n40,abc,3\n"),
+    ("measure", "k,n_runs,band:1\n40\n"),
+    ("measure", "k,n_runs,band:1\n40,3,3.0\n"),
+])
+def test_report_malformed_cells_exit_3(tmp_path, capsys, kind, text):
+    src = tmp_path / "bad.csv"
+    src.write_text(text)
+    out = tmp_path / "x.svg"
+    assert run_cli(["report", "--in", str(src), "--kind", kind,
+                    "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "CSV" in capsys.readouterr().err
+
+
 def test_report_wrong_schema_exits_3(tmp_path, capsys):
     src = tmp_path / "odd.csv"
     src.write_text("foo,bar\n1,2\n")

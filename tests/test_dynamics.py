@@ -405,12 +405,94 @@ def test_active_rows_retire_diverged_rows_mid_block(inst_c):
     assert (status == 2).any() and (status == 1).any()
 
 
+@pytest.mark.parametrize("window", [0.5, float("inf")])
+def test_second_order_rows_retire_mid_block(inst_c, window):
+    # damped second order: rows converge at many different steps, and
+    # without a window the scaled rows escape while alpha < 0, so live
+    # rows, their velocities included, are compacted again and again
+    def alpha(step):
+        return -5.0 if step < 30 else 3.0
+
+    cfg = SolverConfig(kind="III", alpha=alpha, beta=1.0, gamma=-1.5, dt=0.1,
+                       max_steps=800, steady_tol=1e-6, derivative_window=window)
+    x0 = start_block(8, 40)
+    x0[::5] *= 1e5
+    ref = masked_reference(inst_c.coupling, x0, alpha, 1.0, -1.5, np.tanh,
+                           0.1, 800, 1e-6, window=window)
+    status = assert_matches_reference(inst_c, cfg, x0, ref)
+    assert len(set(ref[1][status == 1].tolist())) >= 3
+    if window == float("inf"):
+        assert (status == 2).any()
+
+
+@pytest.mark.parametrize("bad", [[4], [11], [4, 11]])
+@pytest.mark.parametrize("kind", ["I", "III"])
+def test_unbounded_rows_fall_back_to_the_row_test(inst_c, kind, bad):
+    # a NaN entry (row 4) and a row beyond the limit (row 11) inside an
+    # otherwise bounded block: the block maximum fails, and the row-wise
+    # test must retire exactly those rows at the first step
+    cfg = SolverConfig(kind=kind, alpha=3.0, beta=1.0, gamma=-1.0, dt=0.1,
+                       max_steps=600, steady_tol=1e-6,
+                       derivative_window=float("inf"))
+    x0 = start_block(8, 30)
+    if 4 in bad:
+        x0[4, 2] = np.nan
+    if 11 in bad:
+        x0[11] = 5e6
+    ref = masked_reference(inst_c.coupling, x0, 3.0, 1.0, -1.0, np.tanh, 0.1,
+                           600, 1e-6, window=None if kind == "I" else float("inf"))
+    x, steps, status = dynamics._integrate_block(inst_c, cfg, x0, None)
+    assert np.flatnonzero(status == 2).tolist() == bad
+    assert steps[bad].tolist() == [1] * len(bad)
+    assert np.array_equal(status, ref[2])
+    assert np.array_equal(steps, ref[1])
+    live = status != 2
+    np.testing.assert_allclose(x[live], ref[0][live], rtol=1e-12, atol=1e-12)
+
+
+def test_unit_beta_skips_the_multiply_bit_for_bit(inst_c):
+    # beta = 1.0 leaves out dx *= beta; 1.0 * y == y exactly, so a
+    # schedule that returns 1.0 and a step written out in full agree
+    x0 = start_block(8, 50)
+    const = SolverConfig(kind="I", alpha=3.0, beta=1.0)
+    sched = SolverConfig(kind="II", alpha=3.0, beta=lambda step: 1.0)
+    for a, b in zip(dynamics._integrate_block(inst_c, const, x0, None),
+                    dynamics._integrate_block(inst_c, sched, x0, None)):
+        assert a.tobytes() == b.tobytes()
+    second = trajectory(inst_c, const, x0[0])[1]
+    h = np.tanh(x0[:1]) @ inst_c.coupling
+    expected = x0[:1] + 0.1 * (1.0 * h - 3.0 * x0[:1])
+    assert second.tobytes() == expected[0].tobytes()
+
+
+@pytest.mark.parametrize("name, plain", [
+    ("identity-clip", lambda x: np.clip(x, -1.0, 1.0)),
+    ("sign", np.sign),
+])
+def test_nonlinearities_write_through_out(inst_c, name, plain):
+    x = start_block(8, 20, seed=3) * 3.0
+    buf = np.empty_like(x)
+    phi = dynamics._phi(name)
+    assert phi(x, out=buf) is buf
+    assert buf.tobytes() == plain(x).tobytes()
+    cfg = SolverConfig(kind="I", alpha=2.0, nonlinearity=name, dt=0.1,
+                       max_steps=400)
+    ref = masked_reference(inst_c.coupling, x, 2.0, 1.0, 0.0, plain, 0.1, 400,
+                           cfg.steady_tol)
+    assert_matches_reference(inst_c, cfg, x, ref)
+
+
 def test_batch_shape_validation(inst_c):
     cfg = SolverConfig()
     with pytest.raises(ValidationError):
         run_batch(inst_c, cfg, np.zeros((4, 5)))
     with pytest.raises(ValidationError):
         run(inst_c, cfg, np.zeros(5))
+    with pytest.raises(ValidationError):
+        run_batch(inst_c, cfg, np.zeros((4, 8)), seeds=np.arange(3))
+    with pytest.raises(ValidationError):
+        run_batch(inst_c, SolverConfig(kind="III"), np.zeros((4, 8)),
+                  v0_block=np.zeros(8))
 
 
 def test_converged_runs_are_stable_under_longer_budget(inst_c):
