@@ -7,165 +7,27 @@ second order, and a bifurcation machine) that act as analog solvers,
 and provides the measurement harness: exact small-instance oracles,
 success-rate sweeps, complexity-transition scans, and energy-landscape
 statistics across pattern counts.
+
+The top-level namespace re-exports the __all__ list of each module
+below, so every public name is listed once, in its own module.
 """
 
-from .errors import (
-    CapacityError,
-    DegenerateSpectrumError,
-    DivergenceError,
-    PlantbenchError,
-    UnsupportedDimensionError,
-    ValidationError,
-)
-from .instance import (
-    CATALOGUE,
-    Instance,
-    PatternSet,
-    build_couplings,
-    catalogue_pattern_set,
-    coarse_grain,
-    generate_orthogonal_patterns,
-    generate_small_scale,
-    hamming_distances,
-    load_dense,
-    load_instance,
-    make_pattern_set,
-    perturb_patterns,
-    save_dense,
-    save_instance,
-    shared_sign_coordinate,
-)
-from .energy import (
-    OutcomeClassifier,
-    OutcomeLabel,
-    PlantedSpectrum,
-    band_label,
-    classify_outcome,
-    gauge_transform,
-    measure_bins,
-    mirror,
-    planted_spectrum,
-    qubo_energy,
-    qubo_energy_many,
-)
-from .oracle import SpectrumReport, brute_force, max_eigenvalue
-from .dynamics import (
-    LinearRamp,
-    PumpRamp,
-    RunOutcome,
-    SolverConfig,
-    TbmParams,
-    random_initial,
-    run,
-    run_batch,
-    run_class1,
-    run_class2,
-    run_class3,
-    run_tbm,
-    trajectory,
-)
-from .bench import (
-    CataloguePerturbationFactory,
-    CatalogueWeightStepFactory,
-    EquidistantPerturbationFactory,
-    HistogramReport,
-    KSweepEntry,
-    PointResult,
-    SweepResult,
-    SweepSpec,
-    cluster_report,
-    cluster_split,
-    count_modes,
-    default_alpha_grid,
-    derive_seed,
-    histogram,
-    scan_transition,
-    sweep_k,
-    sweep_sr,
-    write_hist_csv,
-    write_ksweep_csv,
-    write_sidecar,
-    write_sweep_csv,
-)
+from . import bench, dynamics, energy, errors, instance, oracle
+from .errors import *
+from .instance import *
+from .energy import *
+from .oracle import *
+from .dynamics import *
+from .bench import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "PlantbenchError",
-    "ValidationError",
-    "UnsupportedDimensionError",
-    "CapacityError",
-    "DegenerateSpectrumError",
-    "DivergenceError",
-    # instance
-    "CATALOGUE",
-    "PatternSet",
-    "Instance",
-    "make_pattern_set",
-    "generate_orthogonal_patterns",
-    "catalogue_pattern_set",
-    "generate_small_scale",
-    "perturb_patterns",
-    "build_couplings",
-    "coarse_grain",
-    "hamming_distances",
-    "shared_sign_coordinate",
-    "save_instance",
-    "load_instance",
-    "save_dense",
-    "load_dense",
-    # energy
-    "qubo_energy",
-    "qubo_energy_many",
-    "PlantedSpectrum",
-    "planted_spectrum",
-    "OutcomeLabel",
-    "OutcomeClassifier",
-    "classify_outcome",
-    "band_label",
-    "measure_bins",
-    "mirror",
-    "gauge_transform",
-    # oracle
-    "SpectrumReport",
-    "brute_force",
-    "max_eigenvalue",
-    # dynamics
-    "LinearRamp",
-    "PumpRamp",
-    "TbmParams",
-    "SolverConfig",
-    "RunOutcome",
-    "random_initial",
-    "run",
-    "run_batch",
-    "run_class1",
-    "run_class2",
-    "run_class3",
-    "run_tbm",
-    "trajectory",
-    # bench
-    "SweepSpec",
-    "PointResult",
-    "SweepResult",
-    "HistogramReport",
-    "KSweepEntry",
-    "CataloguePerturbationFactory",
-    "CatalogueWeightStepFactory",
-    "EquidistantPerturbationFactory",
-    "derive_seed",
-    "default_alpha_grid",
-    "sweep_sr",
-    "scan_transition",
-    "sweep_k",
-    "histogram",
-    "count_modes",
-    "cluster_split",
-    "cluster_report",
-    "write_sweep_csv",
-    "write_ksweep_csv",
-    "write_hist_csv",
-    "write_sidecar",
+    *errors.__all__,
+    *instance.__all__,
+    *energy.__all__,
+    *oracle.__all__,
+    *dynamics.__all__,
+    *bench.__all__,
 ]

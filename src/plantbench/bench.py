@@ -351,25 +351,11 @@ def _ground_state(inst: Instance, mode: str) -> np.ndarray:
 
 
 def _measure_counts(spectrum, energies: np.ndarray) -> dict[str, int]:
-    """Band counts that tolerate a zero-span (single level) spectrum.
-
-    With all planted energies equal, an energy at that level (within
-    the usual 1e-9 relative tolerance) counts as the full band "1",
-    strictly lower counts as below, higher as above.
-    """
-    fractions = energy_mod.DEFAULT_FRACTIONS
-    labels = [energy_mod.band_label(f) for f in fractions]
-    counts = dict.fromkeys(labels + ["below", "above"], 0)
-    if spectrum is None:
-        return counts
-    if spectrum.span > 0:
-        return energy_mod.measure_bins(spectrum, energies, fractions)
-    e = np.asarray(energies, dtype=np.float64)
-    tol = 1e-9 * max(1.0, abs(spectrum.e_min))
-    counts["below"] = int((e < spectrum.e_min - tol).sum())
-    counts["above"] = int((e > spectrum.e_min + tol).sum())
-    counts["1"] = int(e.size) - counts["below"] - counts["above"]
-    return counts
+    """Band counts of energies; all zero without a planted spectrum."""
+    if spectrum is not None:
+        return energy_mod.measure_bins(spectrum, energies)
+    labels = [energy_mod.band_label(f) for f in energy_mod.DEFAULT_FRACTIONS]
+    return dict.fromkeys(labels + ["below", "above"], 0)
 
 
 def _run_point(

@@ -14,8 +14,11 @@ from --threads, then the PLANTBENCH_THREADS environment variable, then
 the CPU count.  The catalogue id b* may also be spelled bstar.
 
 Exit codes: 0 success, 2 usage error, 3 validation error (bad flags,
-bad files, unsupported sizes), 4 numerical failure (a diverging
-single trajectory).
+bad files, unsupported sizes), 4 numerical failure (DivergenceError).
+No subcommand raises DivergenceError at present: solve reports a
+diverging run as a "diverged" row of its CSV, and the sweeps count such
+runs in their diverged column, so exit 4 is kept for a numerical
+failure that escapes a subcommand.
 """
 
 from __future__ import annotations
@@ -92,6 +95,22 @@ def _check_finite(text: str, values: tuple[float, ...]) -> None:
         raise ValidationError(f"grid {text!r} has a non-finite value")
 
 
+def _check_finite_flags(args, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise ValidationError(f"--{flag} must be finite, got {value!r}")
+
+
+def _check_count_flags(args, *flags: str) -> None:
+    """Reject counts and steps below 1; None leaves the default in force."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            name = flag.replace("_", "-")
+            raise ValidationError(f"--{name} must be >= 1, got {value}")
+
+
 def _catalogue_id(text: str) -> str:
     """Argparse type for catalogue ids: bstar is a shell-safe b*."""
     return "b*" if text == "bstar" else text
@@ -132,9 +151,7 @@ def _write_manifest(command: str, argv: list[str], inputs: list[str], outputs: l
         lines.append(f"input: {path} blake2b={_digest(path)}")
     for path in outputs:
         lines.append(f"output: {path} blake2b={_digest(path)}")
-    manifest_path = outputs[0] + ".manifest.txt"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    bench._write_text(outputs[0] + ".manifest.txt", "\n".join(lines) + "\n")
 
 
 def _load(path: str) -> Instance:
@@ -164,6 +181,7 @@ def _spins_text(spins) -> str:
 
 
 def _cmd_gen(args, argv) -> int:
+    _check_finite_flags(args, "w0", "dw")
     ps = generate_orthogonal_patterns(args.n, args.k, seed=args.seed, w0=args.w0, dw=args.dw)
     inst = build_couplings(ps, rule=args.rule, label=f"orthogonal-n{args.n}-k{args.k}")
     if args.coarse is not None:
@@ -193,10 +211,7 @@ _SOLVER_KINDS = {"class1": "I", "class2": "II", "class3": "III", "tbm": "TBM"}
 
 
 def _solver_config(args) -> SolverConfig:
-    for flag in ("alpha", "beta", "gamma", "delta", "xi0"):
-        value = getattr(args, flag)
-        if not math.isfinite(value):
-            raise ValidationError(f"--{flag} must be finite, got {value!r}")
+    _check_finite_flags(args, "alpha", "beta", "gamma", "delta", "xi0")
     for flag in ("dt", "amplitude"):
         value = getattr(args, flag)
         if not (math.isfinite(value) and value > 0):
@@ -204,8 +219,7 @@ def _solver_config(args) -> SolverConfig:
     # inf is allowed: it disables the derivative window
     if not args.window > 0:
         raise ValidationError(f"--window must be > 0, got {args.window!r}")
-    if args.steps < 1:
-        raise ValidationError(f"--steps must be >= 1, got {args.steps}")
+    _check_count_flags(args, "steps")
     kind = _SOLVER_KINDS[args.solver]
     tbm = None
     if kind == "TBM":
@@ -225,6 +239,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _cmd_solve(args, argv) -> int:
+    _check_count_flags(args, "runs")
     inst = _load(args.instance)
     cfg = _solver_config(args)
     seeds = np.array(
@@ -249,8 +264,7 @@ def _cmd_solve(args, argv) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        bench._write_text(args.out, text)
         _write_manifest("solve", argv, [args.instance], [args.out])
     else:
         sys.stdout.write(text)
@@ -276,8 +290,7 @@ def _cmd_oracle(args, argv) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        bench._write_text(args.out, text)
         _write_manifest("oracle", argv, [args.instance], [args.out])
     return 0
 
@@ -360,6 +373,8 @@ def _cmd_scan(args, argv) -> int:
 
 
 def _cmd_sweep_k(args, argv) -> int:
+    _check_finite_flags(args, "dw")
+    _check_count_flags(args, "runs", "k_step")
     if args.k_list:
         try:
             ks = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
@@ -477,8 +492,7 @@ def _cmd_report(args, argv) -> int:
         svg = _render_hist(header, rows, args.k)
     else:
         svg = _render_measure(header, rows)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    bench._write_text(args.out, svg)
     _write_manifest("report", argv, [args.infile], [args.out])
     return 0
 

@@ -58,10 +58,6 @@ __all__ = [
     "random_initial",
     "run",
     "run_batch",
-    "run_class1",
-    "run_class2",
-    "run_class3",
-    "run_tbm",
     "trajectory",
 ]
 
@@ -494,6 +490,15 @@ def run_batch(
     return outcomes
 
 
+def _one_row(inst: Instance, x0: np.ndarray, v0: np.ndarray | None):
+    """x0 and v0 of a single trajectory as one-row blocks."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.shape != (inst.n,):
+        raise ValidationError(f"initial state must have shape ({inst.n},)")
+    v0_block = None if v0 is None else np.asarray(v0, dtype=np.float64)[None, :]
+    return x0[None, :], v0_block
+
+
 def run(
     inst: Instance,
     cfg: SolverConfig,
@@ -501,47 +506,10 @@ def run(
     v0: np.ndarray | None = None,
 ) -> RunOutcome:
     """Integrate a single trajectory; raises DivergenceError on blow-up."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (inst.n,):
-        raise ValidationError(f"initial state must have shape ({inst.n},)")
-    v0_block = None if v0 is None else np.asarray(v0, dtype=np.float64)[None, :]
-    outcome = run_batch(inst, cfg, x0[None, :], v0_block)[0]
+    outcome = run_batch(inst, cfg, *_one_row(inst, x0, v0))[0]
     if outcome.diverged:
         raise DivergenceError(step=outcome.steps_used, max_abs=DIVERGENCE_LIMIT)
     return outcome
-
-
-def run_class1(inst: Instance, cfg: SolverConfig, x0: np.ndarray) -> RunOutcome:
-    """First-order relaxation with constant coefficients."""
-    return run(inst, replace(cfg, kind="I"), x0)
-
-
-def run_class2(inst: Instance, cfg: SolverConfig, x0: np.ndarray) -> RunOutcome:
-    """First-order relaxation with scheduled alpha(t), beta(t).
-
-    Constant schedules reproduce run_class1 exactly: both kinds share
-    one integrator.
-    """
-    return run(inst, replace(cfg, kind="II"), x0)
-
-
-def run_class3(
-    inst: Instance, cfg: SolverConfig, x0: np.ndarray, v0: np.ndarray | None = None
-) -> RunOutcome:
-    """Second-order relaxation; v0 defaults to zero."""
-    return run(inst, replace(cfg, kind="III"), x0, v0)
-
-
-def run_tbm(
-    inst: Instance, cfg: SolverConfig, x0: np.ndarray, v0: np.ndarray | None = None
-) -> RunOutcome:
-    """Bifurcation-machine run: class III under the TBM parameter map.
-
-    Uses cfg.tbm = (delta, xi0, p_schedule); the sign nonlinearity is
-    forced and gamma is zero.  Identical arithmetic to run_class3 with
-    alpha(t) = delta*(delta - p(t)) and beta = delta*xi0.
-    """
-    return run(inst, replace(cfg, kind="TBM"), x0, v0)
 
 
 def trajectory(
@@ -555,10 +523,6 @@ def trajectory(
     Row 0 is the initial state; integration stops at convergence,
     divergence, or max_steps exactly as in run().
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (inst.n,):
-        raise ValidationError(f"initial state must have shape ({inst.n},)")
-    v0_block = None if v0 is None else np.asarray(v0, dtype=np.float64)[None, :]
     record: list[np.ndarray] = []
-    _integrate_block(inst, cfg, x0[None, :], v0_block, record=record)
+    _integrate_block(inst, cfg, *_one_row(inst, x0, v0), record=record)
     return np.vstack([row[0][None, :] for row in record])

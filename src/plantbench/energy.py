@@ -32,7 +32,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, ValidationError
+from .errors import ValidationError
 from .instance import Instance, PatternSet, _readonly, make_pattern_set
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "qubo_energy",
     "qubo_energy_many",
     "planted_spectrum",
-    "classify_outcome",
     "measure_bins",
     "band_label",
     "gauge_transform",
@@ -272,18 +271,6 @@ class OutcomeClassifier:
         return OutcomeLabel(category="spurious", hamming_to_nearest_planted=hamming)
 
 
-def classify_outcome(
-    ps: PatternSet,
-    spectrum: PlantedSpectrum,
-    x: np.ndarray,
-    energy: float,
-    mixed_order: int = 3,
-    mixed_cap: int = DEFAULT_MIXED_CAP,
-) -> OutcomeLabel:
-    """One-off outcome label; build an OutcomeClassifier for bulk use."""
-    return OutcomeClassifier(ps, spectrum, mixed_order, mixed_cap).classify(x, energy)
-
-
 def band_label(fraction: float) -> str:
     """Stable text key for a band fraction, e.g. 0.0625 -> "1/16"."""
     frac = Fraction(fraction).limit_denominator(64)
@@ -302,7 +289,9 @@ def measure_bins(
     Energies within a 1e-9 relative tolerance of either range edge
     count as inside (first or final band), so a planted hit whose
     recomputed energy drifts an ulp never leaks into below/above.
-    Keys are band_label(f) plus "below" and "above".
+    Keys are band_label(f) plus "below" and "above".  A zero span (a
+    single planted level) puts every energy within that tolerance of
+    the level in the full band "1".
     """
     fr = tuple(float(f) for f in fractions)
     if not fr or any(b <= a for a, b in zip(fr, fr[1:])):
@@ -310,10 +299,6 @@ def measure_bins(
     if fr[0] <= 0 or fr[-1] != 1.0:
         raise ValidationError("fractions must lie in (0, 1] and end at 1")
     span = spectrum.e_max - spectrum.e_min
-    if span <= 0:
-        raise DegenerateSpectrumError(
-            "planted energies span zero range; relative bands are undefined"
-        )
     e = np.asarray(energies, dtype=np.float64)
     tol = _REL_TOL * max(1.0, abs(spectrum.e_min), abs(spectrum.e_max))
     thresholds = spectrum.e_min + span * np.array(fr)
@@ -325,7 +310,10 @@ def measure_bins(
     counts["below"] = int(below.sum())
     counts["above"] = int(above.sum())
     inside = e[~below & ~above]
-    idx = np.minimum(np.searchsorted(thresholds, inside, side="right"), len(fr) - 1)
+    if span > 0:
+        idx = np.minimum(np.searchsorted(thresholds, inside, side="right"), len(fr) - 1)
+    else:
+        idx = np.full(inside.shape, len(fr) - 1)
     for i, lab in enumerate(labels):
         counts[lab] = int((idx == i).sum())
     return counts

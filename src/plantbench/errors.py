@@ -6,6 +6,14 @@ ValidationError; a numerical failure (a diverging trajectory) gets its
 own class so callers can map it to a distinct exit code.
 """
 
+__all__ = [
+    "PlantbenchError",
+    "ValidationError",
+    "UnsupportedDimensionError",
+    "CapacityError",
+    "DivergenceError",
+]
+
 
 class PlantbenchError(Exception):
     """Base class for all package errors."""
@@ -21,10 +29,6 @@ class UnsupportedDimensionError(ValidationError):
 
 class CapacityError(ValidationError):
     """Requested count exceeds what the construction or solver can hold."""
-
-
-class DegenerateSpectrumError(ValidationError):
-    """Planted energies span a zero range, so relative bands are undefined."""
 
 
 class DivergenceError(PlantbenchError):

@@ -197,6 +197,37 @@ def test_solver_flags_are_validated(capsys, tmp_path, flag, value, code):
         assert not csv.exists()
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["solve", "--instance", "{c}", "--runs", "0"], "--runs"),
+        (["solve", "--instance", "{c}", "--runs", "-1"], "--runs"),
+        (["sweep-k", "--n", "16", "--k-list", "4", "--runs", "0"], "--runs"),
+        (["sweep-k", "--n", "16", "--k-max", "4", "--k-step", "0"], "--k-step"),
+        (["gen", "--n", "8", "--k", "3", "--dw", "inf"], "--dw"),
+        (["gen", "--n", "8", "--k", "3", "--w0", "nan"], "--w0"),
+        (["sweep-k", "--n", "16", "--k-list", "4", "--dw", "nan"], "--dw"),
+    ],
+)
+def test_bad_counts_and_weights_exit_3(tmp_path, small_c, capsys, args, flag):
+    # zero counts and steps used to crash with a ValueError traceback; a
+    # non-finite weight wrote an unloadable instance or diverged every run
+    out = tmp_path / "out.txt"
+    argv = [a.format(c=small_c) for a in args] + ["--out", str(out)]
+    assert run_cli(argv) == 3
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_reports_diverging_runs_and_exits_0(tmp_path, small_c, capsys):
+    # divergence is a row label of solve, never exit 4
+    out = tmp_path / "r.csv"
+    assert run_cli(["solve", "--instance", str(small_c), "--alpha", "1e6",
+                    "--dt", "1", "--runs", "3", "--out", str(out)]) == 0
+    labels = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+    assert labels == ["diverged"] * 3
+
+
 def test_threads_env_fallback(monkeypatch, tmp_path, capsys):
     csv = tmp_path / "s.csv"
     monkeypatch.setenv("PLANTBENCH_THREADS", "2")

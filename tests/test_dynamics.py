@@ -5,6 +5,8 @@ explicitly re-run schedules) rather than imported from the module under
 test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,6 @@ from plantbench import (
     random_initial,
     run,
     run_batch,
-    run_class1,
-    run_class2,
-    run_class3,
-    run_tbm,
     trajectory,
 )
 from plantbench import dynamics
@@ -100,8 +98,8 @@ def test_class1_decay_without_couplings():
 def test_class2_constant_schedules_match_class1(inst_c):
     x0 = random_initial(8, seed=4)
     cfg = SolverConfig(alpha=2.0, beta=1.0, dt=0.1, max_steps=500)
-    a = run_class1(inst_c, cfg, x0)
-    b = run_class2(inst_c, cfg, x0)
+    a = run(inst_c, replace(cfg, kind="I"), x0)
+    b = run(inst_c, replace(cfg, kind="II"), x0)
     assert a.final_energy == b.final_energy
     assert a.steps_used == b.steps_used
     assert np.array_equal(a.final_spins, b.final_spins)

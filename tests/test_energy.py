@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plantbench import (
-    DegenerateSpectrumError,
     OutcomeClassifier,
     ValidationError,
     band_label,
     build_couplings,
     catalogue_pattern_set,
-    classify_outcome,
     gauge_transform,
     generate_orthogonal_patterns,
     measure_bins,
@@ -21,7 +19,7 @@ from plantbench import (
     qubo_energy,
     qubo_energy_many,
 )
-from plantbench.energy import PlantedSpectrum
+from plantbench.energy import DEFAULT_FRACTIONS, PlantedSpectrum
 
 from conftest import random_symmetric
 
@@ -183,8 +181,8 @@ def test_mixed_cap_skips_enumeration():
 
 def test_classify_outcome_one_off(c_classifier):
     ps, inst, _ = c_classifier
-    label = classify_outcome(
-        ps, inst.spectrum, ps.patterns[2], float(inst.spectrum.energies[2])
+    label = OutcomeClassifier(ps, inst.spectrum).classify(
+        ps.patterns[2], float(inst.spectrum.energies[2])
     )
     assert label.short() == "planted:3"
 
@@ -229,10 +227,46 @@ def test_measure_bins_rejects_bad_fractions():
         measure_bins(spec, np.array([0.5]), fractions=(0.25, 0.5))
 
 
-def test_measure_bins_degenerate_span_raises():
-    spec = PlantedSpectrum(energies=np.array([2.0]), e_min=2.0, e_max=2.0)
-    with pytest.raises(DegenerateSpectrumError):
-        measure_bins(spec, np.array([2.0]))
+def test_measure_bins_zero_span_counts_single_level():
+    # every energy within tolerance of the one level is in the full band
+    spec = PlantedSpectrum(energies=np.array([2.0, 2.0]), e_min=2.0, e_max=2.0)
+    counts = measure_bins(spec, np.array([2.0, 2.0 - 1e-12, 2.0 + 1e-12, 1.9, 2.5, 3.0]))
+    assert counts == {
+        "1/16": 0, "1/8": 0, "1/4": 0, "1/2": 0, "3/4": 0,
+        "1": 3, "below": 1, "above": 2,
+    }
+
+
+def single_level_reference(level: float, energies: np.ndarray) -> dict[str, int]:
+    """The zero-span rule bench applied before measure_bins counted it."""
+    labels = [band_label(f) for f in DEFAULT_FRACTIONS]
+    counts = dict.fromkeys(labels + ["below", "above"], 0)
+    e = np.asarray(energies, dtype=np.float64)
+    tol = 1e-9 * max(1.0, abs(level))
+    counts["below"] = int((e < level - tol).sum())
+    counts["above"] = int((e > level + tol).sum())
+    counts["1"] = int(e.size) - counts["below"] - counts["above"]
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    level=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    offsets=st.lists(
+        st.tuples(
+            st.sampled_from([-1, 1]),
+            # multiples of the tolerance: exactly at the level, just
+            # inside, at the edge, just outside, far outside
+            st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3]),
+        ),
+        max_size=40,
+    ),
+)
+def test_measure_bins_zero_span_matches_single_level_rule(level, offsets):
+    tol = 1e-9 * max(1.0, abs(level))
+    energies = np.array([level + sign * mult * tol for sign, mult in offsets])
+    spec = PlantedSpectrum(energies=np.array([level]), e_min=level, e_max=level)
+    assert measure_bins(spec, energies) == single_level_reference(level, energies)
 
 
 def test_band_label_formatting():
