@@ -7,7 +7,12 @@ states come from per-run seeds derived as
     seed = blake2b("{base_seed}:{point_index}:{run_index}") mod 2^63,
 
 so results are reproducible bit for bit, independent of worker count,
-and grid points never share seeds.  A run counts as a hit when its
+and grid points never share seeds.  Set-up is per block, not per run:
+derive_seeds hashes a point's "{base_seed}:{point_index}:" prefix once
+and copies that hash state for each run index, and
+dynamics.initial_states draws the point's whole (runs, n) block of
+initial states, each row the same bits as
+random_initial(n, amplitude, seed).  A run counts as a hit when its
 final spins match the ground state or its mirror exactly; the ground
 state comes from the brute-force oracle for n <= 24 and from the
 largest-weight planted pattern above that.
@@ -28,7 +33,8 @@ K sweeps regenerate an orthogonal instance per K (dw = 0.001), set the
 projection strength to half the dominant eigenvalue, and aggregate an
 energy histogram (uniform bins between the found extremes, log density
 shifted by delta = 3e-5, Gaussian smoothing of one bin width for
-plotting only) together with the label and band tallies.
+plotting only) together with the label and band tallies; a K whose
+runs all diverge has nothing to aggregate and raises ValidationError.
 
 Both sweep kinds run a block of trajectories per grid point or K
 through one integrate-and-tally path, and spread points over worker
@@ -46,7 +52,7 @@ import numpy as np
 
 from . import energy as energy_mod
 from . import oracle as oracle_mod
-from .dynamics import SolverConfig, TbmParams, random_initial, run_batch
+from .dynamics import SolverConfig, TbmParams, initial_states, run_batch
 from .errors import ValidationError
 from .instance import (
     Instance,
@@ -71,6 +77,7 @@ __all__ = [
     "EquidistantPerturbationFactory",
     "SCAN_FACTORIES",
     "derive_seed",
+    "derive_seeds",
     "default_alpha_grid",
     "sweep_sr",
     "scan_transition",
@@ -102,11 +109,32 @@ LABEL_CATEGORIES = (
 InstanceSource = Union[Instance, Callable[[float], Instance]]
 
 
+def _seed_key(base_seed: int, parts) -> str:
+    return ":".join([str(int(base_seed))] + [str(p) for p in parts])
+
+
 def derive_seed(base_seed: int, *parts) -> int:
     """Stable 63-bit seed from a base seed and identifying parts."""
-    key = ":".join([str(int(base_seed))] + [str(p) for p in parts]).encode()
+    key = _seed_key(base_seed, parts).encode()
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "big") & (2**63 - 1)
+
+
+def derive_seeds(base_seed: int, *parts, count: int) -> np.ndarray:
+    """[derive_seed(base_seed, *parts, r) for r in range(count)] as int64.
+
+    The shared key prefix is hashed once; each run index only copies
+    the hash state and feeds its own digits.
+    """
+    prefix = _seed_key(base_seed, parts) + ":"
+    head = hashlib.blake2b(prefix.encode(), digest_size=8)
+    digests = []
+    for r in range(count):
+        h = head.copy()
+        h.update(b"%d" % r)
+        digests.append(h.digest())
+    words = np.frombuffer(b"".join(digests), dtype=">u8") & np.uint64(2**63 - 1)
+    return words.astype(np.int64)
 
 
 def default_alpha_grid(lam_max: float, num: int = 50) -> tuple[float, ...]:
@@ -370,9 +398,7 @@ def _run_point(
     that did not diverge, and how many of those ended on ground or its
     mirror (0 when ground is None).
     """
-    x0 = np.vstack(
-        [random_initial(inst.n, cfg.init_amplitude, int(s)) for s in seeds]
-    )
+    x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
     counts = dict.fromkeys(LABEL_CATEGORIES, 0)
     kept: list[float] = []
     hits = 0
@@ -403,10 +429,7 @@ def _eval_point(spec: SweepSpec, index: int) -> PointResult:
     cfg = spec.solver
     for name, value in solver_axes:
         cfg = _apply_solver_param(cfg, name, value)
-    seeds = np.array(
-        [derive_seed(spec.base_seed, index, r) for r in range(spec.runs_per_point)],
-        dtype=np.int64,
-    )
+    seeds = derive_seeds(spec.base_seed, index, count=spec.runs_per_point)
     counts, kept, hits = _run_point(
         inst, cfg, seeds, _ground_state(inst, spec.ground_truth)
     )
@@ -663,10 +686,11 @@ def _eval_k(n: int, k: int, runs: int, base_seed: int, dw: float) -> KSweepEntry
     cfg = SolverConfig(
         kind="I", alpha=alpha, beta=1.0, dt=dt, max_steps=2000 if n >= 1024 else 1000
     )
-    seeds = np.array(
-        [derive_seed(base_seed, k, r) for r in range(runs)], dtype=np.int64
-    )
-    counts, e, _ = _run_point(inst, cfg, seeds)
+    counts, e, _ = _run_point(inst, cfg, derive_seeds(base_seed, k, count=runs))
+    if e.size == 0:
+        raise ValidationError(
+            f"K={k}: all {counts['diverged']} runs diverged, no energies to aggregate"
+        )
     return KSweepEntry(
         k=k,
         n=n,

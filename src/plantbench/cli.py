@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import __version__, bench, render
-from .dynamics import SolverConfig, TbmParams, random_initial, run_batch
+from .dynamics import SolverConfig, TbmParams, initial_states, run_batch
 from .errors import DivergenceError, ValidationError
 from .instance import (
     CATALOGUE,
@@ -242,13 +242,8 @@ def _cmd_solve(args, argv) -> int:
     _check_count_flags(args, "runs")
     inst = _load(args.instance)
     cfg = _solver_config(args)
-    seeds = np.array(
-        [bench.derive_seed(args.seed, "solve", r) for r in range(args.runs)],
-        dtype=np.int64,
-    )
-    x0 = np.vstack(
-        [random_initial(inst.n, cfg.init_amplitude, int(s)) for s in seeds]
-    )
+    seeds = bench.derive_seeds(args.seed, "solve", count=args.runs)
+    x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
     outcomes = run_batch(inst, cfg, x0, seeds=seeds)
     lines = ["seed,energy,label,steps,converged"]
     for out in outcomes:

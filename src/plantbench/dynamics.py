@@ -36,10 +36,16 @@ differently depending on how many rows share it, so a row run alone
 and the same row inside a block agree in spins, steps, status and
 label, and in states and energies to 1e-12 relative, but not
 necessarily bit for bit.
+
+Initial states are uniform on [-a, a]^n.  random_initial draws one row
+from np.random.default_rng(seed); initial_states draws a block of rows
+with the same bits by running numpy's seeding hash and PCG64 stream
+over the whole seed column at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
@@ -56,6 +62,7 @@ __all__ = [
     "SolverConfig",
     "RunOutcome",
     "random_initial",
+    "initial_states",
     "run",
     "run_batch",
     "trajectory",
@@ -128,7 +135,7 @@ class SolverConfig:
     constants or per-step schedules.  derivative_window bounds
     second-order trajectories (use float("inf") to disable).
     init_amplitude is the half-width of the uniform initial condition
-    drawn by random_initial.
+    drawn by random_initial and initial_states.
     """
 
     kind: str = "I"
@@ -174,11 +181,121 @@ _NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
+def _check_amplitude(amplitude: float) -> float:
+    a = float(amplitude)
+    # numpy's uniform needs the width 2a finite as well
+    if not (a > 0 and math.isfinite(2.0 * a)):
+        raise ValidationError(
+            f"amplitude must be positive and finite (2*amplitude too), got {amplitude!r}"
+        )
+    return a
+
+
 def random_initial(n: int, amplitude: float = 0.5, seed: int = 0) -> np.ndarray:
     """Uniform initial state on [-amplitude, amplitude]^n."""
-    if amplitude <= 0:
-        raise ValidationError("amplitude must be positive")
-    return np.random.default_rng(seed).uniform(-amplitude, amplitude, size=n)
+    a = _check_amplitude(amplitude)
+    return np.random.default_rng(seed).uniform(-a, a, size=n)
+
+
+# numpy's SeedSequence (pool of four uint32 words) and PCG64 (128-bit LCG
+# with XSL-RR output), restated over a column of seeds at once.
+_U32 = 0xFFFFFFFF
+_M32 = np.uint64(_U32)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_MULT_LO_HALVES = (_MULT_LO & _M32, _MULT_LO >> 32)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _U32)
+    return out
+
+
+# The running hash constant does not depend on the data, so precompute it:
+# 4 pool words plus 12 cross mixes use _HASH_A, 8 output words use _HASH_B.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+
+
+def _hashmix(value: np.ndarray, i: int) -> np.ndarray:
+    value = (value ^ np.uint32(_HASH_A[i])) * np.uint32(_HASH_A[i + 1])
+    return value ^ (value >> 16)
+
+
+def _seed_words(seeds: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence(seed).generate_state(4, uint64), one column per word.
+
+    The entropy words are (seed & 0xffffffff, seed >> 32); a seed below
+    2^32 has one word, and the pool pads it with the same zero word.
+    """
+    pool = [
+        _hashmix((seeds & _M32).astype(np.uint32), 0),
+        _hashmix((seeds >> 32).astype(np.uint32), 1),
+    ]
+    pool += [_hashmix(np.zeros_like(pool[0]), i) for i in (2, 3)]
+    i = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], i)
+                pool[dst] = mixed ^ (mixed >> 16)
+                i += 1
+    halves = []
+    for j in range(8):
+        v = (pool[j % 4] ^ np.uint32(_HASH_B[j])) * np.uint32(_HASH_B[j + 1])
+        halves.append((v ^ (v >> 16)).astype(np.uint64))
+    return [halves[2 * j] | (halves[2 * j + 1] << 32) for j in range(4)]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * _PCG_MULT + inc mod 2^128 on (hi, lo) uint64 columns."""
+    # high word of the 64 x 64 -> 128 bit product lo * _MULT_LO, in 32-bit halves
+    lo0, lo1 = lo & _M32, lo >> 32
+    m0, m1 = _MULT_LO_HALVES
+    p00, p01, p10 = lo0 * m0, lo0 * m1, lo1 * m0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry_hi = lo1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = carry_hi + hi * _MULT_LO + lo * _MULT_HI + inc_hi
+    new_hi += (new_lo < inc_lo).astype(np.uint64)
+    return new_hi, new_lo
+
+
+def initial_states(n: int, amplitude: float, seeds) -> np.ndarray:
+    """(len(seeds), n) block whose row i equals random_initial(n, amplitude, seeds[i]).
+
+    The rows match np.random.default_rng(seed).uniform(-a, a, n) bit for
+    bit.  Seeds must be integers in [0, 2^64).  The seeding hash runs
+    once over the whole seed column, and then the generators step one
+    output column at a time, so every temporary has one entry per row.
+    """
+    a = _check_amplitude(amplitude)
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}")
+    seeds = np.asarray(seeds)
+    if seeds.ndim != 1 or (seeds.size and seeds.dtype.kind not in "iu"):
+        raise ValidationError("seeds must be a 1-D array of integers")
+    if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
+        raise ValidationError("seeds must be >= 0")
+    state_hi, state_lo, seq_hi, seq_lo = _seed_words(seeds.astype(np.uint64))
+    # PCG64 srandom: inc = 2 * seq + 1, state = (inc + state) * MULT + inc
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    inc_lo = (seq_lo << 1) | 1
+    lo = inc_lo + state_lo
+    hi = inc_hi + state_hi + (lo < state_lo).astype(np.uint64)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((seeds.size, n))
+    low, width = -a, a - -a
+    for col in range(n):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        u = (x >> rot) | (x << ((64 - rot) & 63))
+        out[:, col] = low + width * ((u >> 11) * 2.0**-53)
+    return out
 
 
 def _phi(name: str) -> Callable[[np.ndarray], np.ndarray]:

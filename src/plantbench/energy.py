@@ -235,32 +235,45 @@ class OutcomeClassifier:
                         entry = ("mixed", None, sig)
                         self._table.setdefault(state.tobytes(), entry)
                         self._table.setdefault((-state).tobytes(), entry)
+        # float64 rides BLAS and is exact for +-1 entries, n <= 2^53
+        self._patterns_f = patterns.astype(np.float64)
+        tol = _REL_TOL * max(1.0, abs(spectrum.e_min), abs(spectrum.e_max))
+        self._range = (spectrum.e_min - tol, spectrum.e_max + tol)
+        # Labels are frozen, so a table hit builds its label once per
+        # (state, below, above): at most three per table entry.
+        self._hit_labels: dict[tuple[bytes, bool, bool], OutcomeLabel] = {}
 
     def _nearest_planted(self, x: np.ndarray) -> int:
-        # float64 rides BLAS and is exact for +-1 entries, n <= 2^53
-        overlap = self.ps.patterns.astype(np.float64) @ x.astype(np.float64)
+        overlap = self._patterns_f @ x.astype(np.float64)
         return int(np.min((self.ps.n - np.abs(overlap)) // 2))
 
     def classify(self, x: np.ndarray, energy: float) -> OutcomeLabel:
         x = np.asarray(x)
-        if not ((x == 1) | (x == -1)).all():
-            raise ValidationError("state entries must be +1 or -1")
-        x = x.astype(np.int8)
-        spec = self.spectrum
-        tol = _REL_TOL * max(1.0, abs(spec.e_min), abs(spec.e_max))
-        below = energy < spec.e_min - tol
-        above = energy > spec.e_max + tol
-        hit = self._table.get(x.tobytes())
+        key = x.tobytes() if x.dtype == np.int8 else None
+        hit = self._table.get(key)
+        if hit is None:
+            # table keys are int8 rows of +-1, so only a miss needs the check
+            if not ((x == 1) | (x == -1)).all():
+                raise ValidationError("state entries must be +1 or -1")
+            x = x.astype(np.int8)
+            key = x.tobytes()
+            hit = self._table.get(key)
+        below = energy < self._range[0]
+        above = energy > self._range[1]
         if hit is not None:
-            category, pattern, sig = hit
-            hamming = 0 if category in ("planted", "mirror") else self._nearest_planted(x)
-            return OutcomeLabel(
-                category=category,
-                pattern=pattern,
-                signature=sig,
-                hamming_to_nearest_planted=hamming,
-                out_of_range=below or above,
-            )
+            memo = (key, below, above)
+            label = self._hit_labels.get(memo)
+            if label is None:
+                category, pattern, sig = hit
+                hamming = 0 if category in ("planted", "mirror") else self._nearest_planted(x)
+                label = self._hit_labels[memo] = OutcomeLabel(
+                    category=category,
+                    pattern=pattern,
+                    signature=sig,
+                    hamming_to_nearest_planted=hamming,
+                    out_of_range=below or above,
+                )
+            return label
         hamming = self._nearest_planted(x)
         if below or above:
             return OutcomeLabel(

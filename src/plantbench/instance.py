@@ -274,14 +274,17 @@ def generate_orthogonal_patterns(
     (integer arithmetic, no roundoff).  Deterministic for fixed
     (n, k, seed).
 
-    n must be a power of two >= 2; orthogonality caps k at n (the
-    constant row joins only when k = n, completing the full basis).
+    n must be a power of two >= 2; k must be >= 1, and orthogonality
+    caps it at n (the constant row joins only when k = n, completing
+    the full basis).
     """
     if n < 2 or (n & (n - 1)) != 0:
         raise UnsupportedDimensionError(
             f"orthogonal construction needs n a power of two >= 2, got {n}"
         )
-    if not 1 <= k <= n:
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got k={k}")
+    if k > n:
         raise CapacityError(f"at most n={n} mutually orthogonal patterns exist, got k={k}")
     rng = np.random.default_rng(seed)
     cols = _random_gl2(n.bit_length() - 1, rng)

@@ -18,6 +18,7 @@ from plantbench import (
     count_modes,
     default_alpha_grid,
     derive_seed,
+    derive_seeds,
     histogram,
     qubo_energy,
     random_initial,
@@ -52,6 +53,15 @@ def test_derive_seed_no_collisions_across_grid():
         for run in range(2000):
             seen.add(derive_seed(0, point, run))
     assert len(seen) == 500 * 2000
+
+
+@pytest.mark.parametrize("parts", [(), (3,), (499,), ("solve",), ("instance", 48)])
+@pytest.mark.parametrize("base", [0, 7, 2**40])
+def test_derive_seeds_matches_derive_seed(base, parts):
+    got = derive_seeds(base, *parts, count=1200)
+    assert got.dtype == np.int64 and got.shape == (1200,)
+    assert got.tolist() == [derive_seed(base, *parts, r) for r in range(1200)]
+    assert derive_seeds(base, *parts, count=0).shape == (0,)
 
 
 def test_default_alpha_grid_spans_and_is_logarithmic():

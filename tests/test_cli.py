@@ -2,6 +2,7 @@
 
 import os
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,31 @@ def test_solve_reports_diverging_runs_and_exits_0(tmp_path, small_c, capsys):
                     "--dt", "1", "--runs", "3", "--out", str(out)]) == 0
     labels = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
     assert labels == ["diverged"] * 3
+
+
+def test_sweep_k_all_diverged_names_k_and_exits_3(tmp_path, capsys):
+    # used to print numpy's "Mean of empty slice" warning and then fail
+    # with a histogram message that named neither K nor the divergence
+    out = tmp_path / "k.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["sweep-k", "--n", "16", "--k-list", "4", "--dw", "-5",
+                        "--runs", "5", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "K=4" in err and "all 5 runs diverged" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def test_sweep_k_rejects_k_below_one(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    assert run_cli(["sweep-k", "--n", "16", "--k-min", "-3", "--k-max", "2",
+                    "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "k must be >= 1" in err and "at most" not in err
+    assert not out.exists()
 
 
 def test_threads_env_fallback(monkeypatch, tmp_path, capsys):

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plantbench import (
     DivergenceError,
@@ -21,6 +23,7 @@ from plantbench import (
     build_couplings,
     catalogue_pattern_set,
     generate_orthogonal_patterns,
+    initial_states,
     max_eigenvalue,
     random_initial,
     run,
@@ -558,6 +561,51 @@ def test_random_initial_bounds_and_determinism():
     assert np.abs(a).max() <= 0.3
     with pytest.raises(ValidationError):
         random_initial(4, amplitude=0.0)
+
+
+# seeds where SeedSequence's entropy changes word count or saturates
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=30),
+    n=st.integers(min_value=1, max_value=70),
+    amplitude=st.sampled_from([0.5, 0.3, 1.0, 1e-3, 2.5, 1e6]),
+)
+def test_initial_states_are_default_rng_streams(seeds, n, amplitude):
+    # pins the restated SeedSequence + PCG64 path to numpy's own stream:
+    # if numpy ever changes it, this fails instead of moving output bytes
+    seeds = EDGE_SEEDS + seeds
+    want = np.vstack(
+        [np.random.default_rng(s).uniform(-amplitude, amplitude, n) for s in seeds]
+    )
+    got = initial_states(n, amplitude, np.array(seeds, dtype=np.int64))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    empty = initial_states(n, amplitude, np.array([], dtype=np.int64))
+    assert empty.shape == (0, n)
+
+
+def test_initial_states_rows_are_random_initial():
+    seeds = np.random.default_rng(4).integers(0, 2**63, size=2000, dtype=np.int64)
+    for n in (8, 64):
+        want = np.vstack([random_initial(n, 0.5, int(s)) for s in seeds])
+        assert initial_states(n, 0.5, seeds).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1e308])
+def test_initial_amplitude_must_be_positive_and_finite(amplitude):
+    # nan and inf used to escape as numpy's OverflowError
+    with pytest.raises(ValidationError, match="amplitude"):
+        random_initial(4, amplitude, seed=1)
+    with pytest.raises(ValidationError, match="amplitude"):
+        initial_states(4, amplitude, np.array([1, 2]))
+
+
+@pytest.mark.parametrize("seeds", [[3, -1], [[1, 2]], [0.5, 1.0]])
+def test_initial_states_rejects_bad_seeds(seeds):
+    with pytest.raises(ValidationError, match="seeds"):
+        initial_states(4, 0.5, np.array(seeds))
 
 
 def test_unknown_nonlinearity_rejected(inst_c):

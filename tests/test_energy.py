@@ -148,6 +148,17 @@ def test_classify_rejects_non_spin_entries(c_classifier, bad):
         clf.classify(probe, 0.0)
 
 
+@pytest.mark.parametrize("dtype, bad", [(np.int8, 0), (np.int8, 2), (np.float64, 1.5)])
+def test_classify_checks_entries_before_the_table(c_classifier, dtype, bad):
+    # only an int8 row whose bytes are a table key skips the entry check;
+    # 1.5 * (+-1) would truncate onto the planted row
+    ps, inst, clf = c_classifier
+    probe = ps.patterns[0].astype(dtype)
+    probe[3] = bad * probe[3]
+    with pytest.raises(ValidationError, match="must be \\+1 or -1"):
+        clf.classify(probe, 0.0)
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
 def test_classify_accepts_spin_dtypes(c_classifier, dtype):
     ps, inst, clf = c_classifier
@@ -177,6 +188,55 @@ def test_mixed_cap_skips_enumeration():
     mix = np.sign(ps.patterns[:3].astype(np.int64).sum(axis=0)).astype(np.int8)
     label = clf.classify(mix, qubo_energy(inst, mix))
     assert label.category in ("spurious", "below", "above")
+
+
+def _label_probe_block(ps, rng, rows):
+    """Planted, mirror, three-pattern mixture and random rows, shuffled."""
+    pats = ps.patterns.astype(np.int8)
+    mixes = np.sign(pats[:3].astype(np.int64).sum(axis=0)).astype(np.int8)
+    pool = np.vstack([pats, -pats, mixes, -mixes,
+                      rng.choice(np.array([-1, 1], dtype=np.int8), size=(8, ps.n))])
+    return pool[rng.integers(0, len(pool), size=rows)]
+
+
+@pytest.mark.parametrize("case", ["catalogue", "mixed_skipped"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reused_classifier_matches_fresh_ones(case, seed):
+    # a table hit's label is built once per (state, below, above) and then
+    # shared; every label must still equal a fresh classifier's
+    if case == "catalogue":
+        ps = catalogue_pattern_set("c")
+        kwargs = {}
+    else:
+        ps = generate_orthogonal_patterns(64, 12, seed=1, dw=0.001)
+        kwargs = {"mixed_order": 11, "mixed_cap": 10}
+    inst = build_couplings(ps)
+    spec = inst.spectrum
+    clf = OutcomeClassifier(ps, spec, **kwargs)
+    assert clf.mixed_skipped == (case == "mixed_skipped")
+    rng = np.random.default_rng(seed)
+    block = _label_probe_block(ps, rng, 120)
+    energies = qubo_energy_many(inst, block)
+    shift = rng.choice([0.0, 0.0, spec.e_min - spec.e_max - 1.0, spec.span + 1.0],
+                       size=len(block))
+    categories = set()
+    for row, e in zip(block, energies + shift):
+        got = clf.classify(row, float(e))
+        assert got == OutcomeClassifier(ps, spec, **kwargs).classify(row, float(e))
+        categories.add(got.category)
+    assert {"planted", "mirror"} <= categories
+    assert ("mixed" in categories) == (case == "catalogue")
+
+
+def test_reused_classifier_flips_out_of_range(c_classifier):
+    ps, inst, _ = c_classifier
+    clf = OutcomeClassifier(ps, inst.spectrum)
+    e = float(inst.spectrum.energies[1])
+    for _ in range(2):
+        inside = clf.classify(ps.patterns[1], e)
+        outside = clf.classify(ps.patterns[1], inst.spectrum.e_max + 1.0)
+        assert inside.short() == outside.short() == "planted:2"
+        assert not inside.out_of_range and outside.out_of_range
 
 
 def test_classify_outcome_one_off(c_classifier):

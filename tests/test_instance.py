@@ -73,6 +73,14 @@ def test_too_many_patterns_rejected():
         generate_orthogonal_patterns(8, 9, seed=0)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_pattern_count_below_one_rejected(k):
+    # a non-positive count is not a capacity problem
+    with pytest.raises(ValidationError, match="k must be >= 1") as info:
+        generate_orthogonal_patterns(16, k, seed=0)
+    assert not isinstance(info.value, CapacityError)
+
+
 def test_gram_products_exact_at_full_load():
     # n = K = 1024: the float64 Gram products of +-1 rows are exact integers
     ps = generate_orthogonal_patterns(1024, 1024, seed=1)
