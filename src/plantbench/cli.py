@@ -82,7 +82,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             if lo <= 0 or hi <= 0:
                 raise ValidationError("log grids need positive endpoints")
         spaced = np.geomspace if len(parts) == 4 else np.linspace
-        values = tuple(float(v) for v in spaced(lo, hi, num))
+        # an overflowing span warns here; _check_finite below rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = tuple(float(v) for v in spaced(lo, hi, num))
     if not values:
         raise ValidationError(f"grid {text!r} is empty")
     # finite endpoints can still overflow the step, as in 1e308:-1e308:3

@@ -16,11 +16,13 @@ planted_spectrum evaluates both routes and insists they agree.
 
 Solver outcomes are labelled structurally: exact match to a planted
 pattern, to its mirror (global flip, an exact symmetry of E), or to a
-low-order mixture sign(sum_r s_r xi^{mu_r}) with an odd number of
-terms; everything else is spurious, or below/above when the energy
-falls outside the planted range.  Relative positions inside the range
-are summarised by nested fraction bands of the planted span, closed at
-the range edges with a 1e-9 relative tolerance.
+three-pattern mixture sign(s_1 xi^a + s_2 xi^b + s_3 xi^c) or its
+mirror; everything else is spurious, or below/above when the energy
+falls outside the planted range.  A label carries its category, its
+pattern and its mixture signature, nothing more.  Relative positions
+inside the range are summarised by nested fraction bands of the
+planted span, closed at the range edges with a 1e-9 relative
+tolerance.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ __all__ = [
 
 DEFAULT_FRACTIONS: tuple[float, ...] = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0)
 
-# Mixed-state matching enumerates every odd-order signed combination up
-# to mixed_order; it is skipped (outcomes fall through to spurious) when
-# the candidate count would exceed this cap.
+# Mixed-state matching enumerates every signed three-pattern mixture; it
+# is skipped (outcomes fall through to spurious) when the candidate count
+# would exceed this cap.
 DEFAULT_MIXED_CAP = 20000
 
 _REL_TOL = 1e-9
@@ -170,15 +172,13 @@ class OutcomeLabel:
 
     category is one of planted, mirror, mixed, spurious, below, above;
     below/above apply only when no structural match exists and the
-    energy leaves the planted range.  pattern is 1-based.  The
-    out_of_range flag is independent of the structural match.
+    energy leaves the planted range.  pattern is 1-based and set for
+    planted and mirror labels; signature is set for mixed ones.
     """
 
     category: str
     pattern: int | None = None
     signature: tuple[tuple[int, int], ...] | None = None   # ((pattern, sign), ...)
-    hamming_to_nearest_planted: int = 0
-    out_of_range: bool = False
 
     def short(self) -> str:
         if self.category in ("planted", "mirror"):
@@ -191,97 +191,67 @@ class OutcomeLabel:
         return self.category
 
 
+_BELOW = OutcomeLabel("below")
+_ABOVE = OutcomeLabel("above")
+_SPURIOUS = OutcomeLabel("spurious")
+
+
+def _planted_range(spectrum: PlantedSpectrum) -> tuple[float, float]:
+    """The planted range widened by the 1e-9 relative edge tolerance."""
+    tol = _REL_TOL * max(1.0, abs(spectrum.e_min), abs(spectrum.e_max))
+    return spectrum.e_min - tol, spectrum.e_max + tol
+
+
 class OutcomeClassifier:
     """Labels +-1 states against a pattern set.
 
     Planted patterns, their mirrors, and (when the candidate count
-    stays under mixed_cap) all odd-order signed mixtures up to
-    mixed_order are tabulated once; classification is then a hash
-    lookup, so a classifier can be reused across many runs.  Earlier
-    entries win ties, giving the precedence planted > mirror > mixed
-    with the lowest order and lexicographically first signature.
+    stays under DEFAULT_MIXED_CAP) every signed three-pattern mixture
+    and its mirror are tabulated once as finished labels; classification
+    is then a hash lookup, so a classifier can be reused across many
+    runs.  Earlier entries win ties, giving the precedence planted >
+    mirror > mixed with the lexicographically first signature.  A row
+    outside the table is below, above or spurious by its energy.
     """
 
-    def __init__(
-        self,
-        ps: PatternSet,
-        spectrum: PlantedSpectrum,
-        mixed_order: int = 3,
-        mixed_cap: int = DEFAULT_MIXED_CAP,
-    ):
-        if mixed_order < 1:
-            raise ValidationError("mixed_order must be >= 1")
-        self.ps = ps
-        self.spectrum = spectrum
-        self.mixed_order = mixed_order
-        self._table: dict[bytes, tuple[str, int | None, tuple | None]] = {}
+    def __init__(self, ps: PatternSet, spectrum: PlantedSpectrum):
+        table: dict[bytes, OutcomeLabel] = {}
         patterns = ps.patterns
         for m in range(ps.k):
-            self._table.setdefault(patterns[m].tobytes(), ("planted", m + 1, None))
+            table.setdefault(patterns[m].tobytes(), OutcomeLabel("planted", m + 1))
         for m in range(ps.k):
-            self._table.setdefault((-patterns[m]).tobytes(), ("mirror", m + 1, None))
-        orders = [r for r in range(3, mixed_order + 1, 2)]
-        n_candidates = sum(comb(ps.k, r) * 2 ** (r - 1) for r in orders)
-        self.mixed_skipped = n_candidates > mixed_cap
+            table.setdefault((-patterns[m]).tobytes(), OutcomeLabel("mirror", m + 1))
+        self.mixed_skipped = comb(ps.k, 3) * 4 > DEFAULT_MIXED_CAP
         if not self.mixed_skipped:
-            for r in orders:
-                for combo in itertools.combinations(range(ps.k), r):
-                    rows = patterns[list(combo)].astype(np.int64)
-                    for tail in itertools.product((1, -1), repeat=r - 1):
-                        signs = np.array((1,) + tail)
-                        mix = rows.T @ signs
-                        state = np.where(mix > 0, 1, -1).astype(np.int8)
-                        sig = tuple((c + 1, int(s)) for c, s in zip(combo, signs))
-                        entry = ("mixed", None, sig)
-                        self._table.setdefault(state.tobytes(), entry)
-                        self._table.setdefault((-state).tobytes(), entry)
-        # float64 rides BLAS and is exact for +-1 entries, n <= 2^53
-        self._patterns_f = patterns.astype(np.float64)
-        tol = _REL_TOL * max(1.0, abs(spectrum.e_min), abs(spectrum.e_max))
-        self._range = (spectrum.e_min - tol, spectrum.e_max + tol)
-        # Labels are frozen, so a table hit builds its label once per
-        # (state, below, above): at most three per table entry.
-        self._hit_labels: dict[tuple[bytes, bool, bool], OutcomeLabel] = {}
-
-    def _nearest_planted(self, x: np.ndarray) -> int:
-        overlap = self._patterns_f @ x.astype(np.float64)
-        return int(np.min((self.ps.n - np.abs(overlap)) // 2))
+            for combo in itertools.combinations(range(ps.k), 3):
+                rows = patterns[list(combo)].astype(np.int64)
+                for tail in itertools.product((1, -1), repeat=2):
+                    signs = (1,) + tail
+                    state = np.where(rows.T @ signs > 0, 1, -1).astype(np.int8)
+                    sig = tuple((c + 1, s) for c, s in zip(combo, signs))
+                    label = OutcomeLabel("mixed", signature=sig)
+                    table.setdefault(state.tobytes(), label)
+                    table.setdefault((-state).tobytes(), label)
+        self._table = table
+        self._lo, self._hi = _planted_range(spectrum)
 
     def classify(self, x: np.ndarray, energy: float) -> OutcomeLabel:
         x = np.asarray(x)
         key = x.tobytes() if x.dtype == np.int8 else None
-        hit = self._table.get(key)
-        if hit is None:
+        label = self._table.get(key)
+        if label is None:
             # table keys are int8 rows of +-1, so only a miss needs the check
             if not ((x == 1) | (x == -1)).all():
                 raise ValidationError("state entries must be +1 or -1")
-            x = x.astype(np.int8)
-            key = x.tobytes()
-            hit = self._table.get(key)
-        below = energy < self._range[0]
-        above = energy > self._range[1]
-        if hit is not None:
-            memo = (key, below, above)
-            label = self._hit_labels.get(memo)
-            if label is None:
-                category, pattern, sig = hit
-                hamming = 0 if category in ("planted", "mirror") else self._nearest_planted(x)
-                label = self._hit_labels[memo] = OutcomeLabel(
-                    category=category,
-                    pattern=pattern,
-                    signature=sig,
-                    hamming_to_nearest_planted=hamming,
-                    out_of_range=below or above,
-                )
+            if key is None:
+                label = self._table.get(x.astype(np.int8).tobytes())
+        if label is not None:
             return label
-        hamming = self._nearest_planted(x)
-        if below or above:
-            return OutcomeLabel(
-                category="below" if below else "above",
-                hamming_to_nearest_planted=hamming,
-                out_of_range=True,
-            )
-        return OutcomeLabel(category="spurious", hamming_to_nearest_planted=hamming)
+        if energy < self._lo:
+            return _BELOW
+        if energy > self._hi:
+            return _ABOVE
+        return _SPURIOUS
 
 
 def band_label(fraction: float) -> str:
@@ -313,13 +283,13 @@ def measure_bins(
         raise ValidationError("fractions must lie in (0, 1] and end at 1")
     span = spectrum.e_max - spectrum.e_min
     e = np.asarray(energies, dtype=np.float64)
-    tol = _REL_TOL * max(1.0, abs(spectrum.e_min), abs(spectrum.e_max))
+    lo, hi = _planted_range(spectrum)
     thresholds = spectrum.e_min + span * np.array(fr)
     thresholds[-1] = spectrum.e_max
     labels = [band_label(f) for f in fr]
     counts = dict.fromkeys(labels + ["below", "above"], 0)
-    below = e < spectrum.e_min - tol
-    above = e > spectrum.e_max + tol
+    below = e < lo
+    above = e > hi
     counts["below"] = int(below.sum())
     counts["above"] = int(above.sum())
     inside = e[~below & ~above]

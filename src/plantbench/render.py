@@ -81,6 +81,22 @@ def _header(title: str) -> list[str]:
     ]
 
 
+_FRAME = (
+    f'<rect x="{_LEFT}" y="{_TOP}" width="{_PLOT_W}" height="{_PLOT_H}" '
+    'fill="none" stroke="black"/>'
+)
+
+
+def _axis_labels(x_label: str, y_label: str) -> list[str]:
+    """The x label under the plot and the y label rotated along its left side."""
+    mid = _TOP + _PLOT_H / 2
+    return [
+        _text(_LEFT + _PLOT_W / 2, _H - 18, x_label),
+        f'<text x="20" y="{mid}" text-anchor="middle" font-family="monospace" '
+        f'font-size="12" transform="rotate(-90 20 {mid})">{_esc(y_label)}</text>',
+    ]
+
+
 def _tick_indices(count: int, max_ticks: int = 8) -> list[int]:
     if count <= max_ticks:
         return list(range(count))
@@ -136,22 +152,14 @@ def heatmap_svg(
                 f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cw + 0.5)}" '
                 f'height="{_fmt(ch + 0.5)}" fill="{color_ramp(grid[i][j])}"/>'
             )
-    lines.append(
-        f'<rect x="{_LEFT}" y="{_TOP}" width="{_PLOT_W}" height="{_PLOT_H}" '
-        'fill="none" stroke="black"/>'
-    )
+    lines.append(_FRAME)
     for j in _tick_indices(nx):
         x = _LEFT + (j + 0.5) * cw
         lines.append(_text(x, _TOP + _PLOT_H + 16, _fmt(x_values[j]), size=11))
     for i in _tick_indices(ny):
         y = _TOP + _PLOT_H - (i + 0.5) * ch
         lines.append(_text(_LEFT - 8, y + 4, _fmt(y_values[i]), anchor="end", size=11))
-    lines.append(_text(_LEFT + _PLOT_W / 2, _H - 18, x_label))
-    lines.append(
-        f'<text x="20" y="{_TOP + _PLOT_H / 2}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 20 {_TOP + _PLOT_H / 2})">{_esc(y_label)}</text>'
-    )
+    lines += _axis_labels(x_label, y_label)
     lines.append(
         _text(_LEFT + _PLOT_W, _TOP - 8, f"max = {_fmt(peak)}", anchor="end", size=12)
     )
@@ -215,10 +223,7 @@ def histogram_svg(
             f'y2="{_TOP + _PLOT_H}" stroke="#d62728" stroke-dasharray="4 3"/>'
         )
         lines.append(_text(x, _TOP - 8, f"{name} {_fmt(marker)}", size=10))
-    lines.append(
-        f'<rect x="{_LEFT}" y="{_TOP}" width="{_PLOT_W}" height="{_PLOT_H}" '
-        'fill="none" stroke="black"/>'
-    )
+    lines.append(_FRAME)
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         x = _LEFT + _PLOT_W * frac
         lines.append(_text(x, _TOP + _PLOT_H + 16, _fmt(lo + (hi - lo) * frac), size=11))
@@ -226,12 +231,7 @@ def histogram_svg(
         lines.append(
             _text(_LEFT - 8, y + 4, _fmt(vmin + (vmax - vmin) * frac), anchor="end", size=11)
         )
-    lines.append(_text(_LEFT + _PLOT_W / 2, _H - 18, x_label))
-    lines.append(
-        f'<text x="20" y="{_TOP + _PLOT_H / 2}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 20 {_TOP + _PLOT_H / 2})">log density (shifted)</text>'
-    )
+    lines += _axis_labels(x_label, "log density (shifted)")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -273,10 +273,7 @@ def measure_svg(
                 f'height="{_fmt(h + 0.5)}" fill="{color}"/>'
             )
             base += share
-    lines.append(
-        f'<rect x="{_LEFT}" y="{_TOP}" width="{_PLOT_W}" height="{_PLOT_H}" '
-        'fill="none" stroke="black"/>'
-    )
+    lines.append(_FRAME)
     for i in _tick_indices(n):
         lines.append(
             _text(_LEFT + (i + 0.5) * colw, _TOP + _PLOT_H + 16, str(ks[i]), size=11)
@@ -292,11 +289,6 @@ def measure_svg(
             f'fill="{colors[i]}"/>'
         )
         lines.append(_text(x_legend + 16, y + 9, name, anchor="start", size=10))
-    lines.append(_text(_LEFT + _PLOT_W / 2, _H - 18, "K"))
-    lines.append(
-        f'<text x="20" y="{_TOP + _PLOT_H / 2}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 20 {_TOP + _PLOT_H / 2})">share of runs</text>'
-    )
+    lines += _axis_labels("K", "share of runs")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

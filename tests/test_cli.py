@@ -175,6 +175,22 @@ def test_grid_rejects_non_finite_values(capsys, tmp_path, grid):
     assert "non-finite" in capsys.readouterr().err
     assert not csv.exists()
 
+def test_grid_span_overflow_exits_3_without_warnings(capsys, tmp_path):
+    # finite endpoints whose span overflows used to print numpy's
+    # overflow and invalid-value RuntimeWarnings before the rejection
+    csv = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["sweep-sr", "--small", "c", "--solver", "class1",
+                        "--alpha-grid=-1.7e308:1.7e308:3", "--runs", "2",
+                        "--out", str(csv)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, code",
     [

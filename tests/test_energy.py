@@ -1,5 +1,8 @@
 """Energy evaluation, planted spectra, outcome labels, measure bands."""
 
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from plantbench import (
     qubo_energy,
     qubo_energy_many,
 )
-from plantbench.energy import DEFAULT_FRACTIONS, PlantedSpectrum
+from plantbench.energy import DEFAULT_FRACTIONS, DEFAULT_MIXED_CAP, PlantedSpectrum
 
 from conftest import random_symmetric
 
@@ -129,13 +132,11 @@ def test_spurious_and_range_labels(c_classifier):
     e = qubo_energy(inst, probe)
     label = clf.classify(probe, e)
     assert label.category in ("spurious", "below", "above")
-    assert label.hamming_to_nearest_planted == 1
     # energies pushed outside the planted range force below/above
     assert clf.classify(probe, spec.e_min - 1.0).category == "below"
     assert clf.classify(probe, spec.e_max + 1.0).category == "above"
     # a structural match keeps its category even when out of range
-    out = clf.classify(ps.patterns[0], spec.e_max + 1.0)
-    assert out.category == "planted" and out.out_of_range
+    assert clf.classify(ps.patterns[0], spec.e_max + 1.0).category == "planted"
 
 
 
@@ -181,9 +182,10 @@ def test_classifier_precedence_prefers_planted():
 
 
 def test_mixed_cap_skips_enumeration():
-    ps = generate_orthogonal_patterns(64, 12, seed=1, dw=0.001)
+    # C(40, 3) * 4 = 39,520 signed mixtures exceed the cap of 20,000
+    ps = generate_orthogonal_patterns(64, 40, seed=1, dw=0.001)
     inst = build_couplings(ps)
-    clf = OutcomeClassifier(ps, inst.spectrum, mixed_order=11, mixed_cap=10)
+    clf = OutcomeClassifier(ps, inst.spectrum)
     assert clf.mixed_skipped
     mix = np.sign(ps.patterns[:3].astype(np.int64).sum(axis=0)).astype(np.int8)
     label = clf.classify(mix, qubo_energy(inst, mix))
@@ -202,17 +204,15 @@ def _label_probe_block(ps, rng, rows):
 @pytest.mark.parametrize("case", ["catalogue", "mixed_skipped"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_reused_classifier_matches_fresh_ones(case, seed):
-    # a table hit's label is built once per (state, below, above) and then
-    # shared; every label must still equal a fresh classifier's
+    # table labels are built once and then shared; every label must
+    # still equal a fresh classifier's
     if case == "catalogue":
         ps = catalogue_pattern_set("c")
-        kwargs = {}
     else:
-        ps = generate_orthogonal_patterns(64, 12, seed=1, dw=0.001)
-        kwargs = {"mixed_order": 11, "mixed_cap": 10}
+        ps = generate_orthogonal_patterns(64, 40, seed=1, dw=0.001)
     inst = build_couplings(ps)
     spec = inst.spectrum
-    clf = OutcomeClassifier(ps, spec, **kwargs)
+    clf = OutcomeClassifier(ps, spec)
     assert clf.mixed_skipped == (case == "mixed_skipped")
     rng = np.random.default_rng(seed)
     block = _label_probe_block(ps, rng, 120)
@@ -222,21 +222,10 @@ def test_reused_classifier_matches_fresh_ones(case, seed):
     categories = set()
     for row, e in zip(block, energies + shift):
         got = clf.classify(row, float(e))
-        assert got == OutcomeClassifier(ps, spec, **kwargs).classify(row, float(e))
+        assert got == OutcomeClassifier(ps, spec).classify(row, float(e))
         categories.add(got.category)
     assert {"planted", "mirror"} <= categories
     assert ("mixed" in categories) == (case == "catalogue")
-
-
-def test_reused_classifier_flips_out_of_range(c_classifier):
-    ps, inst, _ = c_classifier
-    clf = OutcomeClassifier(ps, inst.spectrum)
-    e = float(inst.spectrum.energies[1])
-    for _ in range(2):
-        inside = clf.classify(ps.patterns[1], e)
-        outside = clf.classify(ps.patterns[1], inst.spectrum.e_max + 1.0)
-        assert inside.short() == outside.short() == "planted:2"
-        assert not inside.out_of_range and outside.out_of_range
 
 
 def test_classify_outcome_one_off(c_classifier):
@@ -245,6 +234,120 @@ def test_classify_outcome_one_off(c_classifier):
         ps.patterns[2], float(inst.spectrum.energies[2])
     )
     assert label.short() == "planted:3"
+
+
+def _mirrored_c():
+    """Catalogue c plus the mirror of its pattern 1: a planted/mirror tie."""
+    from plantbench import make_pattern_set
+
+    ps = catalogue_pattern_set("c")
+    return make_pattern_set(np.vstack([ps.patterns, -ps.patterns[:1]]), w0=1.0, dw=0.01)
+
+
+_RULE_SETS = {
+    "c": lambda: catalogue_pattern_set("c"),
+    "f": lambda: catalogue_pattern_set("f"),
+    "c-mirrored": _mirrored_c,
+    "n16": lambda: generate_orthogonal_patterns(16, 7, seed=3, dw=0.01),
+    "n64-k40": lambda: generate_orthogonal_patterns(64, 40, seed=1, dw=0.001),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_RULE_SETS))
+def rule_case(request):
+    ps = _RULE_SETS[request.param]()
+    inst = build_couplings(ps)
+    return ps, inst, OutcomeClassifier(ps, inst.spectrum)
+
+
+def _three_pattern_mixtures(ps):
+    """Every signed mixture in combination, then sign-tail order; none past the cap."""
+    if comb(ps.k, 3) * 4 > DEFAULT_MIXED_CAP:
+        return []
+    out = []
+    for combo in itertools.combinations(range(ps.k), 3):
+        for tail in itertools.product((1, -1), repeat=2):
+            signs = (1,) + tail
+            mix = sum(s * ps.patterns[c].astype(np.int64) for c, s in zip(combo, signs))
+            out.append((np.sign(mix), tuple((c + 1, s) for c, s in zip(combo, signs))))
+    return out
+
+
+def _rule_label(ps, spec, mixtures, row, energy):
+    """The labelling rules restated one by one, without a table."""
+    if not np.isin(row, (-1, 1)).all():
+        return "invalid"
+    for m in range(ps.k):
+        if np.array_equal(row, ps.patterns[m]):
+            return f"planted:{m + 1}"
+    for m in range(ps.k):
+        if np.array_equal(row, -ps.patterns[m]):
+            return f"mirror:{m + 1}"
+    for mix, sig in mixtures:
+        if np.array_equal(row, mix) or np.array_equal(row, -mix):
+            return "mixed:" + str(sig[0][0]) + "".join(
+                f"{'+' if s > 0 else '-'}{c}" for c, s in sig[1:])
+    tol = 1e-9 * max(1.0, abs(spec.e_min), abs(spec.e_max))
+    if energy < spec.e_min - tol:
+        return "below"
+    if energy > spec.e_max + tol:
+        return "above"
+    return "spurious"
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_classify_matches_restated_rules(rule_case, seed):
+    ps, inst, clf = rule_case
+    spec = inst.spectrum
+    rng = np.random.default_rng(seed)
+    mixtures = _three_pattern_mixtures(ps)
+    pats = ps.patterns.astype(np.int8)
+    pool = [pats, -pats, rng.choice(np.array([-1, 1], dtype=np.int8), size=(8, ps.n))]
+    if mixtures:
+        picks = rng.integers(0, len(mixtures), size=8)
+        mixes = np.array([mixtures[i][0] for i in picks], dtype=np.int8)
+        pool += [mixes, -mixes]
+    pool = np.vstack(pool)
+    block = pool[rng.integers(0, len(pool), size=60)]
+    energies = qubo_energy_many(inst, block)
+    tol = 1e-9 * max(1.0, abs(spec.e_min), abs(spec.e_max))
+    shift = rng.choice([0.0, 0.0, -spec.span - 1.0, spec.span + 1.0], size=len(block))
+    energies = energies + shift
+    edges = rng.random(len(block)) < 0.2
+    energies[edges] = rng.choice([spec.e_min - tol, spec.e_min - 2 * tol,
+                                  spec.e_max + tol, spec.e_max + 2 * tol], size=edges.sum())
+    for row, e in zip(block, energies.tolist()):
+        dtype = rng.choice(["int8", "int64", "float64"])
+        row = row.astype(dtype)
+        if rng.random() < 0.15:
+            # an entry off +-1: 0, 2, 255 (int8 -1 after a wrap), 1.5 (1 truncated)
+            bad = {"int8": [0, 2], "int64": [0, 2, 255], "float64": [0.0, 1.5, -1.5]}[dtype]
+            row[rng.integers(ps.n)] = rng.choice(bad)
+        want = _rule_label(ps, spec, mixtures, row, e)
+        if want == "invalid":
+            with pytest.raises(ValidationError, match="must be \\+1 or -1"):
+                clf.classify(row, e)
+        else:
+            assert clf.classify(row, e).short() == want
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("mult", [0.0, 0.5, 1.0, 1.0 + 1e-6, 2.0])
+def test_classify_range_edge_agrees_with_measure_bins(c_classifier, side, mult):
+    # one tolerant planted range for labels and bands, up to the edge ulp
+    ps, inst, clf = c_classifier
+    spec = inst.spectrum
+    probe = ps.patterns[0].copy()
+    probe[5] = -probe[5]  # one flip away: no structural label
+    tol = 1e-9 * max(1.0, abs(spec.e_min), abs(spec.e_max))
+    edge = spec.e_min - mult * tol if side == "below" else spec.e_max + mult * tol
+    for e in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
+        category = clf.classify(probe, float(e)).category
+        counts = measure_bins(spec, np.array([e]))
+        assert category in ("spurious", "below", "above")
+        assert (category == "below") == (counts["below"] == 1)
+        assert (category == "above") == (counts["above"] == 1)
 
 
 # ---------------------------------------------------------------------------

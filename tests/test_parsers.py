@@ -137,6 +137,7 @@ GRID_SPECS = st.one_of(
 @SETTINGS
 @given(text=GRID_SPECS)
 @example(text="1e308:-1e308:3")
+@example(text="-1.7e308:1.7e308:3")
 @example(text=" , ")
 @example(text="0:1:200000")
 def test_parse_grid_returns_finite_points_or_raises(text):
