@@ -8,7 +8,9 @@ where every run lands in the planted ground state.  The demo sweeps
 the detuning delta against the coupling scale xi0, prints the SR
 table, and writes the grid to demos/out/.
 
-Run:  python3 demos/bifurcation_machine.py [--runs 200]
+Run:  python3 demos/bifurcation_machine.py --runs 40
+      (rewrites the tracked demos/out/tbm_grid* files byte for byte;
+      the default of 200 runs per point gives a smoother grid)
 """
 
 import argparse

@@ -14,7 +14,9 @@ prints, per value, whether a certain-success region (some alpha with
 SR = 1) exists, locating the transition.  Grids are written to
 demos/out/ as CSV + SVG.
 
-Run:  python3 demos/complexity_transitions.py [--runs 200]
+Run:  python3 demos/complexity_transitions.py --runs 60
+      (rewrites the tracked demos/out/scan_* files byte for byte;
+      the default of 200 runs per point gives smoother grids)
 """
 
 import argparse

@@ -9,9 +9,11 @@ a K sweep, prints label shares and the deepest-band occupancy per K,
 and writes the aggregate table, band shares, and energy histograms to
 demos/out/.
 
-Run:  python3 demos/medium_scale_regimes.py [--runs 300]
-      (the full 1000-run sweep used by the regression suite takes a
-      few minutes; 300 runs reproduces the same shape faster)
+Run:  python3 demos/medium_scale_regimes.py --runs 100
+      (rewrites the tracked ksweep, hist and bands files of demos/out/
+      byte for byte; the default of 300 runs per K shows the same shape
+      more smoothly, and the full 1000-run sweep used by the regression
+      suite takes a few minutes)
 """
 
 import argparse

@@ -8,7 +8,9 @@ sweeps the decay rate alpha over a logarithmic grid around the
 dominant eigenvalue for (a), (b), and (c), prints an ASCII profile,
 and writes one CSV + SVG heatmap per instance under demos/out/.
 
-Run:  python3 demos/success_rate_profiles.py [--runs 200]
+Run:  python3 demos/success_rate_profiles.py --runs 50
+      (rewrites the tracked demos/out/sr_profile_* files byte for byte;
+      the default of 200 runs per point gives smoother profiles)
 """
 
 import argparse

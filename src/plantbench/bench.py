@@ -57,6 +57,7 @@ from .errors import ValidationError
 from .instance import (
     Instance,
     _fmt,
+    _write_text,
     build_couplings,
     catalogue_pattern_set,
     generate_orthogonal_patterns,
@@ -854,8 +855,3 @@ def write_sidecar(result: SweepResult, path) -> None:
     for name, values in result.axes:
         lines.append(f"axis {name}: " + " ".join(repr(v) for v in values))
     _write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

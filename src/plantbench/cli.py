@@ -14,7 +14,8 @@ from --threads, then the PLANTBENCH_THREADS environment variable, then
 the CPU count.  The catalogue id b* may also be spelled bstar.
 
 Exit codes: 0 success, 2 usage error, 3 validation error (bad flags,
-bad files, unsupported sizes), 4 numerical failure (DivergenceError).
+bad, unreadable or unwritable files, unsupported sizes), 4 numerical
+failure (DivergenceError).
 No subcommand raises DivergenceError at present: solve reports a
 diverging run as a "diverged" row of its CSV, and the sweeps count such
 runs in their diverged column, so exit 4 is kept for a numerical
@@ -40,6 +41,8 @@ from .instance import (
     Instance,
     _finite,
     _int,
+    _read_text,
+    _write_text,
     build_couplings,
     catalogue_pattern_set,
     coarse_grain,
@@ -153,13 +156,7 @@ def _write_manifest(command: str, argv: list[str], inputs: list[str], outputs: l
         lines.append(f"input: {path} blake2b={_digest(path)}")
     for path in outputs:
         lines.append(f"output: {path} blake2b={_digest(path)}")
-    bench._write_text(outputs[0] + ".manifest.txt", "\n".join(lines) + "\n")
-
-
-def _load(path: str) -> Instance:
-    if not os.path.exists(path):
-        raise ValidationError(f"instance file not found: {path}")
-    return load_instance(path)
+    _write_text(outputs[0] + ".manifest.txt", "\n".join(lines) + "\n")
 
 
 def _print_spectrum(inst: Instance) -> None:
@@ -242,7 +239,7 @@ def _solver_config(args) -> SolverConfig:
 
 def _cmd_solve(args, argv) -> int:
     _check_count_flags(args, "runs")
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     cfg = _solver_config(args)
     seeds = bench.derive_seeds(args.seed, "solve", count=args.runs)
     x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
@@ -261,7 +258,7 @@ def _cmd_solve(args, argv) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        bench._write_text(args.out, text)
+        _write_text(args.out, text)
         _write_manifest("solve", argv, [args.instance], [args.out])
     else:
         sys.stdout.write(text)
@@ -269,7 +266,7 @@ def _cmd_solve(args, argv) -> int:
 
 
 def _cmd_oracle(args, argv) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     lines = [f"instance: {inst.label} n={inst.n}"]
     if inst.n <= oracle_mod.BRUTE_FORCE_LIMIT:
         report = oracle_mod.brute_force(inst, full_spectrum=args.full_spectrum)
@@ -287,7 +284,7 @@ def _cmd_oracle(args, argv) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        bench._write_text(args.out, text)
+        _write_text(args.out, text)
         _write_manifest("oracle", argv, [args.instance], [args.out])
     return 0
 
@@ -318,7 +315,7 @@ def _cmd_sweep_sr(args, argv) -> int:
     else:
         if not args.instance:
             raise ValidationError("need --instance FILE or --small ID")
-        inst = _load(args.instance)
+        inst = load_instance(args.instance)
         inputs.append(args.instance)
     cfg = _solver_config(args)
     spec = bench.SweepSpec(
@@ -397,13 +394,7 @@ def _cmd_sweep_k(args, argv) -> int:
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    if not os.path.exists(path):
-        raise ValidationError(f"input CSV not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [line.rstrip("\n") for line in fh if line.strip()]
-    except UnicodeDecodeError:
-        raise ValidationError(f"{path} is not UTF-8 text") from None
+    rows = [line for line in _read_text(path).split("\n") if line.strip()]
     if len(rows) < 2:
         raise ValidationError(f"{path} has no data rows")
     header = rows[0].split(",")
@@ -489,7 +480,7 @@ def _cmd_report(args, argv) -> int:
         svg = _render_hist(header, rows, args.k)
     else:
         svg = _render_measure(header, rows)
-    bench._write_text(args.out, svg)
+    _write_text(args.out, svg)
     _write_manifest("report", argv, [args.infile], [args.out])
     return 0
 

@@ -51,6 +51,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from . import energy as energy_mod
 from .errors import DivergenceError, ValidationError
 from .instance import Instance
 
@@ -567,8 +568,6 @@ def run_batch(
     pattern set and planted spectrum, one OutcomeClassifier built for
     the block labels every row that did not diverge.
     """
-    from . import energy as energy_mod
-
     x0_block = np.asarray(x0_block, dtype=np.float64)
     if x0_block.ndim != 2 or x0_block.shape[1] != inst.n:
         raise ValidationError(f"initial block must be (runs, {inst.n})")

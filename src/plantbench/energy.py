@@ -90,6 +90,11 @@ def qubo_energy_many(inst: "Instance | np.ndarray", states: np.ndarray) -> np.nd
     xs = np.asarray(states, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != j.shape[0]:
         raise ValidationError(f"states must be (r, {j.shape[0]}), got {xs.shape}")
+    return _energies(j, xs)
+
+
+def _energies(j: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """-1/2 x^T J x for each row of a float64 (r, n) block, unchecked."""
     return -0.5 * np.einsum("ri,ri->r", xs @ j, xs)
 
 
@@ -109,11 +114,6 @@ class PlantedSpectrum:
     @property
     def span(self) -> float:
         return self.e_max - self.e_min
-
-
-def _direct_energies(j: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    p = patterns.astype(np.float64)
-    return -0.5 * np.einsum("ri,ri->r", p @ j, p)
 
 
 def closed_form_applies(ps: PatternSet, inst: Instance) -> bool:
@@ -145,7 +145,7 @@ def planted_spectrum(ps: PatternSet, inst: Instance, method: str = "auto") -> Pl
         raise ValidationError(
             "closed form needs an orthogonal unperturbed set on uncoarsened couplings"
         )
-    direct = _direct_energies(j, ps.patterns)
+    direct = _energies(j, ps.patterns.astype(np.float64))
     if method == "direct" or not closed_ok:
         energies = direct
     else:

@@ -48,14 +48,12 @@ __all__ = [
     "shared_sign_coordinate",
     "save_instance",
     "load_instance",
-    "save_dense",
-    "load_dense",
 ]
 
 FORMAT_VERSION = 1
 
-# Beyond this size a dense coupling block is omitted from saved files by
-# default and the matrix is rebuilt from patterns on load.
+# Beyond this size a saved file omits the dense coupling block of a
+# pattern-built instance and load_instance rebuilds it from the patterns.
 DENSE_EXPORT_LIMIT = 64
 
 
@@ -476,7 +474,12 @@ def build_couplings(
         seed=int(seed),
         label=label,
     )
-    from . import energy
+    return _with_spectrum(inst, ps)
+
+
+def _with_spectrum(inst: Instance, ps: PatternSet) -> Instance:
+    """inst with the planted energies of ps on its couplings attached."""
+    from . import energy  # energy imports this module
 
     return replace(inst, spectrum=energy.planted_spectrum(ps, inst))
 
@@ -500,9 +503,7 @@ def coarse_grain(inst: Instance, delta_j: float) -> Instance:
     )
     ps = inst.pattern_set
     if ps is not None:
-        from . import energy
-
-        out = replace(out, spectrum=energy.planted_spectrum(ps, out))
+        out = _with_spectrum(out, ps)
     return out
 
 
@@ -532,11 +533,31 @@ def _fmt(x: float) -> str:
 
 
 def _read_text(path: str | os.PathLike) -> str:
+    """The UTF-8 text of path; every text file the package reads comes here."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError:
         raise ValidationError(f"{os.fspath(path)} is not UTF-8 text") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {os.fspath(path)}: {exc.strerror}") from None
+
+
+def _write_text(path: str | os.PathLike, text: str) -> None:
+    """Write text as UTF-8, byte for byte; every text file goes out here.
+
+    The text is encoded before the file is opened, so a manifest that
+    records a non-UTF-8 argument fails without leaving an empty file.
+    """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"cannot write {os.fspath(path)}: text is not UTF-8") from None
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {os.fspath(path)}: {exc.strerror}") from None
 
 
 def _int(text: str, what: str, least: int | None = None) -> int:
@@ -585,18 +606,17 @@ def _validate_coupling(j: np.ndarray) -> np.ndarray:
     return j
 
 
-def save_instance(inst: Instance, path: str | os.PathLike, dense: bool | None = None) -> None:
+def save_instance(inst: Instance, path: str | os.PathLike) -> None:
     """Write an instance as a line-oriented text file.
 
     Pattern-built instances store their pattern set (or just the
     generator tag when one is recorded and no perturbations apply);
-    the dense coupling block is included when dense is True, or by
-    default for n <= 64.  Floats are written with repr so the
-    round-trip through load_instance is bit-exact.
+    the dense coupling block is included for n <= DENSE_EXPORT_LIMIT
+    and for external instances, which have nothing else to store.
+    Floats are written with repr so the round-trip through
+    load_instance is bit-exact.
     """
     ps = inst.pattern_set
-    if dense is None:
-        dense = inst.n <= DENSE_EXPORT_LIMIT or ps is None
     lines = [f"format_version: {FORMAT_VERSION}"]
     lines.append(f"label: {inst.label}")
     lines.append(f"n: {inst.n}")
@@ -617,12 +637,11 @@ def save_instance(inst: Instance, path: str | os.PathLike, dense: bool | None = 
                 lines.append("perturbation: " + " ".join(_fmt(v) for v in row))
     if inst.coarse_delta is not None:
         lines.append(f"coarse_grain: {_fmt(inst.coarse_delta)}")
-    if dense:
+    if inst.n <= DENSE_EXPORT_LIMIT or ps is None:
         lines.append("coupling:")
         for row in inst.coupling:
             lines.append(" ".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_instance(path: str | os.PathLike) -> Instance:
@@ -708,11 +727,7 @@ def load_instance(path: str | os.PathLike) -> Instance:
             label=label,
             coarse_delta=coarse,
         )
-        if ps is not None:
-            from . import energy
-
-            inst = replace(inst, spectrum=energy.planted_spectrum(ps, inst))
-        return inst
+        return inst if ps is None else _with_spectrum(inst, ps)
 
     if ps is None:
         raise ValidationError("instance file has neither patterns nor couplings")
@@ -721,31 +736,3 @@ def load_instance(path: str | os.PathLike) -> Instance:
         inst = coarse_grain(inst, coarse)
     return inst
 
-
-def save_dense(inst: Instance, path: str | os.PathLike) -> None:
-    """Write just the coupling matrix: a size line, then n rows."""
-    lines = [str(inst.n)]
-    for row in inst.coupling:
-        lines.append(" ".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_dense(path: str | os.PathLike, label: str | None = None) -> Instance:
-    """Read a bare coupling matrix written by save_dense."""
-    rows = [line for line in _read_text(path).split("\n") if line.strip()]
-    if not rows:
-        raise ValidationError("empty coupling file")
-    n = _int(rows[0], "the size line of a dense file", least=1)
-    coupling_rows = [_float_row(line, "coupling entry") for line in rows[1:]]
-    j = _validate_coupling(_block(coupling_rows, n, n, "coupling", np.float64))
-    if label is None:
-        label = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return Instance(
-        n=n,
-        coupling=_readonly(j),
-        source="external",
-        spectrum=None,
-        seed=0,
-        label=label,
-    )

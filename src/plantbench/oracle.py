@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _coupling_of, closed_form_applies
+from .energy import _coupling_of, _energies, closed_form_applies
 from .errors import CapacityError
 from .instance import Instance, PatternSet, _readonly
 
@@ -78,7 +78,7 @@ def brute_force(inst: "Instance | np.ndarray", full_spectrum: bool = False) -> S
         states = np.empty((chunk, n), dtype=np.float64)
         states[:, 0] = 1.0
         states[:, 1:] = 1.0 - 2.0 * bits
-        energies = -0.5 * np.einsum("ri,ri->r", states @ j, states)
+        energies = _energies(j, states)
         if full_spectrum:
             collected.append(energies)
         chunk_min = float(energies.min())

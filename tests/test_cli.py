@@ -1,8 +1,12 @@
 """Command-line behaviour: subcommands, exit codes, manifests, replay."""
 
 import os
+import re
 import shlex
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ def test_gen_writes_instance_and_manifest(tmp_path, capsys):
     inst = load_instance(out)
     assert inst.n == 16 and inst.pattern_set.k == 3
     manifest = (str(out) + ".manifest.txt")
-    lines = open(manifest).read()
+    lines = Path(manifest).read_text(encoding="utf-8")
     assert "command: gen" in lines
     assert f"output: {out} blake2b=" in lines
     assert "argv: gen --n 16" in lines
@@ -99,6 +103,57 @@ def test_solve_csv_schema_and_determinism(tmp_path, small_c, capsys):
 def test_solve_missing_instance_exits_3(tmp_path, capsys):
     code = run_cli(["solve", "--instance", str(tmp_path / "nope.txt")])
     assert code == 3
+
+
+def _error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    return err
+
+
+# the directory and missing-parent cases escaped as OSError tracebacks (exit 1)
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--instance", "{dir}"], "cannot read .*Is a directory"),
+    (["report", "--in", "{dir}", "--kind", "heatmap", "--out", "{dir}/x.svg"],
+     "cannot read .*Is a directory"),
+    (["report", "--in", "{dir}/nope.csv", "--kind", "heatmap", "--out", "{dir}/x.svg"],
+     "cannot read .*No such file"),
+    (["gen-small", "--id", "c", "--out", "{dir}"], "cannot write .*Is a directory"),
+    (["gen", "--n", "16", "--k", "3", "--out", "{dir}/missing/x.inst"],
+     "cannot write .*No such file"),
+    (["sweep-sr", "--small", "a", "--alpha-grid", "1:2:2", "--runs", "5",
+      "--threads", "1", "--out", "{dir}/missing/x.csv"], "cannot write .*No such file"),
+], ids=["solve-dir", "report-dir", "report-missing", "gen-small-dir", "gen-missing-dir",
+        "sweep-sr-missing-dir"])
+def test_unreadable_or_unwritable_paths_exit_3(tmp_path, capsys, argv, message):
+    code = run_cli([a.format(dir=tmp_path) for a in argv])
+    assert code == 3
+    assert re.search(message, _error_line(capsys))
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_non_utf8_argument_exits_3_without_a_manifest(tmp_path):
+    # a real process: its stderr escapes the argument's undecodable byte
+    out = os.fsencode(tmp_path) + b"/\xff.inst"
+    proc = subprocess.run(
+        [sys.executable, "-m", "plantbench.cli", "gen-small", "--id", "c", "--out", out],
+        capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.count(b"\n") == 1 and proc.stderr.startswith(b"error: ")
+    assert b"text is not UTF-8" in proc.stderr
+    assert not os.path.exists(out + b".manifest.txt")
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--instance"],
+    ["report", "--kind", "heatmap", "--out", "{dir}/x.svg", "--in"],
+], ids=["instance", "csv"])
+def test_non_utf8_input_exits_3(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"alpha,sr\n\xff,1\n")
+    assert run_cli([a.format(dir=tmp_path) for a in command] + [str(bad)]) == 3
+    assert "is not UTF-8 text" in _error_line(capsys)
 
 
 def test_malformed_instance_file_exits_3(tmp_path, small_c, capsys):
@@ -364,7 +419,7 @@ def test_report_wrong_schema_exits_3(tmp_path, capsys):
 
 
 def read_manifest_argv(path):
-    for line in open(path):
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("argv: "):
             return shlex.split(line[len("argv: "):])
     raise AssertionError("no argv line in manifest")
@@ -394,5 +449,5 @@ def test_manifest_records_input_digest(tmp_path, small_c, capsys):
     out = tmp_path / "runs.csv"
     assert run_cli(["solve", "--instance", str(small_c), "--runs", "2",
                     "--out", str(out)]) == 0
-    text = open(str(out) + ".manifest.txt").read()
+    text = Path(str(out) + ".manifest.txt").read_text(encoding="utf-8")
     assert f"input: {small_c} blake2b=" in text

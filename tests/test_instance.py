@@ -1,5 +1,7 @@
 """Pattern construction, catalogue geometry, coupling rules, file I/O."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,9 @@ from plantbench import (
     coarse_grain,
     generate_orthogonal_patterns,
     hamming_distances,
-    load_dense,
     load_instance,
     make_pattern_set,
     perturb_patterns,
-    save_dense,
     save_instance,
     shared_sign_coordinate,
 )
@@ -264,20 +264,28 @@ def test_perturbed_instance_round_trip(tmp_path):
     np.testing.assert_array_equal(back.pattern_set.perturbations, ps.perturbations)
 
 
-def test_dense_round_trip(tmp_path):
-    inst = build_couplings(catalogue_pattern_set("d"))
-    path = tmp_path / "dense.txt"
-    save_dense(inst, path)
-    back = load_dense(path)
-    np.testing.assert_array_equal(back.coupling, inst.coupling)
-    assert back.pattern_set is None
+def test_external_instance_round_trip(tmp_path):
+    # a bare matrix is an instance without a pattern set: always dense
+    built = build_couplings(catalogue_pattern_set("d"))
+    inst = replace(built, source="external", spectrum=None)
+    path = tmp_path / "external.txt"
+    save_instance(inst, path)
+    back = load_instance(path)
+    assert back.coupling.tobytes() == inst.coupling.tobytes()
+    assert back.pattern_set is None and back.spectrum is None
+    assert back.label == inst.label
+
+
+def _external(text):
+    """An external instance file of size 2 with the given coupling rows."""
+    return "format_version: 1\nlabel: ext\nn: 2\nseed: 0\ncoupling:\n" + text
 
 
 def test_load_rejects_asymmetric_matrix(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("2\n0.0 1.0\n0.5 0.0\n")
-    with pytest.raises(ValidationError):
-        load_dense(path)
+    path.write_text(_external("0.0 1.0\n0.5 0.0\n"))
+    with pytest.raises(ValidationError, match="not symmetric"):
+        load_instance(path)
 
 
 def _catalogue_c_lines(tmp_path):
@@ -336,14 +344,21 @@ def test_load_instance_rejects_malformed_values(tmp_path, edit, message):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("2\n0.0 x\nx 0.0\n", "coupling entry"),
-        ("2\n0.0 1.0\n1.0\n", "coupling rows"),
-        ("2\n0.0 nan\nnan 0.0\n", "coupling entry must be finite"),
+        ("0.0 x\nx 0.0\n", "coupling entry"),
+        ("0.0 1.0\n1.0\n", "coupling rows"),
+        ("0.0 nan\nnan 0.0\n", "coupling entry must be finite"),
     ],
     ids=["token", "ragged", "nan"],
 )
-def test_load_dense_rejects_malformed_rows(tmp_path, text, message):
+def test_load_instance_rejects_malformed_external_rows(tmp_path, text, message):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_text(_external(text))
     with pytest.raises(ValidationError, match=message):
-        load_dense(path)
+        load_instance(path)
+
+
+def test_load_instance_rejects_missing_path_and_directory(tmp_path):
+    with pytest.raises(ValidationError, match="cannot read .*No such file"):
+        load_instance(tmp_path / "nope.txt")
+    with pytest.raises(ValidationError, match="cannot read .*Is a directory"):
+        load_instance(tmp_path)

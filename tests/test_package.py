@@ -4,7 +4,8 @@ import plantbench
 from plantbench import bench, dynamics, energy, errors, instance, oracle
 
 # Every name the package exported before the per-kind run aliases, the
-# one-off classifier wrapper and DegenerateSpectrumError were deleted.
+# one-off classifier wrapper, DegenerateSpectrumError and the bare-matrix
+# file format were deleted.
 STILL_EXPORTED = [
     "__version__", "PlantbenchError", "ValidationError",
     "UnsupportedDimensionError", "CapacityError", "DivergenceError",
@@ -12,7 +13,7 @@ STILL_EXPORTED = [
     "generate_orthogonal_patterns", "catalogue_pattern_set",
     "generate_small_scale", "perturb_patterns", "build_couplings",
     "coarse_grain", "hamming_distances", "shared_sign_coordinate",
-    "save_instance", "load_instance", "save_dense", "load_dense",
+    "save_instance", "load_instance",
     "qubo_energy", "qubo_energy_many", "PlantedSpectrum",
     "planted_spectrum", "OutcomeLabel", "OutcomeClassifier", "band_label",
     "measure_bins", "mirror", "gauge_transform", "SpectrumReport",
@@ -29,7 +30,7 @@ STILL_EXPORTED = [
 
 DELETED = [
     "run_class1", "run_class2", "run_class3", "run_tbm",
-    "classify_outcome", "DegenerateSpectrumError",
+    "classify_outcome", "DegenerateSpectrumError", "save_dense", "load_dense",
 ]
 
 

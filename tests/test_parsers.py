@@ -1,16 +1,17 @@
 """Text parsers either return a result or raise ValidationError.
 
-Whatever bytes an instance file, a dense coupling file, a grid spec or
-a report CSV holds, the parser must not escape with any other
-exception: the CLI maps ValidationError to exit code 3, anything else
-to a traceback.  Inputs mix arbitrary bytes with line-structured text
-and with valid files that have a few tokens replaced.  Integer tokens
-stay small, so a drawn size never asks for a huge matrix.
+Whatever bytes an instance file, a grid spec or a report CSV holds,
+the parser must not escape with any other exception: the CLI maps
+ValidationError to exit code 3, anything else to a traceback.  Inputs
+mix arbitrary bytes with line-structured text and with valid files
+that have a few tokens replaced.  Integer tokens stay small, so a
+drawn size never asks for a huge matrix.
 """
 
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -21,10 +22,8 @@ from plantbench import (
     build_couplings,
     catalogue_pattern_set,
     generate_orthogonal_patterns,
-    load_dense,
     load_instance,
     perturb_patterns,
-    save_dense,
     save_instance,
 )
 from plantbench import cli
@@ -54,23 +53,25 @@ LINE = st.one_of(
 )
 
 
-def _saved(write, inst, **kwargs) -> str:
+def _saved(inst) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "inst.txt")
-        write(inst, path, **kwargs)
+        save_instance(inst, path)
         with open(path, encoding="utf-8") as fh:
             return fh.read()
 
 
 _C = build_couplings(catalogue_pattern_set("c"))
-_ORTHO = build_couplings(generate_orthogonal_patterns(16, 3, seed=5, dw=0.01))
+# n = 128 is past the dense export limit: the file holds only a generator line
+_ORTHO = build_couplings(generate_orthogonal_patterns(128, 3, seed=5, dw=0.01))
 VALID_INSTANCES = (
-    _saved(save_instance, _C),
-    _saved(save_instance, _ORTHO, dense=False),
-    _saved(save_instance, build_couplings(
+    _saved(_C),
+    _saved(_ORTHO),
+    _saved(build_couplings(
         perturb_patterns(catalogue_pattern_set("c"), [(0, 1, -0.7)]))),
 )
-VALID_DENSE = (_saved(save_dense, _C),)
+# a bare coupling matrix: an external instance, saved with its dense block only
+VALID_DENSE = (_saved(replace(_C, source="external", spectrum=None)),)
 
 
 @st.composite
@@ -102,6 +103,21 @@ def _file_bytes(texts, lines=LINE):
 @example(data=b"format_version: 1\nn: 2\nk: 1\ngenerator: hadamard -1\n")
 @example(data=b"format_version: 1\nn: 2\n\xff\n")
 def test_load_instance_returns_or_raises_validation_error(tmp_path, data):
+    _load_or_validation_error(tmp_path, data)
+
+
+@SETTINGS
+@given(data=_file_bytes(VALID_DENSE, lines=ROW))
+@example(data=b"format_version: 1\nn: 2\ncoupling:\n0 x\nx 0\n")
+@example(data=b"format_version: 1\nn: 2\ncoupling:\n0 nan\nnan 0\n")
+@example(data=b"format_version: 1\nn: 2\ncoupling:\n0 1\n1\n")
+@example(data=b"\xff\n")
+def test_load_dense_returns_or_raises_validation_error(tmp_path, data):
+    """Bare coupling-matrix files, mutated row by row, read through load_instance."""
+    _load_or_validation_error(tmp_path, data)
+
+
+def _load_or_validation_error(tmp_path, data: bytes) -> None:
     path = tmp_path / "inst.txt"
     path.write_bytes(data)
     try:
@@ -109,21 +125,6 @@ def test_load_instance_returns_or_raises_validation_error(tmp_path, data):
     except ValidationError:
         return
     assert isinstance(inst, Instance)
-    assert inst.n >= 1 and inst.coupling.shape == (inst.n, inst.n)
-
-
-@SETTINGS
-@given(data=_file_bytes(VALID_DENSE, lines=ROW))
-@example(data=b"2\n0 x\nx 0\n")
-@example(data=b"2\n0 1\n1\n")
-@example(data=b"\xff\n")
-def test_load_dense_returns_or_raises_validation_error(tmp_path, data):
-    path = tmp_path / "dense.txt"
-    path.write_bytes(data)
-    try:
-        inst = load_dense(path)
-    except ValidationError:
-        return
     assert inst.n >= 1 and inst.coupling.shape == (inst.n, inst.n)
 
 
