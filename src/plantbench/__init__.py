@@ -9,25 +9,32 @@ success-rate sweeps, complexity-transition scans, and energy-landscape
 statistics across pattern counts.
 
 The top-level namespace re-exports the __all__ list of each module
-below, so every public name is listed once, in its own module.
+below, so every public name is listed once, in its own module.  The
+numeric modules, their names and __all__ itself are imported on first
+access (PEP 562), so `import plantbench` does not import numpy.
 """
 
-from . import bench, dynamics, energy, errors, instance, oracle
-from .errors import *
-from .instance import *
-from .energy import *
-from .oracle import *
-from .dynamics import *
-from .bench import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    *errors.__all__,
-    *instance.__all__,
-    *energy.__all__,
-    *oracle.__all__,
-    *dynamics.__all__,
-    *bench.__all__,
-]
+from . import errors, render
+from .errors import *
+
+# The modules whose names are re-exported on first access, in __all__ order.
+_NUMERIC = ("instance", "energy", "oracle", "dynamics", "bench")
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    modules = [importlib.import_module(f"{__name__}.{mod}") for mod in _NUMERIC]
+    if name == "__all__":
+        value = ["__version__", *errors.__all__, *(n for m in modules for n in m.__all__)]
+    else:
+        owner = next((m for m in modules if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value

@@ -44,6 +44,7 @@ processes through one in-order map.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence, Union
@@ -56,14 +57,13 @@ from .dynamics import SolverConfig, TbmParams, initial_states, run_batch
 from .errors import ValidationError
 from .instance import (
     Instance,
-    _fmt,
-    _write_text,
     build_couplings,
     catalogue_pattern_set,
     generate_orthogonal_patterns,
     perturb_patterns,
     shared_sign_coordinate,
 )
+from .textio import _fmt, _write_text
 
 __all__ = [
     "LOG_SHIFT",
@@ -724,11 +724,15 @@ def sweep_k(
     the instance so forward Euler stays stable at any scale.  Runs
     default to 1000 with 1000 steps below n = 1024, and to 100 with
     2000 steps at n >= 1024.  Histograms use HIST_BINS bins and bands
-    energy.DEFAULT_FRACTIONS.
+    energy.DEFAULT_FRACTIONS.  Each K may be listed once: the histogram
+    CSV keys its rows by K.
     """
     ks = [int(k) for k in k_values]
     if not ks:
         raise ValidationError("k_values is empty")
+    repeated = sorted(k for k, times in Counter(ks).items() if times > 1)
+    if repeated:
+        raise ValidationError(f"K values repeat: {repeated}")
     if runs_per_k is None:
         runs_per_k = 100 if n >= 1024 else 1000
     evaluate = partial(_eval_k, n, runs=runs_per_k, base_seed=base_seed, dw=dw)

@@ -20,6 +20,10 @@ No subcommand raises DivergenceError at present: solve reports a
 diverging run as a "diverged" row of its CSV, and the sweeps count such
 runs in their diverged column, so exit 4 is kept for a numerical
 failure that escapes a subcommand.
+
+report, --version and usage errors run without importing numpy or the
+numeric modules of the package; every other command imports them when
+it starts.
 """
 
 from __future__ import annotations
@@ -30,31 +34,69 @@ import math
 import os
 import shlex
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, bench, render
-from .dynamics import SolverConfig, TbmParams, initial_states, run_batch
+from . import __version__, render
 from .errors import DivergenceError, ValidationError
-from .instance import (
+from .textio import (
     CATALOGUE,
-    Instance,
+    _check_writable,
     _finite,
     _int,
     _read_text,
+    _utf8,
     _write_text,
-    build_couplings,
-    catalogue_pattern_set,
-    coarse_grain,
-    generate_orthogonal_patterns,
-    load_instance,
-    save_instance,
 )
-from . import oracle as oracle_mod
+
+if TYPE_CHECKING:
+    from .instance import Instance
 
 __all__ = ["main"]
 
 MAX_GRID_POINTS = 100_000
+
+
+# ---------------------------------------------------------------------------
+# numeric names, bound on first use
+
+
+def _numeric_names() -> dict[str, object]:
+    """The numeric modules and functions the commands other than report use."""
+    from . import bench
+    from . import oracle as oracle_mod
+    from .dynamics import SolverConfig, TbmParams, initial_states, run_batch
+    from .instance import (
+        build_couplings,
+        catalogue_pattern_set,
+        coarse_grain,
+        generate_orthogonal_patterns,
+        load_instance,
+        save_instance,
+    )
+
+    return locals()
+
+
+def _bind_numeric() -> None:
+    """Bind the numeric names into this module, keeping any name already set.
+
+    main calls this before every command but report, so report, --version
+    and usage errors start without numpy.  A name already set stays:
+    perfbench/tracer.py wraps build_couplings and catalogue_pattern_set
+    here before main runs.  This and __getattr__ can go once the
+    benchmark no longer patches module names (ROADMAP item 2).
+    """
+    for name, value in _numeric_names().items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    # PEP 562: the first read of a numeric name from outside binds them all
+    if not name.startswith("__"):
+        _bind_numeric()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +126,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
                 raise ValidationError(f"unknown grid scale {parts[3]!r}; only 'log'")
             if lo <= 0 or hi <= 0:
                 raise ValidationError("log grids need positive endpoints")
+        import numpy as np  # imported here, like every numeric module of cli
+
         spaced = np.geomspace if len(parts) == 4 else np.linspace
         # an overflowing span warns here; _check_finite below rejects it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -96,7 +140,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _check_finite(text: str, values: tuple[float, ...]) -> None:
-    if not np.isfinite(values).all():
+    if not all(math.isfinite(v) for v in values):
         raise ValidationError(f"grid {text!r} has a non-finite value")
 
 
@@ -145,6 +189,17 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
+def _manifest_path(first_output: str) -> str:
+    return first_output + ".manifest.txt"
+
+
+def _check_outputs(argv: list[str], *outputs: str) -> None:
+    """Fail on an unwritable output or manifest before the command does its work."""
+    manifest = _manifest_path(outputs[0])
+    _utf8(manifest, shlex.join(argv))  # the manifest records argv
+    _check_writable(*outputs, manifest)
+
+
 def _write_manifest(command: str, argv: list[str], inputs: list[str], outputs: list[str]):
     lines = [
         "format: plantbench-manifest 1",
@@ -156,7 +211,7 @@ def _write_manifest(command: str, argv: list[str], inputs: list[str], outputs: l
         lines.append(f"input: {path} blake2b={_digest(path)}")
     for path in outputs:
         lines.append(f"output: {path} blake2b={_digest(path)}")
-    _write_text(outputs[0] + ".manifest.txt", "\n".join(lines) + "\n")
+    _write_text(_manifest_path(outputs[0]), "\n".join(lines) + "\n")
 
 
 def _print_spectrum(inst: Instance) -> None:
@@ -181,6 +236,7 @@ def _spins_text(spins) -> str:
 
 def _cmd_gen(args, argv) -> int:
     _check_finite_flags(args, "w0", "dw")
+    _check_outputs(argv, args.out)
     ps = generate_orthogonal_patterns(args.n, args.k, seed=args.seed, w0=args.w0, dw=args.dw)
     inst = build_couplings(ps, rule=args.rule, label=f"orthogonal-n{args.n}-k{args.k}")
     if args.coarse is not None:
@@ -192,6 +248,8 @@ def _cmd_gen(args, argv) -> int:
 
 
 def _cmd_gen_small(args, argv) -> int:
+    if args.out:
+        _check_outputs(argv, args.out)
     ps = catalogue_pattern_set(args.id, literal_weights=args.literal_weights)
     inst = build_couplings(ps, label=f"small-{args.id}")
     dists, cat_dw = CATALOGUE[args.id]
@@ -239,6 +297,8 @@ def _solver_config(args) -> SolverConfig:
 
 def _cmd_solve(args, argv) -> int:
     _check_count_flags(args, "runs")
+    if args.out:
+        _check_outputs(argv, args.out)
     inst = load_instance(args.instance)
     cfg = _solver_config(args)
     seeds = bench.derive_seeds(args.seed, "solve", count=args.runs)
@@ -266,6 +326,8 @@ def _cmd_solve(args, argv) -> int:
 
 
 def _cmd_oracle(args, argv) -> int:
+    if args.out:
+        _check_outputs(argv, args.out)
     inst = load_instance(args.instance)
     lines = [f"instance: {inst.label} n={inst.n}"]
     if inst.n <= oracle_mod.BRUTE_FORCE_LIMIT:
@@ -309,6 +371,8 @@ def _sweep_axes(args, inst: Instance) -> tuple[tuple[str, tuple[float, ...]], ..
 
 
 def _cmd_sweep_sr(args, argv) -> int:
+    sidecar = args.out + ".meta.txt"
+    _check_outputs(argv, args.out, sidecar)
     inputs = []
     if args.small:
         inst = build_couplings(catalogue_pattern_set(args.small), label=f"small-{args.small}")
@@ -327,13 +391,14 @@ def _cmd_sweep_sr(args, argv) -> int:
     )
     result = bench.sweep_sr(spec, threads=_threads(args))
     bench.write_sweep_csv(result, args.out)
-    sidecar = args.out + ".meta.txt"
     bench.write_sidecar(result, sidecar)
     _write_manifest("sweep-sr", argv, inputs, [args.out, sidecar])
     print(f"grid {spec.grid_shape} runs/point {args.runs} max SR {result.max_sr()!r}")
     return 0
 
 
+# One entry per key of bench.SCAN_FACTORIES; the parser takes the scan
+# kinds from here, so building it imports no numeric module.
 _SCAN_DEFAULT_VALUES = {
     "dxi": "-2:0:21",
     "dw": "0:0.5:21",
@@ -342,6 +407,8 @@ _SCAN_DEFAULT_VALUES = {
 
 
 def _cmd_scan(args, argv) -> int:
+    sidecar = args.out + ".meta.txt"
+    _check_outputs(argv, args.out, sidecar)
     ident = args.id or ("f" if args.kind == "p" else "c")
     factory = bench.SCAN_FACTORIES[args.kind](ident)
     values = _parse_grid(args.values or _SCAN_DEFAULT_VALUES[args.kind])
@@ -359,7 +426,6 @@ def _cmd_scan(args, argv) -> int:
     )
     result = bench.scan_transition(spec, threads=_threads(args))
     bench.write_sweep_csv(result, args.out)
-    sidecar = args.out + ".meta.txt"
     bench.write_sidecar(result, sidecar)
     _write_manifest("scan", argv, [], [args.out, sidecar])
     print(f"scan {args.kind} on {ident}: grid {spec.grid_shape} max SR {result.max_sr()!r}")
@@ -369,6 +435,8 @@ def _cmd_scan(args, argv) -> int:
 def _cmd_sweep_k(args, argv) -> int:
     _check_finite_flags(args, "dw")
     _check_count_flags(args, "runs", "k_step")
+    hist_path = os.path.splitext(args.out)[0] + ".hist.csv"
+    _check_outputs(argv, args.out, hist_path)
     if args.k_list:
         try:
             ks = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
@@ -386,7 +454,6 @@ def _cmd_sweep_k(args, argv) -> int:
         threads=_threads(args),
     )
     bench.write_ksweep_csv(entries, args.out)
-    hist_path = os.path.splitext(args.out)[0] + ".hist.csv"
     bench.write_hist_csv(entries, hist_path)
     _write_manifest("sweep-k", argv, [], [args.out, hist_path])
     print(f"n={args.n} K values {ks[0]}..{ks[-1]} ({len(ks)}) runs/K {entries[0].n_runs}")
@@ -473,6 +540,9 @@ def _render_measure(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _cmd_report(args, argv) -> int:
+    if args.k is not None and args.kind != "hist":
+        raise ValidationError("--k applies only to --kind hist")
+    _check_outputs(argv, args.out)
     header, rows = _read_csv(args.infile)
     if args.kind == "heatmap":
         svg = _render_heatmap(header, rows)
@@ -559,7 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_sr)
 
     p = sub.add_parser("scan", help="complexity-transition scan")
-    p.add_argument("--kind", required=True, choices=list(bench.SCAN_FACTORIES))
+    p.add_argument("--kind", required=True, choices=list(_SCAN_DEFAULT_VALUES))
     p.add_argument("--id", default=None, type=_catalogue_id)
     p.add_argument("--values", default=None)
     p.add_argument("--alpha-grid", default=None)
@@ -596,6 +666,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command != "report":
+        _bind_numeric()
     try:
         return args.func(args, argv)
     except ValidationError as exc:

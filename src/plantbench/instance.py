@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 from dataclasses import dataclass, replace
 
@@ -32,6 +31,7 @@ from .errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
+from .textio import CATALOGUE, _finite, _fmt, _int, _read_text, _write_text
 
 __all__ = [
     "PatternSet",
@@ -297,23 +297,6 @@ def generate_orthogonal_patterns(
     return make_pattern_set(patterns, w0=w0, dw=dw, generator=("hadamard", int(seed)))
 
 
-# Hand-picked n = 8 catalogue: pairwise Hamming distance matrix and the
-# nominal weight increment.  Entry (e) lists dw = -0.13 but plants the
-# last pattern as the heaviest, so its default ladder is the reversed
-# formula ladder (see catalogue_pattern_set).
-CATALOGUE: dict[str, tuple[tuple[tuple[int, ...], ...], float]] = {
-    "a": (((0, 1, 4), (1, 0, 3), (4, 3, 0)), 0.1),
-    "b": (((0, 4, 3), (4, 0, 3), (3, 3, 0)), 0.1),
-    "b*": (((0, 2, 2), (2, 0, 4), (2, 4, 0)), 0.3),
-    "c": (((0, 3, 4), (3, 0, 3), (4, 3, 0)), 0.1),
-    "d": (((0, 4, 2), (4, 0, 4), (2, 4, 0)), 0.1),
-    "e": (((0, 4, 3), (4, 0, 1), (3, 1, 0)), -0.13),
-    "f": (
-        ((0, 4, 4, 4), (4, 0, 4, 4), (4, 4, 0, 4), (4, 4, 4, 0)),
-        0.1,
-    ),
-}
-
 _SMALL_N = 8
 
 
@@ -527,58 +510,6 @@ def shared_sign_coordinate(ps: PatternSet) -> int:
 
 # ---------------------------------------------------------------------------
 # serialisation
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _read_text(path: str | os.PathLike) -> str:
-    """The UTF-8 text of path; every text file the package reads comes here."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError:
-        raise ValidationError(f"{os.fspath(path)} is not UTF-8 text") from None
-    except OSError as exc:
-        raise ValidationError(f"cannot read {os.fspath(path)}: {exc.strerror}") from None
-
-
-def _write_text(path: str | os.PathLike, text: str) -> None:
-    """Write text as UTF-8, byte for byte; every text file goes out here.
-
-    The text is encoded before the file is opened, so a manifest that
-    records a non-UTF-8 argument fails without leaving an empty file.
-    """
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValidationError(f"cannot write {os.fspath(path)}: text is not UTF-8") from None
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {os.fspath(path)}: {exc.strerror}") from None
-
-
-def _int(text: str, what: str, least: int | None = None) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValidationError(f"{what} must be an integer, got {text!r}") from None
-    if least is not None and value < least:
-        raise ValidationError(f"{what} must be >= {least}, got {value}")
-    return value
-
-
-def _finite(text: str, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValidationError(f"{what} must be a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {text!r}")
-    return value
-
 
 def _float_row(text: str, what: str) -> list[float]:
     return [_finite(t, what) for t in text.split()]

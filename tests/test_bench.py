@@ -376,6 +376,13 @@ def test_sweep_k_rejects_empty():
         sweep_k(16, [])
 
 
+def test_sweep_k_rejects_repeated_k():
+    # a repeated K used to write two identical rows, and report drew
+    # both K's histogram bins as one zig-zag line
+    with pytest.raises(ValidationError, match=r"K values repeat: \[4\]"):
+        sweep_k(16, [4, 2, 4], runs_per_k=5)
+
+
 # ---------------------------------------------------------------------------
 # writers
 

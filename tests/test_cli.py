@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plantbench import DivergenceError, load_instance
+from plantbench import DivergenceError, bench, cli, load_instance
 from plantbench.cli import main
 
 
@@ -111,7 +111,21 @@ def _error_line(capsys) -> str:
     return err
 
 
-# the directory and missing-parent cases escaped as OSError tracebacks (exit 1)
+@pytest.fixture()
+def trajectories(monkeypatch):
+    """The row counts of every run_batch call that the CLI makes."""
+    rows = []
+    for owner in (bench, cli):
+        def counted(inst, cfg, x0, *args, _run=owner.run_batch, **kwargs):
+            rows.append(len(x0))
+            return _run(inst, cfg, x0, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "run_batch", counted)
+    return rows
+
+
+# the directory and missing-parent cases escaped as OSError tracebacks
+# (exit 1), and the sweeps met an unwritable output only after the grid
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--instance", "{dir}"], "cannot read .*Is a directory"),
     (["report", "--in", "{dir}", "--kind", "heatmap", "--out", "{dir}/x.svg"],
@@ -123,13 +137,64 @@ def _error_line(capsys) -> str:
      "cannot write .*No such file"),
     (["sweep-sr", "--small", "a", "--alpha-grid", "1:2:2", "--runs", "5",
       "--threads", "1", "--out", "{dir}/missing/x.csv"], "cannot write .*No such file"),
+    (["scan", "--kind", "dxi", "--values=-2,0", "--alpha-grid", "2", "--runs", "5",
+      "--threads", "1", "--out", "{dir}/missing/x.csv"], "cannot write .*No such file"),
+    (["sweep-k", "--n", "16", "--k-list", "4", "--runs", "5", "--threads", "1",
+      "--out", "{dir}/missing/k.csv"], "cannot write .*No such file"),
 ], ids=["solve-dir", "report-dir", "report-missing", "gen-small-dir", "gen-missing-dir",
-        "sweep-sr-missing-dir"])
-def test_unreadable_or_unwritable_paths_exit_3(tmp_path, capsys, argv, message):
+        "sweep-sr-missing-dir", "scan-missing-dir", "sweep-k-missing-dir"])
+def test_unreadable_or_unwritable_paths_exit_3(tmp_path, capsys, trajectories, argv,
+                                               message):
     code = run_cli([a.format(dir=tmp_path) for a in argv])
     assert code == 3
     assert re.search(message, _error_line(capsys))
     assert not (tmp_path / "x.svg").exists()
+    assert trajectories == []
+
+
+SWEEP_SR = ["sweep-sr", "--small", "a", "--alpha-grid", "1:2:2", "--runs", "5",
+            "--threads", "1", "--out"]
+SCAN = ["scan", "--kind", "dxi", "--values=-2,0", "--alpha-grid", "2", "--runs", "5",
+        "--threads", "1", "--out"]
+SWEEP_K = ["sweep-k", "--n", "16", "--k-list", "4", "--runs", "5", "--threads", "1",
+           "--out"]
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (SWEEP_SR, "x.csv.meta.txt"),
+    (SWEEP_SR, "x.csv.manifest.txt"),
+    (SCAN, "x.csv.meta.txt"),
+    (SWEEP_K, "x.hist.csv"),
+    (SWEEP_K, "x.csv.manifest.txt"),
+    (["gen-small", "--id", "c", "--out"], "x.csv.manifest.txt"),
+], ids=["sweep-sr-sidecar", "sweep-sr-manifest", "scan-sidecar", "sweep-k-hist",
+        "sweep-k-manifest", "gen-small-manifest"])
+def test_unwritable_second_output_exits_3_before_any_work(tmp_path, capsys, trajectories,
+                                                          argv, blocked):
+    # a directory in the way of the sidecar, hist CSV or manifest
+    (tmp_path / blocked).mkdir()
+    assert run_cli(argv + [str(tmp_path / "x.csv")]) == 3
+    assert re.search(f"cannot write .*{re.escape(blocked)}: Is a directory",
+                     _error_line(capsys))
+    assert trajectories == []
+    assert capsys.readouterr().out == ""  # gen-small printed its summary first
+    assert sorted(p.name for p in tmp_path.iterdir()) == [blocked]
+
+
+def test_solve_unwritable_out_runs_nothing(tmp_path, small_c, capsys, trajectories):
+    out = tmp_path / "missing" / "r.csv"
+    assert run_cli(["solve", "--instance", str(small_c), "--runs", "3",
+                    "--out", str(out)]) == 3
+    assert "cannot write" in _error_line(capsys)
+    assert trajectories == []
+
+
+def test_failed_command_leaves_an_existing_output_as_it_was(tmp_path, capsys):
+    csv = tmp_path / "x.csv"
+    csv.write_text("old\n")
+    assert run_cli(["sweep-sr", "--small", "a", "--alpha-grid=nan,3", "--runs", "5",
+                    "--out", str(csv)]) == 3
+    assert csv.read_text() == "old\n"
 
 
 def test_non_utf8_argument_exits_3_without_a_manifest(tmp_path):
@@ -143,6 +208,17 @@ def test_non_utf8_argument_exits_3_without_a_manifest(tmp_path):
     assert proc.stderr.count(b"\n") == 1 and proc.stderr.startswith(b"error: ")
     assert b"text is not UTF-8" in proc.stderr
     assert not os.path.exists(out + b".manifest.txt")
+
+
+def test_non_utf8_argument_of_a_sweep_exits_3_before_any_work(tmp_path):
+    # the manifest cannot record the argument; the grid used to run first
+    # and leave the CSV and its sidecar behind
+    out = os.fsencode(tmp_path) + b"/\xff.csv"
+    proc = subprocess.run([sys.executable, "-m", "plantbench.cli", *SWEEP_SR, out],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.count(b"\n") == 1 and b"text is not UTF-8" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [
@@ -365,6 +441,29 @@ def test_sweep_k_rejects_unparsable_k_list(tmp_path, capsys):
     assert run_cli(["sweep-k", "--n", "16", "--k-list", "2,x",
                     "--out", str(out)]) == 3
     assert "cannot parse K list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_k_rejects_repeated_k(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    assert run_cli(["sweep-k", "--n", "16", "--k-list", "4,4", "--runs", "5",
+                    "--out", str(out)]) == 3
+    assert "K values repeat: [4]" in _error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("heatmap", "alpha,sr\n1,0.5\n"),
+    ("measure", "k,n_runs,band:1\n40,3,3\n"),
+])
+def test_report_k_only_with_hist(tmp_path, capsys, kind, text):
+    # --k used to be ignored by the other kinds
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    out = tmp_path / "x.svg"
+    assert run_cli(["report", "--in", str(src), "--kind", kind, "--k", "3",
+                    "--out", str(out)]) == 3
+    assert "--k applies only to --kind hist" in _error_line(capsys)
     assert not out.exists()
 
 
