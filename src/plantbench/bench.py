@@ -84,9 +84,6 @@ __all__ = [
     "scan_transition",
     "sweep_k",
     "histogram",
-    "count_modes",
-    "cluster_split",
-    "cluster_report",
     "write_sweep_csv",
     "write_ksweep_csv",
     "write_hist_csv",
@@ -247,21 +244,15 @@ class PointResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered grid-point aggregates plus reproducibility metadata."""
+    """Ordered grid-point aggregates of a spec, with the spec's hash."""
 
+    spec: SweepSpec
     spec_hash: str
-    axes: tuple[tuple[str, tuple[float, ...]], ...]
     points: tuple[PointResult, ...]
-    runs_per_point: int
-    base_seed: int
-    ground_truth: str
-    instance_label: str
-    solver_repr: str
 
     @property
     def sr_grid(self) -> np.ndarray:
-        shape = tuple(len(values) for _, values in self.axes)
-        return np.array([p.sr for p in self.points]).reshape(shape)
+        return np.array([p.sr for p in self.points]).reshape(self.spec.grid_shape)
 
     def max_sr(self) -> float:
         return max(p.sr for p in self.points)
@@ -469,20 +460,7 @@ def sweep_sr(spec: SweepSpec, threads: int = 1) -> SweepResult:
     wall time, never results (points are reduced in index order).
     """
     points = _map_in_order(partial(_eval_point, spec), range(spec.n_points), threads)
-    if isinstance(spec.instance, Instance):
-        label = spec.instance.label
-    else:
-        label = repr(spec.instance)
-    return SweepResult(
-        spec_hash=spec.spec_hash(),
-        axes=spec.axes,
-        points=tuple(points),
-        runs_per_point=spec.runs_per_point,
-        base_seed=spec.base_seed,
-        ground_truth=spec.ground_truth,
-        instance_label=label,
-        solver_repr=repr(spec.solver),
-    )
+    return SweepResult(spec=spec, spec_hash=spec.spec_hash(), points=tuple(points))
 
 
 SCAN_FACTORIES = {
@@ -533,21 +511,15 @@ class HistogramReport:
     n_runs: int
     degenerate: bool
 
-    @property
-    def found_min(self) -> float:
-        return self.edges[0]
-
-    @property
-    def found_max(self) -> float:
-        return self.edges[-1]
-
 
 def _gaussian_smooth(density: np.ndarray) -> np.ndarray:
     radius = 4
     offsets = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * offsets.astype(np.float64) ** 2)
     kernel /= kernel.sum()
-    return np.convolve(density, kernel, mode="same")
+    # the centred slice of the full convolution keeps len(density) values
+    # for any length; mode="same" returns max(len(density), 9) of them
+    return np.convolve(density, kernel)[radius:radius + len(density)]
 
 
 def histogram(
@@ -564,21 +536,12 @@ def histogram(
     planted_min = float(planted.e_min) if planted is not None else float(e.min())
     planted_max = float(planted.e_max) if planted is not None else float(e.max())
     lo, hi = float(e.min()), float(e.max())
-    if lo == hi:
-        density = np.array([1.0])
-        return HistogramReport(
-            edges=(lo - 0.5, lo + 0.5),
-            counts=(int(e.size),),
-            density=(1.0,),
-            log_density_shifted=(float(np.log(1.0 + LOG_SHIFT)),),
-            smoothed_density=tuple(float(v) for v in _gaussian_smooth(density)),
-            planted_min=planted_min,
-            planted_max=planted_max,
-            n_runs=int(e.size),
-            degenerate=True,
-        )
+    degenerate = lo == hi
+    if degenerate:
+        n_bins, lo, hi = 1, lo - 0.5, hi + 0.5
     counts, edges = np.histogram(e, bins=n_bins, range=(lo, hi))
-    width = edges[1] - edges[0]
+    # a degenerate bin has width 1 by definition, whatever lo +- 0.5 rounds to
+    width = 1.0 if degenerate else edges[1] - edges[0]
     density = counts / (e.size * width)
     return HistogramReport(
         edges=tuple(float(v) for v in edges),
@@ -589,71 +552,8 @@ def histogram(
         planted_min=planted_min,
         planted_max=planted_max,
         n_runs=int(e.size),
-        degenerate=False,
+        degenerate=degenerate,
     )
-
-
-def count_modes(report: HistogramReport, floor: float = 0.02) -> int:
-    """Local maxima of the smoothed density above floor * peak."""
-    d = np.asarray(report.smoothed_density)
-    if d.size == 1:
-        return 1
-    cut = floor * d.max()
-    modes = 0
-    for i in range(d.size):
-        left = d[i - 1] if i > 0 else -np.inf
-        right = d[i + 1] if i < d.size - 1 else -np.inf
-        if d[i] > cut and d[i] >= left and d[i] > right:
-            modes += 1
-    return modes
-
-
-def cluster_split(energies: Sequence[float], n_clusters: int) -> list[np.ndarray]:
-    """Partition by the largest gaps in sorted energy order.
-
-    Returns index arrays into the original sequence, ordered by
-    increasing energy.
-    """
-    e = np.asarray(list(energies), dtype=np.float64)
-    if n_clusters < 1 or n_clusters > e.size:
-        raise ValidationError("n_clusters must be in [1, len(energies)]")
-    order = np.argsort(e, kind="stable")
-    if n_clusters == 1:
-        return [order]
-    gaps = np.diff(e[order])
-    cuts = np.sort(np.argsort(gaps, kind="stable")[-(n_clusters - 1):])
-    return [np.array(part) for part in np.split(order, cuts + 1)]
-
-
-def cluster_report(
-    energies: Sequence[float],
-    spins: np.ndarray,
-    n_clusters: int,
-) -> list[dict]:
-    """Per-cluster share, mean energy, and mean intra-cluster Hamming."""
-    spins = np.asarray(spins)
-    e = np.asarray(list(energies), dtype=np.float64)
-    groups = cluster_split(e, n_clusters)
-    total = e.size
-    out = []
-    for idx in groups:
-        members = spins[idx].astype(np.int16)
-        m = members.shape[0]
-        if m > 1:
-            agree = members @ members.T
-            ham = (members.shape[1] - agree) / 2
-            mean_ham = float(ham[np.triu_indices(m, k=1)].mean())
-        else:
-            mean_ham = 0.0
-        out.append(
-            {
-                "share": m / total,
-                "mean_energy": float(e[idx].mean()),
-                "mean_hamming": mean_ham,
-                "size": int(m),
-            }
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -761,7 +661,7 @@ def write_sweep_csv(result: SweepResult, path) -> None:
     if not result.points:
         raise ValidationError("no grid points to write")
     header = (
-        [name for name, _ in result.axes]
+        list(result.spec.axis_names)
         + ["sr", "n_runs", "hits", "diverged"]
         + _count_headers(result.points[0].measure_counts)
     )
@@ -846,16 +746,21 @@ def write_sidecar(result: SweepResult, path) -> None:
     """Structured text metadata next to a sweep CSV (no timestamps)."""
     from . import __version__
 
+    spec = result.spec
+    if isinstance(spec.instance, Instance):
+        label = spec.instance.label
+    else:
+        label = repr(spec.instance)
     lines = [
         "format: plantbench-sweep-meta 1",
         f"tool_version: {__version__}",
         f"spec_hash: {result.spec_hash}",
-        f"instance: {result.instance_label}",
-        f"solver: {result.solver_repr}",
-        f"base_seed: {result.base_seed}",
-        f"runs_per_point: {result.runs_per_point}",
-        f"ground_truth: {result.ground_truth}",
+        f"instance: {label}",
+        f"solver: {spec.solver!r}",
+        f"base_seed: {spec.base_seed}",
+        f"runs_per_point: {spec.runs_per_point}",
+        f"ground_truth: {spec.ground_truth}",
     ]
-    for name, values in result.axes:
+    for name, values in spec.axes:
         lines.append(f"axis {name}: " + " ".join(repr(v) for v in values))
     _write_text(path, "\n".join(lines) + "\n")

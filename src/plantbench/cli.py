@@ -264,7 +264,9 @@ def _cmd_gen_small(args, argv) -> int:
     return 0
 
 
-_SOLVER_KINDS = {"class1": "I", "class2": "II", "class3": "III", "tbm": "TBM"}
+# Kind II (scheduled coefficients) is library-only: the CLI cannot set a
+# schedule, and with constant coefficients kind II is class1 bit for bit.
+_SOLVER_KINDS = {"class1": "I", "class3": "III", "tbm": "TBM"}
 
 
 def _solver_config(args) -> SolverConfig:
@@ -371,6 +373,11 @@ def _sweep_axes(args, inst: Instance) -> tuple[tuple[str, tuple[float, ...]], ..
 
 
 def _cmd_sweep_sr(args, argv) -> int:
+    unused = ("alpha_grid", "beta_grid") if args.solver == "tbm" else ("delta_grid", "xi0_grid")
+    for flag in unused:
+        if getattr(args, flag) is not None:
+            name = flag.replace("_", "-")
+            raise ValidationError(f"--{name} does not apply to --solver {args.solver}")
     sidecar = args.out + ".meta.txt"
     _check_outputs(argv, args.out, sidecar)
     inputs = []

@@ -95,14 +95,12 @@ class LinearRamp:
 
 @dataclass(frozen=True)
 class PumpRamp:
-    """Bifurcation pump p(t) = min(rate * step / num_steps, cap)."""
+    """Bifurcation pump p(t) = min(2 * step / num_steps, 2)."""
 
     num_steps: int = 1000
-    rate: float = 2.0
-    cap: float = 2.0
 
     def __call__(self, step: int) -> float:
-        return min(self.rate * step / self.num_steps, self.cap)
+        return min(2.0 * step / self.num_steps, 2.0)
 
 
 @dataclass(frozen=True)

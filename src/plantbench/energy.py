@@ -49,7 +49,6 @@ __all__ = [
     "measure_bins",
     "band_label",
     "gauge_transform",
-    "mirror",
 ]
 
 DEFAULT_FRACTIONS: tuple[float, ...] = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0)
@@ -300,11 +299,6 @@ def measure_bins(
     for i, lab in enumerate(labels):
         counts[lab] = int((idx == i).sum())
     return counts
-
-
-def mirror(x: np.ndarray) -> np.ndarray:
-    """Global spin flip, an exact symmetry of the energy."""
-    return -np.asarray(x)
 
 
 def gauge_transform(inst: Instance, flips) -> Instance:

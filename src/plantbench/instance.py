@@ -98,10 +98,6 @@ class PatternSet:
         p = self.patterns.astype(np.float64)
         return p @ p.T
 
-    def overlap_matrix(self) -> np.ndarray:
-        """Q_{mu nu} = (1/n) xi^mu . xi^nu of the binary patterns."""
-        return self.gram() / self.n
-
     def is_orthogonal(self) -> bool:
         return bool(np.array_equal(self.gram(), self.n * np.eye(self.k)))
 
@@ -473,10 +469,12 @@ def coarse_grain(inst: Instance, delta_j: float) -> Instance:
     Off-diagonal entries become floor(J_ij / delta_j); the floor is
     applied to the upper triangle and mirrored, and the diagonal stays
     zero.  The planted spectrum is recomputed on the quantised matrix.
-    Raises for delta_j <= 0.
+    Raises for a delta_j that is not positive and finite.
     """
-    if not delta_j > 0:
-        raise ValidationError(f"coarse-graining step must be positive, got {delta_j}")
+    if not (delta_j > 0 and np.isfinite(delta_j)):
+        raise ValidationError(
+            f"coarse-graining step must be positive and finite, got {delta_j}"
+        )
     j = _mirror_upper(np.floor(inst.coupling / delta_j))
     out = replace(
         inst,

@@ -13,9 +13,6 @@ from plantbench import (
     brute_force,
     build_couplings,
     catalogue_pattern_set,
-    cluster_report,
-    cluster_split,
-    count_modes,
     default_alpha_grid,
     derive_seed,
     derive_seeds,
@@ -287,7 +284,7 @@ def test_scan_transition_runs_end_to_end():
 
 
 # ---------------------------------------------------------------------------
-# histograms and clusters
+# histograms
 
 
 def test_histogram_counts_and_density():
@@ -297,8 +294,7 @@ def test_histogram_counts_and_density():
     assert sum(report.counts) == 400
     widths = np.diff(np.array(report.edges))
     assert np.sum(np.array(report.density) * widths) == pytest.approx(1.0)
-    assert report.found_min == pytest.approx(e.min())
-    assert report.found_max == pytest.approx(e.max())
+    assert report.edges[0] == e.min() and report.edges[-1] == e.max()
     assert len(report.smoothed_density) == 30
     assert not report.degenerate
 
@@ -309,40 +305,32 @@ def test_histogram_degenerate_single_level():
     assert report.counts == (10,)
     assert report.edges == (2.0, 3.0)
     assert report.density == (1.0,)
+    # the kernel centre; the smoothing used to return 9 values, the first
+    # the kernel tail 0.00013383062461474175
+    assert report.smoothed_density == (0.39894346935609776,)
+    # here (lo + 0.5) - (lo - 0.5) rounds away from 1; the bin width is 1 anyway
+    assert histogram([-0.6872023179929557] * 3).density == (1.0,)
+
+
+# n_bins below the 9-point smoothing kernel used to get 9 shifted values
+@pytest.mark.parametrize("n_bins", [1, 3, 8, 9, 60])
+def test_histogram_smoothing_keeps_one_value_per_bin(n_bins):
+    report = histogram(np.random.default_rng(n_bins).normal(size=200), n_bins=n_bins)
+    assert len(report.smoothed_density) == len(report.counts) == len(report.density)
+    # bin i sums density[j] * kernel[i - j] over the bins j within 4 of it
+    kernel = np.exp(-0.5 * np.arange(-4, 5) ** 2.0)
+    kernel /= kernel.sum()
+    d = report.density
+    expected = [
+        sum(d[j] * kernel[i - j + 4] for j in range(max(0, i - 4), min(len(d), i + 5)))
+        for i in range(len(d))
+    ]
+    assert report.smoothed_density == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_histogram_rejects_empty():
     with pytest.raises(ValidationError):
         histogram([])
-
-
-def test_count_modes_bimodal():
-    rng = np.random.default_rng(1)
-    e = np.concatenate([rng.normal(-5, 0.3, 300), rng.normal(5, 0.3, 300)])
-    report = histogram(e, n_bins=40)
-    assert count_modes(report) == 2
-    single = histogram(rng.normal(0, 1, 2000), n_bins=40)
-    assert count_modes(single) == 1
-
-
-def test_cluster_split_cuts_largest_gaps():
-    e = [0.0, 0.1, 0.2, 5.0, 5.1, 9.0]
-    groups = cluster_split(e, 3)
-    assert [sorted(g.tolist()) for g in groups] == [[0, 1, 2], [3, 4], [5]]
-    with pytest.raises(ValidationError):
-        cluster_split(e, 7)
-
-
-def test_cluster_report_shares_and_hamming():
-    spins = np.array(
-        [[1, 1, 1, 1], [1, 1, 1, -1], [-1, -1, -1, -1], [-1, -1, 1, -1]]
-    )
-    e = [0.0, 0.1, 10.0, 10.1]
-    rep = cluster_report(e, spins, 2)
-    assert [c["size"] for c in rep] == [2, 2]
-    assert sum(c["share"] for c in rep) == pytest.approx(1.0)
-    assert rep[0]["mean_hamming"] == pytest.approx(1.0)
-    assert rep[0]["mean_energy"] == pytest.approx(0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,25 @@ def test_usage_error_exits_2(capsys):
     assert info.value.code == 2
 
 
+def test_solver_class2_is_a_usage_error(tmp_path, capsys):
+    # kind II needs schedules, which only the library can set
+    with pytest.raises(SystemExit) as info:
+        run_cli(["sweep-sr", "--small", "c", "--solver", "class2", "--runs", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert info.value.code == 2
+    assert "invalid choice: 'class2'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_non_finite_coarse_exits_3_before_writing(tmp_path, capsys):
+    # --coarse inf used to write coarse_grain: inf, which no reader accepts
+    out = tmp_path / "x.inst"
+    assert run_cli(["gen", "--n", "8", "--k", "2", "--coarse", "inf",
+                    "--out", str(out)]) == 3
+    assert "positive and finite" in _error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_small_prints_catalogue_summary(capsys):
     listed = {
         "a": ("(1, 3, 4)", "0.1"),
@@ -179,6 +198,22 @@ def test_unwritable_second_output_exits_3_before_any_work(tmp_path, capsys, traj
     assert trajectories == []
     assert capsys.readouterr().out == ""  # gen-small printed its summary first
     assert sorted(p.name for p in tmp_path.iterdir()) == [blocked]
+
+
+# grid flags of the other solver family used to be ignored with exit 0
+@pytest.mark.parametrize("solver, flag", [
+    ("class1", "--delta-grid"), ("class3", "--xi0-grid"),
+    ("tbm", "--alpha-grid"), ("tbm", "--beta-grid"),
+])
+def test_sweep_sr_grid_flag_unused_by_solver_exits_3(tmp_path, capsys, trajectories,
+                                                     solver, flag):
+    tbm_grids = ["--delta-grid", "1", "--xi0-grid", "0.1"] if solver == "tbm" else []
+    argv = ["sweep-sr", "--small", "c", "--solver", solver, *tbm_grids, flag, "1",
+            "--runs", "5", "--threads", "1", "--out", str(tmp_path / "x.csv")]
+    assert run_cli(argv) == 3
+    assert f"{flag} does not apply to --solver {solver}" in _error_line(capsys)
+    assert trajectories == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_unwritable_out_runs_nothing(tmp_path, small_c, capsys, trajectories):

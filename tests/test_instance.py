@@ -85,7 +85,7 @@ def test_gram_products_exact_at_full_load():
     # n = K = 1024: the float64 Gram products of +-1 rows are exact integers
     ps = generate_orthogonal_patterns(1024, 1024, seed=1)
     assert ps.is_orthogonal() is True
-    assert np.array_equal(ps.overlap_matrix(), np.eye(1024))
+    assert np.array_equal(ps.gram(), 1024 * np.eye(1024))
     dist = hamming_distances(ps)
     assert dist.dtype == np.int64
     assert np.array_equal(dist, 512 * (1 - np.eye(1024, dtype=np.int64)))
@@ -231,8 +231,10 @@ def test_coarse_grain_quantises_with_floor():
 
 def test_coarse_grain_rejects_nonpositive_step():
     inst = build_couplings(catalogue_pattern_set("a"))
-    with pytest.raises(ValidationError):
-        coarse_grain(inst, 0.0)
+    # a non-finite step used to pass and write an unloadable instance
+    for step in (0.0, -0.5, float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            coarse_grain(inst, step)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import plantbench
 from plantbench import bench, dynamics, energy, errors, instance, oracle
 
 # Every name the package exported before the per-kind run aliases, the
-# one-off classifier wrapper, DegenerateSpectrumError and the bare-matrix
-# file format were deleted.
+# one-off classifier wrapper, DegenerateSpectrumError, the bare-matrix
+# file format, the cluster and mode helpers and mirror were deleted.
 STILL_EXPORTED = [
     "__version__", "PlantbenchError", "ValidationError",
     "UnsupportedDimensionError", "CapacityError", "DivergenceError",
@@ -16,21 +16,21 @@ STILL_EXPORTED = [
     "save_instance", "load_instance",
     "qubo_energy", "qubo_energy_many", "PlantedSpectrum",
     "planted_spectrum", "OutcomeLabel", "OutcomeClassifier", "band_label",
-    "measure_bins", "mirror", "gauge_transform", "SpectrumReport",
+    "measure_bins", "gauge_transform", "SpectrumReport",
     "brute_force", "max_eigenvalue", "LinearRamp", "PumpRamp", "TbmParams",
     "SolverConfig", "RunOutcome", "random_initial", "run", "run_batch",
     "trajectory", "SweepSpec", "PointResult", "SweepResult",
     "HistogramReport", "KSweepEntry", "CataloguePerturbationFactory",
     "CatalogueWeightStepFactory", "EquidistantPerturbationFactory",
     "derive_seed", "default_alpha_grid", "sweep_sr", "scan_transition",
-    "sweep_k", "histogram", "count_modes", "cluster_split",
-    "cluster_report", "write_sweep_csv", "write_ksweep_csv",
+    "sweep_k", "histogram", "write_sweep_csv", "write_ksweep_csv",
     "write_hist_csv", "write_sidecar",
 ]
 
 DELETED = [
     "run_class1", "run_class2", "run_class3", "run_tbm",
     "classify_outcome", "DegenerateSpectrumError", "save_dense", "load_dense",
+    "count_modes", "cluster_split", "cluster_report", "mirror",
 ]
 
 
