@@ -32,7 +32,7 @@ no timestamps are written anywhere, which keeps replays byte-identical.
 K sweeps regenerate an orthogonal instance per K (dw = 0.001), set the
 projection strength to half the dominant eigenvalue, and aggregate an
 energy histogram (uniform bins between the found extremes, log density
-shifted by delta = 3e-5, Gaussian smoothing of one bin width for
+shifted by render.LOG_SHIFT = 3e-5, Gaussian smoothing of one bin width for
 plotting only) together with the label and band tallies; a K whose
 runs all diverge has nothing to aggregate and raises ValidationError.
 
@@ -63,6 +63,7 @@ from .instance import (
     perturb_patterns,
     shared_sign_coordinate,
 )
+from .render import LOG_SHIFT
 from .textio import _fmt, _write_text
 
 __all__ = [
@@ -90,7 +91,6 @@ __all__ = [
     "write_sidecar",
 ]
 
-LOG_SHIFT = 3e-5
 HIST_BINS = 60
 
 LABEL_CATEGORIES = (
@@ -495,7 +495,7 @@ class HistogramReport:
     """Uniform-bin energy histogram between the found extremes.
 
     density integrates to 1 over the found range; log_density_shifted
-    is log(density + 3e-5) so empty bins sit at a finite floor.
+    is log(density + LOG_SHIFT) so empty bins sit at a finite floor.
     smoothed_density convolves density with a unit-bin-width Gaussian
     for plotting only; counts stay raw.  A degenerate report (all
     energies equal) uses one bin of nominal width 1.

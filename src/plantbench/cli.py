@@ -13,7 +13,13 @@ for more than MAX_GRID_POINTS points are rejected.  Worker count comes
 from --threads, then the PLANTBENCH_THREADS environment variable, then
 the CPU count.  The catalogue id b* may also be spelled bstar.
 
-Exit codes: 0 success, 2 usage error, 3 validation error (bad flags,
+Each numeric, grid and K-list flag is parsed and range-checked once, by
+its argparse type, so a bad value fails before any output check or
+work.  A solver flag left out keeps the default of SolverConfig or
+TbmParams.
+
+Exit codes: 0 success, 2 usage error (unknown or missing flag, invalid
+choice), 3 validation error (unparsable or out-of-range flag values,
 bad, unreadable or unwritable files, unsupported sizes), 4 numerical
 failure (DivergenceError).
 No subcommand raises DivergenceError at present: solve reports a
@@ -23,7 +29,8 @@ failure that escapes a subcommand.
 
 report, --version and usage errors run without importing numpy or the
 numeric modules of the package; every other command imports them when
-it starts.
+it starts.  A "lo:hi:num" grid loads numpy as the parser reads it, so a
+usage error on an argument vector that holds one may load numpy too.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import math
 import os
 import shlex
 import sys
+from functools import partial
 from typing import TYPE_CHECKING
 
 from . import __version__, render
@@ -43,6 +51,8 @@ from .textio import (
     _check_writable,
     _finite,
     _int,
+    _number,
+    _positive,
     _read_text,
     _utf8,
     _write_text,
@@ -103,29 +113,29 @@ def __getattr__(name: str):
 # helpers
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _parse_grid(text: str, what: str = "grid") -> tuple[float, ...]:
     text = text.strip()
     if "," in text or ":" not in text:
         try:
             values = tuple(float(tok) for tok in text.split(",") if tok.strip())
         except ValueError:
-            raise ValidationError(f"cannot parse grid value list {text!r}") from None
+            raise ValidationError(f"cannot parse {what} value list {text!r}") from None
     else:
         parts = text.split(":")
         if len(parts) not in (3, 4):
-            raise ValidationError(f"grid spec {text!r} must be lo:hi:num[:log]")
+            raise ValidationError(f"{what} spec {text!r} must be lo:hi:num[:log]")
         try:
             lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
-            raise ValidationError(f"cannot parse grid spec {text!r}") from None
-        _check_finite(text, (lo, hi))
+            raise ValidationError(f"cannot parse {what} spec {text!r}") from None
+        _check_finite(what, text, (lo, hi))
         if not 1 <= num <= MAX_GRID_POINTS:
-            raise ValidationError(f"grid needs 1 to {MAX_GRID_POINTS} points, got {num}")
+            raise ValidationError(f"{what} needs 1 to {MAX_GRID_POINTS} points, got {num}")
         if len(parts) == 4:
             if parts[3] != "log":
-                raise ValidationError(f"unknown grid scale {parts[3]!r}; only 'log'")
+                raise ValidationError(f"unknown {what} scale {parts[3]!r}; only 'log'")
             if lo <= 0 or hi <= 0:
-                raise ValidationError("log grids need positive endpoints")
+                raise ValidationError(f"log {what} needs positive endpoints")
         import numpy as np  # imported here, like every numeric module of cli
 
         spaced = np.geomspace if len(parts) == 4 else np.linspace
@@ -133,31 +143,33 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         with np.errstate(over="ignore", invalid="ignore"):
             values = tuple(float(v) for v in spaced(lo, hi, num))
     if not values:
-        raise ValidationError(f"grid {text!r} is empty")
+        raise ValidationError(f"{what} {text!r} is empty")
     # finite endpoints can still overflow the step, as in 1e308:-1e308:3
-    _check_finite(text, values)
+    _check_finite(what, text, values)
     return values
 
 
-def _check_finite(text: str, values: tuple[float, ...]) -> None:
+def _check_finite(what: str, text: str, values: tuple[float, ...]) -> None:
     if not all(math.isfinite(v) for v in values):
-        raise ValidationError(f"grid {text!r} has a non-finite value")
+        raise ValidationError(f"{what} {text!r} has a non-finite value")
 
 
-def _check_finite_flags(args, *flags: str) -> None:
-    for flag in flags:
-        value = getattr(args, flag)
-        if not math.isfinite(value):
-            raise ValidationError(f"--{flag} must be finite, got {value!r}")
+def _k_list(text: str, what: str) -> list[int]:
+    try:
+        ks = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        ks = []
+    if not ks:
+        raise ValidationError(f"{what}: cannot parse K list {text!r}")
+    return ks
 
 
-def _check_count_flags(args, *flags: str) -> None:
-    """Reject counts and steps below 1; None leaves the default in force."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            name = flag.replace("_", "-")
-            raise ValidationError(f"--{name} must be >= 1, got {value}")
+def _window(text: str, what: str) -> float:
+    """A derivative window > 0; inf switches the window off."""
+    value = _number(text, what)
+    if not value > 0:
+        raise ValidationError(f"{what} must be > 0, got {text!r}")
+    return value
 
 
 def _catalogue_id(text: str) -> str:
@@ -167,18 +179,9 @@ def _catalogue_id(text: str) -> str:
 
 def _threads(args) -> int:
     if args.threads is not None:
-        value = args.threads
-    else:
-        env = os.environ.get("PLANTBENCH_THREADS", "")
-        try:
-            value = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            raise ValidationError(
-                f"PLANTBENCH_THREADS must be an integer, got {env!r}"
-            ) from None
-    if value < 1:
-        raise ValidationError("thread count must be >= 1")
-    return value
+        return args.threads
+    env = os.environ.get("PLANTBENCH_THREADS", "")
+    return _int(env, "PLANTBENCH_THREADS", least=1) if env else (os.cpu_count() or 1)
 
 
 def _digest(path: str) -> str:
@@ -235,7 +238,6 @@ def _spins_text(spins) -> str:
 
 
 def _cmd_gen(args, argv) -> int:
-    _check_finite_flags(args, "w0", "dw")
     _check_outputs(argv, args.out)
     ps = generate_orthogonal_patterns(args.n, args.k, seed=args.seed, w0=args.w0, dw=args.dw)
     inst = build_couplings(ps, rule=args.rule, label=f"orthogonal-n{args.n}-k{args.k}")
@@ -270,35 +272,19 @@ _SOLVER_KINDS = {"class1": "I", "class3": "III", "tbm": "TBM"}
 
 
 def _solver_config(args) -> SolverConfig:
-    _check_finite_flags(args, "alpha", "beta", "gamma", "delta", "xi0")
-    for flag in ("dt", "amplitude"):
-        value = getattr(args, flag)
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"--{flag} must be finite and > 0, got {value!r}")
-    # inf is allowed: it disables the derivative window
-    if not args.window > 0:
-        raise ValidationError(f"--window must be > 0, got {args.window!r}")
-    _check_count_flags(args, "steps")
+    """The solver the flags name; a flag left out keeps the library default."""
+
+    def given(*fields: str) -> dict:
+        return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+
     kind = _SOLVER_KINDS[args.solver]
-    tbm = None
-    if kind == "TBM":
-        tbm = TbmParams(delta=args.delta, xi0=args.xi0)
-    return SolverConfig(
-        kind=kind,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        nonlinearity=args.nonlinearity,
-        derivative_window=args.window,
-        dt=args.dt,
-        max_steps=args.steps,
-        init_amplitude=args.amplitude,
-        tbm=tbm,
-    )
+    tbm = TbmParams(**given("delta", "xi0")) if kind == "TBM" else None
+    fields = given("alpha", "beta", "gamma", "nonlinearity", "derivative_window", "dt",
+                   "max_steps", "init_amplitude")
+    return SolverConfig(kind=kind, tbm=tbm, **fields)
 
 
 def _cmd_solve(args, argv) -> int:
-    _check_count_flags(args, "runs")
     if args.out:
         _check_outputs(argv, args.out)
     inst = load_instance(args.instance)
@@ -354,21 +340,16 @@ def _cmd_oracle(args, argv) -> int:
 
 
 def _sweep_axes(args, inst: Instance) -> tuple[tuple[str, tuple[float, ...]], ...]:
-    axes = []
     if args.solver == "tbm":
-        delta = _parse_grid(args.delta_grid) if args.delta_grid else None
-        xi0 = _parse_grid(args.xi0_grid) if args.xi0_grid else None
-        if delta is None or xi0 is None:
+        if args.delta_grid is None or args.xi0_grid is None:
             raise ValidationError("tbm sweeps need --delta-grid and --xi0-grid")
-        axes = [("delta", delta), ("xi0", xi0)]
-    else:
-        if args.alpha_grid:
-            axes.append(("alpha", _parse_grid(args.alpha_grid)))
-        else:
-            lam = oracle_mod.max_eigenvalue(inst)
-            axes.append(("alpha", bench.default_alpha_grid(lam)))
-        if args.beta_grid:
-            axes.append(("beta", _parse_grid(args.beta_grid)))
+        return (("delta", args.delta_grid), ("xi0", args.xi0_grid))
+    alphas = args.alpha_grid
+    if alphas is None:
+        alphas = bench.default_alpha_grid(oracle_mod.max_eigenvalue(inst))
+    axes = [("alpha", alphas)]
+    if args.beta_grid is not None:
+        axes.append(("beta", args.beta_grid))
     return tuple(axes)
 
 
@@ -418,12 +399,12 @@ def _cmd_scan(args, argv) -> int:
     _check_outputs(argv, args.out, sidecar)
     ident = args.id or ("f" if args.kind == "p" else "c")
     factory = bench.SCAN_FACTORIES[args.kind](ident)
-    values = _parse_grid(args.values or _SCAN_DEFAULT_VALUES[args.kind])
-    if args.alpha_grid:
-        alphas = _parse_grid(args.alpha_grid)
-    else:
-        lam = oracle_mod.max_eigenvalue(factory(values[0]))
-        alphas = bench.default_alpha_grid(lam)
+    values = args.values
+    if values is None:
+        values = _parse_grid(_SCAN_DEFAULT_VALUES[args.kind])
+    alphas = args.alpha_grid
+    if alphas is None:
+        alphas = bench.default_alpha_grid(oracle_mod.max_eigenvalue(factory(values[0])))
     spec = bench.SweepSpec(
         instance=factory,
         solver=SolverConfig(kind="I"),
@@ -440,16 +421,10 @@ def _cmd_scan(args, argv) -> int:
 
 
 def _cmd_sweep_k(args, argv) -> int:
-    _check_finite_flags(args, "dw")
-    _check_count_flags(args, "runs", "k_step")
     hist_path = os.path.splitext(args.out)[0] + ".hist.csv"
     _check_outputs(argv, args.out, hist_path)
-    if args.k_list:
-        try:
-            ks = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
-        except ValueError:
-            raise ValidationError(f"cannot parse K list {args.k_list!r}") from None
-    else:
+    ks = args.k_list
+    if ks is None:
         k_max = args.k_max if args.k_max is not None else args.n
         ks = list(range(args.k_min, k_max + 1, args.k_step))
     entries = bench.sweep_k(
@@ -574,13 +549,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"plantbench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def flag(p, name, parse, **kw):
+        """Option name, parsed and checked by parse(text, name) as argparse reads it."""
+        p.add_argument(name, type=lambda text: parse(text, name), **kw)
+
+    count = partial(_int, least=1)
+
     p = sub.add_parser("gen", help="generate an orthogonal planted instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--w0", type=float, default=1.0)
-    p.add_argument("--dw", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coarse", type=float, default=None, metavar="DJ")
+    flag(p, "--n", _int, required=True)
+    flag(p, "--k", _int, required=True)
+    flag(p, "--w0", _finite, default=1.0)
+    flag(p, "--dw", _finite, default=0.0)
+    flag(p, "--seed", _int, default=0)
+    flag(p, "--coarse", _positive, default=None, metavar="DJ")
     p.add_argument("--rule", choices=["hebb", "pseudoinverse"], default="hebb")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
@@ -591,25 +572,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen_small)
 
-    def solver_flags(p, default_solver="class1"):
-        p.add_argument("--solver", choices=sorted(_SOLVER_KINDS), default=default_solver)
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--beta", type=float, default=1.0)
-        p.add_argument("--gamma", type=float, default=0.0)
-        p.add_argument("--delta", type=float, default=1.0)
-        p.add_argument("--xi0", type=float, default=0.1)
-        p.add_argument("--dt", type=float, default=0.1)
-        p.add_argument("--steps", type=int, default=1000)
-        p.add_argument("--window", type=float, default=1.0)
-        p.add_argument("--nonlinearity", choices=["tanh", "sign", "identity-clip"],
-                       default="tanh")
-        p.add_argument("--amplitude", type=float, default=0.5)
+    # None leaves the SolverConfig / TbmParams default in force
+    def solver_flags(p):
+        p.add_argument("--solver", choices=sorted(_SOLVER_KINDS), default="class1")
+        for name in ("--alpha", "--beta", "--gamma", "--delta", "--xi0"):
+            flag(p, name, _finite)
+        flag(p, "--dt", _positive)
+        flag(p, "--steps", count, dest="max_steps")
+        flag(p, "--window", _window, dest="derivative_window")
+        p.add_argument("--nonlinearity", choices=["tanh", "sign", "identity-clip"])
+        flag(p, "--amplitude", _positive, dest="init_amplitude")
 
     p = sub.add_parser("solve", help="run one solver repeatedly on an instance")
     p.add_argument("--instance", required=True)
     solver_flags(p)
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    flag(p, "--runs", count, default=1)
+    flag(p, "--seed", _int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -625,44 +603,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--small", default=None, type=_catalogue_id,
                    choices=sorted(CATALOGUE))
     solver_flags(p)
-    p.add_argument("--alpha-grid", default=None)
-    p.add_argument("--beta-grid", default=None)
-    p.add_argument("--delta-grid", default=None)
-    p.add_argument("--xi0-grid", default=None)
-    p.add_argument("--runs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    for name in ("--alpha-grid", "--beta-grid", "--delta-grid", "--xi0-grid"):
+        flag(p, name, _parse_grid)
+    flag(p, "--runs", count, default=200)
+    flag(p, "--seed", _int, default=0)
+    flag(p, "--threads", count)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep_sr)
 
     p = sub.add_parser("scan", help="complexity-transition scan")
     p.add_argument("--kind", required=True, choices=list(_SCAN_DEFAULT_VALUES))
     p.add_argument("--id", default=None, type=_catalogue_id)
-    p.add_argument("--values", default=None)
-    p.add_argument("--alpha-grid", default=None)
-    p.add_argument("--runs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    flag(p, "--values", _parse_grid)
+    flag(p, "--alpha-grid", _parse_grid)
+    flag(p, "--runs", count, default=200)
+    flag(p, "--seed", _int, default=0)
+    flag(p, "--threads", count)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("sweep-k", help="per-K statistics at alpha = lambda/2")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--k-step", type=int, default=1)
-    p.add_argument("--k-list", default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--dw", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    flag(p, "--n", _int, required=True)
+    flag(p, "--k-min", _int, default=1)
+    flag(p, "--k-max", _int)
+    flag(p, "--k-step", count, default=1)
+    flag(p, "--k-list", _k_list)
+    flag(p, "--runs", count)
+    flag(p, "--dw", _finite, default=0.001)
+    flag(p, "--seed", _int, default=0)
+    flag(p, "--threads", count)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep_k)
 
     p = sub.add_parser("report", help="render a CSV as SVG")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--kind", required=True, choices=["heatmap", "hist", "measure"])
-    p.add_argument("--k", type=int, default=None)
+    flag(p, "--k", _int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 
@@ -671,11 +647,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command != "report":
-        _bind_numeric()
     try:
+        # a flag's type raises ValidationError, which argparse lets through
+        args = _build_parser().parse_args(argv)
+        if args.command != "report":
+            _bind_numeric()
         return args.func(args, argv)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -270,7 +270,7 @@ def generate_orthogonal_patterns(
 
     n must be a power of two >= 2; k must be >= 1, and orthogonality
     caps it at n (the constant row joins only when k = n, completing
-    the full basis).
+    the full basis).  seed must be >= 0.
     """
     if n < 2 or (n & (n - 1)) != 0:
         raise UnsupportedDimensionError(
@@ -280,6 +280,8 @@ def generate_orthogonal_patterns(
         raise ValidationError(f"k must be >= 1, got k={k}")
     if k > n:
         raise CapacityError(f"at most n={n} mutually orthogonal patterns exist, got k={k}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     cols = _random_gl2(n.bit_length() - 1, rng)
     rows = [_apply_gl2(cols, c) for c in _row_selection_chain(n)[: min(k, n - 1)]]
@@ -535,15 +537,23 @@ def _validate_coupling(j: np.ndarray) -> np.ndarray:
     return j
 
 
+def _rebuild(ps: PatternSet, label: str, seed: int, coarse: float | None) -> Instance:
+    """The instance a file without a coupling block stands for: Hebb couplings
+    of ps, coarse-grained when the file records a step."""
+    inst = build_couplings(ps, label=label, seed=seed)
+    return inst if coarse is None else coarse_grain(inst, coarse)
+
+
 def save_instance(inst: Instance, path: str | os.PathLike) -> None:
     """Write an instance as a line-oriented text file.
 
     Pattern-built instances store their pattern set (or just the
     generator tag when one is recorded and no perturbations apply);
-    the dense coupling block is included for n <= DENSE_EXPORT_LIMIT
-    and for external instances, which have nothing else to store.
-    Floats are written with repr so the round-trip through
-    load_instance is bit-exact.
+    the dense coupling block is included for n <= DENSE_EXPORT_LIMIT,
+    for external instances, which have nothing else to store, and for
+    any instance whose couplings _rebuild does not reproduce bit for bit
+    (another coupling rule, a gauge transform).  Floats are written
+    with repr so the round-trip through load_instance is bit-exact.
     """
     ps = inst.pattern_set
     lines = [f"format_version: {FORMAT_VERSION}"]
@@ -566,7 +576,12 @@ def save_instance(inst: Instance, path: str | os.PathLike) -> None:
                 lines.append("perturbation: " + " ".join(_fmt(v) for v in row))
     if inst.coarse_delta is not None:
         lines.append(f"coarse_grain: {_fmt(inst.coarse_delta)}")
-    if inst.n <= DENSE_EXPORT_LIMIT or ps is None:
+    if (
+        inst.n <= DENSE_EXPORT_LIMIT
+        or ps is None
+        or _rebuild(ps, inst.label, inst.seed, inst.coarse_delta).coupling.tobytes()
+        != inst.coupling.tobytes()
+    ):
         lines.append("coupling:")
         for row in inst.coupling:
             lines.append(" ".join(_fmt(v) for v in row))
@@ -660,8 +675,5 @@ def load_instance(path: str | os.PathLike) -> Instance:
 
     if ps is None:
         raise ValidationError("instance file has neither patterns nor couplings")
-    inst = build_couplings(ps, label=label, seed=seed)
-    if coarse is not None:
-        inst = coarse_grain(inst, coarse)
-    return inst
+    return _rebuild(ps, label, seed, coarse)
 

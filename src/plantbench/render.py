@@ -33,6 +33,10 @@ _RAMP_ANCHORS = (
     (1.00, (253, 231, 37)),
 )
 
+# Histograms plot log(density + LOG_SHIFT), so empty bins sit at a finite
+# floor; bench writes its log_density_shifted column with the same shift.
+LOG_SHIFT = 3e-5
+
 _W, _H = 720, 540
 _LEFT, _RIGHT, _TOP, _BOTTOM = 80, 110, 40, 60
 _PLOT_W = _W - _LEFT - _RIGHT
@@ -183,7 +187,7 @@ def histogram_svg(
         raise ValidationError("histogram columns must be non-empty and equal length")
     import math
 
-    log_smoothed = [math.log(max(s, 0.0) + 3e-5) for s in smoothed]
+    log_smoothed = [math.log(max(s, 0.0) + LOG_SHIFT) for s in smoothed]
     lo = min(min(lefts), planted_min)
     hi = max(max(rights), planted_max)
     if hi == lo:

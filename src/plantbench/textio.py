@@ -3,7 +3,9 @@
 Every text file goes through _read_text and _write_text (UTF-8, "\\n"
 line ends, a ValidationError naming an unreadable or unwritable path).
 CATALOGUE is plain tuples, so the command-line parser can list catalogue
-ids without importing the numeric modules.
+ids without importing the numeric modules.  _int, _finite and _positive
+parse one number, raising a ValidationError that names it, for file
+fields and command-line flags alike.
 """
 
 from __future__ import annotations
@@ -99,11 +101,23 @@ def _int(text: str, what: str, least: int | None = None) -> int:
     return value
 
 
-def _finite(text: str, what: str) -> float:
+def _number(text: str, what: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValidationError(f"{what} must be a number, got {text!r}") from None
+
+
+def _finite(text: str, what: str) -> float:
+    value = _number(text, what)
     if not math.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {text!r}")
+    return value
+
+
+def _positive(text: str, what: str) -> float:
+    """A step or width: a number > 0 and finite."""
+    value = _number(text, what)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValidationError(f"{what} must be positive and finite, got {text!r}")
     return value

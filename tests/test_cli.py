@@ -1,5 +1,6 @@
 """Command-line behaviour: subcommands, exit codes, manifests, replay."""
 
+import argparse
 import os
 import re
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plantbench import DivergenceError, bench, cli, load_instance
+from plantbench import DivergenceError, SolverConfig, TbmParams, bench, cli, load_instance
 from plantbench.cli import main
 
 
@@ -362,7 +363,8 @@ def test_grid_span_overflow_exits_3_without_warnings(capsys, tmp_path):
     [
         ("--dt", "nan", 3), ("--dt", "inf", 3), ("--dt", "-0.1", 3), ("--dt", "0", 3),
         ("--amplitude", "nan", 3), ("--amplitude", "inf", 3), ("--amplitude", "0", 3),
-        ("--alpha", "nan", 3), ("--beta", "inf", 3), ("--gamma", "-inf", 3),
+        ("--alpha", "nan", 3), ("--alpha", "x", 3), ("--beta", "inf", 3),
+        ("--gamma", "-inf", 3),
         ("--delta", "nan", 3), ("--xi0", "inf", 3),
         ("--window", "0", 3), ("--window", "-1", 3), ("--window", "nan", 3),
         ("--steps", "-1", 3), ("--steps", "0", 3),
@@ -390,6 +392,12 @@ def test_solver_flags_are_validated(capsys, tmp_path, flag, value, code):
         (["gen", "--n", "8", "--k", "3", "--dw", "inf"], "--dw"),
         (["gen", "--n", "8", "--k", "3", "--w0", "nan"], "--w0"),
         (["sweep-k", "--n", "16", "--k-list", "4", "--dw", "nan"], "--dw"),
+        (["sweep-sr", "--small", "c", "--runs", "x"], "--runs"),
+        (["gen", "--n", "8", "--k", "x"], "--k"),
+        (["report", "--in", "{c}", "--kind", "hist", "--k", "x"], "--k"),
+        (["sweep-sr", "--small", "c", "--alpha-grid", "2", "--threads", "0"], "--threads"),
+        # generator seeds are >= 0; numpy's ValueError used to escape (exit 1)
+        (["gen", "--n", "8", "--k", "3", "--seed", "-1"], "seed"),
     ],
 )
 def test_bad_counts_and_weights_exit_3(tmp_path, small_c, capsys, args, flag):
@@ -400,6 +408,51 @@ def test_bad_counts_and_weights_exit_3(tmp_path, small_c, capsys, args, flag):
     assert run_cli(argv) == 3
     assert f"error: {flag} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+# each used to fall back to the default grid, every K from 1 to n, or no
+# beta axis, and exit 0
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep-sr", "--small", "c", "--alpha-grid="], "--alpha-grid"),
+    (["sweep-sr", "--small", "c", "--beta-grid="], "--beta-grid"),
+    (["sweep-sr", "--small", "c", "--solver", "tbm", "--delta-grid=", "--xi0-grid", "0.1"],
+     "--delta-grid"),
+    (["sweep-sr", "--small", "c", "--solver", "tbm", "--delta-grid", "1", "--xi0-grid="],
+     "--xi0-grid"),
+    (["scan", "--kind", "dxi", "--values="], "--values"),
+    (["sweep-k", "--n", "16", "--k-list="], "--k-list"),
+])
+def test_empty_grid_or_k_list_exits_3_before_any_work(tmp_path, capsys, trajectories,
+                                                      argv, flag):
+    argv = argv + ["--runs", "5", "--threads", "1", "--out", str(tmp_path / "x.csv")]
+    assert run_cli(argv) == 3
+    assert flag in _error_line(capsys)
+    assert trajectories == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def _flag_actions():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action) for command, p in sub.choices.items() for action in p._actions]
+
+
+def test_no_flag_is_parsed_by_bare_int_or_float():
+    # a bare type's ValueError is argparse's exit 2; the flag types raise
+    # ValidationError, exit 3
+    for command, action in _flag_actions():
+        assert action.type not in (int, float), (command, action.option_strings)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["solve", "--instance", "c.txt"], SolverConfig(kind="I")),
+    (["sweep-sr", "--small", "c", "--out", "x.csv"], SolverConfig(kind="I")),
+    (["sweep-sr", "--small", "c", "--solver", "tbm", "--out", "x.csv"],
+     SolverConfig(kind="TBM", tbm=TbmParams())),
+], ids=["solve", "sweep-sr", "tbm"])
+def test_solver_flags_left_out_keep_the_library_defaults(argv, config):
+    cli._bind_numeric()
+    assert cli._solver_config(cli._build_parser().parse_args(argv)) == config
 
 
 def test_solve_reports_diverging_runs_and_exits_0(tmp_path, small_c, capsys):

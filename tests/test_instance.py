@@ -15,6 +15,7 @@ from plantbench import (
     build_couplings,
     catalogue_pattern_set,
     coarse_grain,
+    gauge_transform,
     generate_orthogonal_patterns,
     hamming_distances,
     load_instance,
@@ -79,6 +80,12 @@ def test_pattern_count_below_one_rejected(k):
     with pytest.raises(ValidationError, match="k must be >= 1") as info:
         generate_orthogonal_patterns(16, k, seed=0)
     assert not isinstance(info.value, CapacityError)
+
+
+def test_negative_seed_rejected():
+    # numpy's ValueError used to escape from default_rng
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        generate_orthogonal_patterns(16, 2, seed=-1)
 
 
 def test_gram_products_exact_at_full_load():
@@ -264,6 +271,31 @@ def test_perturbed_instance_round_trip(tmp_path):
     back = load_instance(path)
     np.testing.assert_array_equal(back.coupling, inst.coupling)
     np.testing.assert_array_equal(back.pattern_set.perturbations, ps.perturbations)
+
+
+def _n128():
+    return generate_orthogonal_patterns(128, 5, seed=3, dw=0.01)
+
+
+@pytest.mark.parametrize("make, dense", [
+    (lambda: build_couplings(_n128()), False),
+    (lambda: coarse_grain(build_couplings(_n128()), 0.5), False),
+    # these used to reload as their Hebb rebuild, off by up to 0.035 and 1.0
+    (lambda: build_couplings(perturb_patterns(_n128(), [(0, 3, -0.4), (2, 9, 0.3)]),
+                             rule="pseudoinverse"), True),
+    (lambda: gauge_transform(coarse_grain(build_couplings(_n128()), 0.5), [0, 5, 17]),
+     True),
+], ids=["hebb", "hebb-coarse", "pseudoinverse", "gauge"])
+def test_round_trip_above_the_dense_limit(tmp_path, make, dense):
+    # above n = 64 the coupling block is written only when the Hebb
+    # rebuild from the pattern set would not reproduce it bit for bit
+    inst = make()
+    path = tmp_path / "inst.txt"
+    save_instance(inst, path)
+    assert ("coupling:" in path.read_text().splitlines()) is dense
+    back = load_instance(path)
+    assert back.coupling.tobytes() == inst.coupling.tobytes()
+    assert back.coarse_delta == inst.coarse_delta
 
 
 def test_external_instance_round_trip(tmp_path):

@@ -47,6 +47,10 @@ def test_every_exported_name_resolves_to_its_module_object():
             assert getattr(plantbench, name) is getattr(mod, name), name
 
 
+def test_log_shift_is_defined_once_in_render():
+    assert plantbench.LOG_SHIFT is bench.LOG_SHIFT is plantbench.render.LOG_SHIFT == 3e-5
+
+
 def test_earlier_exports_kept_and_deleted_names_gone():
     assert set(STILL_EXPORTED) <= set(plantbench.__all__)
     for name in DELETED:
