@@ -25,7 +25,8 @@ emission uses one row per grid point with a fixed column schema:
     <axis names...>, sr, n_runs, hits, diverged,
     label:<category>..., band:<fraction>..., band:below, band:above
 
-Floats are written with repr so files round-trip exactly.  A text
+textio._write_csv writes every table, floats with repr so files
+round-trip exactly.  A text
 sidecar (<out>.meta.txt) records the spec hash, seeds, and versions;
 no timestamps are written anywhere, which keeps replays byte-identical.
 
@@ -64,7 +65,7 @@ from .instance import (
     shared_sign_coordinate,
 )
 from .render import LOG_SHIFT
-from .textio import _fmt, _write_text
+from .textio import _write_csv, _write_text
 
 __all__ = [
     "LOG_SHIFT",
@@ -182,6 +183,9 @@ class SweepSpec:
         for name, values in normalized:
             if not values:
                 raise ValidationError(f"axis {name!r} is empty")
+        if len(set(self.axis_names)) < len(normalized):
+            # the CSV keys each row's cells by axis name
+            raise ValidationError(f"axis names repeat: {self.axis_names}")
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -539,7 +543,10 @@ def histogram(
     degenerate = lo == hi
     if degenerate:
         n_bins, lo, hi = 1, lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(e, bins=n_bins, range=(lo, hi))
+    try:
+        counts, edges = np.histogram(e, bins=n_bins, range=(lo, hi))
+    except ValueError as exc:  # a range too narrow for its magnitude, or not finite
+        raise ValidationError(f"cannot bin energies in [{lo!r}, {hi!r}]: {exc}") from None
     # a degenerate bin has width 1 by definition, whatever lo +- 0.5 rounds to
     width = 1.0 if degenerate else edges[1] - edges[0]
     density = counts / (e.size * width)
@@ -581,8 +588,9 @@ def _eval_k(n: int, k: int, runs: int, base_seed: int, dw: float) -> KSweepEntry
     lam = oracle_mod.max_eigenvalue(inst)
     alpha = lam / 2.0
     # Forward Euler needs (alpha + |eigenvalue|)*dt < 2 for every coupling
-    # eigenvalue; the orthogonal ladder's lower spectral edge is exactly
-    # -sum(weights), so cap the step with a 4x margin against both edges.
+    # eigenvalue; with the positive weights sweep_k admits, the orthogonal
+    # ladder's lower spectral edge is exactly -sum(weights), so cap the
+    # step with a 4x margin against both edges.
     dt = min(0.1, 0.5 / (alpha + float(np.sum(ps.weights))))
     cfg = SolverConfig(
         kind="I", alpha=alpha, beta=1.0, dt=dt, max_steps=2000 if n >= 1024 else 1000
@@ -592,6 +600,10 @@ def _eval_k(n: int, k: int, runs: int, base_seed: int, dw: float) -> KSweepEntry
         raise ValidationError(
             f"K={k}: all {counts['diverged']} runs diverged, no energies to aggregate"
         )
+    try:
+        hist = histogram(e, planted=inst.spectrum)
+    except ValidationError as exc:
+        raise ValidationError(f"K={k}: {exc}") from None
     return KSweepEntry(
         k=k,
         n=n,
@@ -603,7 +615,7 @@ def _eval_k(n: int, k: int, runs: int, base_seed: int, dw: float) -> KSweepEntry
         n_runs=runs,
         label_counts=tuple(counts.items()),
         measure_counts=tuple(_measure_counts(inst.spectrum, e).items()),
-        hist=histogram(e, planted=inst.spectrum),
+        hist=hist,
     )
 
 
@@ -625,7 +637,7 @@ def sweep_k(
     default to 1000 with 1000 steps below n = 1024, and to 100 with
     2000 steps at n >= 1024.  Histograms use HIST_BINS bins and bands
     energy.DEFAULT_FRACTIONS.  Each K may be listed once: the histogram
-    CSV keys its rows by K.
+    CSV keys its rows by K.  Every weight 1 + m*dw must be > 0.
     """
     ks = [int(k) for k in k_values]
     if not ks:
@@ -633,6 +645,15 @@ def sweep_k(
     repeated = sorted(k for k, times in Counter(ks).items() if times > 1)
     if repeated:
         raise ValidationError(f"K values repeat: {repeated}")
+    # the weights 1 + m*dw of K are monotone in m, so m = 1 or m = K is the least
+    least = {k: min(1.0 + dw, 1.0 + k * dw) for k in ks if k >= 1}
+    bad = [k for k, w in least.items() if not w > 0]
+    if bad:
+        k = min(bad)
+        raise ValidationError(
+            f"dw must be > -1/K so that every weight 1 + m*dw is > 0; "
+            f"dw={dw!r} gives K={k} the weight {least[k]!r}"
+        )
     if runs_per_k is None:
         runs_per_k = 100 if n >= 1024 else 1000
     evaluate = partial(_eval_k, n, runs=runs_per_k, base_seed=base_seed, dw=dw)
@@ -643,103 +664,45 @@ def sweep_k(
 # serialization
 
 
-def _count_headers(measure_counts) -> list[str]:
-    return [f"label:{c}" for c in LABEL_CATEGORIES] + [
-        f"band:{key}" for key, _ in measure_counts
-    ]
-
-
-def _count_cells(label_counts, measure_counts) -> list[str]:
+def _count_columns(label_counts, measure_counts) -> dict[str, int]:
     labels = dict(label_counts)
-    return [str(labels.get(c, 0)) for c in LABEL_CATEGORIES] + [
-        str(v) for _, v in measure_counts
-    ]
+    return {f"label:{c}": labels.get(c, 0) for c in LABEL_CATEGORIES} | {
+        f"band:{key}": v for key, v in measure_counts
+    }
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One row per grid point; schema documented in the module docstring."""
-    if not result.points:
-        raise ValidationError("no grid points to write")
-    header = (
-        list(result.spec.axis_names)
-        + ["sr", "n_runs", "hits", "diverged"]
-        + _count_headers(result.points[0].measure_counts)
-    )
-    lines = [",".join(header)]
-    for point in result.points:
-        row = [_fmt(v) for _, v in point.coords]
-        row += [_fmt(point.sr), str(point.n_runs), str(point.hits), str(point.diverged)]
-        row += _count_cells(point.label_counts, point.measure_counts)
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, [
+        {**dict(p.coords), "sr": p.sr, "n_runs": p.n_runs, "hits": p.hits,
+         "diverged": p.diverged, **_count_columns(p.label_counts, p.measure_counts)}
+        for p in result.points
+    ])
+
+
+_KSWEEP_FIELDS = ("k", "n", "lambda_max", "alpha", "planted_min", "planted_max",
+                  "mean_energy", "n_runs")
 
 
 def write_ksweep_csv(entries: Sequence[KSweepEntry], path) -> None:
     """Per-K aggregate table (measure-report input)."""
-    if not entries:
-        raise ValidationError("no K entries to write")
-    header = [
-        "k",
-        "n",
-        "lambda_max",
-        "alpha",
-        "planted_min",
-        "planted_max",
-        "mean_energy",
-        "n_runs",
-    ] + _count_headers(entries[0].measure_counts)
-    lines = [",".join(header)]
-    for entry in entries:
-        row = [
-            str(entry.k),
-            str(entry.n),
-            _fmt(entry.lambda_max),
-            _fmt(entry.alpha),
-            _fmt(entry.planted_min),
-            _fmt(entry.planted_max),
-            _fmt(entry.mean_energy),
-            str(entry.n_runs),
-        ]
-        row += _count_cells(entry.label_counts, entry.measure_counts)
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, [
+        {**{f: getattr(e, f) for f in _KSWEEP_FIELDS},
+         **_count_columns(e.label_counts, e.measure_counts)}
+        for e in entries
+    ])
 
 
 def write_hist_csv(entries: Sequence[KSweepEntry], path) -> None:
     """Long-format histogram table: one row per (K, bin)."""
-    header = [
-        "k",
-        "bin",
-        "left",
-        "right",
-        "count",
-        "density",
-        "log_density_shifted",
-        "smoothed_density",
-        "planted_min",
-        "planted_max",
-    ]
-    lines = [",".join(header)]
-    for entry in entries:
-        h = entry.hist
-        for b in range(len(h.counts)):
-            lines.append(
-                ",".join(
-                    [
-                        str(entry.k),
-                        str(b),
-                        _fmt(h.edges[b]),
-                        _fmt(h.edges[b + 1]),
-                        str(h.counts[b]),
-                        _fmt(h.density[b]),
-                        _fmt(h.log_density_shifted[b]),
-                        _fmt(h.smoothed_density[b]),
-                        _fmt(h.planted_min),
-                        _fmt(h.planted_max),
-                    ]
-                )
-            )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, [
+        {"k": e.k, "bin": b, "left": h.edges[b], "right": h.edges[b + 1],
+         "count": h.counts[b], "density": h.density[b],
+         "log_density_shifted": h.log_density_shifted[b],
+         "smoothed_density": h.smoothed_density[b],
+         "planted_min": h.planted_min, "planted_max": h.planted_max}
+        for e in entries for h in [e.hist] for b in range(len(h.counts))
+    ])
 
 
 def write_sidecar(result: SweepResult, path) -> None:

@@ -5,7 +5,10 @@ report.  Every invocation that writes files also writes a manifest
 (<first output>.manifest.txt) recording the tool version, the exact
 argument vector, input-file digests, and output digests; re-running
 the recorded argv reproduces every output byte for byte, including
-SVGs and independent of --threads.
+SVGs and independent of --threads.  Each subparser declares the files
+its command writes as a function of --out; main checks them and the
+manifest path before the command runs and writes every manifest after
+it returns, recording the input files the command reports it read.
 
 Grids are given as "lo:hi:num", "lo:hi:num:log", or an explicit comma
 list "0.1,0.2,0.4"; empty grids, nan and inf values, and specs asking
@@ -234,24 +237,21 @@ def _spins_text(spins) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed flags and the output paths its
+# subparser declares, and returns the input files it read
 
 
-def _cmd_gen(args, argv) -> int:
-    _check_outputs(argv, args.out)
+def _cmd_gen(args, out) -> list[str]:
     ps = generate_orthogonal_patterns(args.n, args.k, seed=args.seed, w0=args.w0, dw=args.dw)
     inst = build_couplings(ps, rule=args.rule, label=f"orthogonal-n{args.n}-k{args.k}")
     if args.coarse is not None:
         inst = coarse_grain(inst, args.coarse)
-    save_instance(inst, args.out)
+    save_instance(inst, out)
     _print_spectrum(inst)
-    _write_manifest("gen", argv, [], [args.out])
-    return 0
+    return []
 
 
-def _cmd_gen_small(args, argv) -> int:
-    if args.out:
-        _check_outputs(argv, args.out)
+def _cmd_gen_small(args, out=None) -> list[str]:
     ps = catalogue_pattern_set(args.id, literal_weights=args.literal_weights)
     inst = build_couplings(ps, label=f"small-{args.id}")
     dists, cat_dw = CATALOGUE[args.id]
@@ -260,10 +260,9 @@ def _cmd_gen_small(args, argv) -> int:
     cyc = tuple(dists[i][(i + 1) % ps.k] for i in range(ps.k))
     print(f"catalogue {args.id}: distances {cyc} dw={cat_dw!r}")
     _print_spectrum(inst)
-    if args.out:
-        save_instance(inst, args.out)
-        _write_manifest("gen-small", argv, [], [args.out])
-    return 0
+    if out is not None:
+        save_instance(inst, out)
+    return []
 
 
 # Kind II (scheduled coefficients) is library-only: the CLI cannot set a
@@ -284,38 +283,33 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(kind=kind, tbm=tbm, **fields)
 
 
-def _cmd_solve(args, argv) -> int:
-    if args.out:
-        _check_outputs(argv, args.out)
+def _cmd_solve(args, out=None) -> list[str]:
     inst = load_instance(args.instance)
     cfg = _solver_config(args)
     seeds = bench.derive_seeds(args.seed, "solve", count=args.runs)
     x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
     outcomes = run_batch(inst, cfg, x0, seeds=seeds)
     lines = ["seed,energy,label,steps,converged"]
-    for out in outcomes:
-        if out.diverged:
+    for o in outcomes:
+        if o.diverged:
             label = "diverged"
-        elif out.label is None:
+        elif o.label is None:
             label = "unlabelled"
         else:
-            label = out.label.short()
+            label = o.label.short()
         lines.append(
-            f"{out.seed},{out.final_energy!r},{label},{out.steps_used},"
-            f"{'true' if out.converged else 'false'}"
+            f"{o.seed},{o.final_energy!r},{label},{o.steps_used},"
+            f"{'true' if o.converged else 'false'}"
         )
     text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-        _write_manifest("solve", argv, [args.instance], [args.out])
+    if out is not None:
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
-    return 0
+    return [args.instance]
 
 
-def _cmd_oracle(args, argv) -> int:
-    if args.out:
-        _check_outputs(argv, args.out)
+def _cmd_oracle(args, out=None) -> list[str]:
     inst = load_instance(args.instance)
     lines = [f"instance: {inst.label} n={inst.n}"]
     if inst.n <= oracle_mod.BRUTE_FORCE_LIMIT:
@@ -333,10 +327,9 @@ def _cmd_oracle(args, argv) -> int:
         lines.append(f"lambda_max: {oracle_mod.max_eigenvalue(inst)!r}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        _write_text(args.out, text)
-        _write_manifest("oracle", argv, [args.instance], [args.out])
-    return 0
+    if out is not None:
+        _write_text(out, text)
+    return [args.instance]
 
 
 def _sweep_axes(args, inst: Instance) -> tuple[tuple[str, tuple[float, ...]], ...]:
@@ -353,14 +346,12 @@ def _sweep_axes(args, inst: Instance) -> tuple[tuple[str, tuple[float, ...]], ..
     return tuple(axes)
 
 
-def _cmd_sweep_sr(args, argv) -> int:
+def _cmd_sweep_sr(args, out, sidecar) -> list[str]:
     unused = ("alpha_grid", "beta_grid") if args.solver == "tbm" else ("delta_grid", "xi0_grid")
     for flag in unused:
         if getattr(args, flag) is not None:
             name = flag.replace("_", "-")
             raise ValidationError(f"--{name} does not apply to --solver {args.solver}")
-    sidecar = args.out + ".meta.txt"
-    _check_outputs(argv, args.out, sidecar)
     inputs = []
     if args.small:
         inst = build_couplings(catalogue_pattern_set(args.small), label=f"small-{args.small}")
@@ -378,11 +369,10 @@ def _cmd_sweep_sr(args, argv) -> int:
         base_seed=args.seed,
     )
     result = bench.sweep_sr(spec, threads=_threads(args))
-    bench.write_sweep_csv(result, args.out)
+    bench.write_sweep_csv(result, out)
     bench.write_sidecar(result, sidecar)
-    _write_manifest("sweep-sr", argv, inputs, [args.out, sidecar])
     print(f"grid {spec.grid_shape} runs/point {args.runs} max SR {result.max_sr()!r}")
-    return 0
+    return inputs
 
 
 # One entry per key of bench.SCAN_FACTORIES; the parser takes the scan
@@ -394,9 +384,7 @@ _SCAN_DEFAULT_VALUES = {
 }
 
 
-def _cmd_scan(args, argv) -> int:
-    sidecar = args.out + ".meta.txt"
-    _check_outputs(argv, args.out, sidecar)
+def _cmd_scan(args, out, sidecar) -> list[str]:
     ident = args.id or ("f" if args.kind == "p" else "c")
     factory = bench.SCAN_FACTORIES[args.kind](ident)
     values = args.values
@@ -413,16 +401,13 @@ def _cmd_scan(args, argv) -> int:
         base_seed=args.seed,
     )
     result = bench.scan_transition(spec, threads=_threads(args))
-    bench.write_sweep_csv(result, args.out)
+    bench.write_sweep_csv(result, out)
     bench.write_sidecar(result, sidecar)
-    _write_manifest("scan", argv, [], [args.out, sidecar])
     print(f"scan {args.kind} on {ident}: grid {spec.grid_shape} max SR {result.max_sr()!r}")
-    return 0
+    return []
 
 
-def _cmd_sweep_k(args, argv) -> int:
-    hist_path = os.path.splitext(args.out)[0] + ".hist.csv"
-    _check_outputs(argv, args.out, hist_path)
+def _cmd_sweep_k(args, out, hist_path) -> list[str]:
     ks = args.k_list
     if ks is None:
         k_max = args.k_max if args.k_max is not None else args.n
@@ -435,11 +420,10 @@ def _cmd_sweep_k(args, argv) -> int:
         dw=args.dw,
         threads=_threads(args),
     )
-    bench.write_ksweep_csv(entries, args.out)
+    bench.write_ksweep_csv(entries, out)
     bench.write_hist_csv(entries, hist_path)
-    _write_manifest("sweep-k", argv, [], [args.out, hist_path])
     print(f"n={args.n} K values {ks[0]}..{ks[-1]} ({len(ks)}) runs/K {entries[0].n_runs}")
-    return 0
+    return []
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
@@ -521,10 +505,9 @@ def _render_measure(header: list[str], rows: list[list[str]]) -> str:
     return render.measure_svg(ks, names, shares, "planted-range band shares")
 
 
-def _cmd_report(args, argv) -> int:
+def _cmd_report(args, out) -> list[str]:
     if args.k is not None and args.kind != "hist":
         raise ValidationError("--k applies only to --kind hist")
-    _check_outputs(argv, args.out)
     header, rows = _read_csv(args.infile)
     if args.kind == "heatmap":
         svg = _render_heatmap(header, rows)
@@ -532,9 +515,8 @@ def _cmd_report(args, argv) -> int:
         svg = _render_hist(header, rows, args.k)
     else:
         svg = _render_measure(header, rows)
-    _write_text(args.out, svg)
-    _write_manifest("report", argv, [args.infile], [args.out])
-    return 0
+    _write_text(out, svg)
+    return [args.infile]
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +537,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     count = partial(_int, least=1)
 
+    # the files a command writes, as a function of --out; the first one
+    # names the manifest
+    def out_only(out):
+        return [out]
+
+    def with_sidecar(out):
+        return [out, out + ".meta.txt"]
+
     p = sub.add_parser("gen", help="generate an orthogonal planted instance")
     flag(p, "--n", _int, required=True)
     flag(p, "--k", _int, required=True)
@@ -564,13 +554,13 @@ def _build_parser() -> argparse.ArgumentParser:
     flag(p, "--coarse", _positive, default=None, metavar="DJ")
     p.add_argument("--rule", choices=["hebb", "pseudoinverse"], default="hebb")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, outputs=out_only)
 
     p = sub.add_parser("gen-small", help="build a catalogue instance")
     p.add_argument("--id", required=True, type=_catalogue_id, choices=sorted(CATALOGUE))
     p.add_argument("--literal-weights", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_gen_small)
+    p.set_defaults(func=_cmd_gen_small, outputs=out_only)
 
     # None leaves the SolverConfig / TbmParams default in force
     def solver_flags(p):
@@ -589,14 +579,14 @@ def _build_parser() -> argparse.ArgumentParser:
     flag(p, "--runs", count, default=1)
     flag(p, "--seed", _int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_solve, outputs=out_only)
 
     p = sub.add_parser("oracle", help="exact ground state / dominant eigenvalue")
     p.add_argument("--instance", required=True)
     p.add_argument("--full-spectrum", action="store_true")
     p.add_argument("--eig", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_oracle, outputs=out_only)
 
     p = sub.add_parser("sweep-sr", help="success-rate grid")
     p.add_argument("--instance", default=None)
@@ -609,7 +599,7 @@ def _build_parser() -> argparse.ArgumentParser:
     flag(p, "--seed", _int, default=0)
     flag(p, "--threads", count)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sweep_sr)
+    p.set_defaults(func=_cmd_sweep_sr, outputs=with_sidecar)
 
     p = sub.add_parser("scan", help="complexity-transition scan")
     p.add_argument("--kind", required=True, choices=list(_SCAN_DEFAULT_VALUES))
@@ -620,7 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     flag(p, "--seed", _int, default=0)
     flag(p, "--threads", count)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_scan)
+    p.set_defaults(func=_cmd_scan, outputs=with_sidecar)
 
     p = sub.add_parser("sweep-k", help="per-K statistics at alpha = lambda/2")
     flag(p, "--n", _int, required=True)
@@ -633,14 +623,15 @@ def _build_parser() -> argparse.ArgumentParser:
     flag(p, "--seed", _int, default=0)
     flag(p, "--threads", count)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sweep_k)
+    p.set_defaults(func=_cmd_sweep_k, outputs=lambda out: [
+        out, os.path.splitext(out)[0] + ".hist.csv"])
 
     p = sub.add_parser("report", help="render a CSV as SVG")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--kind", required=True, choices=["heatmap", "hist", "measure"])
     flag(p, "--k", _int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_report, outputs=out_only)
 
     return parser
 
@@ -650,9 +641,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # a flag's type raises ValidationError, which argparse lets through
         args = _build_parser().parse_args(argv)
+        outputs = [] if args.out is None else args.outputs(args.out)
+        if outputs:
+            _check_outputs(argv, *outputs)
         if args.command != "report":
             _bind_numeric()
-        return args.func(args, argv)
+        inputs = args.func(args, *outputs)
+        if outputs:
+            _write_manifest(args.command, argv, inputs, outputs)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

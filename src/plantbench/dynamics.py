@@ -37,7 +37,8 @@ and the same row inside a block agree in spins, steps, status and
 label, and in states and energies to 1e-12 relative, but not
 necessarily bit for bit.
 
-Initial states are uniform on [-a, a]^n.  random_initial draws one row
+Initial states are uniform on [-a, a]^n, and second-order runs start
+at rest (zero velocity).  random_initial draws one row
 from np.random.default_rng(seed); initial_states draws a block of rows
 with the same bits by running numpy's seeding hash and PCG64 stream
 over the whole seed column at once.
@@ -446,7 +447,6 @@ def _first_order(
 def _second_order(
     j: np.ndarray,
     x0: np.ndarray,
-    v0: np.ndarray | float,
     alpha: Schedule,
     beta: Schedule,
     gamma: Schedule,
@@ -460,10 +460,10 @@ def _second_order(
     if not window > 0:
         raise ValidationError("derivative window must be positive")
     rows = _Rows(x0, max_steps, steady_tol * dt, record)
-    # x and x_new swap every step; f holds phi(x), then a * x, then
-    # |x_new|, then the divergence scratch
+    # x and x_new swap every step; v starts at zero; f holds phi(x), then
+    # a * x, then |x_new|, then the divergence scratch
     work = rows.work(6)
-    work[1] = v0
+    work[1] = 0.0
     x, v, x_new, f, acc, t = work
     over = np.empty(x.shape, dtype=bool)
     for step in range(max_steps):
@@ -489,7 +489,7 @@ def _second_order(
         if rows.steady:
             # move = max(|x_new - x|, dt * |v|): steady only when both
             # the realized move and the imminent move are below
-            # threshold; with v0 = 0 the first realized move is
+            # threshold; from zero velocity the first realized move is
             # identically zero and alone would trip the detector.
             move = np.abs(np.subtract(x_new, x, out=acc), out=acc)
             np.maximum(move, np.multiply(np.abs(v, out=t), dt, out=t), out=move)
@@ -525,7 +525,6 @@ def _integrate_block(
     inst: Instance,
     cfg: SolverConfig,
     x0: np.ndarray,
-    v0: np.ndarray | None,
     record: list | None = None,
 ):
     if cfg.kind == "TBM":
@@ -537,12 +536,8 @@ def _integrate_block(
             cfg.dt, cfg.max_steps, cfg.steady_tol, record,
         )
     if cfg.kind == "III":
-        if v0 is None:
-            v0 = 0.0
-        elif np.shape(v0) != np.shape(x0):
-            raise ValidationError("initial velocities must match the initial states")
         return _second_order(
-            inst.coupling, x0, v0, cfg.alpha, cfg.beta, cfg.gamma, phi,
+            inst.coupling, x0, cfg.alpha, cfg.beta, cfg.gamma, phi,
             cfg.dt, cfg.max_steps, cfg.steady_tol, cfg.derivative_window, record,
         )
     raise ValidationError(f"unknown solver kind {cfg.kind!r}")
@@ -556,7 +551,6 @@ def run_batch(
     inst: Instance,
     cfg: SolverConfig,
     x0_block: np.ndarray,
-    v0_block: np.ndarray | None = None,
     seeds: np.ndarray | None = None,
 ) -> list[RunOutcome]:
     """Integrate a (runs, n) block of initial states in one sweep.
@@ -575,7 +569,7 @@ def run_batch(
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.shape != (r,):
         raise ValidationError(f"seeds must hold one entry per row ({r})")
-    x, steps, status = _integrate_block(inst, cfg, x0_block, v0_block)
+    x, steps, status = _integrate_block(inst, cfg, x0_block)
     spins = _spins(x)
     energies = energy_mod.qubo_energy_many(inst.coupling, spins)
     classifier = None
@@ -604,39 +598,28 @@ def run_batch(
     return outcomes
 
 
-def _one_row(inst: Instance, x0: np.ndarray, v0: np.ndarray | None):
-    """x0 and v0 of a single trajectory as one-row blocks."""
+def _one_row(inst: Instance, x0: np.ndarray) -> np.ndarray:
+    """x0 of a single trajectory as a one-row block."""
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (inst.n,):
         raise ValidationError(f"initial state must have shape ({inst.n},)")
-    v0_block = None if v0 is None else np.asarray(v0, dtype=np.float64)[None, :]
-    return x0[None, :], v0_block
+    return x0[None, :]
 
 
-def run(
-    inst: Instance,
-    cfg: SolverConfig,
-    x0: np.ndarray,
-    v0: np.ndarray | None = None,
-) -> RunOutcome:
+def run(inst: Instance, cfg: SolverConfig, x0: np.ndarray) -> RunOutcome:
     """Integrate a single trajectory; raises DivergenceError on blow-up."""
-    outcome = run_batch(inst, cfg, *_one_row(inst, x0, v0))[0]
+    outcome = run_batch(inst, cfg, _one_row(inst, x0))[0]
     if outcome.diverged:
         raise DivergenceError(step=outcome.steps_used, max_abs=DIVERGENCE_LIMIT)
     return outcome
 
 
-def trajectory(
-    inst: Instance,
-    cfg: SolverConfig,
-    x0: np.ndarray,
-    v0: np.ndarray | None = None,
-) -> np.ndarray:
+def trajectory(inst: Instance, cfg: SolverConfig, x0: np.ndarray) -> np.ndarray:
     """Full state history of one run, shape (steps_taken + 1, n).
 
     Row 0 is the initial state; integration stops at convergence,
     divergence, or max_steps exactly as in run().
     """
     record: list[np.ndarray] = []
-    _integrate_block(inst, cfg, *_one_row(inst, x0, v0), record=record)
+    _integrate_block(inst, cfg, _one_row(inst, x0), record=record)
     return np.vstack([row[0][None, :] for row in record])

@@ -5,12 +5,14 @@ line ends, a ValidationError naming an unreadable or unwritable path).
 CATALOGUE is plain tuples, so the command-line parser can list catalogue
 ids without importing the numeric modules.  _int, _finite and _positive
 parse one number, raising a ValidationError that names it, for file
-fields and command-line flags alike.
+fields and command-line flags alike.  Every CSV table goes out through
+_write_csv.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 
 from .errors import ValidationError
@@ -72,6 +74,22 @@ def _write_text(path: str | os.PathLike, text: str) -> None:
             fh.write(data)
     except OSError as exc:
         raise _cannot_write(path, exc) from None
+
+
+def _write_csv(path: str | os.PathLike, rows) -> None:
+    """Write dict rows as a CSV table; the header is the first row's keys.
+
+    Integers (numpy's too) are written with str, every other cell as
+    repr(float(cell)), so each value reads back exactly.
+    """
+    if not rows:
+        raise ValidationError(f"no rows to write to {os.fspath(path)}")
+    lines = [",".join(rows[0])]
+    for row in rows:
+        lines.append(",".join(
+            str(v) if isinstance(v, numbers.Integral) else _fmt(v) for v in row.values()
+        ))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _check_writable(*paths: str | os.PathLike) -> None:

@@ -30,6 +30,7 @@ from plantbench import (
     write_sweep_csv,
 )
 from plantbench import bench
+from plantbench.textio import _write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,10 @@ def test_spec_validation(inst_a):
     with pytest.raises(ValidationError):
         SweepSpec(instance=inst_a, solver=cfg,
                   axes=(("alpha", (1.0,)),), ground_truth="guess")
+    # the CSV keys each row's cells by axis name
+    with pytest.raises(ValidationError, match="axis names repeat"):
+        SweepSpec(instance=inst_a, solver=cfg,
+                  axes=(("alpha", (1.0,)), ("alpha", (2.0,))))
 
 
 def test_spec_hash_tracks_content(inst_a):
@@ -423,3 +428,24 @@ def test_write_ksweep_and_hist_csv(tmp_path):
     # every float cell must round-trip through repr exactly
     row = dict(zip(hheader, hlines[1].split(",")))
     assert repr(float(row["density"])) == row["density"]
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, [{"k": np.int64(5), "x": 1.0, "y": np.float64(0.1)},
+                      {"k": 7, "x": 2, "y": -0.5}])
+    # integers, numpy's too, with str; every other cell as repr(float)
+    assert path.read_text() == "k,x,y\n5,1.0,0.1\n7,2,-0.5\n"
+    with pytest.raises(ValidationError):
+        _write_csv(tmp_path / "empty.csv", [])
+    assert not (tmp_path / "empty.csv").exists()
+
+
+def test_writers_reject_empty_input(tmp_path, inst_a):
+    # write_hist_csv([]) used to write a header-only file
+    no_points = bench.SweepResult(spec=small_sweep(inst_a), spec_hash="", points=())
+    for write, data in ((write_sweep_csv, no_points), (write_ksweep_csv, []),
+                        (write_hist_csv, [])):
+        with pytest.raises(ValidationError):
+            write(data, tmp_path / "x.csv")
+    assert list(tmp_path.iterdir()) == []

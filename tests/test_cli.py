@@ -398,6 +398,10 @@ def test_solver_flags_are_validated(capsys, tmp_path, flag, value, code):
         (["sweep-sr", "--small", "c", "--alpha-grid", "2", "--threads", "0"], "--threads"),
         # generator seeds are >= 0; numpy's ValueError used to escape (exit 1)
         (["gen", "--n", "8", "--k", "3", "--seed", "-1"], "seed"),
+        # weights 1 + m*dw <= 0: a negative step cap diverged every run, and
+        # a zero weight at K = 1 raised ZeroDivisionError (exit 1)
+        (["sweep-k", "--n", "16", "--k-list", "4", "--dw", "-5"], "dw"),
+        (["sweep-k", "--n", "16", "--k-list", "1", "--dw", "-1"], "dw"),
     ],
 )
 def test_bad_counts_and_weights_exit_3(tmp_path, small_c, capsys, args, flag):
@@ -406,8 +410,8 @@ def test_bad_counts_and_weights_exit_3(tmp_path, small_c, capsys, args, flag):
     out = tmp_path / "out.txt"
     argv = [a.format(c=small_c) for a in args] + ["--out", str(out)]
     assert run_cli(argv) == 3
-    assert f"error: {flag} must be" in capsys.readouterr().err
-    assert not out.exists()
+    assert f"error: {flag} must be" in _error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "c.txt.manifest.txt"]
 
 
 # each used to fall back to the default grid, every K from 1 to n, or no
@@ -464,20 +468,32 @@ def test_solve_reports_diverging_runs_and_exits_0(tmp_path, small_c, capsys):
     assert labels == ["diverged"] * 3
 
 
-def test_sweep_k_all_diverged_names_k_and_exits_3(tmp_path, capsys):
+def test_sweep_k_all_diverged_names_k_and_exits_3(tmp_path, capsys, monkeypatch):
     # used to print numpy's "Mean of empty slice" warning and then fail
-    # with a histogram message that named neither K nor the divergence
+    # with a histogram message that named neither K nor the divergence;
+    # NaN initial states make every run diverge
+    monkeypatch.setattr(bench, "initial_states",
+                        lambda n, amplitude, seeds: np.full((len(seeds), n), np.nan))
     out = tmp_path / "k.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run_cli(["sweep-k", "--n", "16", "--k-list", "4", "--dw", "-5",
-                        "--runs", "5", "--out", str(out)])
+        code = run_cli(["sweep-k", "--n", "16", "--k-list", "4",
+                        "--runs", "5", "--threads", "1", "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
     assert "K=4" in err and "all 5 runs diverged" in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+def test_sweep_k_unbinnable_energies_exit_3(tmp_path, capsys):
+    # at weights near 1e300 every run ends on one energy that lo +- 0.5
+    # rounds back to; numpy's "Too many bins" ValueError escaped (exit 1)
+    assert run_cli(["sweep-k", "--n", "16", "--k-list", "4", "--dw", "1e300",
+                    "--runs", "20", "--threads", "1", "--out", str(tmp_path / "k.csv")]) == 3
+    assert "K=4: cannot bin energies" in _error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_k_rejects_k_below_one(tmp_path, capsys):
@@ -638,3 +654,43 @@ def test_manifest_records_input_digest(tmp_path, small_c, capsys):
                     "--out", str(out)]) == 0
     text = Path(str(out) + ".manifest.txt").read_text(encoding="utf-8")
     assert f"input: {small_c} blake2b=" in text
+
+
+# each command, the inputs it reads (written beside it in a separate
+# directory) and the files it writes besides its manifest
+@pytest.mark.parametrize("argv, inputs, outputs", [
+    (["gen", "--n", "16", "--k", "3", "--out", "{out}/x.inst"], [], ["x.inst"]),
+    (["gen-small", "--id", "c", "--out", "{out}/x.inst"], [], ["x.inst"]),
+    (["solve", "--instance", "{in}/c.txt", "--runs", "2", "--out", "{out}/x.csv"],
+     ["c.txt"], ["x.csv"]),
+    (["oracle", "--instance", "{in}/c.txt", "--out", "{out}/x.txt"], ["c.txt"], ["x.txt"]),
+    (["sweep-sr", "--instance", "{in}/c.txt", "--alpha-grid", "2", "--runs", "5",
+      "--threads", "1", "--out", "{out}/x.csv"], ["c.txt"], ["x.csv", "x.csv.meta.txt"]),
+    (SCAN + ["{out}/x.csv"], [], ["x.csv", "x.csv.meta.txt"]),
+    (SWEEP_K + ["{out}/x.csv"], [], ["x.csv", "x.hist.csv"]),
+    (["report", "--in", "{in}/sr.csv", "--kind", "heatmap", "--out", "{out}/x.svg"],
+     ["sr.csv"], ["x.svg"]),
+], ids=["gen", "gen-small", "solve", "oracle", "sweep-sr", "scan", "sweep-k", "report"])
+def test_manifest_lists_exactly_the_files_read_and_written(tmp_path, capsys, argv, inputs,
+                                                           outputs):
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    in_dir.mkdir()
+    out_dir.mkdir()
+    assert run_cli(["gen-small", "--id", "c", "--out", str(in_dir / "c.txt")]) == 0
+    (in_dir / "sr.csv").write_text("alpha,sr\n1,0.5\n2,1\n")
+    argv = [a.format(**{"in": in_dir, "out": out_dir}) for a in argv]
+    assert run_cli(argv) == 0
+    manifest = out_dir / (outputs[0] + ".manifest.txt")
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    assert f"command: {argv[0]}" in lines
+    listed = {}
+    for line in lines:
+        kind, _, rest = line.partition(": ")
+        if kind in ("input", "output"):
+            path, digest = rest.rsplit(" blake2b=", 1)
+            listed.setdefault(kind, []).append(path)
+            assert digest == cli._digest(path)
+    assert listed.get("input", []) == [str(in_dir / name) for name in inputs]
+    assert listed["output"] == [str(out_dir / name) for name in outputs]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        outputs + [manifest.name])

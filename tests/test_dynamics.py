@@ -143,9 +143,9 @@ def test_class3_damped_oscillator_comes_to_rest():
     inst = zero_instance(1)
     cfg = SolverConfig(kind="III", alpha=1.0, beta=0.0, gamma=-0.5,
                        dt=0.05, max_steps=20000, steady_tol=1e-9)
-    out = run(inst, cfg, np.array([0.8]), v0=np.array([0.0]))
+    out = run(inst, cfg, np.array([0.8]))
     assert out.converged
-    traj = trajectory(inst, cfg, np.array([0.8]), v0=np.array([0.0]))
+    traj = trajectory(inst, cfg, np.array([0.8]))
     assert abs(traj[-1][0]) < 1e-6
 
 
@@ -491,9 +491,6 @@ def test_batch_shape_validation(inst_c):
         run(inst_c, cfg, np.zeros(5))
     with pytest.raises(ValidationError):
         run_batch(inst_c, cfg, np.zeros((4, 8)), seeds=np.arange(3))
-    with pytest.raises(ValidationError):
-        run_batch(inst_c, SolverConfig(kind="III"), np.zeros((4, 8)),
-                  v0_block=np.zeros(8))
 
 
 def test_converged_runs_are_stable_under_longer_budget(inst_c):
