@@ -45,6 +45,7 @@ processes through one in-order map.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
@@ -155,8 +156,8 @@ class SweepSpec:
     the first axis value to an Instance (lambdas will break process
     pools).  axes holds one or two (name, values) pairs; grid points
     enumerate the cartesian product in row-major order.  Solver axis
-    names: alpha, beta, gamma, dt, window, delta, xi0 (the last two
-    address the bifurcation-machine parameters).  ground_truth is
+    names: alpha, beta, delta, xi0 (the last two address the
+    bifurcation-machine parameters).  ground_truth is
     "oracle", "largest-weight", or "auto" (oracle up to the brute-force
     cap, largest-weight beyond).  Band counts use
     energy.DEFAULT_FRACTIONS.
@@ -197,20 +198,11 @@ class SweepSpec:
 
     @property
     def n_points(self) -> int:
-        out = 1
-        for s in self.grid_shape:
-            out *= s
-        return out
+        return math.prod(self.grid_shape)
 
     def point_coords(self, index: int) -> tuple[tuple[str, float], ...]:
-        shape = self.grid_shape
-        if len(shape) == 1:
-            return ((self.axes[0][0], self.axes[0][1][index]),)
-        i, j = divmod(index, shape[1])
-        return (
-            (self.axes[0][0], self.axes[0][1][i]),
-            (self.axes[1][0], self.axes[1][1][j]),
-        )
+        at = np.unravel_index(index, self.grid_shape)
+        return tuple((name, values[i]) for (name, values), i in zip(self.axes, at))
 
     def spec_hash(self) -> str:
         h = hashlib.blake2b(digest_size=8)
@@ -350,15 +342,13 @@ class EquidistantPerturbationFactory:
 
 
 def _apply_solver_param(cfg: SolverConfig, name: str, value: float) -> SolverConfig:
-    if name in ("alpha", "beta", "gamma", "dt"):
+    if name in ("alpha", "beta"):
         return replace(cfg, **{name: float(value)})
-    if name == "window":
-        return replace(cfg, derivative_window=float(value))
     if name in ("delta", "xi0"):
         tbm = cfg.tbm if cfg.tbm is not None else TbmParams()
         return replace(cfg, tbm=replace(tbm, **{name: float(value)}))
     raise ValidationError(
-        f"unknown solver axis {name!r}; use alpha, beta, gamma, dt, window, delta, xi0"
+        f"unknown solver axis {name!r}; use alpha, beta, delta, xi0"
     )
 
 
@@ -526,25 +516,19 @@ def _gaussian_smooth(density: np.ndarray) -> np.ndarray:
     return np.convolve(density, kernel)[radius:radius + len(density)]
 
 
-def histogram(
-    energies: Sequence[float],
-    n_bins: int = HIST_BINS,
-    planted=None,
-) -> HistogramReport:
-    """Histogram of found energies with log-shifted density."""
+def histogram(energies: Sequence[float], planted=None) -> HistogramReport:
+    """Histogram of found energies in HIST_BINS bins with log-shifted density."""
     e = np.asarray(list(energies), dtype=np.float64)
     if e.size < 1:
         raise ValidationError("histogram needs at least one energy")
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
     planted_min = float(planted.e_min) if planted is not None else float(e.min())
     planted_max = float(planted.e_max) if planted is not None else float(e.max())
     lo, hi = float(e.min()), float(e.max())
     degenerate = lo == hi
     if degenerate:
-        n_bins, lo, hi = 1, lo - 0.5, hi + 0.5
+        lo, hi = lo - 0.5, hi + 0.5
     try:
-        counts, edges = np.histogram(e, bins=n_bins, range=(lo, hi))
+        counts, edges = np.histogram(e, bins=1 if degenerate else HIST_BINS, range=(lo, hi))
     except ValueError as exc:  # a range too narrow for its magnitude, or not finite
         raise ValidationError(f"cannot bin energies in [{lo!r}, {hi!r}]: {exc}") from None
     # a degenerate bin has width 1 by definition, whatever lo +- 0.5 rounds to

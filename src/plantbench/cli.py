@@ -13,8 +13,8 @@ it returns, recording the input files the command reports it read.
 Grids are given as "lo:hi:num", "lo:hi:num:log", or an explicit comma
 list "0.1,0.2,0.4"; empty grids, nan and inf values, and specs asking
 for more than MAX_GRID_POINTS points are rejected.  Worker count comes
-from --threads, then the PLANTBENCH_THREADS environment variable, then
-the CPU count.  The catalogue id b* may also be spelled bstar.
+from --threads, else the CPU count.  The catalogue id b* may also be
+spelled bstar.
 
 Each numeric, grid and K-list flag is parsed and range-checked once, by
 its argparse type, so a bad value fails before any output check or
@@ -22,13 +22,11 @@ work.  A solver flag left out keeps the default of SolverConfig or
 TbmParams.
 
 Exit codes: 0 success, 2 usage error (unknown or missing flag, invalid
-choice), 3 validation error (unparsable or out-of-range flag values,
-bad, unreadable or unwritable files, unsupported sizes), 4 numerical
-failure (DivergenceError).
-No subcommand raises DivergenceError at present: solve reports a
-diverging run as a "diverged" row of its CSV, and the sweeps count such
-runs in their diverged column, so exit 4 is kept for a numerical
-failure that escapes a subcommand.
+choice, sweep-sr without exactly one of --instance and --small), 3
+validation error (unparsable or out-of-range flag values, bad,
+unreadable or unwritable files, unsupported sizes, couplings or planted
+energies that are not finite).  Diverging runs are data: solve labels
+them "diverged" and the sweeps count them.
 
 report, --version and usage errors run without importing numpy or the
 numeric modules of the package; every other command imports them when
@@ -48,7 +46,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from . import __version__, render
-from .errors import DivergenceError, ValidationError
+from .errors import ValidationError
 from .textio import (
     CATALOGUE,
     _check_writable,
@@ -181,10 +179,7 @@ def _catalogue_id(text: str) -> str:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("PLANTBENCH_THREADS", "")
-    return _int(env, "PLANTBENCH_THREADS", least=1) if env else (os.cpu_count() or 1)
+    return args.threads or os.cpu_count() or 1
 
 
 def _digest(path: str) -> str:
@@ -356,8 +351,6 @@ def _cmd_sweep_sr(args, out, sidecar) -> list[str]:
     if args.small:
         inst = build_couplings(catalogue_pattern_set(args.small), label=f"small-{args.small}")
     else:
-        if not args.instance:
-            raise ValidationError("need --instance FILE or --small ID")
         inst = load_instance(args.instance)
         inputs.append(args.instance)
     cfg = _solver_config(args)
@@ -589,9 +582,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle, outputs=out_only)
 
     p = sub.add_parser("sweep-sr", help="success-rate grid")
-    p.add_argument("--instance", default=None)
-    p.add_argument("--small", default=None, type=_catalogue_id,
-                   choices=sorted(CATALOGUE))
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance")
+    source.add_argument("--small", type=_catalogue_id, choices=sorted(CATALOGUE))
     solver_flags(p)
     for name in ("--alpha-grid", "--beta-grid", "--delta-grid", "--xi0-grid"):
         flag(p, name, _parse_grid)
@@ -653,9 +646,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DivergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -259,12 +259,8 @@ def band_label(fraction: float) -> str:
     return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
 
 
-def measure_bins(
-    spectrum: PlantedSpectrum,
-    energies: np.ndarray,
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-) -> dict[str, int]:
-    """Count energies in nested bands of the planted range.
+def measure_bins(spectrum: PlantedSpectrum, energies: np.ndarray) -> dict[str, int]:
+    """Count energies in the nested DEFAULT_FRACTIONS bands of the planted range.
 
     An energy E is assigned to the smallest fraction f with
     E < e_min + f * (e_max - e_min); the final band is closed at e_max.
@@ -275,17 +271,12 @@ def measure_bins(
     single planted level) puts every energy within that tolerance of
     the level in the full band "1".
     """
-    fr = tuple(float(f) for f in fractions)
-    if not fr or any(b <= a for a, b in zip(fr, fr[1:])):
-        raise ValidationError("fractions must be strictly increasing")
-    if fr[0] <= 0 or fr[-1] != 1.0:
-        raise ValidationError("fractions must lie in (0, 1] and end at 1")
     span = spectrum.e_max - spectrum.e_min
     e = np.asarray(energies, dtype=np.float64)
     lo, hi = _planted_range(spectrum)
-    thresholds = spectrum.e_min + span * np.array(fr)
+    thresholds = spectrum.e_min + span * np.array(DEFAULT_FRACTIONS)
     thresholds[-1] = spectrum.e_max
-    labels = [band_label(f) for f in fr]
+    labels = [band_label(f) for f in DEFAULT_FRACTIONS]
     counts = dict.fromkeys(labels + ["below", "above"], 0)
     below = e < lo
     above = e > hi
@@ -293,9 +284,9 @@ def measure_bins(
     counts["above"] = int(above.sum())
     inside = e[~below & ~above]
     if span > 0:
-        idx = np.minimum(np.searchsorted(thresholds, inside, side="right"), len(fr) - 1)
+        idx = np.minimum(np.searchsorted(thresholds, inside, side="right"), len(labels) - 1)
     else:
-        idx = np.full(inside.shape, len(fr) - 1)
+        idx = np.full(inside.shape, len(labels) - 1)
     for i, lab in enumerate(labels):
         counts[lab] = int((idx == i).sum())
     return counts

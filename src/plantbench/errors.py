@@ -2,8 +2,8 @@
 
 The hierarchy is intentionally shallow: anything raised for bad input,
 malformed files, or violated structural invariants derives from
-ValidationError; a numerical failure (a diverging trajectory) gets its
-own class so callers can map it to a distinct exit code.
+ValidationError.  dynamics.run raises DivergenceError when a trajectory
+leaves the trust region; no CLI exit code maps to it.
 """
 
 __all__ = [

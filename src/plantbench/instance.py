@@ -14,7 +14,9 @@ Sylvester-Hadamard basis (any power-of-two n), and a small catalogue of
 hand-picked n = 8 triples/quadruples whose pairwise Hamming distances
 place the planted optimum in controlled competition with the other
 patterns.  Pattern entries can additionally be deformed by real-valued
-perturbations delta_xi to interpolate between instances.
+perturbations delta_xi to interpolate between instances.  Weights and
+couplings are computed with overflow warnings off; _with_spectrum
+rejects any non-finite result.
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ def _validate_patterns(patterns: np.ndarray) -> np.ndarray:
     return patterns.astype(np.int8)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def make_pattern_set(
     patterns: np.ndarray,
     w0: float = 1.0,
@@ -332,9 +335,9 @@ def _flip_sets(dist: np.ndarray) -> list[tuple[int, ...]]:
     return sets
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def catalogue_pattern_set(
-    instance_id: str, literal_weights: bool = False, w0: float = 1.0,
-    dw: float | None = None,
+    instance_id: str, literal_weights: bool = False, dw: float | None = None
 ) -> PatternSet:
     """Patterns and weights for one catalogue entry.
 
@@ -342,8 +345,8 @@ def catalogue_pattern_set(
     lowest-lexicographic flip sets reproducing the entry's Hamming
     distances.  For entry (e), whose increment is negative while the
     last pattern is planted heaviest, the default ladder is the formula
-    ladder in reversed order ((0.61, 0.74, 0.87) for w0 = 1); pass
-    literal_weights=True to apply w_m = w0 + m*dw verbatim instead.
+    ladder in reversed order, (0.61, 0.74, 0.87); pass
+    literal_weights=True to apply w_m = 1 + m*dw verbatim instead.
     dw overrides the catalogue increment when given (used by scans).
     """
     if instance_id not in CATALOGUE:
@@ -361,8 +364,8 @@ def catalogue_pattern_set(
         patterns[m, list(flips)] = -1
     weights = None
     if dw < 0 and not literal_weights:
-        weights = (w0 + np.arange(1, k + 1, dtype=np.float64) * dw)[::-1].copy()
-    return make_pattern_set(patterns, w0=w0, dw=dw, weights=weights)
+        weights = (1.0 + np.arange(1, k + 1, dtype=np.float64) * dw)[::-1].copy()
+    return make_pattern_set(patterns, dw=dw, weights=weights)
 
 
 def generate_small_scale(instance_id: str, literal_weights: bool = False) -> Instance:
@@ -404,6 +407,7 @@ def _mirror_upper(j: np.ndarray) -> np.ndarray:
     return out + out.T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_couplings(
     ps: PatternSet,
     rule: str = "hebb",
@@ -458,13 +462,19 @@ def build_couplings(
     return _with_spectrum(inst, ps)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _with_spectrum(inst: Instance, ps: PatternSet) -> Instance:
-    """inst with the planted energies of ps on its couplings attached."""
+    """inst with the planted energies of ps on its couplings attached,
+    once both are finite: every pattern-built instance passes here."""
     from . import energy  # energy imports this module
 
-    return replace(inst, spectrum=energy.planted_spectrum(ps, inst))
+    spectrum = energy.planted_spectrum(ps, inst)
+    if not (np.isfinite(inst.coupling).all() and np.isfinite(spectrum.energies).all()):
+        raise ValidationError(f"{inst.label}: couplings or planted energies are not finite")
+    return replace(inst, spectrum=spectrum)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def coarse_grain(inst: Instance, delta_j: float) -> Instance:
     """Quantise couplings to integer multiples of delta_j.
 

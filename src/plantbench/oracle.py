@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _coupling_of, _energies, closed_form_applies
-from .errors import CapacityError
+from .errors import CapacityError, ValidationError
 from .instance import Instance, PatternSet, _readonly
 
 __all__ = ["SpectrumReport", "brute_force", "max_eigenvalue"]
@@ -50,12 +50,14 @@ class SpectrumReport:
     energy_multiset: np.ndarray | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def brute_force(inst: "Instance | np.ndarray", full_spectrum: bool = False) -> SpectrumReport:
     """Exact minimum of E(x) = -1/2 x^T J x by half-cube enumeration.
 
     Works up to n = 24 (n = 16 when full_spectrum asks for the whole
     energy multiset).  Deterministic: states are visited in binary
-    counting order and the first minimiser is reported.
+    counting order and the first minimiser is reported.  A non-finite
+    energy raises ValidationError.
     """
     j = _coupling_of(inst)
     n = j.shape[0]
@@ -79,6 +81,8 @@ def brute_force(inst: "Instance | np.ndarray", full_spectrum: bool = False) -> S
         states[:, 0] = 1.0
         states[:, 1:] = 1.0 - 2.0 * bits
         energies = _energies(j, states)
+        if not np.isfinite(energies).all():
+            raise ValidationError("brute force met a non-finite energy")
         if full_spectrum:
             collected.append(energies)
         chunk_min = float(energies.min())
@@ -114,15 +118,18 @@ def _certified_closed_form(j: np.ndarray, ps: PatternSet) -> float | None:
     n, k = ps.n, ps.k
     total = float(np.sum(ps.weights))
     lam = n * ps.weights - total
-    # the claimed spectral norm of J, the scale of both linear checks
+    # the claimed spectral norm of J; checks in its units cannot overflow
     norm = max(float(np.max(np.abs(lam))), abs(total))
+    if norm == 0:  # all weights zero claim J = 0
+        return 0.0 if not np.any(j) else None
+    js, ls, ws = j / norm, lam / norm, total / norm
     p = ps.patterns.T.astype(np.float64)
-    if np.max(np.abs(j @ p - p * lam)) > _CERT_TOL * norm:
+    if np.max(np.abs(js @ p - p * ls)) > _CERT_TOL:
         return None
-    if abs(float(np.trace(j))) > _CERT_TOL * norm:
+    if abs(float(np.trace(js))) > _CERT_TOL:
         return None
-    want = float(np.sum(lam * lam)) + (n - k) * total * total
-    if abs(float(np.vdot(j, j)) - want) > _CERT_TOL * want:
+    want = float(np.sum(ls * ls)) + (n - k) * ws * ws
+    if abs(float(np.vdot(js, js)) - want) > _CERT_TOL * want:
         return None
     top = float(lam.max())
     return max(top, -total) if k < n else top

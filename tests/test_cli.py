@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plantbench import DivergenceError, SolverConfig, TbmParams, bench, cli, load_instance
+from plantbench import SolverConfig, TbmParams, bench, cli, load_instance
 from plantbench.cli import main
 
 
@@ -286,18 +286,6 @@ def test_oracle_reports_ground_state(small_c, capsys):
     assert "lambda_max:" in out
 
 
-def test_oracle_numeric_failure_exits_4(monkeypatch, small_c, capsys):
-    import plantbench.cli as cli_mod
-
-    def boom(inst):
-        raise DivergenceError(step=1, max_abs=1e300)
-
-    monkeypatch.setattr(cli_mod.oracle_mod, "max_eigenvalue", boom)
-    code = run_cli(["oracle", "--instance", str(small_c), "--eig"])
-    assert code == 4
-    assert "numerical failure" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # sweeps and reports
 
@@ -316,9 +304,20 @@ def test_sweep_report_pipeline(tmp_path, capsys):
 
 
 def test_sweep_requires_some_instance(capsys, tmp_path):
-    code = run_cli(["sweep-sr", "--alpha-grid", "1:2:2",
-                    "--out", str(tmp_path / "x.csv")])
-    assert code == 3
+    with pytest.raises(SystemExit) as info:
+        run_cli(["sweep-sr", "--alpha-grid", "1:2:2", "--out", str(tmp_path / "x.csv")])
+    assert info.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_takes_only_one_instance_source(small_c, tmp_path, capsys):
+    # --instance next to --small used to be ignored, and missing from the manifest
+    with pytest.raises(SystemExit) as info:
+        run_cli(["sweep-sr", "--small", "c", "--instance", str(small_c), "--runs", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "c.txt.manifest.txt"]
 
 
 def test_grid_spec_parsing(capsys, tmp_path):
@@ -414,6 +413,25 @@ def test_bad_counts_and_weights_exit_3(tmp_path, small_c, capsys, args, flag):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "c.txt.manifest.txt"]
 
 
+# gen wrote inf couplings that solve then rejected, scan --kind dxi
+# escaped as an AttributeError (exit 1), scan --kind p wrote inf cells,
+# and each printed numpy's overflow warnings first
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "8", "--k", "2", "--w0", "1e308"],
+    ["gen", "--n", "8", "--k", "2", "--dw", "1e308"],
+    ["gen", "--n", "16", "--k", "3", "--coarse", "1e-320"],
+    ["scan", "--kind", "dxi", "--values", "1e308", "--runs", "2", "--threads", "1"],
+    ["scan", "--kind", "p", "--values", "1e308", "--runs", "2", "--threads", "1"],
+    ["scan", "--kind", "dw", "--values=-1e308", "--runs", "2", "--threads", "1"],
+], ids=["gen-w0", "gen-dw", "gen-coarse", "scan-dxi", "scan-p", "scan-dw"])
+def test_non_finite_couplings_exit_3(tmp_path, capsys, trajectories, argv):
+    assert run_cli(argv + ["--out", str(tmp_path / "x.out")]) == 3
+    assert "couplings or planted energies are not finite" in _error_line(capsys)
+    assert trajectories == []
+    assert list(tmp_path.iterdir()) == []
+
+
 # each used to fall back to the default grid, every K from 1 to n, or no
 # beta axis, and exit 0
 @pytest.mark.parametrize("argv, flag", [
@@ -487,6 +505,7 @@ def test_sweep_k_all_diverged_names_k_and_exits_3(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_k_unbinnable_energies_exit_3(tmp_path, capsys):
     # at weights near 1e300 every run ends on one energy that lo +- 0.5
     # rounds back to; numpy's "Too many bins" ValueError escaped (exit 1)
@@ -503,16 +522,6 @@ def test_sweep_k_rejects_k_below_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "k must be >= 1" in err and "at most" not in err
     assert not out.exists()
-
-
-def test_threads_env_fallback(monkeypatch, tmp_path, capsys):
-    csv = tmp_path / "s.csv"
-    monkeypatch.setenv("PLANTBENCH_THREADS", "2")
-    assert run_cli(["sweep-sr", "--small", "a", "--alpha-grid", "2:4:2",
-                    "--runs", "10", "--out", str(csv)]) == 0
-    monkeypatch.setenv("PLANTBENCH_THREADS", "zero")
-    assert run_cli(["sweep-sr", "--small", "a", "--alpha-grid", "2:4:2",
-                    "--runs", "10", "--out", str(csv)]) == 3
 
 
 def test_scan_subcommand(tmp_path, capsys):

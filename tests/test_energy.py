@@ -381,14 +381,6 @@ def test_measure_bins_edges_are_tolerance_closed():
     assert counts["1/16"] == 1 and counts["1"] == 1
 
 
-def test_measure_bins_rejects_bad_fractions():
-    spec = unit_spectrum()
-    with pytest.raises(ValidationError):
-        measure_bins(spec, np.array([0.5]), fractions=(0.5, 0.25, 1.0))
-    with pytest.raises(ValidationError):
-        measure_bins(spec, np.array([0.5]), fractions=(0.25, 0.5))
-
-
 def test_measure_bins_zero_span_counts_single_level():
     # every energy within tolerance of the one level is in the full band
     spec = PlantedSpectrum(energies=np.array([2.0, 2.0]), e_min=2.0, e_max=2.0)

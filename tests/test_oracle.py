@@ -7,6 +7,7 @@ import pytest
 
 from plantbench import (
     CapacityError,
+    ValidationError,
     brute_force,
     build_couplings,
     catalogue_pattern_set,
@@ -95,6 +96,16 @@ def test_capacity_limits():
         )
 
 
+# an all-NaN chunk used to hand best_state = None to _readonly
+# (AttributeError), and an infinite one to report -inf as the ground energy
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("big", [np.inf, 1e308])
+def test_brute_force_rejects_non_finite_energies(big):
+    j = np.array([[0.0, big, 1.0], [big, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValidationError, match="non-finite energy"):
+        brute_force(j)
+
+
 def test_degenerate_ground_counted_once_per_mirror_pair():
     # J = antiferromagnetic pair: ground states (+1,-1) and (-1,+1) are
     # one mirror pair, so degeneracy over the half-cube is 1
@@ -170,8 +181,10 @@ def test_max_eigenvalue_closed_form(monkeypatch, n, k, w0, dw, rule):
 
 def _altered_couplings(kind):
     """Orthogonal instance whose couplings no longer match its patterns."""
+    # at weights near 1e300 the squares of the Frobenius check overflow
+    scale = 1e300 if kind == "frobenius-1e300" else 1.0
     extra = generate_orthogonal_patterns(32, 6, seed=5, dw=0.01)
-    ps = make_pattern_set(extra.patterns[:4], w0=1.0, dw=0.01)
+    ps = make_pattern_set(extra.patterns[:4], w0=scale, dw=0.01 * scale)
     inst = build_couplings(ps)
     j = inst.coupling.copy()
     if kind == "eigenvector":
@@ -181,13 +194,15 @@ def _altered_couplings(kind):
         # a trace-free rank-2 term orthogonal to every pattern keeps each
         # pattern an eigenvector; only the Frobenius check can notice it
         u, v = extra.patterns[4:].astype(np.float64)
-        j += 2.0 * (np.outer(u, u) - np.outer(v, v))
+        j += 2.0 * scale * (np.outer(u, u) - np.outer(v, v))
     j.setflags(write=False)
     return replace(inst, coupling=j)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "case", ["perturbed", "coarse", "catalogue", "ndarray", "eigenvector", "frobenius"]
+    "case", ["perturbed", "coarse", "catalogue", "ndarray", "eigenvector", "frobenius",
+             "frobenius-1e300"]
 )
 def test_max_eigenvalue_falls_back_to_eigvalsh(case):
     ps = generate_orthogonal_patterns(32, 4, seed=5, dw=0.01)
@@ -204,7 +219,7 @@ def test_max_eigenvalue_falls_back_to_eigvalsh(case):
     coupling = inst if isinstance(inst, np.ndarray) else inst.coupling
     want = float(np.linalg.eigvalsh(coupling)[-1])
     assert max_eigenvalue(inst) == want
-    if case in ("eigenvector", "frobenius"):
+    if case.startswith(("eigenvector", "frobenius")):
         closed = 32 * float(inst.pattern_set.weights.max()) - float(
             np.sum(inst.pattern_set.weights)
         )
