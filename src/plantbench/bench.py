@@ -157,9 +157,9 @@ class SweepSpec:
     pools).  axes holds one or two (name, values) pairs; grid points
     enumerate the cartesian product in row-major order.  Solver axis
     names: alpha, beta, delta, xi0 (the last two address the
-    bifurcation-machine parameters).  ground_truth is
-    "oracle", "largest-weight", or "auto" (oracle up to the brute-force
-    cap, largest-weight beyond).  Band counts use
+    bifurcation-machine parameters).  Hits count against the brute-force
+    ground state up to oracle.BRUTE_FORCE_LIMIT spins and against the
+    heaviest planted pattern beyond.  Band counts use
     energy.DEFAULT_FRACTIONS.
     """
 
@@ -168,15 +168,12 @@ class SweepSpec:
     axes: tuple[tuple[str, tuple[float, ...]], ...]
     runs_per_point: int = 200
     base_seed: int = 0
-    ground_truth: str = "auto"
 
     def __post_init__(self):
         if not self.axes or len(self.axes) > 2:
             raise ValidationError("axes must hold one or two (name, values) pairs")
         if self.runs_per_point < 1:
             raise ValidationError("runs_per_point must be >= 1")
-        if self.ground_truth not in ("oracle", "largest-weight", "auto"):
-            raise ValidationError("ground_truth must be oracle, largest-weight, or auto")
         normalized = tuple(
             (str(name), tuple(float(v) for v in values)) for name, values in self.axes
         )
@@ -216,10 +213,7 @@ class SweepSpec:
         h.update(repr(self.solver).encode())
         h.update(repr(self.axes).encode())
         h.update(
-            repr(
-                (self.runs_per_point, self.base_seed, self.ground_truth,
-                 energy_mod.DEFAULT_FRACTIONS)
-            ).encode()
+            repr((self.runs_per_point, self.base_seed, energy_mod.DEFAULT_FRACTIONS)).encode()
         )
         return h.hexdigest()
 
@@ -278,15 +272,10 @@ class CataloguePerturbationFactory:
     """
 
     catalogue_id: str = "c"
-    pattern: int = 1
-    coordinate: int | None = None
 
     def __call__(self, value: float) -> Instance:
         ps = catalogue_pattern_set(self.catalogue_id)
-        coord = self.coordinate
-        if coord is None:
-            coord = shared_sign_coordinate(ps)
-        edit = _scaled_edit(ps, self.pattern - 1, coord, 1.0, float(value))
+        edit = _scaled_edit(ps, 0, shared_sign_coordinate(ps), 1.0, float(value))
         perturbed = perturb_patterns(ps, [edit])
         return build_couplings(
             perturbed, label=f"small-{self.catalogue_id}-dxi={float(value)!r}"
@@ -352,14 +341,13 @@ def _apply_solver_param(cfg: SolverConfig, name: str, value: float) -> SolverCon
     )
 
 
-def _ground_state(inst: Instance, mode: str) -> np.ndarray:
-    if mode == "auto":
-        mode = "oracle" if inst.n <= oracle_mod.BRUTE_FORCE_LIMIT else "largest-weight"
-    if mode == "oracle":
+def _ground_state(inst: Instance) -> np.ndarray:
+    """Brute-force ground state up to the oracle's limit, heaviest pattern beyond."""
+    if inst.n <= oracle_mod.BRUTE_FORCE_LIMIT:
         return oracle_mod.brute_force(inst).ground_state
     ps = inst.pattern_set
     if ps is None:
-        raise ValidationError("largest-weight ground truth needs a planted instance")
+        raise ValidationError("a ground state beyond brute force needs a planted instance")
     heaviest = int(np.argmax(ps.weights))
     return ps.patterns[heaviest].copy()
 
@@ -416,9 +404,7 @@ def _eval_point(spec: SweepSpec, index: int) -> PointResult:
     for name, value in solver_axes:
         cfg = _apply_solver_param(cfg, name, value)
     seeds = derive_seeds(spec.base_seed, index, count=spec.runs_per_point)
-    counts, kept, hits = _run_point(
-        inst, cfg, seeds, _ground_state(inst, spec.ground_truth)
-    )
+    counts, kept, hits = _run_point(inst, cfg, seeds, _ground_state(inst))
     return PointResult(
         index=index,
         coords=coords,
@@ -500,9 +486,6 @@ class HistogramReport:
     density: tuple[float, ...]
     log_density_shifted: tuple[float, ...]
     smoothed_density: tuple[float, ...]
-    planted_min: float
-    planted_max: float
-    n_runs: int
     degenerate: bool
 
 
@@ -516,13 +499,11 @@ def _gaussian_smooth(density: np.ndarray) -> np.ndarray:
     return np.convolve(density, kernel)[radius:radius + len(density)]
 
 
-def histogram(energies: Sequence[float], planted=None) -> HistogramReport:
+def histogram(energies: Sequence[float]) -> HistogramReport:
     """Histogram of found energies in HIST_BINS bins with log-shifted density."""
     e = np.asarray(list(energies), dtype=np.float64)
     if e.size < 1:
         raise ValidationError("histogram needs at least one energy")
-    planted_min = float(planted.e_min) if planted is not None else float(e.min())
-    planted_max = float(planted.e_max) if planted is not None else float(e.max())
     lo, hi = float(e.min()), float(e.max())
     degenerate = lo == hi
     if degenerate:
@@ -540,9 +521,6 @@ def histogram(energies: Sequence[float], planted=None) -> HistogramReport:
         density=tuple(float(v) for v in density),
         log_density_shifted=tuple(float(v) for v in np.log(density + LOG_SHIFT)),
         smoothed_density=tuple(float(v) for v in _gaussian_smooth(density)),
-        planted_min=planted_min,
-        planted_max=planted_max,
-        n_runs=int(e.size),
         degenerate=degenerate,
     )
 
@@ -585,7 +563,7 @@ def _eval_k(n: int, k: int, runs: int, base_seed: int, dw: float) -> KSweepEntry
             f"K={k}: all {counts['diverged']} runs diverged, no energies to aggregate"
         )
     try:
-        hist = histogram(e, planted=inst.spectrum)
+        hist = histogram(e)
     except ValidationError as exc:
         raise ValidationError(f"K={k}: {exc}") from None
     return KSweepEntry(
@@ -684,7 +662,7 @@ def write_hist_csv(entries: Sequence[KSweepEntry], path) -> None:
          "count": h.counts[b], "density": h.density[b],
          "log_density_shifted": h.log_density_shifted[b],
          "smoothed_density": h.smoothed_density[b],
-         "planted_min": h.planted_min, "planted_max": h.planted_max}
+         "planted_min": e.planted_min, "planted_max": e.planted_max}
         for e in entries for h in [e.hist] for b in range(len(h.counts))
     ])
 
@@ -706,7 +684,6 @@ def write_sidecar(result: SweepResult, path) -> None:
         f"solver: {spec.solver!r}",
         f"base_seed: {spec.base_seed}",
         f"runs_per_point: {spec.runs_per_point}",
-        f"ground_truth: {spec.ground_truth}",
     ]
     for name, values in spec.axes:
         lines.append(f"axis {name}: " + " ".join(repr(v) for v in values))

@@ -119,12 +119,11 @@ class _DetuneSchedule:
 class TbmParams:
     """Bifurcation-machine knobs: detuning delta, coupling scale xi0.
 
-    p_schedule defaults to PumpRamp(max_steps) when left None.
+    The pump is PumpRamp(max_steps) of the run's SolverConfig.
     """
 
     delta: float = 1.0
     xi0: float = 0.1
-    p_schedule: Callable[[int], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,6 @@ class SolverConfig:
     max_steps: int = 1000
     steady_tol: float = 1e-9
     init_amplitude: float = 0.5
-    seed: int = 0
     tbm: TbmParams | None = None
 
 
@@ -157,8 +155,9 @@ class RunOutcome:
     """Result of one trajectory.
 
     final_spins is sign(x) with sign(0) := +1.  label is attached when
-    the instance carries a pattern source, and is None for diverged
-    runs.
+    the instance carries a pattern set, and is None for diverged runs.
+    seed is the row's entry of the seeds given to run_batch, or None
+    when none were given.
     """
 
     final_spins: np.ndarray
@@ -167,7 +166,7 @@ class RunOutcome:
     converged: bool
     diverged: bool
     label: "object | None"
-    seed: int
+    seed: int | None
 
 
 def _clip_unit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -506,14 +505,13 @@ def _tbm_mapped(cfg: SolverConfig) -> SolverConfig:
     if cfg.tbm is None:
         raise ValidationError("TBM runs need cfg.tbm parameters")
     params = cfg.tbm
-    pump = params.p_schedule if params.p_schedule is not None else PumpRamp(cfg.max_steps)
     # The pump keeps the coefficients time dependent for the whole
     # schedule, so the machine integrates a fixed step count instead of
     # stopping at an intermediate wall-pinned state.
     return replace(
         cfg,
         kind="III",
-        alpha=_DetuneSchedule(params.delta, pump),
+        alpha=_DetuneSchedule(params.delta, PumpRamp(cfg.max_steps)),
         beta=params.delta * params.xi0,
         gamma=0.0,
         nonlinearity="sign",
@@ -521,6 +519,9 @@ def _tbm_mapped(cfg: SolverConfig) -> SolverConfig:
     )
 
 
+# A finite but huge coefficient can overflow mid-step: the row then holds
+# inf or nan and retires as diverged, which is data, not a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate_block(
     inst: Instance,
     cfg: SolverConfig,
@@ -565,10 +566,12 @@ def run_batch(
         raise ValidationError(f"initial block must be (runs, {inst.n})")
     r = x0_block.shape[0]
     if seeds is None:
-        seeds = np.full(r, cfg.seed)
-    seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.shape != (r,):
-        raise ValidationError(f"seeds must hold one entry per row ({r})")
+        seed_column = [None] * r
+    else:
+        seeds = np.asarray(seeds, dtype=np.int64)
+        if seeds.shape != (r,):
+            raise ValidationError(f"seeds must hold one entry per row ({r})")
+        seed_column = seeds.tolist()
     x, steps, status = _integrate_block(inst, cfg, x0_block)
     spins = _spins(x)
     energies = energy_mod.qubo_energy_many(inst.coupling, spins)
@@ -577,8 +580,7 @@ def run_batch(
     if ps is not None and inst.spectrum is not None:
         classifier = energy_mod.OutcomeClassifier(ps, inst.spectrum)
     outcomes = []
-    columns = zip(spins, energies.tolist(), steps.tolist(), status.tolist(),
-                  seeds.tolist())
+    columns = zip(spins, energies.tolist(), steps.tolist(), status.tolist(), seed_column)
     for row_spins, energy, steps_used, code, seed in columns:
         diverged = code == DIVERGED
         label = None

@@ -155,7 +155,7 @@ def planted_spectrum(ps: PatternSet, inst: Instance, method: str = "auto") -> Pl
             worst = int(np.argmax(np.abs(closed - direct) / scale))
             raise ValidationError(
                 "closed-form and direct planted energies disagree "
-                f"(pattern {worst + 1}: {closed[worst]!r} vs {direct[worst]!r})"
+                f"(pattern {worst + 1}: {float(closed[worst])!r} vs {float(direct[worst])!r})"
             )
         energies = closed
     return PlantedSpectrum(
@@ -311,11 +311,8 @@ def gauge_transform(inst: Instance, flips) -> Instance:
     if ps is not None:
         new_ps = make_pattern_set(
             ps.patterns * s,
-            w0=ps.w0,
-            dw=ps.dw,
             weights=ps.weights,
             perturbations=None if ps.perturbations is None else ps.perturbations * sf,
-            generator=None,
         )
-        out = replace(out, source=new_ps)
+        out = replace(out, pattern_set=new_ps)
     return out

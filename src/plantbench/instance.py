@@ -68,18 +68,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class PatternSet:
     """K patterns of dimension n with their weight ladder.
 
-    weights[m-1] = w0 + m*dw unless an explicit ladder overrides the
-    formula (catalogue entry (e) stores its weights in reversed order).
-    perturbations, when present, holds the real-valued delta_xi added to
-    the binary entries before couplings are built.  generator records
-    (kind, seed) for sets that can be regenerated instead of stored.
+    weights is the stored ladder: make_pattern_set fills it from the
+    formula w0 + m*dw unless given an explicit one (catalogue entry (e)
+    stores its formula ladder in reversed order).  perturbations, when
+    present, holds the real-valued delta_xi added to the binary entries
+    before couplings are built.  generator records (kind, seed) for sets
+    that can be regenerated instead of stored.
     """
 
     n: int
     k: int
     patterns: np.ndarray            # (k, n) int8, entries +-1
-    w0: float
-    dw: float
     weights: np.ndarray             # (k,) float64
     perturbations: np.ndarray | None = None   # (k, n) float64
     generator: tuple[str, int] | None = None
@@ -111,24 +110,19 @@ class PatternSet:
 class Instance:
     """A coupling matrix together with its provenance.
 
-    source is the PatternSet the couplings were built from, or the
-    string "external" for matrices loaded without pattern data.
-    spectrum holds the planted energies (see energy.PlantedSpectrum)
-    when a pattern source is available.  coarse_delta records the
-    quantisation step if the matrix was coarse-grained.
+    pattern_set is the PatternSet the couplings were built from, or None
+    for an external matrix loaded without pattern data.  spectrum holds
+    the planted energies (see energy.PlantedSpectrum) when a pattern set
+    is available.  coarse_delta records the quantisation step if the
+    matrix was coarse-grained.
     """
 
     n: int
     coupling: np.ndarray            # (n, n) float64, symmetric, zero diagonal
-    source: PatternSet | str
+    pattern_set: PatternSet | None
     spectrum: "object | None"
-    seed: int
     label: str
     coarse_delta: float | None = None
-
-    @property
-    def pattern_set(self) -> PatternSet | None:
-        return self.source if isinstance(self.source, PatternSet) else None
 
 
 def _validate_patterns(patterns: np.ndarray) -> np.ndarray:
@@ -176,8 +170,6 @@ def make_pattern_set(
         n=n,
         k=k,
         patterns=_readonly(patterns),
-        w0=float(w0),
-        dw=float(dw),
         weights=_readonly(weights),
         perturbations=None if perturbations is None else _readonly(perturbations),
         generator=generator,
@@ -368,10 +360,9 @@ def catalogue_pattern_set(
     return make_pattern_set(patterns, dw=dw, weights=weights)
 
 
-def generate_small_scale(instance_id: str, literal_weights: bool = False) -> Instance:
+def generate_small_scale(instance_id: str) -> Instance:
     """Build the coupling matrix for one catalogue entry."""
-    ps = catalogue_pattern_set(instance_id, literal_weights=literal_weights)
-    return build_couplings(ps, label=f"small-{instance_id}")
+    return build_couplings(catalogue_pattern_set(instance_id), label=f"small-{instance_id}")
 
 
 def perturb_patterns(
@@ -392,12 +383,7 @@ def perturb_patterns(
             raise ValidationError(f"edit ({m}, {j}) outside a {ps.k} x {ps.n} pattern set")
         pert[m, j] = delta
     return make_pattern_set(
-        ps.patterns,
-        w0=ps.w0,
-        dw=ps.dw,
-        weights=ps.weights,
-        perturbations=pert,
-        generator=ps.generator,
+        ps.patterns, weights=ps.weights, perturbations=pert, generator=ps.generator
     )
 
 
@@ -412,7 +398,6 @@ def build_couplings(
     ps: PatternSet,
     rule: str = "hebb",
     label: str | None = None,
-    seed: int = 0,
 ) -> Instance:
     """Couplings from a pattern set via the weighted Hebbian rule.
 
@@ -451,25 +436,21 @@ def build_couplings(
     if label is None:
         kind = ps.generator[0] if ps.generator else "hebb"
         label = f"{kind}-n{ps.n}-k{ps.k}"
-    inst = Instance(
-        n=ps.n,
-        coupling=_readonly(j),
-        source=ps,
-        spectrum=None,
-        seed=int(seed),
-        label=label,
-    )
-    return _with_spectrum(inst, ps)
+    inst = Instance(n=ps.n, coupling=_readonly(j), pattern_set=ps, spectrum=None, label=label)
+    return _with_spectrum(inst)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _with_spectrum(inst: Instance, ps: PatternSet) -> Instance:
-    """inst with the planted energies of ps on its couplings attached,
-    once both are finite: every pattern-built instance passes here."""
+def _with_spectrum(inst: Instance) -> Instance:
+    """inst with the planted energies of its pattern set (None without one)
+    attached, once couplings and energies are finite: every instance that
+    is built, coarse-grained or loaded passes here."""
     from . import energy  # energy imports this module
 
-    spectrum = energy.planted_spectrum(ps, inst)
-    if not (np.isfinite(inst.coupling).all() and np.isfinite(spectrum.energies).all()):
+    ps = inst.pattern_set
+    spectrum = None if ps is None else energy.planted_spectrum(ps, inst)
+    energies = () if spectrum is None else spectrum.energies
+    if not (np.isfinite(inst.coupling).all() and np.isfinite(energies).all()):
         raise ValidationError(f"{inst.label}: couplings or planted energies are not finite")
     return replace(inst, spectrum=spectrum)
 
@@ -481,23 +462,15 @@ def coarse_grain(inst: Instance, delta_j: float) -> Instance:
     Off-diagonal entries become floor(J_ij / delta_j); the floor is
     applied to the upper triangle and mirrored, and the diagonal stays
     zero.  The planted spectrum is recomputed on the quantised matrix.
-    Raises for a delta_j that is not positive and finite.
+    Raises for a delta_j that is not positive and finite, and for a
+    quotient that overflows.
     """
     if not (delta_j > 0 and np.isfinite(delta_j)):
         raise ValidationError(
             f"coarse-graining step must be positive and finite, got {delta_j}"
         )
     j = _mirror_upper(np.floor(inst.coupling / delta_j))
-    out = replace(
-        inst,
-        coupling=_readonly(j),
-        coarse_delta=float(delta_j),
-        spectrum=None,
-    )
-    ps = inst.pattern_set
-    if ps is not None:
-        out = _with_spectrum(out, ps)
-    return out
+    return _with_spectrum(replace(inst, coupling=_readonly(j), coarse_delta=float(delta_j)))
 
 
 def hamming_distances(ps: PatternSet) -> np.ndarray:
@@ -547,10 +520,10 @@ def _validate_coupling(j: np.ndarray) -> np.ndarray:
     return j
 
 
-def _rebuild(ps: PatternSet, label: str, seed: int, coarse: float | None) -> Instance:
+def _rebuild(ps: PatternSet, label: str, coarse: float | None) -> Instance:
     """The instance a file without a coupling block stands for: Hebb couplings
     of ps, coarse-grained when the file records a step."""
-    inst = build_couplings(ps, label=label, seed=seed)
+    inst = build_couplings(ps, label=label)
     return inst if coarse is None else coarse_grain(inst, coarse)
 
 
@@ -571,10 +544,6 @@ def save_instance(inst: Instance, path: str | os.PathLike) -> None:
     lines.append(f"n: {inst.n}")
     if ps is not None:
         lines.append(f"k: {ps.k}")
-    lines.append(f"seed: {inst.seed}")
-    if ps is not None:
-        lines.append(f"w0: {_fmt(ps.w0)}")
-        lines.append(f"dw: {_fmt(ps.dw)}")
         lines.append("weights: " + " ".join(_fmt(w) for w in ps.weights))
         if ps.generator is not None:
             lines.append(f"generator: {ps.generator[0]} {ps.generator[1]}")
@@ -589,7 +558,7 @@ def save_instance(inst: Instance, path: str | os.PathLike) -> None:
     if (
         inst.n <= DENSE_EXPORT_LIMIT
         or ps is None
-        or _rebuild(ps, inst.label, inst.seed, inst.coarse_delta).coupling.tobytes()
+        or _rebuild(ps, inst.label, inst.coarse_delta).coupling.tobytes()
         != inst.coupling.tobytes()
     ):
         lines.append("coupling:")
@@ -598,12 +567,20 @@ def save_instance(inst: Instance, path: str | os.PathLike) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+# Keys older files wrote and nothing reads: the generator line holds the
+# seed, and the weights line the ladder.
+_RETIRED_KEYS = ("seed", "w0", "dw")
+_FIELD_KEYS = ("format_version", "label", "n", "k", "weights", "generator", "coarse_grain")
+
+
 def load_instance(path: str | os.PathLike) -> Instance:
     """Read an instance written by save_instance.
 
     Structural invariants (exact coupling symmetry, zero diagonal,
-    declared sizes, finite numbers, +-1 pattern entries) are validated;
-    violations and unparsable values raise ValidationError.
+    declared sizes, finite numbers, +-1 pattern entries, a weights line
+    whenever k is declared) are validated; violations, unparsable values
+    and unknown keys raise ValidationError.  The retired keys seed, w0
+    and dw are skipped, so files written before they were dropped load.
     """
     fields: dict[str, str] = {}
     pattern_rows: list[list[int]] = []
@@ -627,8 +604,10 @@ def load_instance(path: str | os.PathLike) -> Instance:
             pert_rows.append(_float_row(value, "perturbation"))
         elif key == "coupling":
             in_coupling = True
-        else:
+        elif key in _FIELD_KEYS:
             fields[key] = value
+        elif key not in _RETIRED_KEYS:
+            raise ValidationError(f"unknown key {key!r} in instance file")
     for key in ("format_version", "n"):
         if key not in fields:
             raise ValidationError(f"instance file missing required field {key!r}")
@@ -637,18 +616,15 @@ def load_instance(path: str | os.PathLike) -> Instance:
         raise ValidationError(f"unsupported format_version {version}")
     n = _int(fields["n"], "n", least=1)
     label = fields.get("label", "")
-    seed = _int(fields.get("seed", "0"), "seed")
 
     ps = None
     if "k" in fields:
         k = _int(fields["k"], "k", least=1)
-        w0 = _finite(fields.get("w0", "1.0"), "w0")
-        dw = _finite(fields.get("dw", "0.0"), "dw")
-        weights = None
-        if "weights" in fields:
-            weights = np.array(_float_row(fields["weights"], "weight"))
-            if weights.shape != (k,):
-                raise ValidationError("weights row does not match k")
+        if "weights" not in fields:
+            raise ValidationError("instance file declares k but no weights")
+        weights = np.array(_float_row(fields["weights"], "weight"))
+        if weights.shape != (k,):
+            raise ValidationError("weights row does not match k")
         generator = None
         if "generator" in fields:
             kind, _, gseed = fields["generator"].partition(" ")
@@ -664,26 +640,19 @@ def load_instance(path: str | os.PathLike) -> Instance:
         if pert_rows:
             pert = _block(pert_rows, k, n, "perturbation", np.float64)
         ps = make_pattern_set(
-            patterns, w0=w0, dw=dw, weights=weights, perturbations=pert,
-            generator=generator,
+            patterns, weights=weights, perturbations=pert, generator=generator
         )
 
     coarse = _finite(fields["coarse_grain"], "coarse_grain") if "coarse_grain" in fields else None
 
     if coupling_rows:
         j = _validate_coupling(_block(coupling_rows, n, n, "coupling", np.float64))
-        inst = Instance(
-            n=n,
-            coupling=_readonly(j),
-            source=ps if ps is not None else "external",
-            spectrum=None,
-            seed=seed,
-            label=label,
+        return _with_spectrum(Instance(
+            n=n, coupling=_readonly(j), pattern_set=ps, spectrum=None, label=label,
             coarse_delta=coarse,
-        )
-        return inst if ps is None else _with_spectrum(inst, ps)
+        ))
 
     if ps is None:
         raise ValidationError("instance file has neither patterns nor couplings")
-    return _rebuild(ps, label, seed, coarse)
+    return _rebuild(ps, label, coarse)
 

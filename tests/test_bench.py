@@ -16,7 +16,9 @@ from plantbench import (
     default_alpha_grid,
     derive_seed,
     derive_seeds,
+    generate_orthogonal_patterns,
     histogram,
+    perturb_patterns,
     qubo_energy,
     random_initial,
     run_batch,
@@ -91,9 +93,6 @@ def test_spec_validation(inst_a):
     with pytest.raises(ValidationError):
         SweepSpec(instance=inst_a, solver=cfg,
                   axes=(("alpha", (1.0,)),), runs_per_point=0)
-    with pytest.raises(ValidationError):
-        SweepSpec(instance=inst_a, solver=cfg,
-                  axes=(("alpha", (1.0,)),), ground_truth="guess")
     # the CSV keys each row's cells by axis name
     with pytest.raises(ValidationError, match="axis names repeat"):
         SweepSpec(instance=inst_a, solver=cfg,
@@ -187,27 +186,22 @@ def test_hits_count_ground_and_mirror_for_any_ground_dtype(inst_a):
     assert bench._run_point(inst_a, cfg, seeds)[2] == 0
 
 
-def test_ground_truth_largest_weight(inst_a):
-    spec = SweepSpec(
-        instance=inst_a,
-        solver=SolverConfig(kind="I", max_steps=400),
-        axes=(("alpha", (3.0,)),),
-        runs_per_point=40,
-        ground_truth="largest-weight",
-    )
+def test_ground_state_brute_force_then_heaviest_pattern(inst_a, monkeypatch):
     # (a)'s planted ladder puts pattern 3 heaviest but its true ground
-    # state is pattern 2; oracle and largest-weight must disagree here
-    oracle_res = sweep_sr(
-        SweepSpec(
-            instance=inst_a,
-            solver=SolverConfig(kind="I", max_steps=400),
-            axes=(("alpha", (3.0,)),),
-            runs_per_point=40,
-            ground_truth="oracle",
-        )
-    )
-    lw_res = sweep_sr(spec)
-    assert oracle_res.points[0].hits != lw_res.points[0].hits
+    # state is pattern 2, so up to the brute-force limit only the oracle
+    # gives the right target
+    patterns = inst_a.pattern_set.patterns
+    ground = bench._ground_state(inst_a)
+    assert any(np.array_equal(ground, s * patterns[1]) for s in (1, -1))
+    assert not any(np.array_equal(ground, s * patterns[2]) for s in (1, -1))
+    # beyond the limit the heaviest planted pattern is the target
+    big = build_couplings(generate_orthogonal_patterns(32, 4, seed=5, dw=0.01))
+
+    def no_brute_force(inst):
+        raise AssertionError("brute force beyond its limit")
+
+    monkeypatch.setattr(bench.oracle_mod, "brute_force", no_brute_force)
+    assert np.array_equal(bench._ground_state(big), big.pattern_set.patterns[3])
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +227,9 @@ def test_dxi_factory_endpoints():
 def test_dxi_factory_scales_with_stored_sign():
     # the scan value is expressed for a +1 coordinate; a stored -1
     # coordinate must move toward +1 instead
-    factory = CataloguePerturbationFactory("c", pattern=2, coordinate=0)
-    inst = factory(-2.0)
-    eff = inst.pattern_set.effective_patterns()
+    ps = catalogue_pattern_set("c")
+    edit = bench._scaled_edit(ps, 1, 0, 1.0, -2.0)
+    eff = perturb_patterns(ps, [edit]).effective_patterns()
     assert eff[1, 0] == pytest.approx(1.0)  # stored -1, fully flipped
 
 

@@ -486,6 +486,22 @@ def test_solve_reports_diverging_runs_and_exits_0(tmp_path, small_c, capsys):
     assert labels == ["diverged"] * 3
 
 
+# a finite but huge coefficient overflows mid-integration; the overflow
+# warnings used to escape, exit 1 with RuntimeWarning as an error
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["--beta", "1e308", "--alpha-grid", "1"],
+    ["--solver", "tbm", "--delta-grid", "1e308", "--xi0-grid", "1e308"],
+], ids=["beta", "tbm"])
+def test_integrator_overflow_counts_as_diverged(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep-sr", "--small", "c", *argv, "--runs", "2", "--threads", "1",
+                    "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["diverged"] == cells["label:diverged"] == "2"
+
+
 def test_sweep_k_all_diverged_names_k_and_exits_3(tmp_path, capsys, monkeypatch):
     # used to print numpy's "Mean of empty slice" warning and then fail
     # with a histogram message that named neither K nor the divergence;

@@ -36,8 +36,8 @@ from plantbench import dynamics
 def zero_instance(n):
     """Instance with no couplings: pure single-site dynamics."""
     return Instance(
-        n=n, coupling=np.zeros((n, n)), source="external",
-        spectrum=None, seed=0, label=f"zero-{n}",
+        n=n, coupling=np.zeros((n, n)), pattern_set=None,
+        spectrum=None, label=f"zero-{n}",
     )
 
 
@@ -70,8 +70,8 @@ def test_class1_two_spin_fixed_point():
     # symmetric ferromagnetic pair with J12 = 2: the attractor solves
     # x = 2 tanh(x); bisection gives the root independently
     j = np.array([[0.0, 2.0], [2.0, 0.0]])
-    inst = Instance(n=2, coupling=j, source="external", spectrum=None,
-                    seed=0, label="pair")
+    inst = Instance(n=2, coupling=j, pattern_set=None, spectrum=None,
+                    label="pair")
     lo, hi = 1.0, 3.0
     for _ in range(200):
         mid = (lo + hi) / 2

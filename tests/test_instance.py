@@ -244,6 +244,16 @@ def test_coarse_grain_rejects_nonpositive_step():
             coarse_grain(inst, step)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coarse_grain_without_patterns_checks_finiteness():
+    # a matrix without a pattern set used to come back with inf couplings
+    inst = replace(build_couplings(catalogue_pattern_set("c")), pattern_set=None,
+                   spectrum=None)
+    with pytest.raises(ValidationError, match="not finite"):
+        coarse_grain(inst, 1e-320)
+    assert coarse_grain(inst, 0.5).spectrum is None
+
+
 # ---------------------------------------------------------------------------
 # file round trips
 
@@ -301,7 +311,7 @@ def test_round_trip_above_the_dense_limit(tmp_path, make, dense):
 def test_external_instance_round_trip(tmp_path):
     # a bare matrix is an instance without a pattern set: always dense
     built = build_couplings(catalogue_pattern_set("d"))
-    inst = replace(built, source="external", spectrum=None)
+    inst = replace(built, pattern_set=None, spectrum=None)
     path = tmp_path / "external.txt"
     save_instance(inst, path)
     back = load_instance(path)
@@ -361,9 +371,13 @@ def _replace_line(prefix, new):
         (_drop_last_coupling_entry, "coupling rows"),
         (lambda lines: (_set_coupling(lines, 0, 1, "nan"), _set_coupling(lines, 1, 0, "nan")),
          "coupling entry must be finite"),
+        # a missing weights line used to load a flat ladder, w0 = 1 and dw = 0
+        (lambda lines: lines.pop(_first(lines, "weights:")), "declares k but no weights"),
+        # a misspelt key used to be dropped: an empty label, or no coarse-graining
+        (_replace_line("label:", "lable: small-c"), "unknown key 'lable'"),
     ],
     ids=["n", "pattern-token", "pattern-overflow", "coupling-token", "coupling-ragged",
-         "coupling-nan"],
+         "coupling-nan", "weights-missing", "unknown-key"],
 )
 def test_load_instance_rejects_malformed_values(tmp_path, edit, message):
     # these used to escape as ValueError/OverflowError, and NaN as "not symmetric"
@@ -389,6 +403,33 @@ def test_load_instance_rejects_malformed_external_rows(tmp_path, text, message):
     path.write_text(_external(text))
     with pytest.raises(ValidationError, match=message):
         load_instance(path)
+
+
+def test_load_instance_skips_retired_keys(tmp_path):
+    # files written before seed, w0 and dw were dropped still load
+    inst = build_couplings(catalogue_pattern_set("c"))
+    lines = _catalogue_c_lines(tmp_path)
+    at = _first(lines, "weights:")
+    lines[at:at] = ["seed: 0", "w0: 1.0", "dw: 0.1"]
+    path = tmp_path / "old.txt"
+    path.write_text("\n".join(lines) + "\n")
+    back = load_instance(path)
+    assert back.coupling.tobytes() == inst.coupling.tobytes()
+    assert back.pattern_set.weights.tobytes() == inst.pattern_set.weights.tobytes()
+    assert back.label == inst.label
+
+
+def test_load_instance_names_mismatched_planted_energies_as_plain_floats(tmp_path):
+    path = tmp_path / "n8.txt"
+    save_instance(build_couplings(generate_orthogonal_patterns(8, 2, seed=0)), path)
+    lines = path.read_text().splitlines()
+    _set_coupling(lines, 0, 1, "5.0")
+    _set_coupling(lines, 1, 0, "5.0")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="disagree") as info:
+        load_instance(path)
+    # the message used to print np.float64(-24.0)
+    assert "(pattern 2: -24.0 vs -19.0)" in str(info.value)
 
 
 def test_load_instance_rejects_missing_path_and_directory(tmp_path):

@@ -71,7 +71,7 @@ VALID_INSTANCES = (
         perturb_patterns(catalogue_pattern_set("c"), [(0, 1, -0.7)]))),
 )
 # a bare coupling matrix: an external instance, saved with its dense block only
-VALID_DENSE = (_saved(replace(_C, source="external", spectrum=None)),)
+VALID_DENSE = (_saved(replace(_C, pattern_set=None, spectrum=None)),)
 
 
 @st.composite
