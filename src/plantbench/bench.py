@@ -382,13 +382,10 @@ def _run_point(
         ground = np.asarray(ground, dtype=np.int8)
         targets = {ground.tobytes(), (-ground).tobytes()}
     for out in run_batch(inst, cfg, x0, seeds=seeds):
-        if out.diverged:
-            counts["diverged"] += 1
-            continue
-        counts[out.label.category if out.label is not None else "unlabelled"] += 1
-        kept.append(out.final_energy)
-        if out.final_spins.tobytes() in targets:
-            hits += 1
+        counts[out.label.category] += 1
+        if not out.diverged:
+            kept.append(out.final_energy)
+            hits += out.final_spins.tobytes() in targets
     return counts, np.array(kept), hits
 
 

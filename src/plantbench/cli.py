@@ -19,14 +19,16 @@ spelled bstar.
 Each numeric, grid and K-list flag is parsed and range-checked once, by
 its argparse type, so a bad value fails before any output check or
 work.  A solver flag left out keeps the default of SolverConfig or
-TbmParams.
+TbmParams, and one that --solver does not read (_SOLVER_FLAGS), or
+whose value a sweep axis sets, fails.
 
 Exit codes: 0 success, 2 usage error (unknown or missing flag, invalid
 choice, sweep-sr without exactly one of --instance and --small), 3
-validation error (unparsable or out-of-range flag values, bad,
-unreadable or unwritable files, unsupported sizes, couplings or planted
-energies that are not finite).  Diverging runs are data: solve labels
-them "diverged" and the sweeps count them.
+validation error (unparsable, out-of-range or unread flag values, bad,
+unreadable or unwritable files, repeated instance keys or report rows,
+unsupported sizes, couplings or planted energies that are not
+finite).  Diverging runs are data: solve labels them "diverged" and
+the sweeps count them.
 
 report, --version and usage errors run without importing numpy or the
 numeric modules of the package; every other command imports them when
@@ -42,6 +44,7 @@ import math
 import os
 import shlex
 import sys
+from collections import Counter
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -264,36 +267,43 @@ def _cmd_gen_small(args, out=None) -> list[str]:
 # schedule, and with constant coefficients kind II is class1 bit for bit.
 _SOLVER_KINDS = {"class1": "I", "class3": "III", "tbm": "TBM"}
 
+# The solver flags each --solver reads (tbm derives alpha, beta, gamma and
+# the nonlinearity); sweep-sr's --<name>-grid applies where --<name> does.
+_CLASS1_FLAGS = ("--alpha", "--beta", "--nonlinearity", "--dt", "--steps", "--amplitude")
+_SOLVER_FLAGS = {
+    "class1": _CLASS1_FLAGS,
+    "class3": _CLASS1_FLAGS + ("--gamma", "--window"),
+    "tbm": ("--delta", "--xi0", "--window", "--dt", "--steps", "--amplitude"),
+}
+# the SolverConfig field of each solver flag not named after it
+_FIELDS = {"--window": "derivative_window", "--steps": "max_steps",
+           "--amplitude": "init_amplitude"}
 
-def _solver_config(args) -> SolverConfig:
-    """The solver the flags name; a flag left out keeps the library default."""
 
-    def given(*fields: str) -> dict:
-        return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
-
+def _solver_config(args, axes: tuple[str, ...] = ()) -> SolverConfig:
+    """The solver the flags name; fails on a flag it does not read or that axes set."""
+    given = {}
+    for name in dict.fromkeys(sum(_SOLVER_FLAGS.values(), ())):  # every solver flag
+        value = getattr(args, name[2:])
+        if value is not None:
+            if name not in _SOLVER_FLAGS[args.solver] or name[2:] in axes:
+                raise ValidationError(f"{name} does not apply to --solver {args.solver}")
+            given[_FIELDS.get(name, name[2:])] = value
     kind = _SOLVER_KINDS[args.solver]
-    tbm = TbmParams(**given("delta", "xi0")) if kind == "TBM" else None
-    fields = given("alpha", "beta", "gamma", "nonlinearity", "derivative_window", "dt",
-                   "max_steps", "init_amplitude")
-    return SolverConfig(kind=kind, tbm=tbm, **fields)
+    tbm = {f: given.pop(f) for f in ("delta", "xi0") if f in given}
+    return SolverConfig(kind=kind, tbm=TbmParams(**tbm) if kind == "TBM" else None, **given)
 
 
 def _cmd_solve(args, out=None) -> list[str]:
-    inst = load_instance(args.instance)
     cfg = _solver_config(args)
+    inst = load_instance(args.instance)
     seeds = bench.derive_seeds(args.seed, "solve", count=args.runs)
     x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
     outcomes = run_batch(inst, cfg, x0, seeds=seeds)
     lines = ["seed,energy,label,steps,converged"]
     for o in outcomes:
-        if o.diverged:
-            label = "diverged"
-        elif o.label is None:
-            label = "unlabelled"
-        else:
-            label = o.label.short()
         lines.append(
-            f"{o.seed},{o.final_energy!r},{label},{o.steps_used},"
+            f"{o.seed},{o.final_energy!r},{o.label.short()},{o.steps_used},"
             f"{'true' if o.converged else 'false'}"
         )
     text = "\n".join(lines) + "\n"
@@ -342,18 +352,19 @@ def _sweep_axes(args, inst: Instance) -> tuple[tuple[str, tuple[float, ...]], ..
 
 
 def _cmd_sweep_sr(args, out, sidecar) -> list[str]:
-    unused = ("alpha_grid", "beta_grid") if args.solver == "tbm" else ("delta_grid", "xi0_grid")
-    for flag in unused:
-        if getattr(args, flag) is not None:
-            name = flag.replace("_", "-")
-            raise ValidationError(f"--{name} does not apply to --solver {args.solver}")
+    reads = _SOLVER_FLAGS[args.solver]
+    for name in ("alpha", "beta", "delta", "xi0"):
+        if getattr(args, name + "_grid") is not None and "--" + name not in reads:
+            raise ValidationError(f"--{name}-grid does not apply to --solver {args.solver}")
+    # the axes set alpha (its grid has a default), delta, xi0 and beta with --beta-grid
+    axes = ("alpha", "delta", "xi0") + (("beta",) if args.beta_grid is not None else ())
+    cfg = _solver_config(args, axes)
     inputs = []
     if args.small:
         inst = build_couplings(catalogue_pattern_set(args.small), label=f"small-{args.small}")
     else:
         inst = load_instance(args.instance)
         inputs.append(args.instance)
-    cfg = _solver_config(args)
     spec = bench.SweepSpec(
         instance=inst,
         solver=cfg,
@@ -434,6 +445,12 @@ def _cell(row: list[str], col: int, parse=_finite):
     return parse(row[col], f"CSV column {col + 1}")
 
 
+def _no_repeats(keys: list, what: str) -> None:
+    repeated = sorted(k for k, times in Counter(keys).items() if times > 1)
+    if repeated:
+        raise ValidationError(f"{what} repeat: {repeated}")
+
+
 def _render_heatmap(header: list[str], rows: list[list[str]]) -> str:
     if "sr" not in header:
         raise ValidationError("heatmap input needs an 'sr' column")
@@ -443,9 +460,12 @@ def _render_heatmap(header: list[str], rows: list[list[str]]) -> str:
         raise ValidationError("heatmap input needs one or two axis columns")
     if len(axis_names) == 1:
         xs = [_cell(r, 0) for r in rows]
+        _no_repeats(xs, f"{axis_names[0]} values")
         grid = [[_cell(r, sr_col) for r in rows]]
         return render.heatmap_svg(xs, [0.0], grid, axis_names[0], "", "success rate")
-    lookup = {(_cell(r, 0), _cell(r, 1)): _cell(r, sr_col) for r in rows}
+    points = [(_cell(r, 0), _cell(r, 1)) for r in rows]
+    _no_repeats(points, "grid points")
+    lookup = dict(zip(points, (_cell(r, sr_col) for r in rows)))
     ys = sorted({y for y, _ in lookup})
     xs = sorted({x for _, x in lookup})
     if len(lookup) != len(xs) * len(ys):
@@ -494,6 +514,7 @@ def _render_measure(header: list[str], rows: list[list[str]]) -> str:
             raise ValidationError("band counts of each row must sum to n_runs")
         ks.append(_cell(row, k_col, _int))
         shares.append([c / total for c in counts])
+    _no_repeats(ks, "K values")
     names = [b.split(":", 1)[1] for b in bands]
     return render.measure_svg(ks, names, shares, "planted-range band shares")
 
@@ -561,10 +582,10 @@ def _build_parser() -> argparse.ArgumentParser:
         for name in ("--alpha", "--beta", "--gamma", "--delta", "--xi0"):
             flag(p, name, _finite)
         flag(p, "--dt", _positive)
-        flag(p, "--steps", count, dest="max_steps")
-        flag(p, "--window", _window, dest="derivative_window")
+        flag(p, "--steps", count)
+        flag(p, "--window", _window)
         p.add_argument("--nonlinearity", choices=["tanh", "sign", "identity-clip"])
-        flag(p, "--amplitude", _positive, dest="init_amplitude")
+        flag(p, "--amplitude", _positive)
 
     p = sub.add_parser("solve", help="run one solver repeatedly on an instance")
     p.add_argument("--instance", required=True)

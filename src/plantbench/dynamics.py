@@ -105,17 +105,6 @@ class PumpRamp:
 
 
 @dataclass(frozen=True)
-class _DetuneSchedule:
-    """alpha(t) = delta * (delta - p(t)) for the bifurcation machine."""
-
-    delta: float
-    pump: Callable[[int], float]
-
-    def __call__(self, step: int) -> float:
-        return self.delta * (self.delta - self.pump(step))
-
-
-@dataclass(frozen=True)
 class TbmParams:
     """Bifurcation-machine knobs: detuning delta, coupling scale xi0.
 
@@ -154,8 +143,9 @@ class SolverConfig:
 class RunOutcome:
     """Result of one trajectory.
 
-    final_spins is sign(x) with sign(0) := +1.  label is attached when
-    the instance carries a pattern set, and is None for diverged runs.
+    final_spins is sign(x) with sign(0) := +1.  label is never None: a
+    diverged run is labelled diverged, and a run on an instance without
+    a pattern set and planted spectrum unlabelled.
     seed is the row's entry of the seeds given to run_batch, or None
     when none were given.
     """
@@ -165,7 +155,7 @@ class RunOutcome:
     steps_used: int
     converged: bool
     diverged: bool
-    label: "object | None"
+    label: energy_mod.OutcomeLabel
     seed: int | None
 
 
@@ -409,22 +399,13 @@ def _compact(work: np.ndarray, keep: np.ndarray, *state: np.ndarray) -> np.ndarr
 # as the plain expressions in the comments, so the bits are the same.
 
 
-def _first_order(
-    j: np.ndarray,
-    x0: np.ndarray,
-    alpha: Schedule,
-    beta: Schedule,
-    phi: Callable,
-    dt: float,
-    max_steps: int,
-    steady_tol: float,
-    record: list | None = None,
-):
-    rows = _Rows(x0, max_steps, steady_tol * dt, record)
+def _first_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list | None):
+    alpha, beta, dt, phi = cfg.alpha, cfg.beta, cfg.dt, _phi(cfg.nonlinearity)
+    rows = _Rows(x0, cfg.max_steps, cfg.steady_tol * dt, record)
     # f holds phi(x), then a * x, then the divergence scratch
     work = rows.work(3)
     x, f, dx = work
-    for step in range(max_steps):
+    for step in range(cfg.max_steps):
         if not len(x):
             break
         a = _value(alpha, step)
@@ -443,29 +424,19 @@ def _first_order(
     return rows.result(x)
 
 
-def _second_order(
-    j: np.ndarray,
-    x0: np.ndarray,
-    alpha: Schedule,
-    beta: Schedule,
-    gamma: Schedule,
-    phi: Callable,
-    dt: float,
-    max_steps: int,
-    steady_tol: float,
-    window: float,
-    record: list | None = None,
-):
+def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list | None):
+    alpha, beta, gamma, dt = cfg.alpha, cfg.beta, cfg.gamma, cfg.dt
+    phi, window = _phi(cfg.nonlinearity), cfg.derivative_window
     if not window > 0:
         raise ValidationError("derivative window must be positive")
-    rows = _Rows(x0, max_steps, steady_tol * dt, record)
+    rows = _Rows(x0, cfg.max_steps, cfg.steady_tol * dt, record)
     # x and x_new swap every step; v starts at zero; f holds phi(x), then
     # a * x, then |x_new|, then the divergence scratch
     work = rows.work(6)
     work[1] = 0.0
     x, v, x_new, f, acc, t = work
     over = np.empty(x.shape, dtype=bool)
-    for step in range(max_steps):
+    for step in range(cfg.max_steps):
         if not len(x):
             break
         a = _value(alpha, step)
@@ -504,15 +475,15 @@ def _tbm_mapped(cfg: SolverConfig) -> SolverConfig:
     """Rewrite a TBM config as the equivalent class-III config."""
     if cfg.tbm is None:
         raise ValidationError("TBM runs need cfg.tbm parameters")
-    params = cfg.tbm
+    delta, pump = cfg.tbm.delta, PumpRamp(cfg.max_steps)
     # The pump keeps the coefficients time dependent for the whole
     # schedule, so the machine integrates a fixed step count instead of
     # stopping at an intermediate wall-pinned state.
     return replace(
         cfg,
         kind="III",
-        alpha=_DetuneSchedule(params.delta, PumpRamp(cfg.max_steps)),
-        beta=params.delta * params.xi0,
+        alpha=lambda step: delta * (delta - pump(step)),
+        beta=delta * cfg.tbm.xi0,
         gamma=0.0,
         nonlinearity="sign",
         steady_tol=0.0,
@@ -528,19 +499,12 @@ def _integrate_block(
     x0: np.ndarray,
     record: list | None = None,
 ):
-    if cfg.kind == "TBM":
-        cfg = _tbm_mapped(cfg)
-    phi = _phi(cfg.nonlinearity)
     if cfg.kind in ("I", "II"):
-        return _first_order(
-            inst.coupling, x0, cfg.alpha, cfg.beta, phi,
-            cfg.dt, cfg.max_steps, cfg.steady_tol, record,
-        )
+        return _first_order(inst.coupling, x0, cfg, record)
     if cfg.kind == "III":
-        return _second_order(
-            inst.coupling, x0, cfg.alpha, cfg.beta, cfg.gamma, phi,
-            cfg.dt, cfg.max_steps, cfg.steady_tol, cfg.derivative_window, record,
-        )
+        return _second_order(inst.coupling, x0, cfg, record)
+    if cfg.kind == "TBM":
+        return _second_order(inst.coupling, x0, _tbm_mapped(cfg), record)
     raise ValidationError(f"unknown solver kind {cfg.kind!r}")
 
 
@@ -583,8 +547,11 @@ def run_batch(
     columns = zip(spins, energies.tolist(), steps.tolist(), status.tolist(), seed_column)
     for row_spins, energy, steps_used, code, seed in columns:
         diverged = code == DIVERGED
-        label = None
-        if classifier is not None and not diverged:
+        if diverged:
+            label = energy_mod._DIVERGED
+        elif classifier is None:
+            label = energy_mod._UNLABELLED
+        else:
             label = classifier.classify(row_spins, energy)
         outcomes.append(
             RunOutcome(

@@ -169,10 +169,11 @@ def planted_spectrum(ps: PatternSet, inst: Instance, method: str = "auto") -> Pl
 class OutcomeLabel:
     """Structural label of a solver outcome.
 
-    category is one of planted, mirror, mixed, spurious, below, above;
-    below/above apply only when no structural match exists and the
-    energy leaves the planted range.  pattern is 1-based and set for
-    planted and mirror labels; signature is set for mixed ones.
+    category is one of planted, mirror, mixed, spurious, below, above,
+    diverged, unlabelled; below/above apply only when no structural
+    match exists and the energy leaves the planted range.  pattern is
+    1-based and set for planted and mirror labels; signature is set for
+    mixed ones.
     """
 
     category: str
@@ -193,6 +194,8 @@ class OutcomeLabel:
 _BELOW = OutcomeLabel("below")
 _ABOVE = OutcomeLabel("above")
 _SPURIOUS = OutcomeLabel("spurious")
+_DIVERGED = OutcomeLabel("diverged")
+_UNLABELLED = OutcomeLabel("unlabelled")
 
 
 def _planted_range(spectrum: PlantedSpectrum) -> tuple[float, float]:

@@ -579,8 +579,8 @@ def load_instance(path: str | os.PathLike) -> Instance:
     Structural invariants (exact coupling symmetry, zero diagonal,
     declared sizes, finite numbers, +-1 pattern entries, a weights line
     whenever k is declared) are validated; violations, unparsable values
-    and unknown keys raise ValidationError.  The retired keys seed, w0
-    and dw are skipped, so files written before they were dropped load.
+    and unknown or repeated keys raise ValidationError.  The retired
+    keys seed, w0 and dw are skipped, so older files holding them load.
     """
     fields: dict[str, str] = {}
     pattern_rows: list[list[int]] = []
@@ -605,6 +605,8 @@ def load_instance(path: str | os.PathLike) -> Instance:
         elif key == "coupling":
             in_coupling = True
         elif key in _FIELD_KEYS:
+            if key in fields:
+                raise ValidationError(f"key {key!r} repeated in instance file")
             fields[key] = value
         elif key not in _RETIRED_KEYS:
             raise ValidationError(f"unknown key {key!r} in instance file")

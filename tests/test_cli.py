@@ -201,20 +201,56 @@ def test_unwritable_second_output_exits_3_before_any_work(tmp_path, capsys, traj
     assert sorted(p.name for p in tmp_path.iterdir()) == [blocked]
 
 
-# grid flags of the other solver family used to be ignored with exit 0
+# grid and scalar flags of values the solver does not read, or that an
+# axis sets, used to be ignored with exit 0
 @pytest.mark.parametrize("solver, flag", [
     ("class1", "--delta-grid"), ("class3", "--xi0-grid"),
     ("tbm", "--alpha-grid"), ("tbm", "--beta-grid"),
+    ("class1", "--window"), ("class1", "--gamma"), ("class1", "--alpha"),
+    ("class1", "--delta"), ("class1", "--beta"),
+    ("tbm", "--alpha"), ("tbm", "--beta"), ("tbm", "--gamma"), ("tbm", "--nonlinearity"),
+    ("tbm", "--delta"), ("tbm", "--xi0"),
 ])
 def test_sweep_sr_grid_flag_unused_by_solver_exits_3(tmp_path, capsys, trajectories,
                                                      solver, flag):
-    tbm_grids = ["--delta-grid", "1", "--xi0-grid", "0.1"] if solver == "tbm" else []
-    argv = ["sweep-sr", "--small", "c", "--solver", solver, *tbm_grids, flag, "1",
+    # tbm needs both of its grids; class1 reads --beta until --beta-grid sets it
+    grids = (["--delta-grid", "1", "--xi0-grid", "0.1"] if solver == "tbm"
+             else ["--beta-grid", "1"] if flag == "--beta" else [])
+    value = "tanh" if flag == "--nonlinearity" else "1"
+    argv = ["sweep-sr", "--small", "c", "--solver", solver, *grids, flag, value,
             "--runs", "5", "--threads", "1", "--out", str(tmp_path / "x.csv")]
     assert run_cli(argv) == 3
     assert f"{flag} does not apply to --solver {solver}" in _error_line(capsys)
     assert trajectories == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("solver, flag", [
+    ("tbm", "--alpha"), ("class1", "--delta"), ("class1", "--window"), ("class3", "--delta"),
+])
+def test_solve_flag_unused_by_solver_exits_3(tmp_path, small_c, capsys, trajectories,
+                                             solver, flag):
+    out = tmp_path / "r.csv"
+    assert run_cli(["solve", "--instance", str(small_c), "--solver", solver, flag, "1",
+                    "--runs", "2", "--out", str(out)]) == 3
+    assert f"{flag} does not apply to --solver {solver}" in _error_line(capsys)
+    assert trajectories == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "c.txt.manifest.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-sr", "--small", "c", "--solver", "class3", "--alpha-grid", "3",
+     "--gamma", "-0.5", "--window", "2", "--threads", "1"],
+    ["sweep-sr", "--small", "c", "--solver", "tbm", "--delta-grid", "4.6", "--xi0-grid", "0.64",
+     "--window", "2", "--steps", "50", "--threads", "1"],
+    ["solve", "--instance", "{c}", "--solver", "tbm", "--delta", "4.6", "--xi0", "0.64"],
+], ids=["class3-gamma-window", "tbm-window-steps", "solve-tbm-delta-xi0"])
+def test_solver_flags_the_solver_reads_run(tmp_path, small_c, capsys, trajectories, argv):
+    out = tmp_path / "x.csv"
+    argv = [a.format(c=small_c) for a in argv]
+    assert run_cli(argv + ["--runs", "3", "--out", str(out)]) == 0
+    assert trajectories == [3]
+    assert out.exists()
 
 
 def test_solve_unwritable_out_runs_nothing(tmp_path, small_c, capsys, trajectories):
@@ -371,9 +407,11 @@ def test_grid_span_overflow_exits_3_without_warnings(capsys, tmp_path):
     ],
 )
 def test_solver_flags_are_validated(capsys, tmp_path, flag, value, code):
-    # bad values used to run and report every trajectory as diverged
+    # bad values used to run and report every trajectory as diverged;
+    # class1 reads no --window, so the accepted infinite window runs class3
     csv = tmp_path / "x.csv"
-    assert run_cli(["sweep-sr", "--small", "c", "--solver", "class1",
+    solver = "class3" if code == 0 else "class1"
+    assert run_cli(["sweep-sr", "--small", "c", "--solver", solver,
                     "--alpha-grid", "3", "--runs", "20", f"{flag}={value}",
                     "--out", str(csv)]) == code
     if code:
@@ -629,6 +667,23 @@ def test_report_malformed_cells_exit_3(tmp_path, capsys, kind, text):
                     "--out", str(out)]) == 3
     assert not out.exists()
     assert "CSV" in capsys.readouterr().err
+
+
+# a repeated grid point used to keep its last sr, and a repeated x or K
+# to draw two cells or columns
+@pytest.mark.parametrize("kind, text, message", [
+    ("heatmap", "delta,xi0,sr\n1,1,0.5\n1,2,0.6\n1,1,0.9\n",
+     "grid points repeat: [(1.0, 1.0)]"),
+    ("heatmap", "alpha,sr\n1,0.5\n2,0.6\n1,0.9\n", "alpha values repeat: [1.0]"),
+    ("measure", "k,n_runs,band:1\n40,3,3\n41,3,3\n40,3,3\n", "K values repeat: [40]"),
+], ids=["heatmap-point", "heatmap-x", "measure-k"])
+def test_report_repeated_key_row_exits_3(tmp_path, capsys, kind, text, message):
+    src = tmp_path / "rep.csv"
+    src.write_text(text)
+    out = tmp_path / "x.svg"
+    assert run_cli(["report", "--in", str(src), "--kind", kind, "--out", str(out)]) == 3
+    assert message in _error_line(capsys)
+    assert not out.exists()
 
 
 def test_report_wrong_schema_exits_3(tmp_path, capsys):

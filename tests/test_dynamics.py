@@ -512,7 +512,7 @@ def test_divergence_raises_in_run_and_flags_in_batch(inst_c):
         run(inst_c, cfg, x0)
     out = run_batch(inst_c, cfg, x0[None, :])[0]
     assert out.diverged and not out.converged
-    assert out.label is None
+    assert out.label.category == "diverged"
 
 
 
@@ -526,7 +526,7 @@ def test_non_finite_state_counts_as_diverged(inst_c):
     out = run_batch(inst_c, cfg, start_block(8, 3))
     for row in out:
         assert row.diverged and not row.converged
-        assert row.label is None
+        assert row.label.category == "diverged"
         assert row.steps_used == 4
 
 def test_outcomes_carry_labels_on_planted_instances(inst_c):

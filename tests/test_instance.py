@@ -375,9 +375,12 @@ def _replace_line(prefix, new):
         (lambda lines: lines.pop(_first(lines, "weights:")), "declares k but no weights"),
         # a misspelt key used to be dropped: an empty label, or no coarse-graining
         (_replace_line("label:", "lable: small-c"), "unknown key 'lable'"),
+        # a second label used to replace the first with exit 0
+        (lambda lines: lines.insert(_first(lines, "label:") + 1, "label: second"),
+         "key 'label' repeated"),
     ],
     ids=["n", "pattern-token", "pattern-overflow", "coupling-token", "coupling-ragged",
-         "coupling-nan", "weights-missing", "unknown-key"],
+         "coupling-nan", "weights-missing", "unknown-key", "repeated-key"],
 )
 def test_load_instance_rejects_malformed_values(tmp_path, edit, message):
     # these used to escape as ValueError/OverflowError, and NaN as "not symmetric"
