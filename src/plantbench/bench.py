@@ -12,14 +12,15 @@ derive_seeds hashes a point's "{base_seed}:{point_index}:" prefix once
 and copies that hash state for each run index, and
 dynamics.initial_states draws the point's whole (runs, n) block of
 initial states, each row the same bits as
-random_initial(n, amplitude, seed).  A run counts as a hit when its
-final spins match the ground state or its mirror exactly; the ground
-state comes from the brute-force oracle for n <= 24 and from the
-largest-weight planted pattern above that.
+random_initial(n, amplitude, seed).  A run is a hit when its final
+energy is the ground energy to energy's 1e-9 relative tolerance, so
+mirrors (E(x) = E(-x)) and every state of a degenerate ground count.
+The ground energy is the brute-force minimum for n <=
+oracle.BRUTE_FORCE_LIMIT and the lowest planted energy above that,
+where a run ending below the planted range is below, not a hit.
 
-Per point the sweep also tallies outcome-label categories (planted,
-mirror, mixed, spurious, below, above, plus diverged and unlabelled)
-and the nested fraction-band counts of the planted energy range.  CSV
+Per point the sweep also tallies the energy.LABEL_CATEGORIES counts
+and the energy.BAND_KEYS counts of the planted energy range.  CSV
 emission uses one row per grid point with a fixed column schema:
 
     <axis names...>, sr, n_runs, hits, diverged,
@@ -70,7 +71,6 @@ from .textio import _write_csv, _write_text
 
 __all__ = [
     "LOG_SHIFT",
-    "LABEL_CATEGORIES",
     "SweepSpec",
     "PointResult",
     "SweepResult",
@@ -94,17 +94,6 @@ __all__ = [
 ]
 
 HIST_BINS = 60
-
-LABEL_CATEGORIES = (
-    "planted",
-    "mirror",
-    "mixed",
-    "spurious",
-    "below",
-    "above",
-    "diverged",
-    "unlabelled",
-)
 
 InstanceSource = Union[Instance, Callable[[float], Instance]]
 
@@ -157,10 +146,10 @@ class SweepSpec:
     pools).  axes holds one or two (name, values) pairs; grid points
     enumerate the cartesian product in row-major order.  Solver axis
     names: alpha, beta, delta, xi0 (the last two address the
-    bifurcation-machine parameters).  Hits count against the brute-force
-    ground state up to oracle.BRUTE_FORCE_LIMIT spins and against the
-    heaviest planted pattern beyond.  Band counts use
-    energy.DEFAULT_FRACTIONS.
+    bifurcation-machine parameters).  A hit is a run that ends at the
+    ground energy (see the module docstring): mirrors and degenerate
+    ground states count, runs below the planted range do not.  Band
+    counts use energy.DEFAULT_FRACTIONS.
     """
 
     instance: InstanceSource
@@ -222,22 +211,22 @@ class SweepSpec:
 class PointResult:
     """Aggregate of one grid point."""
 
-    index: int
     coords: tuple[tuple[str, float], ...]
     n_runs: int
     hits: int
-    sr: float
     label_counts: tuple[tuple[str, int], ...]
     measure_counts: tuple[tuple[str, int], ...]
-    diverged: int
+
+    @property
+    def sr(self) -> float:
+        return self.hits / self.n_runs
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered grid-point aggregates of a spec, with the spec's hash."""
+    """Ordered grid-point aggregates of a spec."""
 
     spec: SweepSpec
-    spec_hash: str
     points: tuple[PointResult, ...]
 
     @property
@@ -341,52 +330,41 @@ def _apply_solver_param(cfg: SolverConfig, name: str, value: float) -> SolverCon
     )
 
 
-def _ground_state(inst: Instance) -> np.ndarray:
-    """Brute-force ground state up to the oracle's limit, heaviest pattern beyond."""
+def _ground_energy(inst: Instance) -> float:
+    """Brute-force ground energy up to the oracle's limit, lowest planted energy beyond."""
     if inst.n <= oracle_mod.BRUTE_FORCE_LIMIT:
-        return oracle_mod.brute_force(inst).ground_state
-    ps = inst.pattern_set
-    if ps is None:
+        return oracle_mod.brute_force(inst).ground_energy
+    if inst.spectrum is None:
         raise ValidationError("a ground state beyond brute force needs a planted instance")
-    heaviest = int(np.argmax(ps.weights))
-    return ps.patterns[heaviest].copy()
-
-
-def _measure_counts(spectrum, energies: np.ndarray) -> dict[str, int]:
-    """Band counts of energies; all zero without a planted spectrum."""
-    if spectrum is not None:
-        return energy_mod.measure_bins(spectrum, energies)
-    labels = [energy_mod.band_label(f) for f in energy_mod.DEFAULT_FRACTIONS]
-    return dict.fromkeys(labels + ["below", "above"], 0)
+    return inst.spectrum.e_min
 
 
 def _run_point(
-    inst: Instance,
-    cfg: SolverConfig,
-    seeds: np.ndarray,
-    ground: np.ndarray | None = None,
-) -> tuple[dict[str, int], np.ndarray, int]:
+    inst: Instance, cfg: SolverConfig, seeds: np.ndarray, ground: float | None
+) -> tuple[dict[str, int], dict[str, int], np.ndarray, int]:
     """Integrate one run per seed and tally the outcomes.
 
-    Returns the LABEL_CATEGORIES counts, the final energies of the runs
-    that did not diverge, and how many of those ended on ground or its
-    mirror (0 when ground is None).
+    Returns the energy.LABEL_CATEGORIES counts, the energy.BAND_KEYS
+    counts (all zero without a planted spectrum), the final energies of
+    the runs that did not diverge, and how many of those ended at the
+    ground energy (0 when ground is None).
     """
     x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
-    counts = dict.fromkeys(LABEL_CATEGORIES, 0)
+    counts = dict.fromkeys(energy_mod.LABEL_CATEGORIES, 0)
     kept: list[float] = []
-    hits = 0
-    # final_spins are int8 rows, so equal bytes mean equal spins
-    targets = set()
-    if ground is not None:
-        ground = np.asarray(ground, dtype=np.int8)
-        targets = {ground.tobytes(), (-ground).tobytes()}
     for out in run_batch(inst, cfg, x0, seeds=seeds):
         counts[out.label.category] += 1
         if not out.diverged:
             kept.append(out.final_energy)
-            hits += out.final_spins.tobytes() in targets
-    return counts, np.array(kept), hits
+    e = np.array(kept)
+    if inst.spectrum is None:
+        bands = dict.fromkeys(energy_mod.BAND_KEYS, 0)
+    else:
+        bands = energy_mod.measure_bins(inst.spectrum, e)
+    hits = 0
+    if ground is not None:
+        hits = int(np.count_nonzero(np.abs(e - ground) <= energy_mod._tolerance(ground)))
+    return counts, bands, e, hits
 
 
 def _eval_point(spec: SweepSpec, index: int) -> PointResult:
@@ -401,16 +379,13 @@ def _eval_point(spec: SweepSpec, index: int) -> PointResult:
     for name, value in solver_axes:
         cfg = _apply_solver_param(cfg, name, value)
     seeds = derive_seeds(spec.base_seed, index, count=spec.runs_per_point)
-    counts, kept, hits = _run_point(inst, cfg, seeds, _ground_state(inst))
+    counts, bands, _, hits = _run_point(inst, cfg, seeds, _ground_energy(inst))
     return PointResult(
-        index=index,
         coords=coords,
         n_runs=spec.runs_per_point,
         hits=hits,
-        sr=hits / spec.runs_per_point,
         label_counts=tuple(counts.items()),
-        measure_counts=tuple(_measure_counts(inst.spectrum, kept).items()),
-        diverged=counts["diverged"],
+        measure_counts=tuple(bands.items()),
     )
 
 
@@ -437,7 +412,7 @@ def sweep_sr(spec: SweepSpec, threads: int = 1) -> SweepResult:
     wall time, never results (points are reduced in index order).
     """
     points = _map_in_order(partial(_eval_point, spec), range(spec.n_points), threads)
-    return SweepResult(spec=spec, spec_hash=spec.spec_hash(), points=tuple(points))
+    return SweepResult(spec=spec, points=tuple(points))
 
 
 SCAN_FACTORIES = {
@@ -554,7 +529,7 @@ def _eval_k(n: int, k: int, runs: int, base_seed: int, dw: float) -> KSweepEntry
     cfg = SolverConfig(
         kind="I", alpha=alpha, beta=1.0, dt=dt, max_steps=2000 if n >= 1024 else 1000
     )
-    counts, e, _ = _run_point(inst, cfg, derive_seeds(base_seed, k, count=runs))
+    counts, bands, e, _ = _run_point(inst, cfg, derive_seeds(base_seed, k, count=runs), None)
     if e.size == 0:
         raise ValidationError(
             f"K={k}: all {counts['diverged']} runs diverged, no energies to aggregate"
@@ -573,7 +548,7 @@ def _eval_k(n: int, k: int, runs: int, base_seed: int, dw: float) -> KSweepEntry
         mean_energy=float(e.mean()),
         n_runs=runs,
         label_counts=tuple(counts.items()),
-        measure_counts=tuple(_measure_counts(inst.spectrum, e).items()),
+        measure_counts=tuple(bands.items()),
         hist=hist,
     )
 
@@ -624,17 +599,17 @@ def sweep_k(
 
 
 def _count_columns(label_counts, measure_counts) -> dict[str, int]:
-    labels = dict(label_counts)
-    return {f"label:{c}": labels.get(c, 0) for c in LABEL_CATEGORIES} | {
-        f"band:{key}": v for key, v in measure_counts
-    }
+    # label_counts holds every energy.LABEL_CATEGORIES entry, in order
+    return ({f"label:{c}": v for c, v in label_counts}
+            | {f"band:{key}": v for key, v in measure_counts})
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One row per grid point; schema documented in the module docstring."""
     _write_csv(path, [
         {**dict(p.coords), "sr": p.sr, "n_runs": p.n_runs, "hits": p.hits,
-         "diverged": p.diverged, **_count_columns(p.label_counts, p.measure_counts)}
+         "diverged": dict(p.label_counts)["diverged"],
+         **_count_columns(p.label_counts, p.measure_counts)}
         for p in result.points
     ])
 
@@ -676,7 +651,7 @@ def write_sidecar(result: SweepResult, path) -> None:
     lines = [
         "format: plantbench-sweep-meta 1",
         f"tool_version: {__version__}",
-        f"spec_hash: {result.spec_hash}",
+        f"spec_hash: {spec.spec_hash()}",
         f"instance: {label}",
         f"solver: {spec.solver!r}",
         f"base_seed: {spec.base_seed}",

@@ -20,7 +20,8 @@ Each numeric, grid and K-list flag is parsed and range-checked once, by
 its argparse type, so a bad value fails before any output check or
 work.  A solver flag left out keeps the default of SolverConfig or
 TbmParams, and one that --solver does not read (_SOLVER_FLAGS), or
-whose value a sweep axis sets, fails.
+whose value a sweep axis sets, fails; so does a sweep-k K-range flag
+next to --k-list.
 
 Exit codes: 0 success, 2 usage error (unknown or missing flag, invalid
 choice, sweep-sr without exactly one of --instance and --small), 3
@@ -317,7 +318,8 @@ def _cmd_solve(args, out=None) -> list[str]:
 def _cmd_oracle(args, out=None) -> list[str]:
     inst = load_instance(args.instance)
     lines = [f"instance: {inst.label} n={inst.n}"]
-    if inst.n <= oracle_mod.BRUTE_FORCE_LIMIT:
+    # brute_force rejects a full spectrum beyond its cap, whatever n is
+    if inst.n <= oracle_mod.BRUTE_FORCE_LIMIT or args.full_spectrum:
         report = oracle_mod.brute_force(inst, full_spectrum=args.full_spectrum)
         lines.append(f"ground_energy: {report.ground_energy!r}")
         lines.append(f"ground_state: {_spins_text(report.ground_state)}")
@@ -389,7 +391,7 @@ _SCAN_DEFAULT_VALUES = {
 
 
 def _cmd_scan(args, out, sidecar) -> list[str]:
-    ident = args.id or ("f" if args.kind == "p" else "c")
+    ident = args.id if args.id is not None else ("f" if args.kind == "p" else "c")
     factory = bench.SCAN_FACTORIES[args.kind](ident)
     values = args.values
     if values is None:
@@ -413,9 +415,15 @@ def _cmd_scan(args, out, sidecar) -> list[str]:
 
 def _cmd_sweep_k(args, out, hist_path) -> list[str]:
     ks = args.k_list
-    if ks is None:
-        k_max = args.k_max if args.k_max is not None else args.n
-        ks = list(range(args.k_min, k_max + 1, args.k_step))
+    if ks is not None:
+        for name in ("--k-min", "--k-max", "--k-step"):
+            if getattr(args, name[2:].replace("-", "_")) is not None:
+                raise ValidationError(f"{name} does not apply with --k-list")
+    else:
+        k_min = 1 if args.k_min is None else args.k_min
+        k_max = args.n if args.k_max is None else args.k_max
+        k_step = 1 if args.k_step is None else args.k_step
+        ks = list(range(k_min, k_max + 1, k_step))
     entries = bench.sweep_k(
         args.n,
         ks,
@@ -617,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="complexity-transition scan")
     p.add_argument("--kind", required=True, choices=list(_SCAN_DEFAULT_VALUES))
-    p.add_argument("--id", default=None, type=_catalogue_id)
+    p.add_argument("--id", type=_catalogue_id, choices=sorted(CATALOGUE))
     flag(p, "--values", _parse_grid)
     flag(p, "--alpha-grid", _parse_grid)
     flag(p, "--runs", count, default=200)
@@ -628,9 +636,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-k", help="per-K statistics at alpha = lambda/2")
     flag(p, "--n", _int, required=True)
-    flag(p, "--k-min", _int, default=1)
+    # --k-min 1, --k-max n and --k-step 1 when left out; none applies with --k-list
+    flag(p, "--k-min", _int)
     flag(p, "--k-max", _int)
-    flag(p, "--k-step", count, default=1)
+    flag(p, "--k-step", count)
     flag(p, "--k-list", _k_list)
     flag(p, "--runs", count)
     flag(p, "--dw", _finite, default=0.001)

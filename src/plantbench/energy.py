@@ -23,6 +23,11 @@ pattern and its mixture signature, nothing more.  Relative positions
 inside the range are summarised by nested fraction bands of the
 planted span, closed at the range edges with a 1e-9 relative
 tolerance.
+
+This module owns what a sweep tallies: the LABEL_CATEGORIES of
+OutcomeLabel and the BAND_KEYS of measure_bins.  Its 1e-9 relative
+tolerance (_tolerance) closes the planted range and decides when bench
+counts a final energy as the ground energy, a hit.
 """
 
 from __future__ import annotations
@@ -39,9 +44,11 @@ from .instance import Instance, PatternSet, _readonly, make_pattern_set
 
 __all__ = [
     "PlantedSpectrum",
+    "LABEL_CATEGORIES",
     "OutcomeLabel",
     "OutcomeClassifier",
     "DEFAULT_FRACTIONS",
+    "BAND_KEYS",
     "DEFAULT_MIXED_CAP",
     "qubo_energy",
     "qubo_energy_many",
@@ -59,6 +66,11 @@ DEFAULT_FRACTIONS: tuple[float, ...] = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0)
 DEFAULT_MIXED_CAP = 20000
 
 _REL_TOL = 1e-9
+
+
+def _tolerance(*energies: float) -> float:
+    """The 1e-9 relative tolerance at the scale of energies, at least 1e-9."""
+    return _REL_TOL * max(1.0, *(abs(e) for e in energies))
 
 
 def _coupling_of(inst: "Instance | np.ndarray") -> np.ndarray:
@@ -165,15 +177,19 @@ def planted_spectrum(ps: PatternSet, inst: Instance, method: str = "auto") -> Pl
     )
 
 
+# every OutcomeLabel category, in the column order of the sweep tables
+LABEL_CATEGORIES = ("planted", "mirror", "mixed", "spurious", "below", "above",
+                    "diverged", "unlabelled")
+
+
 @dataclass(frozen=True)
 class OutcomeLabel:
     """Structural label of a solver outcome.
 
-    category is one of planted, mirror, mixed, spurious, below, above,
-    diverged, unlabelled; below/above apply only when no structural
-    match exists and the energy leaves the planted range.  pattern is
-    1-based and set for planted and mirror labels; signature is set for
-    mixed ones.
+    category is one of LABEL_CATEGORIES; below/above apply only when
+    no structural match exists and the energy leaves the planted range.
+    pattern is 1-based and set for planted and mirror labels; signature
+    is set for mixed ones.
     """
 
     category: str
@@ -200,7 +216,7 @@ _UNLABELLED = OutcomeLabel("unlabelled")
 
 def _planted_range(spectrum: PlantedSpectrum) -> tuple[float, float]:
     """The planted range widened by the 1e-9 relative edge tolerance."""
-    tol = _REL_TOL * max(1.0, abs(spectrum.e_min), abs(spectrum.e_max))
+    tol = _tolerance(spectrum.e_min, spectrum.e_max)
     return spectrum.e_min - tol, spectrum.e_max + tol
 
 
@@ -262,6 +278,10 @@ def band_label(fraction: float) -> str:
     return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
 
 
+# the keys of measure_bins, in column order: one band per fraction, then out of range
+BAND_KEYS = tuple(band_label(f) for f in DEFAULT_FRACTIONS) + ("below", "above")
+
+
 def measure_bins(spectrum: PlantedSpectrum, energies: np.ndarray) -> dict[str, int]:
     """Count energies in the nested DEFAULT_FRACTIONS bands of the planted range.
 
@@ -270,29 +290,25 @@ def measure_bins(spectrum: PlantedSpectrum, energies: np.ndarray) -> dict[str, i
     Energies within a 1e-9 relative tolerance of either range edge
     count as inside (first or final band), so a planted hit whose
     recomputed energy drifts an ulp never leaks into below/above.
-    Keys are band_label(f) plus "below" and "above".  A zero span (a
-    single planted level) puts every energy within that tolerance of
-    the level in the full band "1".
+    Keys are BAND_KEYS: band_label(f) per fraction, then "below" and
+    "above".  A zero span (a single planted level) puts every energy
+    within that tolerance of the level in the full band "1".
     """
-    span = spectrum.e_max - spectrum.e_min
+    span = spectrum.span
     e = np.asarray(energies, dtype=np.float64)
     lo, hi = _planted_range(spectrum)
     thresholds = spectrum.e_min + span * np.array(DEFAULT_FRACTIONS)
     thresholds[-1] = spectrum.e_max
-    labels = [band_label(f) for f in DEFAULT_FRACTIONS]
-    counts = dict.fromkeys(labels + ["below", "above"], 0)
+    bands = len(DEFAULT_FRACTIONS)
     below = e < lo
     above = e > hi
-    counts["below"] = int(below.sum())
-    counts["above"] = int(above.sum())
     inside = e[~below & ~above]
     if span > 0:
-        idx = np.minimum(np.searchsorted(thresholds, inside, side="right"), len(labels) - 1)
+        idx = np.minimum(np.searchsorted(thresholds, inside, side="right"), bands - 1)
     else:
-        idx = np.full(inside.shape, len(labels) - 1)
-    for i, lab in enumerate(labels):
-        counts[lab] = int((idx == i).sum())
-    return counts
+        idx = np.full(inside.shape, bands - 1)
+    counts = np.bincount(idx, minlength=bands).tolist()
+    return dict(zip(BAND_KEYS, counts + [int(below.sum()), int(above.sum())]))
 
 
 def gauge_transform(inst: Instance, flips) -> Instance:

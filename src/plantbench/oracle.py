@@ -61,12 +61,12 @@ def brute_force(inst: "Instance | np.ndarray", full_spectrum: bool = False) -> S
     """
     j = _coupling_of(inst)
     n = j.shape[0]
-    if n > BRUTE_FORCE_LIMIT:
-        raise CapacityError(f"brute force is capped at n = {BRUTE_FORCE_LIMIT}, got {n}")
     if full_spectrum and n > FULL_SPECTRUM_LIMIT:
         raise CapacityError(
             f"full spectrum is capped at n = {FULL_SPECTRUM_LIMIT}, got {n}"
         )
+    if n > BRUTE_FORCE_LIMIT:
+        raise CapacityError(f"brute force is capped at n = {BRUTE_FORCE_LIMIT}, got {n}")
     total = 1 << (n - 1)
     chunk = min(total, 1 << _CHUNK_BITS)
     shifts = np.arange(n - 1, dtype=np.uint32)

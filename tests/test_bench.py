@@ -13,6 +13,7 @@ from plantbench import (
     brute_force,
     build_couplings,
     catalogue_pattern_set,
+    coarse_grain,
     default_alpha_grid,
     derive_seed,
     derive_seeds,
@@ -143,7 +144,7 @@ def test_sweep_point_invariants(inst_a):
         labels = dict(point.label_counts)
         assert sum(labels.values()) == 50
         bands = dict(point.measure_counts)
-        assert sum(bands.values()) == 50 - point.diverged
+        assert sum(bands.values()) == 50 - labels["diverged"]
 
 
 def test_sweep_easy_instance_has_plateau(inst_a):
@@ -155,7 +156,7 @@ def test_sweep_thread_count_does_not_change_results(inst_a):
     spec = small_sweep(inst_a, runs=30)
     serial = sweep_sr(spec, threads=1)
     parallel = sweep_sr(spec, threads=3)
-    assert serial.spec_hash == parallel.spec_hash
+    assert serial.spec.spec_hash() == parallel.spec.spec_hash()
     for a, b in zip(serial.points, parallel.points):
         assert a == b
 
@@ -169,39 +170,56 @@ def test_sweep_two_axes_shape(inst_a):
     )
     result = sweep_sr(spec)
     assert result.sr_grid.shape == (2, 3)
-    assert [p.index for p in result.points] == list(range(6))
+    assert [p.coords for p in result.points] == [spec.point_coords(i) for i in range(6)]
 
 
-def test_hits_count_ground_and_mirror_for_any_ground_dtype(inst_a):
+def test_hits_count_runs_ending_at_the_ground_energy(inst_a):
     cfg = SolverConfig(kind="I", alpha=3.0, max_steps=400)
     seeds = np.arange(80, dtype=np.int64)
-    ground = brute_force(inst_a).ground_state
+    report = brute_force(inst_a)
+    ground = report.ground_state
     x0 = np.vstack([random_initial(8, cfg.init_amplitude, int(s)) for s in seeds])
     spins = [o.final_spins for o in run_batch(inst_a, cfg, x0, seeds=seeds)]
     plain = sum(np.array_equal(s, ground) for s in spins)
     mirror = sum(np.array_equal(s, -ground) for s in spins)
-    assert plain > 0 and mirror > 0
-    for g in (ground, ground.astype(np.int64), ground.astype(np.float64)):
-        assert bench._run_point(inst_a, cfg, seeds, g)[2] == plain + mirror
-    assert bench._run_point(inst_a, cfg, seeds)[2] == 0
+    # (a) has one ground state, so the ground energy is hit by it and its mirror only
+    assert report.degeneracy == 1 and plain > 0 and mirror > 0
+    assert bench._run_point(inst_a, cfg, seeds, report.ground_energy)[3] == plain + mirror
+    assert bench._run_point(inst_a, cfg, seeds, None)[3] == 0
 
 
-def test_ground_state_brute_force_then_heaviest_pattern(inst_a, monkeypatch):
+def test_hits_count_every_state_of_a_degenerate_ground():
+    # a flat ladder makes each of its three planted patterns a ground
+    # state; matching one chosen state used to count about a third of them
+    flat = build_couplings(generate_orthogonal_patterns(16, 3, seed=0, dw=0.0))
+    assert brute_force(flat).degeneracy == 3
+    spec = SweepSpec(instance=flat, solver=SolverConfig(kind="I"),
+                     axes=(("alpha", (4.0,)),), runs_per_point=60)
+    point = sweep_sr(spec).points[0]
+    labels = dict(point.label_counts)
+    assert point.hits == labels["planted"] + labels["mirror"] == 60
+
+
+def test_ground_energy_brute_force_then_lowest_planted(inst_a, monkeypatch):
     # (a)'s planted ladder puts pattern 3 heaviest but its true ground
-    # state is pattern 2, so up to the brute-force limit only the oracle
-    # gives the right target
-    patterns = inst_a.pattern_set.patterns
-    ground = bench._ground_state(inst_a)
-    assert any(np.array_equal(ground, s * patterns[1]) for s in (1, -1))
-    assert not any(np.array_equal(ground, s * patterns[2]) for s in (1, -1))
-    # beyond the limit the heaviest planted pattern is the target
+    # state is pattern 2
+    assert bench._ground_energy(inst_a) == brute_force(inst_a).ground_energy
+    assert inst_a.spectrum.ground_index == 1
+    assert np.argmax(inst_a.pattern_set.weights) == 2
     big = build_couplings(generate_orthogonal_patterns(32, 4, seed=5, dw=0.01))
+    # coarse-graining moves pattern 1 below the heaviest pattern 3
+    coarse = coarse_grain(
+        build_couplings(generate_orthogonal_patterns(32, 3, seed=0, dw=0.01)), 0.3
+    )
+    assert coarse.spectrum.ground_index == 0 and np.argmax(coarse.pattern_set.weights) == 2
 
     def no_brute_force(inst):
         raise AssertionError("brute force beyond its limit")
 
+    # beyond the limit the lowest planted energy is the target
     monkeypatch.setattr(bench.oracle_mod, "brute_force", no_brute_force)
-    assert np.array_equal(bench._ground_state(big), big.pattern_set.patterns[3])
+    for inst in (big, coarse):
+        assert bench._ground_energy(inst) == inst.spectrum.e_min
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +417,7 @@ def test_write_sidecar_fields(tmp_path, inst_a):
     path = tmp_path / "sweep.meta.txt"
     write_sidecar(result, path)
     text = path.read_text()
-    assert f"spec_hash: {result.spec_hash}" in text
+    assert f"spec_hash: {result.spec.spec_hash()}" in text
     assert "instance: small-a" in text
     assert "axis alpha: 1.0 3.0 6.0 12.0" in text
     assert "wall" not in text  # timing must never reach disk
@@ -439,7 +457,7 @@ def test_write_csv_cells(tmp_path):
 
 def test_writers_reject_empty_input(tmp_path, inst_a):
     # write_hist_csv([]) used to write a header-only file
-    no_points = bench.SweepResult(spec=small_sweep(inst_a), spec_hash="", points=())
+    no_points = bench.SweepResult(spec=small_sweep(inst_a), points=())
     for write, data in ((write_sweep_csv, no_points), (write_ksweep_csv, []),
                         (write_hist_csv, [])):
         with pytest.raises(ValidationError):

@@ -491,6 +491,69 @@ def test_empty_grid_or_k_list_exits_3_before_any_work(tmp_path, capsys, trajecto
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    """Planted instances at n = 16, the full-spectrum cap, and at n = 32."""
+    d = tmp_path_factory.mktemp("planted")
+    paths = {}
+    for n in (16, 32):
+        paths[f"n{n}"] = d / f"n{n}.inst"
+        assert run_cli(["gen", "--n", str(n), "--k", "3", "--out", str(paths[f"n{n}"])]) == 0
+    return paths
+
+
+def _exit_code(argv) -> int:
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+# each used to exit 0: sweep-k ran --k-list and ignored the K-range flag,
+# oracle ignored --full-spectrum beyond n = 24, and scan took an empty
+# --id for the kind's default entry
+@pytest.mark.parametrize("argv, code, message", [
+    (["sweep-k", "--n", "16", "--k-list", "4", "--k-min", "2", "--runs", "5", "--threads", "1"],
+     3, "--k-min does not apply with --k-list"),
+    (["sweep-k", "--n", "16", "--k-list", "4", "--k-max", "3", "--runs", "5", "--threads", "1"],
+     3, "--k-max does not apply with --k-list"),
+    (["sweep-k", "--n", "16", "--k-list", "4", "--k-step", "2", "--runs", "5", "--threads", "1"],
+     3, "--k-step does not apply with --k-list"),
+    (["oracle", "--instance", "{n32}", "--full-spectrum"],
+     3, "full spectrum is capped at n = 16, got 32"),
+    (["scan", "--kind", "dxi", "--id=", "--values=0", "--runs", "1", "--threads", "1"],
+     2, "invalid choice: ''"),
+    (["scan", "--kind", "p", "--id", "z", "--values=0", "--runs", "1", "--threads", "1"],
+     2, "invalid choice: 'z'"),
+], ids=["k-min", "k-max", "k-step", "full-spectrum-n32", "scan-empty-id", "scan-unknown-id"])
+def test_flags_that_do_not_apply_fail_before_any_work(tmp_path, capsys, trajectories, planted,
+                                                      argv, code, message):
+    argv = [a.format(**planted) for a in argv] + ["--out", str(tmp_path / "x.csv")]
+    assert _exit_code(argv) == code
+    err = _error_line(capsys) if code == 3 else capsys.readouterr().err
+    assert message in err
+    assert trajectories == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, printed, rows", [
+    (["scan", "--kind", "p", "--values=0", "--alpha-grid", "2", "--runs", "2",
+      "--threads", "1"], "scan p on f", [2]),
+    (["scan", "--kind", "dw", "--id", "bstar", "--values=0.3", "--alpha-grid", "2",
+      "--runs", "2", "--threads", "1"], "scan dw on b*", [2]),
+    (["sweep-k", "--n", "8", "--k-min", "2", "--k-max", "4", "--k-step", "2", "--runs", "2",
+      "--threads", "1"], "K values 2..4 (2)", [2, 2]),
+    (["oracle", "--instance", "{n16}", "--full-spectrum"], "spectrum_size: 32768", []),
+], ids=["scan-default-id", "scan-bstar", "sweep-k-range", "full-spectrum-n16"])
+def test_flags_that_apply_still_run(tmp_path, capsys, trajectories, planted, argv, printed,
+                                    rows):
+    out = tmp_path / "x.csv"
+    assert run_cli([a.format(**planted) for a in argv] + ["--out", str(out)]) == 0
+    assert printed in capsys.readouterr().out
+    assert trajectories == rows
+    assert out.exists()
+
+
 def _flag_actions():
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -3,9 +3,12 @@
 One strategy per subcommand draws flags from extreme and malformed
 values (1e308, 1e-320, nan, inf, 0, -1, unparsable text) at sizes that
 keep each call cheap: n <= 16, at most 3 runs, at most 20 solver steps,
-and always --threads 1.  A numpy RuntimeWarning is an error.  Exit 3
-prints exactly one "error:" line and leaves no file; exit 0 writes only
-finite numbers into its CSV files.
+and always --threads 1.  solve and sweep-sr draw only the solver flags
+their --solver reads and no axis sets, so no example stops at the check
+for flags that do not apply; tests/test_cli.py covers those.  A numpy
+RuntimeWarning is an error.  Exit 3 prints exactly one "error:" line
+and leaves no file; exit 0 writes only finite numbers into its CSV
+files.
 """
 
 import contextlib
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plantbench.cli import main
+from plantbench.cli import _SOLVER_FLAGS, main
 
 SETTINGS = settings(
     max_examples=60,
@@ -71,13 +74,31 @@ def _some(names, values, most):
 SOLVERS = st.sampled_from(["class1", "class3", "tbm"])
 
 
-def _solver_flags():
-    """--steps, and some of the other solver flags except --solver."""
+def _solver_flags(solver, axes=()):
+    """--steps, and some of the other flags solver reads whose value no axis sets."""
+    reads = [name for name in _SOLVER_FLAGS[solver] if name[2:] not in axes]
+    scalars = [name for name in reads if name not in ("--nonlinearity", "--steps")]
     return _concat(
-        _some(["--alpha", "--beta", "--gamma", "--delta", "--xi0", "--dt", "--window",
-               "--amplitude"], NUMBERS, 3),
-        _optional("--nonlinearity", st.sampled_from(["tanh", "sign", "identity-clip"])),
+        _some(scalars, NUMBERS, 3),
+        _optional("--nonlinearity", st.sampled_from(["tanh", "sign", "identity-clip"]))
+        if "--nonlinearity" in reads else st.just([]),
         _flag("--steps", STEPS),
+    )
+
+
+def _sweep_sr(instances, solver, beta_grid):
+    """sweep-sr with the grid flags solver uses; tbm needs both of its grids."""
+    if solver == "tbm":
+        grids, axes = [_flag("--delta-grid", GRIDS), _flag("--xi0-grid", GRIDS)], ("delta", "xi0")
+    else:
+        grids = [_optional("--alpha-grid", GRIDS)]
+        grids += [_flag("--beta-grid", GRIDS)] if beta_grid else []
+        axes = ("alpha", "beta") if beta_grid else ("alpha",)
+    return _concat(
+        st.just(["sweep-sr", f"--solver={solver}"]),
+        st.one_of(_flag("--small", IDS), _flag("--instance", instances)),
+        _solver_flags(solver, axes), *grids,
+        _flag("--runs", COUNTS), st.just(["--threads=1"]), _flag("--out", st.just("{out}/x.csv")),
     )
 
 
@@ -98,26 +119,20 @@ def _commands(files):
             st.just(["gen-small"]), _flag("--id", IDS), _optional("--literal-weights"),
             _optional("--out", st.just("{out}/x.inst")),
         ),
-        "solve": _concat(
-            st.just(["solve"]), _flag("--instance", instances),
-            _optional("--solver", SOLVERS), _solver_flags(),
+        "solve": SOLVERS.flatmap(lambda solver: _concat(
+            st.just(["solve", f"--solver={solver}"]), _flag("--instance", instances),
+            _solver_flags(solver),
             _flag("--runs", COUNTS), _optional("--seed", st.sampled_from(["0", "-1", "7"])),
             _optional("--out", out),
-        ),
+        )),
         "oracle": _concat(
             st.just(["oracle"]), _flag("--instance", instances),
             _optional("--full-spectrum"), _optional("--eig"),
             _optional("--out", st.just("{out}/x.txt")),
         ),
-        # with the grid flags its solver uses; tbm needs both of its grids
-        "sweep-sr": SOLVERS.flatmap(lambda solver: _concat(
-            st.just(["sweep-sr", f"--solver={solver}"]),
-            st.one_of(_flag("--small", IDS), _flag("--instance", instances)),
-            _solver_flags(),
-            *([_flag("--delta-grid", GRIDS), _flag("--xi0-grid", GRIDS)] if solver == "tbm"
-              else [_optional("--alpha-grid", GRIDS), _optional("--beta-grid", GRIDS)]),
-            _flag("--runs", COUNTS), st.just(["--threads=1"]), _flag("--out", out),
-        )),
+        "sweep-sr": st.tuples(SOLVERS, st.booleans()).flatmap(
+            lambda drawn: _sweep_sr(instances, *drawn)
+        ),
         "scan": _concat(
             st.just(["scan"]), _flag("--kind", st.sampled_from(["dxi", "dw", "p"])),
             _optional("--id", IDS), _flag("--values", GRIDS), _flag("--alpha-grid", GRIDS),
