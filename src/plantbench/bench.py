@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence, Union
@@ -56,10 +55,11 @@ import numpy as np
 
 from . import energy as energy_mod
 from . import oracle as oracle_mod
-from .dynamics import SolverConfig, TbmParams, initial_states, run_batch
+from .dynamics import SolverConfig, initial_states, run_batch
 from .errors import ValidationError
 from .instance import (
     Instance,
+    _check_orthogonal,
     build_couplings,
     catalogue_pattern_set,
     generate_orthogonal_patterns,
@@ -67,7 +67,7 @@ from .instance import (
     shared_sign_coordinate,
 )
 from .render import LOG_SHIFT
-from .textio import _write_csv, _write_text
+from .textio import _no_repeats, _write_csv, _write_text
 
 __all__ = [
     "LOG_SHIFT",
@@ -136,20 +136,25 @@ def default_alpha_grid(lam_max: float, num: int = 50) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # sweep specification
 
+# The parameters a solver axis may set, per SolverConfig kind: the
+# bifurcation machine derives alpha and beta from its tbm delta and xi0.
+_SOLVER_AXES = dict.fromkeys(("I", "II", "III"), ("alpha", "beta")) | {"TBM": ("delta", "xi0")}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One experiment grid.
+    """One experiment grid, checked when it is made.
 
     instance is either a fixed Instance or a picklable factory mapping
     the first axis value to an Instance (lambdas will break process
-    pools).  axes holds one or two (name, values) pairs; grid points
-    enumerate the cartesian product in row-major order.  Solver axis
-    names: alpha, beta, delta, xi0 (the last two address the
-    bifurcation-machine parameters).  A hit is a run that ends at the
-    ground energy (see the module docstring): mirrors and degenerate
-    ground states count, runs below the planted range do not.  Band
-    counts use energy.DEFAULT_FRACTIONS.
+    pools).  axes holds one or two (name, values) pairs with distinct
+    names; grid points enumerate the cartesian product in row-major
+    order.  Each axis after a factory's first, or any axis of a fixed
+    instance, sets a parameter the solver's kind reads (_SOLVER_AXES:
+    alpha or beta for I, II and III, delta or xi0 for TBM).  A hit is a
+    run that ends at the ground energy (see the module docstring):
+    mirrors and degenerate ground states count, runs below the planted
+    range do not.  Band counts use energy.DEFAULT_FRACTIONS.
     """
 
     instance: InstanceSource
@@ -170,9 +175,12 @@ class SweepSpec:
         for name, values in normalized:
             if not values:
                 raise ValidationError(f"axis {name!r} is empty")
-        if len(set(self.axis_names)) < len(normalized):
-            # the CSV keys each row's cells by axis name
-            raise ValidationError(f"axis names repeat: {self.axis_names}")
+        # the CSV keys each row's cells by axis name
+        _no_repeats(self.axis_names, "axis names")
+        kind = self.solver.kind
+        for name in self.axis_names[0 if isinstance(self.instance, Instance) else 1:]:
+            if name not in _SOLVER_AXES[kind]:
+                raise ValidationError(f"axis {name!r} does not apply to solver kind {kind}")
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -320,14 +328,9 @@ class EquidistantPerturbationFactory:
 
 
 def _apply_solver_param(cfg: SolverConfig, name: str, value: float) -> SolverConfig:
-    if name in ("alpha", "beta"):
-        return replace(cfg, **{name: float(value)})
-    if name in ("delta", "xi0"):
-        tbm = cfg.tbm if cfg.tbm is not None else TbmParams()
-        return replace(cfg, tbm=replace(tbm, **{name: float(value)}))
-    raise ValidationError(
-        f"unknown solver axis {name!r}; use alpha, beta, delta, xi0"
-    )
+    if name in _SOLVER_AXES["TBM"]:
+        return replace(cfg, tbm=replace(cfg.tbm, **{name: float(value)}))
+    return replace(cfg, **{name: float(value)})
 
 
 def _ground_energy(inst: Instance) -> float:
@@ -571,16 +574,17 @@ def sweep_k(
     default to 1000 with 1000 steps below n = 1024, and to 100 with
     2000 steps at n >= 1024.  Histograms use HIST_BINS bins and bands
     energy.DEFAULT_FRACTIONS.  Each K may be listed once: the histogram
-    CSV keys its rows by K.  Every weight 1 + m*dw must be > 0.
+    CSV keys its rows by K.  n must be a power of two >= 2, each K in
+    1..n and each weight 1 + m*dw > 0, all checked before any K runs.
     """
     ks = [int(k) for k in k_values]
     if not ks:
         raise ValidationError("k_values is empty")
-    repeated = sorted(k for k, times in Counter(ks).items() if times > 1)
-    if repeated:
-        raise ValidationError(f"K values repeat: {repeated}")
+    _no_repeats(ks, "K values")
+    for k in ks:
+        _check_orthogonal(n, k)
     # the weights 1 + m*dw of K are monotone in m, so m = 1 or m = K is the least
-    least = {k: min(1.0 + dw, 1.0 + k * dw) for k in ks if k >= 1}
+    least = {k: min(1.0 + dw, 1.0 + k * dw) for k in ks}
     bad = [k for k, w in least.items() if not w > 0]
     if bad:
         k = min(bad)

@@ -45,7 +45,6 @@ import math
 import os
 import shlex
 import sys
-from collections import Counter
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -56,6 +55,7 @@ from .textio import (
     _check_writable,
     _finite,
     _int,
+    _no_repeats,
     _number,
     _positive,
     _read_text,
@@ -269,7 +269,7 @@ def _cmd_gen_small(args, out=None) -> list[str]:
 _SOLVER_KINDS = {"class1": "I", "class3": "III", "tbm": "TBM"}
 
 # The solver flags each --solver reads (tbm derives alpha, beta, gamma and
-# the nonlinearity); sweep-sr's --<name>-grid applies where --<name> does.
+# the nonlinearity); a sweep-sr --<name>-grid needs <name> in bench._SOLVER_AXES.
 _CLASS1_FLAGS = ("--alpha", "--beta", "--nonlinearity", "--dt", "--steps", "--amplitude")
 _SOLVER_FLAGS = {
     "class1": _CLASS1_FLAGS,
@@ -354,9 +354,9 @@ def _sweep_axes(args, inst: Instance) -> tuple[tuple[str, tuple[float, ...]], ..
 
 
 def _cmd_sweep_sr(args, out, sidecar) -> list[str]:
-    reads = _SOLVER_FLAGS[args.solver]
+    reads = bench._SOLVER_AXES[_SOLVER_KINDS[args.solver]]
     for name in ("alpha", "beta", "delta", "xi0"):
-        if getattr(args, name + "_grid") is not None and "--" + name not in reads:
+        if getattr(args, name + "_grid") is not None and name not in reads:
             raise ValidationError(f"--{name}-grid does not apply to --solver {args.solver}")
     # the axes set alpha (its grid has a default), delta, xi0 and beta with --beta-grid
     axes = ("alpha", "delta", "xi0") + (("beta",) if args.beta_grid is not None else ())
@@ -451,12 +451,6 @@ def _cell(row: list[str], col: int, parse=_finite):
     if col >= len(row):
         raise ValidationError(f"CSV row {','.join(row)!r} has no column {col + 1}")
     return parse(row[col], f"CSV column {col + 1}")
-
-
-def _no_repeats(keys: list, what: str) -> None:
-    repeated = sorted(k for k, times in Counter(keys).items() if times > 1)
-    if repeated:
-        raise ValidationError(f"{what} repeat: {repeated}")
 
 
 def _render_heatmap(header: list[str], rows: list[list[str]]) -> str:

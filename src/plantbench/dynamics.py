@@ -24,7 +24,9 @@ and its velocity zeroed, which acts as the threshold element of the
 bifurcation machine.  A trajectory is steady once
 max_i |delta x_i| < steady_tol * dt; steady_tol = 0 therefore never
 converges and runs a fixed step count.  A state with an entry beyond
-|x| = 1e6, or a non-finite one, aborts as divergence.
+|x| = 1e6, or a non-finite one, aborts as divergence.  A SolverConfig
+checks itself when it is made, so a bad config fails before any
+trajectory and the step loops hold only arithmetic.
 
 Whole blocks of trajectories integrate together as (runs, n) arrays.
 Each step touches only the rows still running, held as compact arrays;
@@ -115,15 +117,27 @@ class TbmParams:
     xi0: float = 0.1
 
 
+def _clip_unit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.clip(x, -1.0, 1.0, out=out)
+
+
+_NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "tanh": np.tanh,
+    "sign": np.sign,
+    "identity-clip": _clip_unit,
+}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver selection and integration parameters.
 
     kind: "I", "II", "III", or "TBM".  alpha, beta, gamma accept
-    constants or per-step schedules.  derivative_window bounds
+    constants or per-step schedules.  derivative_window (> 0) bounds
     second-order trajectories (use float("inf") to disable).
     init_amplitude is the half-width of the uniform initial condition
-    drawn by random_initial and initial_states.
+    drawn by random_initial and initial_states.  kind TBM requires tbm.
+    The kind, nonlinearity, window and tbm are checked when it is made.
     """
 
     kind: str = "I"
@@ -137,6 +151,17 @@ class SolverConfig:
     steady_tol: float = 1e-9
     init_amplitude: float = 0.5
     tbm: TbmParams | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("I", "II", "III", "TBM"):
+            raise ValidationError(f"unknown solver kind {self.kind!r}")
+        if self.nonlinearity not in _NONLINEARITIES:
+            raise ValidationError(f"unknown nonlinearity {self.nonlinearity!r}; "
+                                  f"choose from {sorted(_NONLINEARITIES)}")
+        if not self.derivative_window > 0:
+            raise ValidationError("derivative window must be positive")
+        if self.kind == "TBM" and self.tbm is None:
+            raise ValidationError("TBM runs need cfg.tbm parameters")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,17 +182,6 @@ class RunOutcome:
     diverged: bool
     label: energy_mod.OutcomeLabel
     seed: int | None
-
-
-def _clip_unit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.clip(x, -1.0, 1.0, out=out)
-
-
-_NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "tanh": np.tanh,
-    "sign": np.sign,
-    "identity-clip": _clip_unit,
-}
 
 
 def _check_amplitude(amplitude: float) -> float:
@@ -287,15 +301,6 @@ def initial_states(n: int, amplitude: float, seeds) -> np.ndarray:
     return out
 
 
-def _phi(name: str) -> Callable[[np.ndarray], np.ndarray]:
-    try:
-        return _NONLINEARITIES[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown nonlinearity {name!r}; choose from {sorted(_NONLINEARITIES)}"
-        ) from None
-
-
 RUNNING, CONVERGED, DIVERGED = 0, 1, 2
 
 
@@ -325,12 +330,6 @@ class _Rows:
         self._flags = np.empty((3, r), dtype=bool)
         if record is not None:
             record.append(self.x.copy())
-
-    def work(self, count: int) -> np.ndarray:
-        """count work arrays shaped like the block; the first holds x."""
-        work = np.empty((count,) + self.x.shape)
-        work[0] = self.x
-        return work
 
     def retire(self, step: int, x: np.ndarray, move: np.ndarray | None,
                scratch: np.ndarray):
@@ -382,29 +381,19 @@ class _Rows:
         return self.x, self.steps, self.status
 
 
-def _compact(work: np.ndarray, keep: np.ndarray, *state: np.ndarray) -> np.ndarray:
-    """Move the kept rows of each state array to the front of its work array.
-
-    state[i] goes to work[i]; returns work cut to the kept rows.
-    """
-    live = np.count_nonzero(keep)
-    for buf, arr in zip(work, state):
-        buf[:live] = arr[keep]
-    return work[:, :live]
-
-
-# The step loops below allocate nothing: every temporary is written
-# through out= into work arrays made once per block and cut to the live
-# rows.  Each element still sees the same operations in the same order
-# as the plain expressions in the comments, so the bits are the same.
+# The step loops below allocate only when rows retire: every temporary
+# is written through out= into scratch arrays made once per block and
+# cut to the live rows.  Each element still sees the same operations in
+# the same order as the plain expressions in the comments, so the bits
+# are the same.
 
 
 def _first_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list | None):
-    alpha, beta, dt, phi = cfg.alpha, cfg.beta, cfg.dt, _phi(cfg.nonlinearity)
+    alpha, beta, dt, phi = cfg.alpha, cfg.beta, cfg.dt, _NONLINEARITIES[cfg.nonlinearity]
     rows = _Rows(x0, cfg.max_steps, cfg.steady_tol * dt, record)
+    x = rows.x.copy()
     # f holds phi(x), then a * x, then the divergence scratch
-    work = rows.work(3)
-    x, f, dx = work
+    f, dx = np.empty_like(x), np.empty_like(x)
     for step in range(cfg.max_steps):
         if not len(x):
             break
@@ -420,21 +409,19 @@ def _first_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list 
         move = np.abs(dx, out=dx) if rows.steady else None
         keep = rows.retire(step, x, move, f)
         if keep is not None:
-            x, f, dx = _compact(work, keep, x)
+            x = x[keep]
+            f, dx = f[: len(x)], dx[: len(x)]
     return rows.result(x)
 
 
 def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list | None):
     alpha, beta, gamma, dt = cfg.alpha, cfg.beta, cfg.gamma, cfg.dt
-    phi, window = _phi(cfg.nonlinearity), cfg.derivative_window
-    if not window > 0:
-        raise ValidationError("derivative window must be positive")
+    phi, window = _NONLINEARITIES[cfg.nonlinearity], cfg.derivative_window
     rows = _Rows(x0, cfg.max_steps, cfg.steady_tol * dt, record)
-    # x and x_new swap every step; v starts at zero; f holds phi(x), then
-    # a * x, then |x_new|, then the divergence scratch
-    work = rows.work(6)
-    work[1] = 0.0
-    x, v, x_new, f, acc, t = work
+    x, v = rows.x.copy(), np.zeros_like(rows.x)
+    # x and x_new swap every step; f holds phi(x), then a * x, then
+    # |x_new|, then the divergence scratch
+    x_new, f, acc, t = (np.empty_like(x) for _ in range(4))
     over = np.empty(x.shape, dtype=bool)
     for step in range(cfg.max_steps):
         if not len(x):
@@ -466,15 +453,13 @@ def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list
         x, x_new = x_new, x
         keep = rows.retire(step, x, move, f)
         if keep is not None:
-            x, v, x_new, f, acc, t = _compact(work, keep, x, v)
-            over = over[: len(x)]
+            x, v = x[keep], v[keep]
+            x_new, f, acc, t, over = (a[: len(x)] for a in (x_new, f, acc, t, over))
     return rows.result(x)
 
 
 def _tbm_mapped(cfg: SolverConfig) -> SolverConfig:
     """Rewrite a TBM config as the equivalent class-III config."""
-    if cfg.tbm is None:
-        raise ValidationError("TBM runs need cfg.tbm parameters")
     delta, pump = cfg.tbm.delta, PumpRamp(cfg.max_steps)
     # The pump keeps the coefficients time dependent for the whole
     # schedule, so the machine integrates a fixed step count instead of
@@ -501,11 +486,9 @@ def _integrate_block(
 ):
     if cfg.kind in ("I", "II"):
         return _first_order(inst.coupling, x0, cfg, record)
-    if cfg.kind == "III":
-        return _second_order(inst.coupling, x0, cfg, record)
     if cfg.kind == "TBM":
-        return _second_order(inst.coupling, x0, _tbm_mapped(cfg), record)
-    raise ValidationError(f"unknown solver kind {cfg.kind!r}")
+        cfg = _tbm_mapped(cfg)
+    return _second_order(inst.coupling, x0, cfg, record)
 
 
 def _spins(x: np.ndarray) -> np.ndarray:
@@ -579,7 +562,7 @@ def run(inst: Instance, cfg: SolverConfig, x0: np.ndarray) -> RunOutcome:
     """Integrate a single trajectory; raises DivergenceError on blow-up."""
     outcome = run_batch(inst, cfg, _one_row(inst, x0))[0]
     if outcome.diverged:
-        raise DivergenceError(step=outcome.steps_used, max_abs=DIVERGENCE_LIMIT)
+        raise DivergenceError(step=outcome.steps_used)
     return outcome
 
 

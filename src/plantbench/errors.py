@@ -2,8 +2,9 @@
 
 The hierarchy is intentionally shallow: anything raised for bad input,
 malformed files, or violated structural invariants derives from
-ValidationError.  dynamics.run raises DivergenceError when a trajectory
-leaves the trust region; no CLI exit code maps to it.
+ValidationError, which SolverConfig and SweepSpec raise when they are
+made.  dynamics.run raises DivergenceError when a trajectory leaves the
+trust region (|x| beyond 1e6 or not finite); no CLI exit code maps to it.
 """
 
 __all__ = [
@@ -34,10 +35,7 @@ class CapacityError(ValidationError):
 class DivergenceError(PlantbenchError):
     """A trajectory left the trust region during integration."""
 
-    def __init__(self, step: int, max_abs: float):
+    def __init__(self, step: int):
         self.step = step
-        self.max_abs = max_abs
-        super().__init__(
-            f"trajectory diverged at step {step} (max |x| = {max_abs:.3e})"
-        )
+        super().__init__(f"trajectory diverged at step {step} (|x| beyond 1e6 or not finite)")
 

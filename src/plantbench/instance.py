@@ -247,6 +247,17 @@ def _apply_gl2(cols: list[int], index: int) -> int:
     return out
 
 
+def _check_orthogonal(n: int, k: int) -> None:
+    if n < 2 or (n & (n - 1)) != 0:
+        raise UnsupportedDimensionError(
+            f"orthogonal construction needs n a power of two >= 2, got {n}"
+        )
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got k={k}")
+    if k > n:
+        raise CapacityError(f"at most n={n} mutually orthogonal patterns exist, got k={k}")
+
+
 def generate_orthogonal_patterns(
     n: int, k: int, seed: int, w0: float = 1.0, dw: float = 0.0
 ) -> PatternSet:
@@ -267,14 +278,7 @@ def generate_orthogonal_patterns(
     caps it at n (the constant row joins only when k = n, completing
     the full basis).  seed must be >= 0.
     """
-    if n < 2 or (n & (n - 1)) != 0:
-        raise UnsupportedDimensionError(
-            f"orthogonal construction needs n a power of two >= 2, got {n}"
-        )
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got k={k}")
-    if k > n:
-        raise CapacityError(f"at most n={n} mutually orthogonal patterns exist, got k={k}")
+    _check_orthogonal(n, k)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -5,8 +5,8 @@ line ends, a ValidationError naming an unreadable or unwritable path).
 CATALOGUE is plain tuples, so the command-line parser can list catalogue
 ids without importing the numeric modules.  _int, _finite and _positive
 parse one number, raising a ValidationError that names it, for file
-fields and command-line flags alike.  Every CSV table goes out through
-_write_csv.
+fields and command-line flags alike; _no_repeats rejects a list whose
+entries must be distinct.  Every CSV table goes out through _write_csv.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections import Counter
 
 from .errors import ValidationError
 
@@ -139,3 +140,9 @@ def _positive(text: str, what: str) -> float:
     if not (value > 0 and math.isfinite(value)):
         raise ValidationError(f"{what} must be positive and finite, got {text!r}")
     return value
+
+
+def _no_repeats(keys, what: str) -> None:
+    repeated = sorted(k for k, times in Counter(keys).items() if times > 1)
+    if repeated:
+        raise ValidationError(f"{what} repeat: {repeated}")

@@ -9,6 +9,7 @@ from plantbench import (
     EquidistantPerturbationFactory,
     SolverConfig,
     SweepSpec,
+    TbmParams,
     ValidationError,
     brute_force,
     build_couplings,
@@ -98,6 +99,26 @@ def test_spec_validation(inst_a):
     with pytest.raises(ValidationError, match="axis names repeat"):
         SweepSpec(instance=inst_a, solver=cfg,
                   axes=(("alpha", (1.0,)), ("alpha", (2.0,))))
+
+
+# each spec used to be accepted: alpha on the bifurcation machine and
+# delta or xi0 on a relaxation solver changed nothing, so the sweep
+# reported seed noise as a trend, and gamma and dxi failed only at the
+# first grid point
+@pytest.mark.parametrize("solver, axes", [
+    (SolverConfig(kind="TBM", tbm=TbmParams()), (("alpha", (1.0, 2.0)),)),
+    (SolverConfig(kind="I"), (("delta", (1.0, 2.0)),)),
+    (SolverConfig(kind="III"), (("alpha", (1.0,)), ("xi0", (0.1, 0.2)))),
+    (SolverConfig(kind="III"), (("gamma", (0.0, 0.1)),)),
+    (SolverConfig(kind="I"), (("dxi", (-2.0, 0.0)), ("alpha", (1.0,)))),
+], ids=["tbm-alpha", "class1-delta", "class3-xi0", "gamma", "dxi-on-fixed-instance"])
+def test_spec_rejects_axes_the_solver_does_not_read(inst_a, monkeypatch, solver, axes):
+    def never(*args, **kwargs):
+        raise AssertionError("run_batch called")
+
+    monkeypatch.setattr(bench, "run_batch", never)
+    with pytest.raises(ValidationError, match=f"does not apply to solver kind {solver.kind}"):
+        SweepSpec(instance=inst_a, solver=solver, axes=axes, runs_per_point=2)
 
 
 def test_spec_hash_tracks_content(inst_a):

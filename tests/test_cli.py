@@ -641,6 +641,15 @@ def test_sweep_k_rejects_k_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_k_checks_every_k_before_any_work(tmp_path, capsys, trajectories):
+    # K = 4 used to be integrated before K = 17 failed
+    assert run_cli(["sweep-k", "--n", "16", "--k-list", "4,17", "--runs", "5",
+                    "--threads", "1", "--out", str(tmp_path / "k.csv")]) == 3
+    assert "at most n=16 mutually orthogonal patterns exist, got k=17" in _error_line(capsys)
+    assert trajectories == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_subcommand(tmp_path, capsys):
     csv = tmp_path / "scan.csv"
     code = run_cli(["scan", "--kind", "dxi", "--values=-2,0",
