@@ -28,6 +28,25 @@ converges and runs a fixed step count.  A state with an entry beyond
 checks itself when it is made, so a bad config fails before any
 trajectory and the step loops hold only arithmetic.
 
+Each block decides before its first step what it can never do:
+
+  * Schedules are evaluated once per block, one value per step; a
+    constant is only repeated.
+  * A block proven bounded skips the divergence scan, which could not
+    fire on it.  First order: with 0 < alpha dt < 2 at every step, every
+    state stays within B = max(max|x0|, dt max|beta| s / (1 - q)), where
+    q = max |1 - alpha dt| and s is the largest column sum of |J| (every
+    |phi| <= 1); the scan is skipped when 2 B < 1e6.  Second order: with
+    gamma = 0, a window <= 1e6, a finite start and dt^2 max_steps
+    (max|beta| s + max|alpha| max(window, max|x0|)) far below overflow,
+    every clamp leaves |x| <= window and no inf or NaN can form.  Such a
+    block that cannot converge either (steady_tol = 0, every TBM run)
+    skips the retire step altogether.
+  * A constant gamma = 0 drops the gamma v term: the step computes
+    b h - a x, not b h + (0 v - a x).  The two are equal except that an
+    exact zero in v or in the acceleration may take the other sign, so
+    spins, energies and labels cannot change.
+
 Whole blocks of trajectories integrate together as (runs, n) arrays.
 Each step touches only the rows still running, held as compact arrays;
 a row that converges or diverges is written back into the block once
@@ -48,7 +67,9 @@ over the whole seed column at once.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
@@ -75,10 +96,6 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e6
 
 Schedule = Union[float, Callable[[int], float]]
-
-
-def _value(coeff: Schedule, step: int) -> float:
-    return coeff(step) if callable(coeff) else coeff
 
 
 @dataclass(frozen=True)
@@ -137,7 +154,9 @@ class SolverConfig:
     second-order trajectories (use float("inf") to disable).
     init_amplitude is the half-width of the uniform initial condition
     drawn by random_initial and initial_states.  kind TBM requires tbm.
-    The kind, nonlinearity, window and tbm are checked when it is made.
+    dt must be finite and > 0, max_steps an integer >= 1 and steady_tol
+    >= 0.  Every field but the coefficients and the amplitude is checked
+    when it is made.
     """
 
     kind: str = "I"
@@ -160,6 +179,12 @@ class SolverConfig:
                                   f"choose from {sorted(_NONLINEARITIES)}")
         if not self.derivative_window > 0:
             raise ValidationError("derivative window must be positive")
+        if not (isinstance(self.dt, numbers.Real) and 0 < self.dt < math.inf):
+            raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
+            raise ValidationError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        if not (isinstance(self.steady_tol, numbers.Real) and self.steady_tol >= 0):
+            raise ValidationError(f"steady_tol must be >= 0, got {self.steady_tol!r}")
         if self.kind == "TBM" and self.tbm is None:
             raise ValidationError("TBM runs need cfg.tbm parameters")
 
@@ -303,6 +328,70 @@ def initial_states(n: int, amplitude: float, seeds) -> np.ndarray:
 
 RUNNING, CONVERGED, DIVERGED = 0, 1, 2
 
+# Far below the largest float, 1.8e308: a magnitude under it leaves room
+# for the sums and rounding of one step without reaching inf.
+_SAFE = 1e300
+
+
+def _per_step(coeff: Schedule, count: int):
+    """coeff at steps 0 .. count - 1, and the values it takes as an array.
+
+    A schedule is called for every step here, once per block; a constant
+    is repeated, so a block never holds count copies of it.
+    """
+    if callable(coeff):
+        values = [coeff(step) for step in range(count)]
+        return values, np.array(values, dtype=np.float64)
+    return itertools.repeat(coeff, count), np.array([coeff], dtype=np.float64)
+
+
+def _sizes(j: np.ndarray, x0: np.ndarray) -> tuple[float, float]:
+    """max |x0|, and s, the largest column sum of |j|.
+
+    Every |phi| <= 1, so s bounds every entry of phi(x) @ j.
+    """
+    return (float(np.abs(x0).max(initial=0.0)),
+            float(np.abs(j).sum(axis=0).max(initial=0.0)))
+
+
+def _first_order_bounded(j, x0, dt, alphas, betas) -> bool:
+    """True when no state of the block can reach half the divergence limit.
+
+    With 0 < a dt < 2 at every step and q = max |1 - a dt|, a step maps
+    |x| <= B to |x| <= q B + dt max|b| s <= B, so every state stays
+    within B = max(max|x0|, dt max|b| s / (1 - q)).  A contraction
+    1 - q >= 1e-9 dwarfs the few ulps a step rounds by, the factor 2
+    covers the rest, and a x and b (phi(x) @ j) below _SAFE cannot
+    overflow.
+    """
+    ad = alphas * dt
+    if not ((ad > 0).all() and (ad < 2).all()):
+        return False
+    q = float(np.abs(1.0 - ad).max())
+    x_max, s = _sizes(j, x0)
+    push = float(np.abs(betas).max()) * s
+    if not (q <= 1.0 - 1e-9 and math.isfinite(x_max) and math.isfinite(push)):
+        return False
+    bound = max(x_max, dt * push / (1.0 - q))
+    return (2.0 * bound < DIVERGENCE_LIMIT
+            and float(np.abs(alphas).max()) * 2.0 * bound + push < _SAFE)
+
+
+def _second_order_bounded(j, x0, dt, steps, window, alphas, betas) -> bool:
+    """True when no row of an undamped (gamma = 0) block can diverge.
+
+    Every step clamps x to the window, so after it |x| <= window <= the
+    divergence limit.  No |x| ever exceeds max(window, max|x0|), so no
+    acceleration exceeds m = max|b| s + max|a| max(window, max|x0|), no
+    velocity exceeds steps dt m and no move dt v exceeds steps dt^2 m;
+    with all three below _SAFE no entry turns inf or NaN.
+    """
+    x_max, s = _sizes(j, x0)
+    if not (window <= DIVERGENCE_LIMIT and math.isfinite(x_max)):
+        return False
+    m = float(np.abs(betas).max()) * s + float(np.abs(alphas).max()) * max(window, x_max)
+    return m * max(1.0, steps * dt, steps * dt * dt) < _SAFE
+
 
 class _Rows:
     """Status and step bookkeeping of a (runs, n) block of trajectories.
@@ -312,10 +401,13 @@ class _Rows:
     A row that converges or diverges is written into ``x`` once and
     dropped from ``live``.  With a threshold <= 0 no row can converge,
     so ``steady`` is False and the integrators skip the steady measure.
+    A block proven bounded skips the divergence scan; when its rows
+    cannot converge either and nothing is recorded, ``idle`` is True
+    and the integrators never call retire.
     """
 
     def __init__(self, x0: np.ndarray, max_steps: int, threshold: float,
-                 record: list | None):
+                 record: list | None, bounded: bool):
         self.x = np.array(x0, dtype=np.float64)
         r = self.x.shape[0]
         self.steps = np.full(r, max_steps, dtype=np.int64)
@@ -323,6 +415,8 @@ class _Rows:
         self.live = np.arange(r)
         self.threshold = threshold
         self.steady = threshold > 0
+        self.scan = not bounded
+        self.idle = bounded and not self.steady and record is None
         self.record = record
         # Per-row flags live in one preallocated buffer: numpy keeps
         # freed arrays under 1 KiB for reuse, one set per byte size, so
@@ -347,17 +441,16 @@ class _Rows:
             snapshot = self.x.copy()
             snapshot[self.live] = x
             self.record.append(snapshot)
-        size = np.abs(x, out=scratch)
         # The maximum is NaN when any entry is, and NaN <= limit is
         # False, so a bounded block has no diverged row.
-        bounded = size.max() <= DIVERGENCE_LIMIT
+        bounded = not self.scan or np.abs(x, out=scratch).max() <= DIVERGENCE_LIMIT
         if bounded and move is None:
             return None
         diverged, done, keep = self._flags[:, : len(x)]
         if move is not None:
             (move < self.threshold).all(axis=1, out=done)
         if not bounded:
-            (size <= DIVERGENCE_LIMIT).all(axis=1, out=diverged)
+            (scratch <= DIVERGENCE_LIMIT).all(axis=1, out=diverged)
             np.logical_not(diverged, out=diverged)
             if move is None:
                 done[:] = diverged
@@ -385,20 +478,21 @@ class _Rows:
 # is written through out= into scratch arrays made once per block and
 # cut to the live rows.  Each element still sees the same operations in
 # the same order as the plain expressions in the comments, so the bits
-# are the same.
+# are the same; the one exception, gamma = 0, is in the module doc.
 
 
 def _first_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list | None):
-    alpha, beta, dt, phi = cfg.alpha, cfg.beta, cfg.dt, _NONLINEARITIES[cfg.nonlinearity]
-    rows = _Rows(x0, cfg.max_steps, cfg.steady_tol * dt, record)
+    dt, phi, steps = cfg.dt, _NONLINEARITIES[cfg.nonlinearity], cfg.max_steps
+    alphas, alpha_values = _per_step(cfg.alpha, steps)
+    betas, beta_values = _per_step(cfg.beta, steps)
+    rows = _Rows(x0, steps, cfg.steady_tol * dt, record,
+                 _first_order_bounded(j, x0, dt, alpha_values, beta_values))
     x = rows.x.copy()
     # f holds phi(x), then a * x, then the divergence scratch
     f, dx = np.empty_like(x), np.empty_like(x)
-    for step in range(cfg.max_steps):
+    for step, a, b in zip(range(steps), alphas, betas):
         if not len(x):
             break
-        a = _value(alpha, step)
-        b = _value(beta, step)
         # dx = dt * (b * (phi(x) @ j) - a * x)
         np.matmul(phi(x, out=f), j, out=dx)
         if b != 1.0:  # 1.0 * y == y exactly
@@ -406,6 +500,8 @@ def _first_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list 
         dx -= np.multiply(x, a, out=f)
         dx *= dt
         x += dx
+        if rows.idle:
+            continue
         move = np.abs(dx, out=dx) if rows.steady else None
         keep = rows.retire(step, x, move, f)
         if keep is not None:
@@ -415,26 +511,32 @@ def _first_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list 
 
 
 def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list | None):
-    alpha, beta, gamma, dt = cfg.alpha, cfg.beta, cfg.gamma, cfg.dt
-    phi, window = _NONLINEARITIES[cfg.nonlinearity], cfg.derivative_window
-    rows = _Rows(x0, cfg.max_steps, cfg.steady_tol * dt, record)
+    dt, window, steps = cfg.dt, cfg.derivative_window, cfg.max_steps
+    phi = _NONLINEARITIES[cfg.nonlinearity]
+    alphas, alpha_values = _per_step(cfg.alpha, steps)
+    betas, beta_values = _per_step(cfg.beta, steps)
+    gammas, _ = _per_step(cfg.gamma, steps)
+    damped = callable(cfg.gamma) or cfg.gamma != 0
+    bounded = not damped and _second_order_bounded(j, x0, dt, steps, window,
+                                                   alpha_values, beta_values)
+    rows = _Rows(x0, steps, cfg.steady_tol * dt, record, bounded)
     x, v = rows.x.copy(), np.zeros_like(rows.x)
     # x and x_new swap every step; f holds phi(x), then a * x, then
     # |x_new|, then the divergence scratch
     x_new, f, acc, t = (np.empty_like(x) for _ in range(4))
     over = np.empty(x.shape, dtype=bool)
-    for step in range(cfg.max_steps):
+    for step, a, b, g in zip(range(steps), alphas, betas, gammas):
         if not len(x):
             break
-        a = _value(alpha, step)
-        b = _value(beta, step)
-        g = _value(gamma, step)
         # acc = g * v - a * x + b * (phi(x) @ j)
         np.matmul(phi(x, out=f), j, out=acc)
         acc *= b
-        np.multiply(v, g, out=t)
-        t -= np.multiply(x, a, out=f)
-        acc += t
+        if damped:
+            np.multiply(v, g, out=t)
+            t -= np.multiply(x, a, out=f)
+            acc += t
+        else:  # gamma = 0: g * v is a zero (see the module doc)
+            acc -= np.multiply(x, a, out=f)
         # x_new = x + dt * v; v += dt * acc
         np.add(x, np.multiply(v, dt, out=t), out=x_new)
         v += np.multiply(acc, dt, out=t)
@@ -451,6 +553,8 @@ def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list
             move = np.abs(np.subtract(x_new, x, out=acc), out=acc)
             np.maximum(move, np.multiply(np.abs(v, out=t), dt, out=t), out=move)
         x, x_new = x_new, x
+        if rows.idle:
+            continue
         keep = rows.retire(step, x, move, f)
         if keep is not None:
             x, v = x[keep], v[keep]

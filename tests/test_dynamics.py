@@ -464,6 +464,126 @@ def test_unit_beta_skips_the_multiply_bit_for_bit(inst_c):
     assert second.tobytes() == expected[0].tobytes()
 
 
+@pytest.mark.parametrize("kind", ["III", "TBM"])
+def test_zero_gamma_skips_the_velocity_term_bit_for_bit(inst_c, kind):
+    # gamma = 0 leaves out g * v; the masked loop writes the full step,
+    # 0.0 * v included, and no row retires, so every coupling product
+    # covers the whole block and the bits must agree
+    steps, x0 = 300, start_block(8, 40)
+    if kind == "III":
+        cfg = SolverConfig(kind="III", alpha=2.0, beta=0.7, gamma=0.0, dt=0.1,
+                           max_steps=steps, steady_tol=0.0, derivative_window=1.0)
+        alpha, beta, phi = 2.0, 0.7, np.tanh
+    else:
+        delta, xi0, pump = 4.2, 0.64, PumpRamp(steps)
+        cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps,
+                           tbm=TbmParams(delta=delta, xi0=xi0))
+        alpha, beta, phi = (lambda s: delta * (delta - pump(s))), delta * xi0, np.sign
+    ref_x, ref_steps, ref_status = masked_reference(
+        inst_c.coupling, x0, alpha, beta, 0.0, phi, 0.1, steps, 0.0, window=1.0)
+    x, steps_used, status = dynamics._integrate_block(inst_c, cfg, x0, None)
+    assert x.tobytes() == ref_x.tobytes()
+    assert np.array_equal(steps_used, ref_steps) and np.array_equal(status, ref_status)
+
+
+def test_zero_gamma_matches_a_zero_gamma_schedule_bit_for_bit(inst_c):
+    # a gamma schedule keeps the full step; with rows escaping from
+    # scaled starts and retiring at many different steps, the constant
+    # still agrees
+    x0 = start_block(8, 60) * 10.0 ** (np.arange(60) % 6)[:, None]
+    const = SolverConfig(kind="III", alpha=-2.0, beta=1.0, gamma=0.0, dt=0.1,
+                         max_steps=800, steady_tol=1e-6,
+                         derivative_window=float("inf"))
+    sched = replace(const, gamma=lambda step: 0.0)
+    got = dynamics._integrate_block(inst_c, const, x0, None)
+    want = dynamics._integrate_block(inst_c, sched, x0, None)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert len(set(got[1].tolist())) >= 10
+
+
+def _check_against_masked_loop(inst, cfg, x0):
+    """Integrate x0 and the masked loop; compare status, steps and spins."""
+    with np.errstate(all="ignore"):
+        ref_x, ref_steps, ref_status = masked_reference(
+            inst.coupling, x0, cfg.alpha, cfg.beta, cfg.gamma,
+            dynamics._NONLINEARITIES[cfg.nonlinearity], cfg.dt, cfg.max_steps,
+            cfg.steady_tol, window=None if cfg.kind == "I" else cfg.derivative_window)
+    x, steps, status = dynamics._integrate_block(inst, cfg, x0, None)
+    assert np.array_equal(status, ref_status)
+    assert np.array_equal(steps, ref_steps)
+    live = status != 2
+    assert np.array_equal(x[live] >= 0, ref_x[live] >= 0)
+    return ref_x, ref_status
+
+
+def _proven_bounded(inst, cfg, x0):
+    alphas, betas = np.array([cfg.alpha]), np.array([cfg.beta])
+    if cfg.kind == "I":
+        return dynamics._first_order_bounded(inst.coupling, x0, cfg.dt, alphas, betas)
+    return dynamics._second_order_bounded(inst.coupling, x0, cfg.dt, cfg.max_steps,
+                                          cfg.derivative_window, alphas, betas)
+
+
+def _scaled_block(x_max):
+    x0 = start_block(8, 12)
+    return x0 * (x_max / np.abs(x0).max())
+
+
+@pytest.mark.parametrize("kind, alpha_dt, beta, x_max, window, dt, bounded", [
+    ("I", 1e-6, 1e-3, 0.5, 1.0, 0.1, True),        # alpha dt just above 0
+    ("I", 1e-12, 1e-3, 0.5, 1.0, 0.1, False),      # contraction below the 1e-9 floor
+    ("I", 2 - 1e-6, 1e-3, 0.5, 1.0, 0.1, True),    # alpha dt just below 2
+    ("I", 2.0, 1e-3, 0.5, 1.0, 0.1, False),
+    ("I", -0.1, 1.0, 0.5, 1.0, 0.1, False),
+    ("I", 1.0, 1.0, 4.9e5, 1.0, 0.1, True),        # x0 just inside half the limit
+    ("I", 1.0, 1.0, 5.1e5, 1.0, 0.1, False),
+    ("I", 1.0, 1.0, np.nan, 1.0, 0.1, False),
+    ("I", 1.0, 1e308, 0.5, 1.0, 0.1, False),       # beta * (phi @ j) overflows
+    ("I", 1.0, 1.0, 4e5, 1.0, 1e-308, False),      # alpha * x overflows
+    ("III", 1.0, 1.0, 0.5, 1e6, 0.1, True),        # window at the limit
+    ("III", 1.0, 1.0, 4.9e5, 1e6, 0.1, True),
+    ("III", 1.0, 1.0, 0.5, 1.1e6, 0.1, False),
+    ("III", 1.0, 1.0, np.nan, 1.0, 0.1, False),    # clamping keeps NaN
+    ("III", 1.0, 1.0, np.inf, 1.0, 0.1, False),
+    ("III", 1.0, 1e308, 0.5, 1e6, 0.1, False),     # overflows, every row diverges
+])
+def test_bounded_block_edges(inst_c, kind, alpha_dt, beta, x_max, window, dt, bounded):
+    cfg = SolverConfig(kind=kind, alpha=alpha_dt / dt, beta=beta, gamma=0.0, dt=dt,
+                       max_steps=200, steady_tol=1e-6, derivative_window=window)
+    x0 = _scaled_block(x_max)
+    assert _proven_bounded(inst_c, cfg, x0) is bounded
+    ref_x, ref_status = _check_against_masked_loop(inst_c, cfg, x0)
+    if bounded:
+        assert (ref_status != 2).all()
+        assert np.abs(ref_x).max() <= (5e5 if kind == "I" else window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["I", "III"]),
+    alpha_dt=st.floats(-0.5, 2.5) | st.sampled_from([1e-12, 2e-9, 1e-6, 2 - 1e-6]),
+    dt=st.sampled_from([0.01, 0.1, 0.5]),
+    beta=st.floats(-1e3, 1e3) | st.sampled_from([1e-6, 1e308]),
+    x_max=st.sampled_from([0.5, 1e3, 4.9e5, 5.1e5, 2e6]),
+    window=st.sampled_from([0.5, 1.0, 1e6, 1e300, float("inf")]),
+    steady_tol=st.sampled_from([0.0, 1e-6]),
+    nonlinearity=st.sampled_from(sorted(dynamics._NONLINEARITIES)),
+)
+def test_proven_bounded_blocks_match_the_masked_loop(inst_c, kind, alpha_dt, dt, beta,
+                                                      x_max, window, steady_tol,
+                                                      nonlinearity):
+    # whether the block skips the divergence scan or not, its rows end
+    # as the masked loop's do, and a block proven bounded never diverges
+    cfg = SolverConfig(kind=kind, alpha=alpha_dt / dt, beta=beta, gamma=0.0, dt=dt,
+                       max_steps=120, steady_tol=steady_tol, derivative_window=window,
+                       nonlinearity=nonlinearity)
+    x0 = _scaled_block(x_max)
+    _, ref_status = _check_against_masked_loop(inst_c, cfg, x0)
+    if _proven_bounded(inst_c, cfg, x0):
+        assert (ref_status != 2).all()
+
+
 @pytest.mark.parametrize("name, plain", [
     ("identity-clip", lambda x: np.clip(x, -1.0, 1.0)),
     ("sign", np.sign),
@@ -611,6 +731,27 @@ def test_unknown_nonlinearity_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValidationError):
         SolverConfig(kind="IV")
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf"), "0.1"])
+def test_dt_must_be_positive_and_finite(dt):
+    # a negative or NaN dt used to report every row as diverged
+    with pytest.raises(ValidationError, match="dt must be positive and finite"):
+        SolverConfig(dt=dt)
+
+
+@pytest.mark.parametrize("max_steps", [0, -1, 10.0])
+def test_max_steps_must_be_a_positive_integer(max_steps):
+    # max_steps = 0 used to report zero-step rows labelled from x0
+    with pytest.raises(ValidationError, match="max_steps must be an integer >= 1"):
+        SolverConfig(max_steps=max_steps)
+
+
+@pytest.mark.parametrize("steady_tol", [-1e-9, float("nan")])
+def test_steady_tol_must_be_non_negative(steady_tol):
+    with pytest.raises(ValidationError, match="steady_tol must be >= 0"):
+        SolverConfig(steady_tol=steady_tol)
+    assert SolverConfig(steady_tol=0.0).steady_tol == 0.0
 
 
 def test_sign_and_clip_nonlinearities_run(inst_c):
