@@ -67,7 +67,7 @@ from .instance import (
     shared_sign_coordinate,
 )
 from .render import LOG_SHIFT
-from .textio import _no_repeats, _write_csv, _write_text
+from .textio import _check_finite, _check_int, _no_repeats, _write_csv, _write_text
 
 __all__ = [
     "LOG_SHIFT",
@@ -148,13 +148,14 @@ class SweepSpec:
     instance is either a fixed Instance or a picklable factory mapping
     the first axis value to an Instance (lambdas will break process
     pools).  axes holds one or two (name, values) pairs with distinct
-    names; grid points enumerate the cartesian product in row-major
-    order.  Each axis after a factory's first, or any axis of a fixed
-    instance, sets a parameter the solver's kind reads (_SOLVER_AXES:
-    alpha or beta for I, II and III, delta or xi0 for TBM).  A hit is a
-    run that ends at the ground energy (see the module docstring):
-    mirrors and degenerate ground states count, runs below the planted
-    range do not.  Band counts use energy.DEFAULT_FRACTIONS.
+    names and finite values; grid points enumerate the cartesian
+    product in row-major order.  runs_per_point is an integer >= 1 and
+    base_seed an integer.  Each axis after a factory's first, or any
+    axis of a fixed instance, sets a parameter the solver's kind reads
+    (_SOLVER_AXES: alpha or beta for I, II and III, delta or xi0 for
+    TBM).  A hit is a run that ends at the ground energy (see the module
+    docstring): mirrors and degenerate ground states count, runs below
+    the planted range do not.  Band counts use energy.DEFAULT_FRACTIONS.
     """
 
     instance: InstanceSource
@@ -166,8 +167,8 @@ class SweepSpec:
     def __post_init__(self):
         if not self.axes or len(self.axes) > 2:
             raise ValidationError("axes must hold one or two (name, values) pairs")
-        if self.runs_per_point < 1:
-            raise ValidationError("runs_per_point must be >= 1")
+        _check_int(self.runs_per_point, "runs_per_point", least=1)
+        _check_int(self.base_seed, "base_seed")
         normalized = tuple(
             (str(name), tuple(float(v) for v in values)) for name, values in self.axes
         )
@@ -175,6 +176,8 @@ class SweepSpec:
         for name, values in normalized:
             if not values:
                 raise ValidationError(f"axis {name!r} is empty")
+            for v in values:
+                _check_finite(v, f"axis {name!r} value")
         # the CSV keys each row's cells by axis name
         _no_repeats(self.axis_names, "axis names")
         kind = self.solver.kind
@@ -575,7 +578,8 @@ def sweep_k(
     2000 steps at n >= 1024.  Histograms use HIST_BINS bins and bands
     energy.DEFAULT_FRACTIONS.  Each K may be listed once: the histogram
     CSV keys its rows by K.  n must be a power of two >= 2, each K in
-    1..n and each weight 1 + m*dw > 0, all checked before any K runs.
+    1..n, each weight 1 + m*dw > 0, runs_per_k an integer >= 1 and
+    base_seed an integer, all checked before any K runs.
     """
     ks = [int(k) for k in k_values]
     if not ks:
@@ -594,6 +598,8 @@ def sweep_k(
         )
     if runs_per_k is None:
         runs_per_k = 100 if n >= 1024 else 1000
+    _check_int(runs_per_k, "runs_per_k", least=1)
+    _check_int(base_seed, "base_seed")
     evaluate = partial(_eval_k, n, runs=runs_per_k, base_seed=base_seed, dw=dw)
     return tuple(_map_in_order(evaluate, ks, threads))
 

@@ -10,8 +10,8 @@ Three solver families share one pair of integrators:
 Kind I takes constant coefficients, kind II lets alpha and beta be
 schedules (functions of the step index), kind III adds the velocity
 term.  The bifurcation-machine mode (kind TBM) is kind III with the
-sign nonlinearity, gamma = 0, a pump schedule p(t) raised linearly to
-2, and coefficients alpha(t) = delta * (delta - p(t)), beta = delta *
+sign nonlinearity, gamma = 0, the pump p = LinearRamp(0, 2, max_steps),
+and coefficients alpha(t) = delta * (delta - p(t)), beta = delta *
 xi0; it is executed through the identical class-III path so the
 mapping is exact step for step.
 
@@ -24,7 +24,7 @@ and its velocity zeroed, which acts as the threshold element of the
 bifurcation machine.  A trajectory is steady once
 max_i |delta x_i| < steady_tol * dt; steady_tol = 0 therefore never
 converges and runs a fixed step count.  A state with an entry beyond
-|x| = 1e6, or a non-finite one, aborts as divergence.  A SolverConfig
+|x| = 1e6, or a non-finite one, ends as a diverged row.  A SolverConfig
 checks itself when it is made, so a bad config fails before any
 trajectory and the step loops hold only arithmetic.
 
@@ -76,19 +76,18 @@ from typing import Callable, Union
 import numpy as np
 
 from . import energy as energy_mod
-from .errors import DivergenceError, ValidationError
+from .errors import ValidationError
 from .instance import Instance
+from .textio import _check_finite, _check_int
 
 __all__ = [
     "Schedule",
     "LinearRamp",
-    "PumpRamp",
     "TbmParams",
     "SolverConfig",
     "RunOutcome",
     "random_initial",
     "initial_states",
-    "run",
     "run_batch",
     "trajectory",
 ]
@@ -107,31 +106,24 @@ class LinearRamp:
     num_steps: int
 
     def __call__(self, step: int) -> float:
-        if self.num_steps <= 0:
+        if step >= self.num_steps:
             return self.stop
-        t = min(step / self.num_steps, 1.0)
-        return self.start + (self.stop - self.start) * t
-
-
-@dataclass(frozen=True)
-class PumpRamp:
-    """Bifurcation pump p(t) = min(2 * step / num_steps, 2)."""
-
-    num_steps: int = 1000
-
-    def __call__(self, step: int) -> float:
-        return min(2.0 * step / self.num_steps, 2.0)
+        return self.start + (self.stop - self.start) * step / self.num_steps
 
 
 @dataclass(frozen=True)
 class TbmParams:
-    """Bifurcation-machine knobs: detuning delta, coupling scale xi0.
+    """Bifurcation-machine knobs: finite detuning delta, coupling scale xi0.
 
-    The pump is PumpRamp(max_steps) of the run's SolverConfig.
+    The pump is LinearRamp(0.0, 2.0, max_steps) of the run's SolverConfig.
     """
 
     delta: float = 1.0
     xi0: float = 0.1
+
+    def __post_init__(self):
+        _check_finite(self.delta, "delta")
+        _check_finite(self.xi0, "xi0")
 
 
 def _clip_unit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -149,14 +141,13 @@ _NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 class SolverConfig:
     """Solver selection and integration parameters.
 
-    kind: "I", "II", "III", or "TBM".  alpha, beta, gamma accept
-    constants or per-step schedules.  derivative_window (> 0) bounds
-    second-order trajectories (use float("inf") to disable).
-    init_amplitude is the half-width of the uniform initial condition
-    drawn by random_initial and initial_states.  kind TBM requires tbm.
-    dt must be finite and > 0, max_steps an integer >= 1 and steady_tol
-    >= 0.  Every field but the coefficients and the amplitude is checked
-    when it is made.
+    kind: "I", "II", "III", or "TBM".  alpha, beta, gamma accept finite
+    constants or per-step schedules (not evaluated here); kind TBM
+    derives them from tbm, which it requires.  derivative_window (> 0)
+    bounds second-order trajectories (use float("inf") to disable).
+    init_amplitude (> 0, twice it finite) is the half-width of the
+    uniform initial condition.  dt must be finite and > 0, max_steps an
+    integer >= 1 and steady_tol >= 0.  Every field is checked when made.
     """
 
     kind: str = "I"
@@ -181,12 +172,16 @@ class SolverConfig:
             raise ValidationError("derivative window must be positive")
         if not (isinstance(self.dt, numbers.Real) and 0 < self.dt < math.inf):
             raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
-            raise ValidationError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        _check_int(self.max_steps, "max_steps", least=1)
         if not (isinstance(self.steady_tol, numbers.Real) and self.steady_tol >= 0):
             raise ValidationError(f"steady_tol must be >= 0, got {self.steady_tol!r}")
+        _check_amplitude(self.init_amplitude)
         if self.kind == "TBM" and self.tbm is None:
             raise ValidationError("TBM runs need cfg.tbm parameters")
+        # TBM derives its own (_tbm_mapped); an overflowing delta * xi0 diverges its rows
+        for name in () if self.kind == "TBM" else ("alpha", "beta", "gamma"):
+            if not callable(getattr(self, name)):
+                _check_finite(getattr(self, name), name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,14 +558,13 @@ def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list
 
 
 def _tbm_mapped(cfg: SolverConfig) -> SolverConfig:
-    """Rewrite a TBM config as the equivalent class-III config."""
-    delta, pump = cfg.tbm.delta, PumpRamp(cfg.max_steps)
+    """Rewrite a TBM config with its class-III coefficients; the kind stays TBM."""
+    delta, pump = cfg.tbm.delta, LinearRamp(0.0, 2.0, cfg.max_steps)
     # The pump keeps the coefficients time dependent for the whole
     # schedule, so the machine integrates a fixed step count instead of
     # stopping at an intermediate wall-pinned state.
     return replace(
         cfg,
-        kind="III",
         alpha=lambda step: delta * (delta - pump(step)),
         beta=delta * cfg.tbm.xi0,
         gamma=0.0,
@@ -607,10 +601,10 @@ def run_batch(
 ) -> list[RunOutcome]:
     """Integrate a (runs, n) block of initial states in one sweep.
 
-    Diverged rows come back flagged instead of raising, so harnesses
-    can count them as a failure category.  When the instance carries a
-    pattern set and planted spectrum, one OutcomeClassifier built for
-    the block labels every row that did not diverge.
+    A single run is a one-row block.  Diverged rows come back flagged,
+    so harnesses count them as a failure category.  When the instance
+    carries a pattern set and planted spectrum, one OutcomeClassifier
+    built for the block labels every row that did not diverge.
     """
     x0_block = np.asarray(x0_block, dtype=np.float64)
     if x0_block.ndim != 2 or x0_block.shape[1] != inst.n:
@@ -654,28 +648,15 @@ def run_batch(
     return outcomes
 
 
-def _one_row(inst: Instance, x0: np.ndarray) -> np.ndarray:
-    """x0 of a single trajectory as a one-row block."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (inst.n,):
-        raise ValidationError(f"initial state must have shape ({inst.n},)")
-    return x0[None, :]
-
-
-def run(inst: Instance, cfg: SolverConfig, x0: np.ndarray) -> RunOutcome:
-    """Integrate a single trajectory; raises DivergenceError on blow-up."""
-    outcome = run_batch(inst, cfg, _one_row(inst, x0))[0]
-    if outcome.diverged:
-        raise DivergenceError(step=outcome.steps_used)
-    return outcome
-
-
 def trajectory(inst: Instance, cfg: SolverConfig, x0: np.ndarray) -> np.ndarray:
     """Full state history of one run, shape (steps_taken + 1, n).
 
     Row 0 is the initial state; integration stops at convergence,
-    divergence, or max_steps exactly as in run().
+    divergence, or max_steps exactly as in run_batch.
     """
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.shape != (inst.n,):
+        raise ValidationError(f"initial state must have shape ({inst.n},)")
     record: list[np.ndarray] = []
-    _integrate_block(inst, cfg, _one_row(inst, x0), record=record)
+    _integrate_block(inst, cfg, x0[None, :], record=record)
     return np.vstack([row[0][None, :] for row in record])

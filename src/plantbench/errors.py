@@ -3,8 +3,8 @@
 The hierarchy is intentionally shallow: anything raised for bad input,
 malformed files, or violated structural invariants derives from
 ValidationError, which SolverConfig and SweepSpec raise when they are
-made.  dynamics.run raises DivergenceError when a trajectory leaves the
-trust region (|x| beyond 1e6 or not finite); no CLI exit code maps to it.
+made.  A trajectory that leaves the trust region (|x| beyond 1e6 or not
+finite) raises nothing: run_batch flags its row as diverged.
 """
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "ValidationError",
     "UnsupportedDimensionError",
     "CapacityError",
-    "DivergenceError",
 ]
 
 
@@ -30,12 +29,4 @@ class UnsupportedDimensionError(ValidationError):
 
 class CapacityError(ValidationError):
     """Requested count exceeds what the construction or solver can hold."""
-
-
-class DivergenceError(PlantbenchError):
-    """A trajectory left the trust region during integration."""
-
-    def __init__(self, step: int):
-        self.step = step
-        super().__init__(f"trajectory diverged at step {step} (|x| beyond 1e6 or not finite)")
 

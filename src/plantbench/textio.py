@@ -5,7 +5,8 @@ line ends, a ValidationError naming an unreadable or unwritable path).
 CATALOGUE is plain tuples, so the command-line parser can list catalogue
 ids without importing the numeric modules.  _int, _finite and _positive
 parse one number, raising a ValidationError that names it, for file
-fields and command-line flags alike; _no_repeats rejects a list whose
+fields and command-line flags alike, and _check_int and _check_finite
+check a value the library is given; _no_repeats rejects a list whose
 entries must be distinct.  Every CSV table goes out through _write_csv.
 """
 
@@ -115,8 +116,7 @@ def _int(text: str, what: str, least: int | None = None) -> int:
         value = int(text)
     except ValueError:
         raise ValidationError(f"{what} must be an integer, got {text!r}") from None
-    if least is not None and value < least:
-        raise ValidationError(f"{what} must be >= {least}, got {value}")
+    _check_int(value, what, least)
     return value
 
 
@@ -140,6 +140,20 @@ def _positive(text: str, what: str) -> float:
     if not (value > 0 and math.isfinite(value)):
         raise ValidationError(f"{what} must be positive and finite, got {text!r}")
     return value
+
+
+def _check_int(value, what: str, least: int | None = None) -> None:
+    """Raise unless value is an integer (numpy's too, not a bool) >= least."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or (least is not None and value < least)):
+        at_least = "" if least is None else f" >= {least}"
+        raise ValidationError(f"{what} must be an integer{at_least}, got {value!r}")
+
+
+def _check_finite(value, what: str) -> None:
+    """Raise unless value is a finite real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
 
 
 def _no_repeats(keys, what: str) -> None:

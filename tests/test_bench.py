@@ -1,5 +1,7 @@
 """Sweep harness: seeds, grids, factories, histograms, CSV emission."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,32 @@ def test_spec_rejects_axes_the_solver_does_not_read(inst_a, monkeypatch, solver,
     monkeypatch.setattr(bench, "run_batch", never)
     with pytest.raises(ValidationError, match=f"does not apply to solver kind {solver.kind}"):
         SweepSpec(instance=inst_a, solver=solver, axes=axes, runs_per_point=2)
+
+
+# each used to be accepted: 2.5 raised TypeError inside derive_seeds,
+# True wrote n_runs as True, base_seed 1.5 ran base 1's seeds under
+# another spec_hash, and a NaN axis value diverged every run
+@pytest.mark.parametrize("field, value, message", [
+    ("runs_per_point", 2.5, "runs_per_point must be an integer >= 1"),
+    ("runs_per_point", True, "runs_per_point must be an integer >= 1"),
+    ("base_seed", 1.5, "base_seed must be an integer"),
+    ("base_seed", True, "base_seed must be an integer"),
+    ("axes", (("alpha", (1.0, float("nan"))),), "axis 'alpha' value must be finite"),
+    ("axes", (("alpha", (1.0,)), ("beta", (float("inf"),))), "axis 'beta' value must be finite"),
+])
+def test_spec_checks_counts_seeds_and_axis_values(inst_a, field, value, message):
+    given = {"axes": (("alpha", (1.0,)),), "runs_per_point": 2, "base_seed": 0, field: value}
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        SweepSpec(instance=inst_a, solver=SolverConfig(), **given)
+    spec = SweepSpec(instance=inst_a, solver=SolverConfig(), axes=(("alpha", (1.0,)),),
+                     runs_per_point=np.int64(2), base_seed=np.int64(-3))
+    assert spec.runs_per_point == 2 and spec.base_seed == -3
+
+
+def test_spec_checks_factory_axis_values():
+    with pytest.raises(ValidationError, match="axis 'dxi' value must be finite"):
+        SweepSpec(instance=CataloguePerturbationFactory("c"), solver=SolverConfig(),
+                  axes=(("dxi", (float("nan"),)), ("alpha", (1.0,))))
 
 
 def test_spec_hash_tracks_content(inst_a):
@@ -402,6 +430,22 @@ def test_sweep_k_threads_match():
 def test_sweep_k_rejects_empty():
     with pytest.raises(ValidationError):
         sweep_k(16, [])
+
+
+# runs_per_k=0 or -2 used to fail with "K=4: all 0 runs diverged" and
+# 2.5 with a TypeError; each is now rejected before any K runs
+@pytest.mark.parametrize("given, message", [
+    ({"runs_per_k": 0}, "runs_per_k must be an integer >= 1"),
+    ({"runs_per_k": -2}, "runs_per_k must be an integer >= 1"),
+    ({"runs_per_k": 2.5}, "runs_per_k must be an integer >= 1"),
+    ({"runs_per_k": True}, "runs_per_k must be an integer >= 1"),
+    ({"base_seed": 1.5}, "base_seed must be an integer"),
+    ({"base_seed": False}, "base_seed must be an integer"),
+])
+def test_sweep_k_checks_runs_and_seed_before_any_k(monkeypatch, given, message):
+    monkeypatch.setattr(bench, "run_batch", None)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        sweep_k(16, [4], **given)
 
 
 def test_sweep_k_rejects_repeated_k():

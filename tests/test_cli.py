@@ -12,7 +12,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plantbench import SolverConfig, TbmParams, bench, cli, load_instance
+from plantbench import (
+    Instance,
+    SolverConfig,
+    TbmParams,
+    bench,
+    brute_force,
+    build_couplings,
+    catalogue_pattern_set,
+    cli,
+    initial_states,
+    load_instance,
+    run_batch,
+    save_instance,
+)
 from plantbench.cli import main
 
 
@@ -659,6 +672,59 @@ def test_scan_subcommand(tmp_path, capsys):
     header = csv.read_text().splitlines()[0].split(",")
     assert header[:2] == ["dxi", "alpha"]
     assert "scan dxi on c" in capsys.readouterr().out
+
+
+def test_scan_without_values_runs_the_default_grid(tmp_path, capsys, trajectories):
+    csv = tmp_path / "scan.csv"
+    assert run_cli(["scan", "--kind", "dxi", "--alpha-grid", "2", "--runs", "2",
+                    "--threads", "1", "--out", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    dxi = [float(line.split(",")[0]) for line in lines[1:]]
+    assert dxi == [float(v) for v in np.linspace(-2.0, 0.0, 21)]
+    assert trajectories == [2] * 21
+    assert "grid (21, 1)" in capsys.readouterr().out
+
+
+def test_sweep_sr_tbm_needs_both_grids(tmp_path, capsys, trajectories):
+    assert run_cli(["sweep-sr", "--small", "c", "--solver", "tbm", "--delta-grid", "4.6",
+                    "--runs", "2", "--threads", "1", "--out", str(tmp_path / "x.csv")]) == 3
+    assert "tbm sweeps need --delta-grid and --xi0-grid" in _error_line(capsys)
+    assert trajectories == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_sr_on_an_instance_without_patterns(tmp_path, capsys):
+    # no pattern set: every run is unlabelled, no band is counted, and a
+    # hit is a run ending at the brute-force ground energy
+    coupling = build_couplings(catalogue_pattern_set("a")).coupling
+    bare = Instance(n=8, coupling=coupling, pattern_set=None, spectrum=None, label="bare-a")
+    path = tmp_path / "bare.inst"
+    save_instance(bare, path)
+    csv = tmp_path / "sr.csv"
+    alphas = (1.0, 3.0, 6.0)
+    assert run_cli(["sweep-sr", "--instance", str(path), "--alpha-grid", "1,3,6",
+                    "--runs", "40", "--seed", "4", "--threads", "1", "--out", str(csv)]) == 0
+    header, *rows = csv.read_text().splitlines()
+    ground = brute_force(bare).ground_energy
+    total_hits = 0
+    for index, (alpha, line) in enumerate(zip(alphas, rows)):
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert int(cells["n_runs"]) == int(cells["label:unlabelled"]) == 40
+        assert all(int(v) == 0 for k, v in cells.items() if k.startswith("band:"))
+        seeds = bench.derive_seeds(4, index, count=40)
+        cfg = SolverConfig(kind="I", alpha=alpha)
+        outcomes = run_batch(bare, cfg, initial_states(8, cfg.init_amplitude, seeds))
+        hits = sum(abs(o.final_energy - ground) <= 1e-9 * abs(ground) for o in outcomes)
+        assert int(cells["hits"]) == hits
+        total_hits += hits
+    assert total_hits > 0
+
+
+def test_oracle_beyond_the_brute_force_cap(planted, capsys):
+    assert run_cli(["oracle", "--instance", str(planted["n32"]), "--eig"]) == 0
+    out = capsys.readouterr().out
+    assert "ground_energy: (n beyond brute-force cap 24)" in out
+    assert "lambda_max:" in out
 
 
 def test_sweep_k_and_all_report_kinds(tmp_path, capsys):

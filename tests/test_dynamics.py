@@ -13,10 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plantbench import (
-    DivergenceError,
     Instance,
     LinearRamp,
-    PumpRamp,
     SolverConfig,
     TbmParams,
     ValidationError,
@@ -26,7 +24,6 @@ from plantbench import (
     initial_states,
     max_eigenvalue,
     random_initial,
-    run,
     run_batch,
     trajectory,
 )
@@ -82,9 +79,10 @@ def test_class1_two_spin_fixed_point():
     root = (lo + hi) / 2
     cfg = SolverConfig(kind="I", alpha=1.0, beta=1.0, dt=0.05,
                        max_steps=20000, steady_tol=1e-10)
-    out = run(inst, cfg, np.array([0.4, 0.3]))
+    x0 = np.array([0.4, 0.3])
+    out = run_batch(inst, cfg, x0[None])[0]
     assert out.converged
-    traj = trajectory(inst, cfg, np.array([0.4, 0.3]))
+    traj = trajectory(inst, cfg, x0)
     np.testing.assert_allclose(traj[-1], [root, root], atol=1e-6)
     assert np.array_equal(out.final_spins, [1, 1])
 
@@ -92,17 +90,18 @@ def test_class1_two_spin_fixed_point():
 def test_class1_decay_without_couplings():
     inst = zero_instance(3)
     cfg = SolverConfig(kind="I", alpha=1.0, beta=1.0, dt=0.1, max_steps=2000)
-    out = run(inst, cfg, np.array([0.5, -0.3, 0.2]))
+    x0 = np.array([0.5, -0.3, 0.2])
+    out = run_batch(inst, cfg, x0[None])[0]
     assert out.converged
-    traj = trajectory(inst, cfg, np.array([0.5, -0.3, 0.2]))
+    traj = trajectory(inst, cfg, x0)
     assert np.abs(traj[-1]).max() < 1e-6
 
 
 def test_class2_constant_schedules_match_class1(inst_c):
     x0 = random_initial(8, seed=4)
     cfg = SolverConfig(alpha=2.0, beta=1.0, dt=0.1, max_steps=500)
-    a = run(inst_c, replace(cfg, kind="I"), x0)
-    b = run(inst_c, replace(cfg, kind="II"), x0)
+    a = run_batch(inst_c, replace(cfg, kind="I"), x0[None])[0]
+    b = run_batch(inst_c, replace(cfg, kind="II"), x0[None])[0]
     assert a.final_energy == b.final_energy
     assert a.steps_used == b.steps_used
     assert np.array_equal(a.final_spins, b.final_spins)
@@ -143,7 +142,7 @@ def test_class3_damped_oscillator_comes_to_rest():
     inst = zero_instance(1)
     cfg = SolverConfig(kind="III", alpha=1.0, beta=0.0, gamma=-0.5,
                        dt=0.05, max_steps=20000, steady_tol=1e-9)
-    out = run(inst, cfg, np.array([0.8]))
+    out = run_batch(inst, cfg, np.array([[0.8]]))[0]
     assert out.converged
     traj = trajectory(inst, cfg, np.array([0.8]))
     assert abs(traj[-1][0]) < 1e-6
@@ -154,7 +153,7 @@ def test_class3_undamped_oscillator_never_converges():
     cfg = SolverConfig(kind="III", alpha=1.0, beta=0.0, gamma=0.0, dt=0.01,
                        max_steps=1000, steady_tol=1e-9,
                        derivative_window=float("inf"))
-    out = run(inst, cfg, np.array([0.5]))
+    out = run_batch(inst, cfg, np.array([[0.5]]))[0]
     assert not out.converged and not out.diverged
     assert out.steps_used == 1000
 
@@ -184,7 +183,7 @@ def test_tbm_equals_mapped_class3(inst_c):
     x0 = random_initial(8, amplitude=0.5, seed=3)
     tbm_cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps,
                            tbm=TbmParams(delta=delta, xi0=xi0))
-    pump = PumpRamp(steps)
+    pump = LinearRamp(0.0, 2.0, steps)
     manual = SolverConfig(
         kind="III",
         alpha=lambda s: delta * (delta - pump(s)),
@@ -204,7 +203,7 @@ def test_tbm_runs_the_full_pump_schedule(inst_c):
     # wall-pinned intermediate states must not freeze the machine early
     cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=1000,
                        tbm=TbmParams(delta=4.2, xi0=0.64))
-    out = run(inst_c, cfg, random_initial(8, seed=17))
+    out = run_batch(inst_c, cfg, random_initial(8, seed=17)[None])[0]
     assert out.steps_used == 1000
     assert not out.converged
 
@@ -215,7 +214,7 @@ def test_tbm_uncoupled_bifurcation_keeps_sign():
     inst = zero_instance(4)
     cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=1000,
                        tbm=TbmParams(delta=0.1, xi0=0.1))
-    out = run(inst, cfg, np.full(4, 0.1))
+    out = run_batch(inst, cfg, np.full((1, 4), 0.1))[0]
     assert np.array_equal(out.final_spins, np.ones(4, dtype=np.int8))
 
 
@@ -223,7 +222,7 @@ def test_tbm_zero_state_reports_plus_spins():
     inst = zero_instance(3)
     cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=200,
                        tbm=TbmParams(delta=1.0, xi0=0.1))
-    out = run(inst, cfg, np.zeros(3))
+    out = run_batch(inst, cfg, np.zeros((1, 3)))[0]
     assert np.array_equal(out.final_spins, np.ones(3, dtype=np.int8))
 
 
@@ -233,11 +232,13 @@ def test_tbm_requires_params():
 
 
 def test_pump_ramp_saturates():
-    pump = PumpRamp(num_steps=100)
-    assert pump(0) == 0.0
-    assert pump(50) == pytest.approx(1.0)
-    assert pump(100) == 2.0
-    assert pump(10**6) == 2.0
+    # the bifurcation pump: 0.0 + y == y, so each step is exactly
+    # min(2 * step / N, 2)
+    for steps in (1, 3, 100, 997, 1000):
+        pump = LinearRamp(0.0, 2.0, steps)
+        for step in range(steps + 3):
+            assert pump(step) == min(2.0 * step / steps, 2.0)
+    assert LinearRamp(0.0, 2.0, 100)(10**6) == 2.0
 
 
 def test_linear_ramp_endpoints_and_hold():
@@ -380,7 +381,7 @@ def test_active_rows_match_masked_loop_tbm(inst_c):
     delta, xi0, steps = 4.2, 0.64, 400
     cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps,
                        tbm=TbmParams(delta=delta, xi0=xi0))
-    pump = PumpRamp(steps)
+    pump = LinearRamp(0.0, 2.0, steps)
     x0 = start_block(8, 100)
     ref = masked_reference(inst_c.coupling, x0,
                            lambda s: delta * (delta - pump(s)), delta * xi0,
@@ -475,7 +476,7 @@ def test_zero_gamma_skips_the_velocity_term_bit_for_bit(inst_c, kind):
                            max_steps=steps, steady_tol=0.0, derivative_window=1.0)
         alpha, beta, phi = 2.0, 0.7, np.tanh
     else:
-        delta, xi0, pump = 4.2, 0.64, PumpRamp(steps)
+        delta, xi0, pump = 4.2, 0.64, LinearRamp(0.0, 2.0, steps)
         cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps,
                            tbm=TbmParams(delta=delta, xi0=xi0))
         alpha, beta, phi = (lambda s: delta * (delta - pump(s))), delta * xi0, np.sign
@@ -606,7 +607,7 @@ def test_batch_shape_validation(inst_c):
     with pytest.raises(ValidationError):
         run_batch(inst_c, cfg, np.zeros((4, 5)))
     with pytest.raises(ValidationError):
-        run(inst_c, cfg, np.zeros(5))
+        trajectory(inst_c, cfg, np.zeros(5))
     with pytest.raises(ValidationError):
         run_batch(inst_c, cfg, np.zeros((4, 8)), seeds=np.arange(3))
 
@@ -614,24 +615,20 @@ def test_batch_shape_validation(inst_c):
 def test_converged_runs_are_stable_under_longer_budget(inst_c):
     x0 = random_initial(8, seed=31)
     short = SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=1000)
-    out = run(inst_c, short, x0)
+    out = run_batch(inst_c, short, x0[None])[0]
     assert out.converged
-    longer = run(inst_c, SolverConfig(kind="I", alpha=3.0, dt=0.1,
-                                      max_steps=out.steps_used + 100), x0)
+    longer = run_batch(inst_c, SolverConfig(kind="I", alpha=3.0, dt=0.1,
+                                            max_steps=out.steps_used + 100), x0[None])[0]
     assert longer.steps_used == out.steps_used
     assert np.array_equal(longer.final_spins, out.final_spins)
 
 
-def test_divergence_raises_in_run_and_flags_in_batch(inst_c):
+def test_divergence_flags_the_row(inst_c):
     # negative alpha feeds back positively: exponential escape
     cfg = SolverConfig(kind="I", alpha=-5.0, beta=0.0, dt=0.5, max_steps=2000)
-    x0 = np.full(8, 0.5)
-    with pytest.raises(DivergenceError, match=r"beyond 1e6 or not finite"):
-        run(inst_c, cfg, x0)
-    out = run_batch(inst_c, cfg, x0[None, :])[0]
+    out = run_batch(inst_c, cfg, np.full((1, 8), 0.5))[0]
     assert out.diverged and not out.converged
     assert out.label.category == "diverged"
-
 
 
 def test_non_finite_state_counts_as_diverged(inst_c):
@@ -649,7 +646,7 @@ def test_non_finite_state_counts_as_diverged(inst_c):
 
 def test_outcomes_carry_labels_on_planted_instances(inst_c):
     cfg = SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=1000)
-    out = run(inst_c, cfg, random_initial(8, seed=2))
+    out = run_batch(inst_c, cfg, random_initial(8, seed=2)[None])[0]
     assert out.label is not None
     assert out.label.category in ("planted", "mirror", "mixed", "spurious")
 
@@ -657,7 +654,7 @@ def test_outcomes_carry_labels_on_planted_instances(inst_c):
 def test_trajectory_is_consistent_with_run(inst_c):
     cfg = SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=1000)
     x0 = random_initial(8, seed=5)
-    out = run(inst_c, cfg, x0)
+    out = run_batch(inst_c, cfg, x0[None])[0]
     traj = trajectory(inst_c, cfg, x0)
     assert traj.shape == (out.steps_used + 1, 8)
     np.testing.assert_array_equal(traj[0], x0)
@@ -715,6 +712,9 @@ def test_initial_amplitude_must_be_positive_and_finite(amplitude):
         random_initial(4, amplitude, seed=1)
     with pytest.raises(ValidationError, match="amplitude"):
         initial_states(4, amplitude, np.array([1, 2]))
+    # a SolverConfig used to take -0.5 and fail only at a sweep's first point
+    with pytest.raises(ValidationError, match="amplitude must be positive and finite"):
+        SolverConfig(init_amplitude=amplitude)
 
 
 @pytest.mark.parametrize("seeds", [[3, -1], [[1, 2]], [0.5, 1.0]])
@@ -740,7 +740,7 @@ def test_dt_must_be_positive_and_finite(dt):
         SolverConfig(dt=dt)
 
 
-@pytest.mark.parametrize("max_steps", [0, -1, 10.0])
+@pytest.mark.parametrize("max_steps", [0, -1, 10.0, True])
 def test_max_steps_must_be_a_positive_integer(max_steps):
     # max_steps = 0 used to report zero-step rows labelled from x0
     with pytest.raises(ValidationError, match="max_steps must be an integer >= 1"):
@@ -754,9 +754,44 @@ def test_steady_tol_must_be_non_negative(steady_tol):
     assert SolverConfig(steady_tol=0.0).steady_tol == 0.0
 
 
+# each of these used to be accepted and diverged every row at step 1 or 2
+@pytest.mark.parametrize("kind", ["I", "II", "III"])
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "1.0"])
+def test_constant_coefficients_must_be_finite(kind, field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        SolverConfig(kind=kind, **{field: value})
+
+
+def test_coefficient_schedules_and_tbm_are_not_checked():
+    # a schedule is not evaluated when the config is made (its NaN step
+    # diverges the rows, see test_non_finite_state_counts_as_diverged),
+    # and TBM derives its coefficients from tbm
+    SolverConfig(kind="II", alpha=lambda step: float("nan"))
+    cfg = SolverConfig(kind="TBM", alpha=float("nan"), tbm=TbmParams())
+    assert np.isnan(cfg.alpha)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tbm_coefficient_overflow_diverges_every_row(inst_c):
+    # beta = delta * xi0 = inf is derived, not given: it runs and diverges
+    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=50,
+                       tbm=TbmParams(delta=1e308, xi0=1e308))
+    out = run_batch(inst_c, cfg, start_block(8, 4))
+    assert all(row.diverged for row in out)
+
+
+@pytest.mark.parametrize("field", ["delta", "xi0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), None])
+def test_tbm_params_must_be_finite(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        TbmParams(**{field: value})
+    assert getattr(TbmParams(**{field: 1e308}), field) == 1e308
+
+
 def test_sign_and_clip_nonlinearities_run(inst_c):
     for name in ("sign", "identity-clip"):
         cfg = SolverConfig(kind="I", alpha=2.0, nonlinearity=name,
                            dt=0.1, max_steps=400)
-        out = run(inst_c, cfg, random_initial(8, seed=1))
+        out = run_batch(inst_c, cfg, random_initial(8, seed=1)[None])[0]
         assert np.isin(out.final_spins, (-1, 1)).all()

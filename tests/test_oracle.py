@@ -224,3 +224,43 @@ def test_max_eigenvalue_falls_back_to_eigvalsh(case):
             np.sum(inst.pattern_set.weights)
         )
         assert abs(want - closed) > 0.05
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_max_eigenvalue_falls_back_when_only_the_trace_fails(monkeypatch):
+    # c * (I - P P^T / n) vanishes on every pattern, so each eigenpair
+    # holds, and it moves the n - K complement eigenvalues from -W to
+    # c - W.  With c = 2W they become +W: the Frobenius norm is unchanged
+    # and only the trace, now c (n - K), tells; at K = 12 > n/2, W is
+    # above the top pattern eigenvalue, so the closed form would be wrong
+    n = 16
+    ps = generate_orthogonal_patterns(n, 12, seed=5, dw=0.01)
+    inst = build_couplings(ps)
+    total = float(np.sum(ps.weights))
+    lam = n * ps.weights - total
+    p = ps.patterns.T.astype(np.float64)
+    j = inst.coupling + 2.0 * total * (np.eye(n) - p @ p.T / n)
+    j.setflags(write=False)
+    assert np.abs(j @ p - p * lam).max() < 1e-9
+    want_frobenius = float(np.sum(lam * lam)) + (n - 12) * total * total
+    assert float(np.vdot(j, j)) == pytest.approx(want_frobenius, rel=1e-12)
+    assert float(np.trace(j)) == pytest.approx(2.0 * total * (n - 12))
+    want = float(np.linalg.eigvalsh(j)[-1])
+    assert want == pytest.approx(total) and want > float(lam.max()) + 1.0
+    assert max_eigenvalue(replace(inst, coupling=j)) == want
+    # the unaltered instance still takes the certified closed form
+    _forbid_eigvalsh(monkeypatch)
+    assert max_eigenvalue(inst) == float(lam.max())
+
+
+def test_max_eigenvalue_falls_back_on_zero_weights_with_couplings():
+    # all-zero weights claim J = 0; a non-zero J must not return 0
+    ps = generate_orthogonal_patterns(16, 3, seed=2, w0=0.0, dw=0.0)
+    inst = build_couplings(ps)
+    assert not np.any(inst.coupling)
+    j = random_symmetric(16, seed=4)
+    altered = replace(inst, coupling=j)
+    want = float(np.linalg.eigvalsh(j)[-1])
+    assert want > 0
+    assert max_eigenvalue(altered) == want
+    assert max_eigenvalue(inst) == 0.0

@@ -5,10 +5,11 @@ from plantbench import bench, dynamics, energy, errors, instance, oracle
 
 # Every name the package exported before the per-kind run aliases, the
 # one-off classifier wrapper, DegenerateSpectrumError, the bare-matrix
-# file format, the cluster and mode helpers and mirror were deleted.
+# file format, the cluster and mode helpers, mirror, the one-row run
+# with its DivergenceError, and PumpRamp were deleted.
 STILL_EXPORTED = [
     "__version__", "PlantbenchError", "ValidationError",
-    "UnsupportedDimensionError", "CapacityError", "DivergenceError",
+    "UnsupportedDimensionError", "CapacityError",
     "CATALOGUE", "PatternSet", "Instance", "make_pattern_set",
     "generate_orthogonal_patterns", "catalogue_pattern_set",
     "generate_small_scale", "perturb_patterns", "build_couplings",
@@ -17,8 +18,8 @@ STILL_EXPORTED = [
     "qubo_energy", "qubo_energy_many", "PlantedSpectrum",
     "planted_spectrum", "OutcomeLabel", "OutcomeClassifier", "band_label",
     "measure_bins", "gauge_transform", "SpectrumReport",
-    "brute_force", "max_eigenvalue", "LinearRamp", "PumpRamp", "TbmParams",
-    "SolverConfig", "RunOutcome", "random_initial", "run", "run_batch",
+    "brute_force", "max_eigenvalue", "LinearRamp", "TbmParams",
+    "SolverConfig", "RunOutcome", "random_initial", "run_batch",
     "trajectory", "SweepSpec", "PointResult", "SweepResult",
     "HistogramReport", "KSweepEntry", "CataloguePerturbationFactory",
     "CatalogueWeightStepFactory", "EquidistantPerturbationFactory",
@@ -31,6 +32,7 @@ DELETED = [
     "run_class1", "run_class2", "run_class3", "run_tbm",
     "classify_outcome", "DegenerateSpectrumError", "save_dense", "load_dense",
     "count_modes", "cluster_split", "cluster_report", "mirror",
+    "run", "DivergenceError", "PumpRamp",
 ]
 
 
