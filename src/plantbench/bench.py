@@ -578,8 +578,9 @@ def sweep_k(
     2000 steps at n >= 1024.  Histograms use HIST_BINS bins and bands
     energy.DEFAULT_FRACTIONS.  Each K may be listed once: the histogram
     CSV keys its rows by K.  n must be a power of two >= 2, each K in
-    1..n, each weight 1 + m*dw > 0, runs_per_k an integer >= 1 and
-    base_seed an integer, all checked before any K runs.
+    1..n, dw finite with each weight 1 + m*dw > 0, runs_per_k an
+    integer >= 1 and base_seed an integer, all checked before any K
+    runs.
     """
     ks = [int(k) for k in k_values]
     if not ks:
@@ -587,6 +588,7 @@ def sweep_k(
     _no_repeats(ks, "K values")
     for k in ks:
         _check_orthogonal(n, k)
+    _check_finite(dw, "dw")
     # the weights 1 + m*dw of K are monotone in m, so m = 1 or m = K is the least
     least = {k: min(1.0 + dw, 1.0 + k * dw) for k in ks}
     bad = [k for k, w in least.items() if not w > 0]

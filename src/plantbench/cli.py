@@ -25,23 +25,23 @@ next to --k-list.
 
 Exit codes: 0 success, 2 usage error (unknown or missing flag, invalid
 choice, sweep-sr without exactly one of --instance and --small), 3
-validation error (unparsable, out-of-range or unread flag values, bad,
+validation error: every rejection the package makes is a
+ValidationError (unparsable, out-of-range or unread flag values, bad,
 unreadable or unwritable files, repeated instance keys or report rows,
 unsupported sizes, couplings or planted energies that are not
-finite).  Diverging runs are data: solve labels them "diverged" and
-the sweeps count them.
+finite), and main prints it as one "error:" line.  Diverging runs are
+data: solve labels them "diverged" and the sweeps count them.
 
-report, --version and usage errors run without importing numpy or the
-numeric modules of the package; every other command imports them when
-it starts.  A "lo:hi:num" grid loads numpy as the parser reads it, so a
-usage error on an argument vector that holds one may load numpy too.
+Each command imports the numeric modules it uses when it runs, so
+report, --version and usage errors run without importing numpy.  A
+"lo:hi:num" grid loads numpy as the parser reads it, so a usage error
+on an argument vector that holds one may load numpy too.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import shlex
 import sys
@@ -52,6 +52,7 @@ from . import __version__, render
 from .errors import ValidationError
 from .textio import (
     CATALOGUE,
+    _check_finite,
     _check_writable,
     _finite,
     _int,
@@ -64,7 +65,8 @@ from .textio import (
 )
 
 if TYPE_CHECKING:
-    from .instance import Instance
+    from .dynamics import SolverConfig
+    from .instance import Instance, PatternSet
 
 __all__ = ["main"]
 
@@ -72,46 +74,21 @@ MAX_GRID_POINTS = 100_000
 
 
 # ---------------------------------------------------------------------------
-# numeric names, bound on first use
+# The two numeric names bound here: perfbench/tracer.py wraps them on this
+# module, so the commands call them by bare name (ROADMAP item 2).  Every
+# other numeric name is imported inside the command that uses it.
 
 
-def _numeric_names() -> dict[str, object]:
-    """The numeric modules and functions the commands other than report use."""
-    from . import bench
-    from . import oracle as oracle_mod
-    from .dynamics import SolverConfig, TbmParams, initial_states, run_batch
-    from .instance import (
-        build_couplings,
-        catalogue_pattern_set,
-        coarse_grain,
-        generate_orthogonal_patterns,
-        load_instance,
-        save_instance,
-    )
+def build_couplings(*args, **kwargs) -> Instance:
+    from .instance import build_couplings
 
-    return locals()
+    return build_couplings(*args, **kwargs)
 
 
-def _bind_numeric() -> None:
-    """Bind the numeric names into this module, keeping any name already set.
+def catalogue_pattern_set(*args, **kwargs) -> PatternSet:
+    from .instance import catalogue_pattern_set
 
-    main calls this before every command but report, so report, --version
-    and usage errors start without numpy.  A name already set stays:
-    perfbench/tracer.py wraps build_couplings and catalogue_pattern_set
-    here before main runs.  This and __getattr__ can go once the
-    benchmark no longer patches module names (ROADMAP item 2).
-    """
-    for name, value in _numeric_names().items():
-        globals().setdefault(name, value)
-
-
-def __getattr__(name: str):
-    # PEP 562: the first read of a numeric name from outside binds them all
-    if not name.startswith("__"):
-        _bind_numeric()
-        if name in globals():
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return catalogue_pattern_set(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +110,8 @@ def _parse_grid(text: str, what: str = "grid") -> tuple[float, ...]:
             lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ValidationError(f"cannot parse {what} spec {text!r}") from None
-        _check_finite(what, text, (lo, hi))
+        for v in (lo, hi):
+            _check_finite(v, what)
         if not 1 <= num <= MAX_GRID_POINTS:
             raise ValidationError(f"{what} needs 1 to {MAX_GRID_POINTS} points, got {num}")
         if len(parts) == 4:
@@ -150,13 +128,9 @@ def _parse_grid(text: str, what: str = "grid") -> tuple[float, ...]:
     if not values:
         raise ValidationError(f"{what} {text!r} is empty")
     # finite endpoints can still overflow the step, as in 1e308:-1e308:3
-    _check_finite(what, text, values)
+    for v in values:
+        _check_finite(v, what)
     return values
-
-
-def _check_finite(what: str, text: str, values: tuple[float, ...]) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise ValidationError(f"{what} {text!r} has a non-finite value")
 
 
 def _k_list(text: str, what: str) -> list[int]:
@@ -220,11 +194,7 @@ def _write_manifest(command: str, argv: list[str], inputs: list[str], outputs: l
 
 
 def _print_spectrum(inst: Instance) -> None:
-    spec = inst.spectrum
-    ps = inst.pattern_set
-    if spec is None or ps is None:
-        print("planted spectrum: (external instance, none)")
-        return
+    spec, ps = inst.spectrum, inst.pattern_set
     print(f"planted energies: e_min={spec.e_min!r} e_max={spec.e_max!r}")
     if ps.k <= 32:
         for m, e in enumerate(spec.energies, start=1):
@@ -241,6 +211,8 @@ def _spins_text(spins) -> str:
 
 
 def _cmd_gen(args, out) -> list[str]:
+    from .instance import coarse_grain, generate_orthogonal_patterns, save_instance
+
     ps = generate_orthogonal_patterns(args.n, args.k, seed=args.seed, w0=args.w0, dw=args.dw)
     inst = build_couplings(ps, rule=args.rule, label=f"orthogonal-n{args.n}-k{args.k}")
     if args.coarse is not None:
@@ -251,6 +223,8 @@ def _cmd_gen(args, out) -> list[str]:
 
 
 def _cmd_gen_small(args, out=None) -> list[str]:
+    from .instance import save_instance
+
     ps = catalogue_pattern_set(args.id, literal_weights=args.literal_weights)
     inst = build_couplings(ps, label=f"small-{args.id}")
     dists, cat_dw = CATALOGUE[args.id]
@@ -283,6 +257,8 @@ _FIELDS = {"--window": "derivative_window", "--steps": "max_steps",
 
 def _solver_config(args, axes: tuple[str, ...] = ()) -> SolverConfig:
     """The solver the flags name; fails on a flag it does not read or that axes set."""
+    from .dynamics import SolverConfig, TbmParams
+
     given = {}
     for name in dict.fromkeys(sum(_SOLVER_FLAGS.values(), ())):  # every solver flag
         value = getattr(args, name[2:])
@@ -296,6 +272,10 @@ def _solver_config(args, axes: tuple[str, ...] = ()) -> SolverConfig:
 
 
 def _cmd_solve(args, out=None) -> list[str]:
+    from . import bench
+    from .dynamics import initial_states, run_batch
+    from .instance import load_instance
+
     cfg = _solver_config(args)
     inst = load_instance(args.instance)
     seeds = bench.derive_seeds(args.seed, "solve", count=args.runs)
@@ -316,11 +296,14 @@ def _cmd_solve(args, out=None) -> list[str]:
 
 
 def _cmd_oracle(args, out=None) -> list[str]:
+    from . import oracle
+    from .instance import load_instance
+
     inst = load_instance(args.instance)
     lines = [f"instance: {inst.label} n={inst.n}"]
     # brute_force rejects a full spectrum beyond its cap, whatever n is
-    if inst.n <= oracle_mod.BRUTE_FORCE_LIMIT or args.full_spectrum:
-        report = oracle_mod.brute_force(inst, full_spectrum=args.full_spectrum)
+    if inst.n <= oracle.BRUTE_FORCE_LIMIT or args.full_spectrum:
+        report = oracle.brute_force(inst, full_spectrum=args.full_spectrum)
         lines.append(f"ground_energy: {report.ground_energy!r}")
         lines.append(f"ground_state: {_spins_text(report.ground_state)}")
         lines.append(f"degeneracy: {report.degeneracy}")
@@ -329,9 +312,9 @@ def _cmd_oracle(args, out=None) -> list[str]:
             lines.append(f"spectrum_size: {len(levels)}")
             lines.append("lowest_levels: " + " ".join(repr(float(e)) for e in levels[:8]))
     else:
-        lines.append(f"ground_energy: (n beyond brute-force cap {oracle_mod.BRUTE_FORCE_LIMIT})")
+        lines.append(f"ground_energy: (n beyond brute-force cap {oracle.BRUTE_FORCE_LIMIT})")
     if args.eig:
-        lines.append(f"lambda_max: {oracle_mod.max_eigenvalue(inst)!r}")
+        lines.append(f"lambda_max: {oracle.max_eigenvalue(inst)!r}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out is not None:
@@ -340,13 +323,15 @@ def _cmd_oracle(args, out=None) -> list[str]:
 
 
 def _sweep_axes(args, inst: Instance) -> tuple[tuple[str, tuple[float, ...]], ...]:
+    from . import bench, oracle
+
     if args.solver == "tbm":
         if args.delta_grid is None or args.xi0_grid is None:
             raise ValidationError("tbm sweeps need --delta-grid and --xi0-grid")
         return (("delta", args.delta_grid), ("xi0", args.xi0_grid))
     alphas = args.alpha_grid
     if alphas is None:
-        alphas = bench.default_alpha_grid(oracle_mod.max_eigenvalue(inst))
+        alphas = bench.default_alpha_grid(oracle.max_eigenvalue(inst))
     axes = [("alpha", alphas)]
     if args.beta_grid is not None:
         axes.append(("beta", args.beta_grid))
@@ -354,6 +339,9 @@ def _sweep_axes(args, inst: Instance) -> tuple[tuple[str, tuple[float, ...]], ..
 
 
 def _cmd_sweep_sr(args, out, sidecar) -> list[str]:
+    from . import bench
+    from .instance import load_instance
+
     reads = bench._SOLVER_AXES[_SOLVER_KINDS[args.solver]]
     for name in ("alpha", "beta", "delta", "xi0"):
         if getattr(args, name + "_grid") is not None and name not in reads:
@@ -391,6 +379,9 @@ _SCAN_DEFAULT_VALUES = {
 
 
 def _cmd_scan(args, out, sidecar) -> list[str]:
+    from . import bench, oracle
+    from .dynamics import SolverConfig
+
     ident = args.id if args.id is not None else ("f" if args.kind == "p" else "c")
     factory = bench.SCAN_FACTORIES[args.kind](ident)
     values = args.values
@@ -398,7 +389,7 @@ def _cmd_scan(args, out, sidecar) -> list[str]:
         values = _parse_grid(_SCAN_DEFAULT_VALUES[args.kind])
     alphas = args.alpha_grid
     if alphas is None:
-        alphas = bench.default_alpha_grid(oracle_mod.max_eigenvalue(factory(values[0])))
+        alphas = bench.default_alpha_grid(oracle.max_eigenvalue(factory(values[0])))
     spec = bench.SweepSpec(
         instance=factory,
         solver=SolverConfig(kind="I"),
@@ -414,6 +405,8 @@ def _cmd_scan(args, out, sidecar) -> list[str]:
 
 
 def _cmd_sweep_k(args, out, hist_path) -> list[str]:
+    from . import bench
+
     ks = args.k_list
     if ks is not None:
         for name in ("--k-min", "--k-max", "--k-step"):
@@ -661,8 +654,6 @@ def main(argv: list[str] | None = None) -> int:
         outputs = [] if args.out is None else args.outputs(args.out)
         if outputs:
             _check_outputs(argv, *outputs)
-        if args.command != "report":
-            _bind_numeric()
         inputs = args.func(args, *outputs)
         if outputs:
             _write_manifest(args.command, argv, inputs, outputs)

@@ -28,11 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    UnsupportedDimensionError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .textio import CATALOGUE, _finite, _fmt, _int, _read_text, _write_text
 
 __all__ = [
@@ -249,13 +245,11 @@ def _apply_gl2(cols: list[int], index: int) -> int:
 
 def _check_orthogonal(n: int, k: int) -> None:
     if n < 2 or (n & (n - 1)) != 0:
-        raise UnsupportedDimensionError(
-            f"orthogonal construction needs n a power of two >= 2, got {n}"
-        )
+        raise ValidationError(f"orthogonal construction needs n a power of two >= 2, got {n}")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got k={k}")
     if k > n:
-        raise CapacityError(f"at most n={n} mutually orthogonal patterns exist, got k={k}")
+        raise ValidationError(f"at most n={n} mutually orthogonal patterns exist, got k={k}")
 
 
 def generate_orthogonal_patterns(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _coupling_of, _energies, closed_form_applies
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .instance import Instance, PatternSet, _readonly
 
 __all__ = ["SpectrumReport", "brute_force", "max_eigenvalue"]
@@ -62,11 +62,9 @@ def brute_force(inst: "Instance | np.ndarray", full_spectrum: bool = False) -> S
     j = _coupling_of(inst)
     n = j.shape[0]
     if full_spectrum and n > FULL_SPECTRUM_LIMIT:
-        raise CapacityError(
-            f"full spectrum is capped at n = {FULL_SPECTRUM_LIMIT}, got {n}"
-        )
+        raise ValidationError(f"full spectrum is capped at n = {FULL_SPECTRUM_LIMIT}, got {n}")
     if n > BRUTE_FORCE_LIMIT:
-        raise CapacityError(f"brute force is capped at n = {BRUTE_FORCE_LIMIT}, got {n}")
+        raise ValidationError(f"brute force is capped at n = {BRUTE_FORCE_LIMIT}, got {n}")
     total = 1 << (n - 1)
     chunk = min(total, 1 << _CHUNK_BITS)
     shifts = np.arange(n - 1, dtype=np.uint32)

@@ -441,6 +441,11 @@ def test_sweep_k_rejects_empty():
     ({"runs_per_k": True}, "runs_per_k must be an integer >= 1"),
     ({"base_seed": 1.5}, "base_seed must be an integer"),
     ({"base_seed": False}, "base_seed must be an integer"),
+    # NaN used to fail the weight ladder rule, which it does not break,
+    # and +inf passed it
+    ({"dw": float("nan")}, "dw must be finite, got nan"),
+    ({"dw": float("inf")}, "dw must be finite, got inf"),
+    ({"dw": float("-inf")}, "dw must be finite, got -inf"),
 ])
 def test_sweep_k_checks_runs_and_seed_before_any_k(monkeypatch, given, message):
     monkeypatch.setattr(bench, "run_batch", None)

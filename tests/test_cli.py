@@ -21,6 +21,7 @@ from plantbench import (
     build_couplings,
     catalogue_pattern_set,
     cli,
+    dynamics,
     initial_states,
     load_instance,
     run_batch,
@@ -148,7 +149,8 @@ def _error_line(capsys) -> str:
 def trajectories(monkeypatch):
     """The row counts of every run_batch call that the CLI makes."""
     rows = []
-    for owner in (bench, cli):
+    # solve imports run_batch from dynamics when it runs
+    for owner in (bench, dynamics):
         def counted(inst, cfg, x0, *args, _run=owner.run_batch, **kwargs):
             rows.append(len(x0))
             return _run(inst, cfg, x0, *args, **kwargs)
@@ -325,6 +327,19 @@ def test_malformed_instance_file_exits_3(tmp_path, small_c, capsys):
     assert "n must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, message", [
+    ("k: 2\nweights: 1.0\ngenerator: hadamard 0\n", "weights row does not match k"),
+    ("k: 2\nweights: 1.0 1.0\ngenerator: sobol 0\n", "unknown generator kind 'sobol'"),
+    ("k: 2\nweights: 1.0 1.0\n", "pattern source declared but no patterns present"),
+    ("", "instance file has neither patterns nor couplings"),
+], ids=["weights", "generator", "no-patterns", "empty"])
+def test_instance_without_a_usable_pattern_source_exits_3(tmp_path, capsys, fields, message):
+    bad = tmp_path / "bad.inst"
+    bad.write_text("format_version: 1\nn: 8\n" + fields)
+    assert run_cli(["oracle", "--instance", str(bad)]) == 3
+    assert message in _error_line(capsys)
+
+
 def test_oracle_reports_ground_state(small_c, capsys):
     assert run_cli(["oracle", "--instance", str(small_c),
                     "--full-spectrum", "--eig"]) == 0
@@ -387,7 +402,7 @@ def test_grid_rejects_non_finite_values(capsys, tmp_path, grid):
     code = run_cli(["sweep-sr", "--small", "c", "--solver", "class1",
                     f"--alpha-grid={grid}", "--runs", "20", "--out", str(csv)])
     assert code == 3
-    assert "non-finite" in capsys.readouterr().err
+    assert "--alpha-grid must be finite" in capsys.readouterr().err
     assert not csv.exists()
 
 def test_grid_span_overflow_exits_3_without_warnings(capsys, tmp_path):
@@ -401,7 +416,7 @@ def test_grid_span_overflow_exits_3_without_warnings(capsys, tmp_path):
                         "--out", str(csv)])
     assert code == 3
     err = capsys.readouterr().err
-    assert "non-finite" in err and "RuntimeWarning" not in err
+    assert "--alpha-grid must be finite" in err and "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not csv.exists()
 
@@ -587,7 +602,6 @@ def test_no_flag_is_parsed_by_bare_int_or_float():
      SolverConfig(kind="TBM", tbm=TbmParams())),
 ], ids=["solve", "sweep-sr", "tbm"])
 def test_solver_flags_left_out_keep_the_library_defaults(argv, config):
-    cli._bind_numeric()
     assert cli._solver_config(cli._build_parser().parse_args(argv)) == config
 
 
@@ -720,6 +734,19 @@ def test_sweep_sr_on_an_instance_without_patterns(tmp_path, capsys):
     assert total_hits > 0
 
 
+def test_sweep_sr_beyond_brute_force_needs_patterns(tmp_path, planted, capsys, trajectories):
+    inst = load_instance(planted["n32"])
+    bare = tmp_path / "bare.inst"
+    save_instance(Instance(n=32, coupling=inst.coupling, pattern_set=None, spectrum=None,
+                           label="bare-32"), bare)
+    csv = tmp_path / "sr.csv"
+    assert run_cli(["sweep-sr", "--instance", str(bare), "--alpha-grid", "1", "--runs", "2",
+                    "--threads", "1", "--out", str(csv)]) == 3
+    assert "a ground state beyond brute force needs a planted instance" in _error_line(capsys)
+    assert trajectories == []
+    assert not csv.exists()
+
+
 def test_oracle_beyond_the_brute_force_cap(planted, capsys):
     assert run_cli(["oracle", "--instance", str(planted["n32"]), "--eig"]) == 0
     out = capsys.readouterr().out
@@ -833,6 +860,25 @@ def test_report_wrong_schema_exits_3(tmp_path, capsys):
                     "--out", str(tmp_path / "x.svg")]) == 3
     assert run_cli(["report", "--in", str(src), "--kind", "measure",
                     "--out", str(tmp_path / "x.svg")]) == 3
+
+
+@pytest.mark.parametrize("kind, text, flags, message", [
+    ("heatmap", "a,b,c,sr\n1,2,3,0.5\n", [], "heatmap input needs one or two axis columns"),
+    ("heatmap", "delta,xi0,sr\n1,1,0.5\n1,2,0.6\n2,1,0.7\n", [],
+     "heatmap input is not a full grid"),
+    ("hist", HIST_HEADER + "40,0,1,-2,0.1,-1,1\n", ["--k", "41"], "no rows for k=41"),
+    ("measure", "k,n_runs\n40,3\n", [], "measure input has no band:* columns"),
+    ("measure", "k,n_runs,band:1,band:above\n40,3,1,1\n", [],
+     "band counts of each row must sum to n_runs"),
+], ids=["three-axes", "partial-grid", "hist-no-k", "no-bands", "band-sum"])
+def test_report_inconsistent_table_exits_3(tmp_path, capsys, kind, text, flags, message):
+    src = tmp_path / "odd.csv"
+    src.write_text(text)
+    out = tmp_path / "x.svg"
+    assert run_cli(["report", "--in", str(src), "--kind", kind, *flags,
+                    "--out", str(out)]) == 3
+    assert message in _error_line(capsys)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from plantbench import (
-    CapacityError,
     ValidationError,
     brute_force,
     build_couplings,
@@ -87,9 +86,9 @@ def test_brute_force_spans_chunk_boundaries():
 
 
 def test_capacity_limits():
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValidationError, match="brute force is capped at n = 24, got 25"):
         brute_force(np.zeros((BRUTE_FORCE_LIMIT + 1, BRUTE_FORCE_LIMIT + 1)))
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValidationError, match="full spectrum is capped at n = 16, got 18"):
         brute_force(
             np.zeros((FULL_SPECTRUM_LIMIT + 2, FULL_SPECTRUM_LIMIT + 2)),
             full_spectrum=True,

@@ -6,11 +6,10 @@ from plantbench import bench, dynamics, energy, errors, instance, oracle
 # Every name the package exported before the per-kind run aliases, the
 # one-off classifier wrapper, DegenerateSpectrumError, the bare-matrix
 # file format, the cluster and mode helpers, mirror, the one-row run
-# with its DivergenceError, and PumpRamp were deleted.
+# with its DivergenceError, PumpRamp, and every exception type but
+# ValidationError were deleted.
 STILL_EXPORTED = [
-    "__version__", "PlantbenchError", "ValidationError",
-    "UnsupportedDimensionError", "CapacityError",
-    "CATALOGUE", "PatternSet", "Instance", "make_pattern_set",
+    "__version__", "ValidationError", "CATALOGUE", "PatternSet", "Instance", "make_pattern_set",
     "generate_orthogonal_patterns", "catalogue_pattern_set",
     "generate_small_scale", "perturb_patterns", "build_couplings",
     "coarse_grain", "hamming_distances", "shared_sign_coordinate",
@@ -33,6 +32,7 @@ DELETED = [
     "classify_outcome", "DegenerateSpectrumError", "save_dense", "load_dense",
     "count_modes", "cluster_split", "cluster_report", "mirror",
     "run", "DivergenceError", "PumpRamp",
+    "PlantbenchError", "UnsupportedDimensionError", "CapacityError",
 ]
 
 
@@ -47,6 +47,10 @@ def test_every_exported_name_resolves_to_its_module_object():
     for mod in (errors, instance, energy, oracle, dynamics, bench):
         for name in mod.__all__:
             assert getattr(plantbench, name) is getattr(mod, name), name
+
+
+def test_errors_export_one_type():
+    assert errors.__all__ == ["ValidationError"]
 
 
 def test_log_shift_is_defined_once_in_render():

@@ -1,10 +1,11 @@
-"""Start-up: which invocations import numpy, and the names bound on first use.
+"""Start-up: which invocations import numpy, and the names cli binds.
 
 report, --version and usage errors start without numpy or the numeric
-modules of the package.  Every other command binds the numeric names
-into plantbench.cli when it starts, and keeps a name already set there,
-so a wrapper installed on plantbench.cli before main runs stays in
-place.
+modules of the package: every other command imports what it uses when
+it runs.  plantbench.cli binds two numeric names, build_couplings and
+catalogue_pattern_set, as forwarders that the commands call by bare
+name, so a wrapper installed on plantbench.cli before main runs is
+called.
 """
 
 import argparse
@@ -55,11 +56,13 @@ def test_a_sweep_still_imports_numpy(tmp_path):
     assert code == 0 and "numpy" in modules
 
 
-def test_numeric_names_resolve_to_their_modules():
-    assert getattr(cli, "build_couplings") is instance.build_couplings
-    assert getattr(cli, "bench") is bench
-    with pytest.raises(AttributeError):
-        getattr(cli, "no_such_name")
+def test_cli_binds_only_the_two_builders(monkeypatch):
+    for name in ("build_couplings", "catalogue_pattern_set"):
+        monkeypatch.setattr(instance, name, lambda *args, **kwargs: (args, kwargs))
+        assert getattr(cli, name)("c", label="x") == (("c",), {"label": "x"})
+    for name in ("bench", "oracle", "run_batch", "load_instance", "SolverConfig"):
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
 
 
 def test_main_keeps_a_wrapper_set_on_cli(monkeypatch, tmp_path, capsys):
