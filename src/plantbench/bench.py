@@ -141,15 +141,29 @@ def default_alpha_grid(lam_max: float, num: int = 50) -> tuple[float, ...]:
 _SOLVER_AXES = dict.fromkeys(("I", "II", "III"), ("alpha", "beta")) | {"TBM": ("delta", "xi0")}
 
 
+def _axis(axis) -> tuple[str, tuple[float, ...]]:
+    """One (name, values) sweep axis, its values finite reals made floats."""
+    try:
+        name, values = axis
+        values = tuple(values)
+    except (TypeError, ValueError):
+        raise ValidationError(f"an axis is a (name, values) pair, got {axis!r}") from None
+    if not values:
+        raise ValidationError(f"axis {name!r} is empty")
+    for v in values:
+        _check_finite(v, f"axis {name!r} value")
+    return str(name), tuple(float(v) for v in values)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment grid, checked when it is made.
 
     instance is either a fixed Instance or a picklable factory mapping
     the first axis value to an Instance (lambdas will break process
-    pools).  axes holds one or two (name, values) pairs with distinct
-    names and finite values; grid points enumerate the cartesian
-    product in row-major order.  runs_per_point is an integer >= 1 and
+    pools), and solver a SolverConfig.  axes holds one or two (name,
+    values) pairs with distinct names and finite real values; grid
+    points enumerate the cartesian product in row-major order.  runs_per_point is an integer >= 1 and
     base_seed an integer.  Each axis after a factory's first, or any
     axis of a fixed instance, sets a parameter the solver's kind reads
     (_SOLVER_AXES: alpha or beta for I, II and III, delta or xi0 for
@@ -165,19 +179,17 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        if not self.axes or len(self.axes) > 2:
+        if not (isinstance(self.instance, Instance) or callable(self.instance)):
+            raise ValidationError(
+                f"instance must be an Instance or a factory, got {self.instance!r}"
+            )
+        if not isinstance(self.solver, SolverConfig):
+            raise ValidationError(f"solver must be a SolverConfig, got {self.solver!r}")
+        if not (isinstance(self.axes, (tuple, list)) and 1 <= len(self.axes) <= 2):
             raise ValidationError("axes must hold one or two (name, values) pairs")
         _check_int(self.runs_per_point, "runs_per_point", least=1)
         _check_int(self.base_seed, "base_seed")
-        normalized = tuple(
-            (str(name), tuple(float(v) for v in values)) for name, values in self.axes
-        )
-        object.__setattr__(self, "axes", normalized)
-        for name, values in normalized:
-            if not values:
-                raise ValidationError(f"axis {name!r} is empty")
-            for v in values:
-                _check_finite(v, f"axis {name!r} value")
+        object.__setattr__(self, "axes", tuple(_axis(axis) for axis in self.axes))
         # the CSV keys each row's cells by axis name
         _no_repeats(self.axis_names, "axis names")
         kind = self.solver.kind

@@ -214,7 +214,7 @@ def _cmd_gen(args, out) -> list[str]:
     from .instance import coarse_grain, generate_orthogonal_patterns, save_instance
 
     ps = generate_orthogonal_patterns(args.n, args.k, seed=args.seed, w0=args.w0, dw=args.dw)
-    inst = build_couplings(ps, rule=args.rule, label=f"orthogonal-n{args.n}-k{args.k}")
+    inst = build_couplings(ps, label=f"orthogonal-n{args.n}-k{args.k}")
     if args.coarse is not None:
         inst = coarse_grain(inst, args.coarse)
     save_instance(inst, out)
@@ -561,7 +561,6 @@ def _build_parser() -> argparse.ArgumentParser:
     flag(p, "--dw", _finite, default=0.0)
     flag(p, "--seed", _int, default=0)
     flag(p, "--coarse", _positive, default=None, metavar="DJ")
-    p.add_argument("--rule", choices=["hebb", "pseudoinverse"], default="hebb")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen, outputs=out_only)
 

@@ -143,11 +143,13 @@ class SolverConfig:
 
     kind: "I", "II", "III", or "TBM".  alpha, beta, gamma accept finite
     constants or per-step schedules (not evaluated here); kind TBM
-    derives them from tbm, which it requires.  derivative_window (> 0)
-    bounds second-order trajectories (use float("inf") to disable).
-    init_amplitude (> 0, twice it finite) is the half-width of the
-    uniform initial condition.  dt must be finite and > 0, max_steps an
-    integer >= 1 and steady_tol >= 0.  Every field is checked when made.
+    derives them from tbm, a TbmParams given exactly when the kind is
+    TBM.  nonlinearity is a key of _NONLINEARITIES.  derivative_window
+    (a real > 0) bounds second-order trajectories (use float("inf") to
+    disable).  init_amplitude (a real > 0, twice it finite) is the
+    half-width of the uniform initial condition.  dt must be finite and
+    > 0, max_steps an integer >= 1 and steady_tol >= 0.  Every field is
+    checked when made.
     """
 
     kind: str = "I"
@@ -165,19 +167,22 @@ class SolverConfig:
     def __post_init__(self):
         if self.kind not in ("I", "II", "III", "TBM"):
             raise ValidationError(f"unknown solver kind {self.kind!r}")
-        if self.nonlinearity not in _NONLINEARITIES:
+        if not (isinstance(self.nonlinearity, str) and self.nonlinearity in _NONLINEARITIES):
             raise ValidationError(f"unknown nonlinearity {self.nonlinearity!r}; "
                                   f"choose from {sorted(_NONLINEARITIES)}")
-        if not self.derivative_window > 0:
-            raise ValidationError("derivative window must be positive")
+        if not (isinstance(self.derivative_window, numbers.Real) and self.derivative_window > 0):
+            raise ValidationError(
+                f"derivative window must be positive, got {self.derivative_window!r}"
+            )
         if not (isinstance(self.dt, numbers.Real) and 0 < self.dt < math.inf):
             raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
         _check_int(self.max_steps, "max_steps", least=1)
         if not (isinstance(self.steady_tol, numbers.Real) and self.steady_tol >= 0):
             raise ValidationError(f"steady_tol must be >= 0, got {self.steady_tol!r}")
         _check_amplitude(self.init_amplitude)
-        if self.kind == "TBM" and self.tbm is None:
-            raise ValidationError("TBM runs need cfg.tbm parameters")
+        if (self.kind == "TBM") != isinstance(self.tbm, TbmParams):
+            raise ValidationError("TBM runs need cfg.tbm parameters and no other kind reads "
+                                  f"them; got kind {self.kind} with tbm={self.tbm!r}")
         # TBM derives its own (_tbm_mapped); an overflowing delta * xi0 diverges its rows
         for name in () if self.kind == "TBM" else ("alpha", "beta", "gamma"):
             if not callable(getattr(self, name)):
@@ -205,13 +210,13 @@ class RunOutcome:
 
 
 def _check_amplitude(amplitude: float) -> float:
-    a = float(amplitude)
     # numpy's uniform needs the width 2a finite as well
-    if not (a > 0 and math.isfinite(2.0 * a)):
+    if not (isinstance(amplitude, numbers.Real) and amplitude > 0
+            and math.isfinite(2.0 * float(amplitude))):
         raise ValidationError(
             f"amplitude must be positive and finite (2*amplitude too), got {amplitude!r}"
         )
-    return a
+    return float(amplitude)
 
 
 def random_initial(n: int, amplitude: float = 0.5, seed: int = 0) -> np.ndarray:

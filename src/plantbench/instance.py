@@ -69,15 +69,22 @@ class PatternSet:
     stores its formula ladder in reversed order).  perturbations, when
     present, holds the real-valued delta_xi added to the binary entries
     before couplings are built.  generator records (kind, seed) for sets
-    that can be regenerated instead of stored.
+    that can be regenerated instead of stored.  k and n are read off the
+    patterns.
     """
 
-    n: int
-    k: int
     patterns: np.ndarray            # (k, n) int8, entries +-1
     weights: np.ndarray             # (k,) float64
     perturbations: np.ndarray | None = None   # (k, n) float64
     generator: tuple[str, int] | None = None
+
+    @property
+    def k(self) -> int:
+        return self.patterns.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.patterns.shape[1]
 
     def effective_patterns(self) -> np.ndarray:
         """Binary patterns plus perturbations, as float64."""
@@ -110,15 +117,18 @@ class Instance:
     for an external matrix loaded without pattern data.  spectrum holds
     the planted energies (see energy.PlantedSpectrum) when a pattern set
     is available.  coarse_delta records the quantisation step if the
-    matrix was coarse-grained.
+    matrix was coarse-grained.  n is read off the coupling.
     """
 
-    n: int
     coupling: np.ndarray            # (n, n) float64, symmetric, zero diagonal
     pattern_set: PatternSet | None
     spectrum: "object | None"
     label: str
     coarse_delta: float | None = None
+
+    @property
+    def n(self) -> int:
+        return self.coupling.shape[0]
 
 
 def _validate_patterns(patterns: np.ndarray) -> np.ndarray:
@@ -163,8 +173,6 @@ def make_pattern_set(
         if not np.any(perturbations):
             perturbations = None
     return PatternSet(
-        n=n,
-        k=k,
         patterns=_readonly(patterns),
         weights=_readonly(weights),
         perturbations=None if perturbations is None else _readonly(perturbations),
@@ -392,49 +400,21 @@ def _mirror_upper(j: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def build_couplings(
-    ps: PatternSet,
-    rule: str = "hebb",
-    label: str | None = None,
-) -> Instance:
+def build_couplings(ps: PatternSet, label: str | None = None) -> Instance:
     """Couplings from a pattern set via the weighted Hebbian rule.
 
-    rule "hebb" (default) applies J = sum_m w_m xi^m (xi^m)^T with the
-    diagonal zeroed.  rule "pseudoinverse" corrects for pattern overlap
-    through the inverse of Q_{mu nu} = (1/n) xi^mu . xi^nu,
-
-        J = sum_{mu,nu} wbar_{mu nu} xi^mu (Q^-1)_{mu nu} xi^nu,
-
-    with the symmetric weight blend wbar_{mu nu} = (w_mu + w_nu) / 2, so
-    an orthogonal unperturbed set (Q = I) reproduces the plain rule
-    exactly.  The upper triangle is mirrored onto the lower as a
-    symmetry guarantee.
-
-    The planted energies of the binary patterns on the finished matrix
-    are attached as the instance spectrum.
+    J = sum_m w_m xi^m (xi^m)^T with the diagonal zeroed, using the
+    effective (perturbed) patterns.  The upper triangle is mirrored onto
+    the lower, since with perturbations the product is not bitwise
+    symmetric.  The planted energies of the binary patterns on the
+    finished matrix are attached as the instance spectrum.
     """
     eff = ps.effective_patterns()
-    if rule == "hebb":
-        j = (eff * ps.weights[:, None]).T @ eff
-    elif rule == "pseudoinverse":
-        q = (eff @ eff.T) / ps.n
-        try:
-            q_inv = np.linalg.inv(q)
-        except np.linalg.LinAlgError:
-            raise ValidationError(
-                "overlap matrix is singular; pseudoinverse rule needs linearly "
-                "independent patterns"
-            ) from None
-        blend = (ps.weights[:, None] + ps.weights[None, :]) / 2.0
-        j = eff.T @ ((blend * q_inv) @ eff)
-        j = (j + j.T) / 2.0
-    else:
-        raise ValidationError(f"unknown coupling rule {rule!r}")
-    j = _mirror_upper(j)
+    j = _mirror_upper((eff * ps.weights[:, None]).T @ eff)
     if label is None:
         kind = ps.generator[0] if ps.generator else "hebb"
         label = f"{kind}-n{ps.n}-k{ps.k}"
-    inst = Instance(n=ps.n, coupling=_readonly(j), pattern_set=ps, spectrum=None, label=label)
+    inst = Instance(coupling=_readonly(j), pattern_set=ps, spectrum=None, label=label)
     return _with_spectrum(inst)
 
 
@@ -533,7 +513,7 @@ def save_instance(inst: Instance, path: str | os.PathLike) -> None:
     the dense coupling block is included for n <= DENSE_EXPORT_LIMIT,
     for external instances, which have nothing else to store, and for
     any instance whose couplings _rebuild does not reproduce bit for bit
-    (another coupling rule, a gauge transform).  Floats are written
+    (a gauge transform of coarse-grained couplings).  Floats are written
     with repr so the round-trip through load_instance is bit-exact.
     """
     ps = inst.pattern_set
@@ -648,7 +628,7 @@ def load_instance(path: str | os.PathLike) -> Instance:
     if coupling_rows:
         j = _validate_coupling(_block(coupling_rows, n, n, "coupling", np.float64))
         return _with_spectrum(Instance(
-            n=n, coupling=_readonly(j), pattern_set=ps, spectrum=None, label=label,
+            coupling=_readonly(j), pattern_set=ps, spectrum=None, label=label,
             coarse_delta=coarse,
         ))
 

@@ -90,8 +90,9 @@ def inst_a():
 
 def test_spec_validation(inst_a):
     cfg = SolverConfig()
-    with pytest.raises(ValidationError):
-        SweepSpec(instance=inst_a, solver=cfg, axes=())
+    for axes in ((), 5, None):
+        with pytest.raises(ValidationError, match="one or two"):
+            SweepSpec(instance=inst_a, solver=cfg, axes=axes)
     with pytest.raises(ValidationError):
         SweepSpec(instance=inst_a, solver=cfg, axes=(("alpha", ()),))
     with pytest.raises(ValidationError):
@@ -101,6 +102,15 @@ def test_spec_validation(inst_a):
     with pytest.raises(ValidationError, match="axis names repeat"):
         SweepSpec(instance=inst_a, solver=cfg,
                   axes=(("alpha", (1.0,)), ("alpha", (2.0,))))
+    # each used to escape as a TypeError, ValueError or AttributeError, or
+    # (a string instance) to fail only when the sweep called it
+    for axes in ((("alpha", 1.0),), (("alpha",),), (("alpha", ("x",)),), (("alpha", "1"),)):
+        with pytest.raises(ValidationError, match="axis"):
+            SweepSpec(instance=inst_a, solver=cfg, axes=axes)
+    with pytest.raises(ValidationError, match="solver must be a SolverConfig"):
+        SweepSpec(instance=inst_a, solver=None, axes=(("alpha", (1.0,)),))
+    with pytest.raises(ValidationError, match="instance must be an Instance or a factory"):
+        SweepSpec(instance="a", solver=cfg, axes=(("alpha", (1.0,)),))
 
 
 # each spec used to be accepted: alpha on the bifurcation machine and

@@ -538,8 +538,8 @@ def _exit_code(argv) -> int:
 
 
 # each used to exit 0: sweep-k ran --k-list and ignored the K-range flag,
-# oracle ignored --full-spectrum beyond n = 24, and scan took an empty
-# --id for the kind's default entry
+# oracle ignored --full-spectrum beyond n = 24, scan took an empty --id
+# for the kind's default entry, and gen took a --rule that changed no byte
 @pytest.mark.parametrize("argv, code, message", [
     (["sweep-k", "--n", "16", "--k-list", "4", "--k-min", "2", "--runs", "5", "--threads", "1"],
      3, "--k-min does not apply with --k-list"),
@@ -553,7 +553,10 @@ def _exit_code(argv) -> int:
      2, "invalid choice: ''"),
     (["scan", "--kind", "p", "--id", "z", "--values=0", "--runs", "1", "--threads", "1"],
      2, "invalid choice: 'z'"),
-], ids=["k-min", "k-max", "k-step", "full-spectrum-n32", "scan-empty-id", "scan-unknown-id"])
+    (["gen", "--n", "8", "--k", "2", "--rule", "hebb"],
+     2, "unrecognized arguments: --rule hebb"),
+], ids=["k-min", "k-max", "k-step", "full-spectrum-n32", "scan-empty-id", "scan-unknown-id",
+        "gen-rule"])
 def test_flags_that_do_not_apply_fail_before_any_work(tmp_path, capsys, trajectories, planted,
                                                       argv, code, message):
     argv = [a.format(**planted) for a in argv] + ["--out", str(tmp_path / "x.csv")]
@@ -711,7 +714,7 @@ def test_sweep_sr_on_an_instance_without_patterns(tmp_path, capsys):
     # no pattern set: every run is unlabelled, no band is counted, and a
     # hit is a run ending at the brute-force ground energy
     coupling = build_couplings(catalogue_pattern_set("a")).coupling
-    bare = Instance(n=8, coupling=coupling, pattern_set=None, spectrum=None, label="bare-a")
+    bare = Instance(coupling=coupling, pattern_set=None, spectrum=None, label="bare-a")
     path = tmp_path / "bare.inst"
     save_instance(bare, path)
     csv = tmp_path / "sr.csv"
@@ -737,7 +740,7 @@ def test_sweep_sr_on_an_instance_without_patterns(tmp_path, capsys):
 def test_sweep_sr_beyond_brute_force_needs_patterns(tmp_path, planted, capsys, trajectories):
     inst = load_instance(planted["n32"])
     bare = tmp_path / "bare.inst"
-    save_instance(Instance(n=32, coupling=inst.coupling, pattern_set=None, spectrum=None,
+    save_instance(Instance(coupling=inst.coupling, pattern_set=None, spectrum=None,
                            label="bare-32"), bare)
     csv = tmp_path / "sr.csv"
     assert run_cli(["sweep-sr", "--instance", str(bare), "--alpha-grid", "1", "--runs", "2",

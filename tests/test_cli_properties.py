@@ -112,7 +112,6 @@ def _commands(files):
             _flag("--n", SIZES), _flag("--k", KS),
             _some(["--w0", "--dw", "--coarse"], NUMBERS, 2),
             _optional("--seed", st.sampled_from(["5", "0", "-1"])),
-            _optional("--rule", st.sampled_from(["hebb", "pseudoinverse"])),
             _flag("--out", st.just("{out}/x.inst")),
         ),
         "gen-small": _concat(

@@ -33,7 +33,7 @@ from plantbench import dynamics
 def zero_instance(n):
     """Instance with no couplings: pure single-site dynamics."""
     return Instance(
-        n=n, coupling=np.zeros((n, n)), pattern_set=None,
+        coupling=np.zeros((n, n)), pattern_set=None,
         spectrum=None, label=f"zero-{n}",
     )
 
@@ -67,7 +67,7 @@ def test_class1_two_spin_fixed_point():
     # symmetric ferromagnetic pair with J12 = 2: the attractor solves
     # x = 2 tanh(x); bisection gives the root independently
     j = np.array([[0.0, 2.0], [2.0, 0.0]])
-    inst = Instance(n=2, coupling=j, pattern_set=None, spectrum=None,
+    inst = Instance(coupling=j, pattern_set=None, spectrum=None,
                     label="pair")
     lo, hi = 1.0, 3.0
     for _ in range(200):
@@ -170,6 +170,11 @@ def test_window_clamps_position_and_zeroes_velocity():
 def test_class3_negative_window_rejected():
     with pytest.raises(ValidationError):
         SolverConfig(kind="III", derivative_window=0.0)
+    # a window that is not a number used to escape as a TypeError
+    for window in ("1", None, float("nan")):
+        with pytest.raises(ValidationError, match="derivative window must be positive"):
+            SolverConfig(kind="III", derivative_window=window)
+    assert SolverConfig(kind="III", derivative_window=float("inf")).derivative_window == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +234,13 @@ def test_tbm_zero_state_reports_plus_spins():
 def test_tbm_requires_params():
     with pytest.raises(ValidationError, match="TBM runs need cfg.tbm parameters"):
         SolverConfig(kind="TBM")
+    # a tuple used to fail at run_batch's first block, with an AttributeError
+    with pytest.raises(ValidationError, match="TBM runs need cfg.tbm parameters"):
+        SolverConfig(kind="TBM", tbm=(1.0, 0.1))
+    # and tbm on another kind used to be ignored
+    for kind in ("I", "II", "III"):
+        with pytest.raises(ValidationError, match=f"no other kind reads them; got kind {kind}"):
+            SolverConfig(kind=kind, tbm=TbmParams())
 
 
 def test_pump_ramp_saturates():
@@ -705,7 +717,7 @@ def test_initial_states_rows_are_random_initial():
         assert initial_states(n, 0.5, seeds).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1e308])
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1e308, "x", None])
 def test_initial_amplitude_must_be_positive_and_finite(amplitude):
     # nan and inf used to escape as numpy's OverflowError
     with pytest.raises(ValidationError, match="amplitude"):
@@ -726,6 +738,9 @@ def test_initial_states_rejects_bad_seeds(seeds):
 def test_unknown_nonlinearity_rejected():
     with pytest.raises(ValidationError):
         SolverConfig(nonlinearity="relu")
+    # a list used to escape as TypeError: unhashable
+    with pytest.raises(ValidationError, match="unknown nonlinearity"):
+        SolverConfig(nonlinearity=["tanh"])
 
 
 def test_unknown_kind_rejected():

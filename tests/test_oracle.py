@@ -153,20 +153,22 @@ def _forbid_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
 
 
-@pytest.mark.parametrize(
-    "n, k, w0, dw, rule",
-    [
-        (64, 5, 1.0, 0.002, "hebb"),        # K < n: top pattern beats -W
-        (64, 40, 1.0, 0.0006, "hebb"),
-        (16, 16, 1.0, 0.01, "hebb"),        # K = n, non-flat ladder
-        (16, 16, 1.0, 0.0, "hebb"),         # K = n, flat ladder: J = 0
-        (32, 6, 1.0, 0.01, "pseudoinverse"),
-        (8, 3, -1.0, 0.1, "hebb"),          # negative ladder: -W on top
-    ],
-)
-def test_max_eigenvalue_closed_form(monkeypatch, n, k, w0, dw, rule):
+_CLOSED_FORM_CASES = [
+    (64, 5, 1.0, 0.002),        # K < n: top pattern beats -W
+    (64, 40, 1.0, 0.0006),
+    (16, 16, 1.0, 0.01),        # K = n, non-flat ladder
+    (16, 16, 1.0, 0.0),         # K = n, flat ladder: J = 0
+    (32, 6, 1.0, 0.01),
+    (8, 3, -1.0, 0.1),          # negative ladder: -W on top
+]
+
+
+# each id ends in the coupling rule its case is built with
+@pytest.mark.parametrize("n, k, w0, dw", _CLOSED_FORM_CASES,
+                         ids=["-".join(map(str, case)) + "-hebb" for case in _CLOSED_FORM_CASES])
+def test_max_eigenvalue_closed_form(monkeypatch, n, k, w0, dw):
     ps = generate_orthogonal_patterns(n, k, seed=3, w0=w0, dw=dw)
-    inst = build_couplings(ps, rule=rule)
+    inst = build_couplings(ps)
     total = float(np.sum(ps.weights))
     want = max(n * float(ps.weights.max()) - total, -total if k < n else -np.inf)
     dense = float(np.linalg.eigvalsh(inst.coupling)[-1])
