@@ -78,7 +78,7 @@ import numpy as np
 from . import energy as energy_mod
 from .errors import ValidationError
 from .instance import Instance
-from .textio import _check_finite, _check_int
+from .textio import _check_finite, _check_int, _is_finite
 
 __all__ = [
     "Schedule",
@@ -174,7 +174,7 @@ class SolverConfig:
             raise ValidationError(
                 f"derivative window must be positive, got {self.derivative_window!r}"
             )
-        if not (isinstance(self.dt, numbers.Real) and 0 < self.dt < math.inf):
+        if not (_is_finite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
         _check_int(self.max_steps, "max_steps", least=1)
         if not (isinstance(self.steady_tol, numbers.Real) and self.steady_tol >= 0):
@@ -211,8 +211,7 @@ class RunOutcome:
 
 def _check_amplitude(amplitude: float) -> float:
     # numpy's uniform needs the width 2a finite as well
-    if not (isinstance(amplitude, numbers.Real) and amplitude > 0
-            and math.isfinite(2.0 * float(amplitude))):
+    if not (_is_finite(amplitude) and amplitude > 0 and math.isfinite(2.0 * float(amplitude))):
         raise ValidationError(
             f"amplitude must be positive and finite (2*amplitude too), got {amplitude!r}"
         )

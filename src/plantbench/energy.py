@@ -40,7 +40,7 @@ from math import comb
 import numpy as np
 
 from .errors import ValidationError
-from .instance import Instance, PatternSet, _readonly, make_pattern_set
+from .instance import Instance, PatternSet, _readonly
 
 __all__ = [
     "PlantedSpectrum",
@@ -324,14 +324,10 @@ def gauge_transform(inst: Instance, flips) -> Instance:
             raise ValidationError("flip index outside instance")
         s[flips] = -1
     sf = s.astype(np.float64)
-    j = inst.coupling * np.outer(sf, sf)
-    out = replace(inst, coupling=_readonly(j))
     ps = inst.pattern_set
     if ps is not None:
-        new_ps = make_pattern_set(
-            ps.patterns * s,
-            weights=ps.weights,
-            perturbations=None if ps.perturbations is None else ps.perturbations * sf,
+        ps = PatternSet(
+            ps.patterns * s, ps.weights,
+            None if ps.perturbations is None else ps.perturbations * sf,
         )
-        out = replace(out, pattern_set=new_ps)
-    return out
+    return replace(inst, coupling=inst.coupling * np.outer(sf, sf), pattern_set=ps)

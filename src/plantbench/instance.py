@@ -14,9 +14,14 @@ Sylvester-Hadamard basis (any power-of-two n), and a small catalogue of
 hand-picked n = 8 triples/quadruples whose pairwise Hamming distances
 place the planted optimum in controlled competition with the other
 patterns.  Pattern entries can additionally be deformed by real-valued
-perturbations delta_xi to interpolate between instances.  Weights and
-couplings are computed with overflow warnings off; _with_spectrum
-rejects any non-finite result.
+perturbations delta_xi to interpolate between instances.  A PatternSet
+and an Instance check their fields when made, so every one, however
+built, coarse-grained, transformed or loaded, holds one invariant: k >= 1
++-1 patterns with weights and perturbations of matching shape, and a
+square, finite, exactly symmetric coupling matrix with a zero diagonal
+and its pattern set's n, all in read-only arrays.  Weights and couplings
+are computed with overflow warnings off; _with_spectrum rejects planted
+energies that overflow.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ DENSE_EXPORT_LIMIT = 64
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a; the caller's own array stays writable."""
+    a = a.view()
     a.setflags(write=False)
     return a
 
@@ -68,15 +75,36 @@ class PatternSet:
     formula w0 + m*dw unless given an explicit one (catalogue entry (e)
     stores its formula ladder in reversed order).  perturbations, when
     present, holds the real-valued delta_xi added to the binary entries
-    before couplings are built.  generator records (kind, seed) for sets
-    that can be regenerated instead of stored.  k and n are read off the
-    patterns.
+    before couplings are built (all zero is stored as None; non-finite
+    values are left for build_couplings to reject).  generator records
+    (kind, seed) for sets that can be regenerated instead of stored.  k
+    and n are read off the patterns.
     """
 
     patterns: np.ndarray            # (k, n) int8, entries +-1
     weights: np.ndarray             # (k,) float64
     perturbations: np.ndarray | None = None   # (k, n) float64
     generator: tuple[str, int] | None = None
+
+    def __post_init__(self):
+        patterns = np.asarray(self.patterns)
+        if patterns.ndim != 2:
+            raise ValidationError("patterns must be a (k, n) matrix")
+        k, n = patterns.shape
+        if k < 1:
+            raise ValidationError("need at least one pattern")
+        if not np.isin(patterns, (-1, 1)).all():
+            raise ValidationError("pattern entries must be +1 or -1")
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if weights.shape != (k,):
+            raise ValidationError(f"weights must have shape ({k},)")
+        if self.perturbations is not None:
+            pert = np.asarray(self.perturbations, dtype=np.float64)
+            if pert.shape != (k, n):
+                raise ValidationError(f"perturbations must have shape ({k}, {n})")
+            object.__setattr__(self, "perturbations", _readonly(pert) if pert.any() else None)
+        object.__setattr__(self, "patterns", _readonly(patterns.astype(np.int8, copy=False)))
+        object.__setattr__(self, "weights", _readonly(weights))
 
     @property
     def k(self) -> int:
@@ -106,7 +134,7 @@ class PatternSet:
         return bool(np.array_equal(self.gram(), self.n * np.eye(self.k)))
 
     def is_perturbed(self) -> bool:
-        return self.perturbations is not None and bool(np.any(self.perturbations))
+        return self.perturbations is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,18 +154,23 @@ class Instance:
     label: str
     coarse_delta: float | None = None
 
+    def __post_init__(self):
+        j = np.asarray(self.coupling, dtype=np.float64)
+        if j.ndim != 2 or j.shape[0] != j.shape[1]:
+            raise ValidationError(f"coupling matrix must be square, got shape {j.shape}")
+        if not np.isfinite(j).all():
+            raise ValidationError(f"{self.label}: couplings or planted energies are not finite")
+        if not np.array_equal(j, j.T):
+            raise ValidationError("coupling matrix is not symmetric")
+        if np.any(np.diagonal(j) != 0.0):
+            raise ValidationError("coupling diagonal must be zero")
+        if self.pattern_set is not None and self.pattern_set.n != j.shape[0]:
+            raise ValidationError("pattern set and instance dimensions differ")
+        object.__setattr__(self, "coupling", _readonly(j))
+
     @property
     def n(self) -> int:
         return self.coupling.shape[0]
-
-
-def _validate_patterns(patterns: np.ndarray) -> np.ndarray:
-    patterns = np.asarray(patterns)
-    if patterns.ndim != 2:
-        raise ValidationError("patterns must be a (k, n) matrix")
-    if not np.isin(patterns, (-1, 1)).all():
-        raise ValidationError("pattern entries must be +1 or -1")
-    return patterns.astype(np.int8)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -149,35 +182,16 @@ def make_pattern_set(
     perturbations: np.ndarray | None = None,
     generator: tuple[str, int] | None = None,
 ) -> PatternSet:
-    """Assemble a validated PatternSet.
+    """A PatternSet, its weights the ladder w_m = w0 + m*dw unless given.
 
-    When weights is omitted the ladder w_m = w0 + m*dw is used.  The
-    degeneracy split only works as intended for |dw| well below 1/k;
+    The degeneracy split only works as intended for |dw| well below 1/k;
     that is a guideline for choosing dw, not a hard limit, since scans
     deliberately push dw far beyond it.
     """
-    patterns = _validate_patterns(patterns)
-    k, n = patterns.shape
-    if k < 1:
-        raise ValidationError("need at least one pattern")
     if weights is None:
+        k = len(np.atleast_2d(patterns))
         weights = w0 + np.arange(1, k + 1, dtype=np.float64) * dw
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (k,):
-            raise ValidationError(f"weights must have shape ({k},)")
-    if perturbations is not None:
-        perturbations = np.asarray(perturbations, dtype=np.float64)
-        if perturbations.shape != (k, n):
-            raise ValidationError(f"perturbations must have shape ({k}, {n})")
-        if not np.any(perturbations):
-            perturbations = None
-    return PatternSet(
-        patterns=_readonly(patterns),
-        weights=_readonly(weights),
-        perturbations=None if perturbations is None else _readonly(perturbations),
-        generator=generator,
-    )
+    return PatternSet(patterns, weights, perturbations, generator)
 
 
 def _sylvester_hadamard(n: int) -> np.ndarray:
@@ -388,9 +402,7 @@ def perturb_patterns(
         if not (0 <= m < ps.k and 0 <= j < ps.n):
             raise ValidationError(f"edit ({m}, {j}) outside a {ps.k} x {ps.n} pattern set")
         pert[m, j] = delta
-    return make_pattern_set(
-        ps.patterns, weights=ps.weights, perturbations=pert, generator=ps.generator
-    )
+    return replace(ps, perturbations=pert)
 
 
 def _mirror_upper(j: np.ndarray) -> np.ndarray:
@@ -414,21 +426,19 @@ def build_couplings(ps: PatternSet, label: str | None = None) -> Instance:
     if label is None:
         kind = ps.generator[0] if ps.generator else "hebb"
         label = f"{kind}-n{ps.n}-k{ps.k}"
-    inst = Instance(coupling=_readonly(j), pattern_set=ps, spectrum=None, label=label)
-    return _with_spectrum(inst)
+    return _with_spectrum(Instance(coupling=j, pattern_set=ps, spectrum=None, label=label))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _with_spectrum(inst: Instance) -> Instance:
     """inst with the planted energies of its pattern set (None without one)
-    attached, once couplings and energies are finite: every instance that
-    is built, coarse-grained or loaded passes here."""
+    attached, once they are finite: every instance that is built,
+    coarse-grained or loaded passes here."""
     from . import energy  # energy imports this module
 
     ps = inst.pattern_set
     spectrum = None if ps is None else energy.planted_spectrum(ps, inst)
-    energies = () if spectrum is None else spectrum.energies
-    if not (np.isfinite(inst.coupling).all() and np.isfinite(energies).all()):
+    if spectrum is not None and not np.isfinite(spectrum.energies).all():
         raise ValidationError(f"{inst.label}: couplings or planted energies are not finite")
     return replace(inst, spectrum=spectrum)
 
@@ -448,7 +458,7 @@ def coarse_grain(inst: Instance, delta_j: float) -> Instance:
             f"coarse-graining step must be positive and finite, got {delta_j}"
         )
     j = _mirror_upper(np.floor(inst.coupling / delta_j))
-    return _with_spectrum(replace(inst, coupling=_readonly(j), coarse_delta=float(delta_j)))
+    return _with_spectrum(replace(inst, coupling=j, coarse_delta=float(delta_j)))
 
 
 def hamming_distances(ps: PatternSet) -> np.ndarray:
@@ -488,14 +498,6 @@ def _block(rows: list[list], k: int, n: int, what: str, dtype) -> np.ndarray:
     if len(rows) != k or any(len(row) != n for row in rows):
         raise ValidationError(f"{what} rows do not match the declared {k} x {n}")
     return np.array(rows, dtype=dtype)
-
-
-def _validate_coupling(j: np.ndarray) -> np.ndarray:
-    if not np.array_equal(j, j.T):
-        raise ValidationError("coupling matrix is not symmetric")
-    if np.any(np.diagonal(j) != 0.0):
-        raise ValidationError("coupling diagonal must be zero")
-    return j
 
 
 def _rebuild(ps: PatternSet, label: str, coarse: float | None) -> Instance:
@@ -554,11 +556,13 @@ _FIELD_KEYS = ("format_version", "label", "n", "k", "weights", "generator", "coa
 def load_instance(path: str | os.PathLike) -> Instance:
     """Read an instance written by save_instance.
 
-    Structural invariants (exact coupling symmetry, zero diagonal,
-    declared sizes, finite numbers, +-1 pattern entries, a weights line
-    whenever k is declared) are validated; violations, unparsable values
-    and unknown or repeated keys raise ValidationError.  The retired
-    keys seed, w0 and dw are skipped, so older files holding them load.
+    The file must declare its sizes, hold finite numbers and +-1 pattern
+    entries, and give a weights line whenever it declares k; what it
+    describes must then hold the invariant of every Instance and
+    PatternSet (see the module docstring).  Violations, unparsable
+    values and unknown or repeated keys raise ValidationError.  The
+    retired keys seed, w0 and dw are skipped, so older files holding
+    them load.
     """
     fields: dict[str, str] = {}
     pattern_rows: list[list[int]] = []
@@ -619,17 +623,14 @@ def load_instance(path: str | os.PathLike) -> Instance:
         pert = None
         if pert_rows:
             pert = _block(pert_rows, k, n, "perturbation", np.float64)
-        ps = make_pattern_set(
-            patterns, weights=weights, perturbations=pert, generator=generator
-        )
+        ps = PatternSet(patterns, weights, pert, generator)
 
     coarse = _finite(fields["coarse_grain"], "coarse_grain") if "coarse_grain" in fields else None
 
     if coupling_rows:
-        j = _validate_coupling(_block(coupling_rows, n, n, "coupling", np.float64))
         return _with_spectrum(Instance(
-            coupling=_readonly(j), pattern_set=ps, spectrum=None, label=label,
-            coarse_delta=coarse,
+            coupling=_block(coupling_rows, n, n, "coupling", np.float64), pattern_set=ps,
+            spectrum=None, label=label, coarse_delta=coarse,
         ))
 
     if ps is None:

@@ -6,7 +6,7 @@ CATALOGUE is plain tuples, so the command-line parser can list catalogue
 ids without importing the numeric modules.  _int, _finite and _positive
 parse one number, raising a ValidationError that names it, for file
 fields and command-line flags alike, and _check_int and _check_finite
-check a value the library is given; _no_repeats rejects a list whose
+(on _is_finite) check a value the library is given; _no_repeats rejects a list whose
 entries must be distinct.  Every CSV table goes out through _write_csv.
 """
 
@@ -150,9 +150,17 @@ def _check_int(value, what: str, least: int | None = None) -> None:
         raise ValidationError(f"{what} must be an integer{at_least}, got {value!r}")
 
 
+def _is_finite(value) -> bool:
+    """Whether value is a real number, finite as a float (an int past float range is not)."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_finite(value, what: str) -> None:
-    """Raise unless value is a finite real number."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    """Raise unless value is a finite real number (see _is_finite)."""
+    if not _is_finite(value):
         raise ValidationError(f"{what} must be finite, got {value!r}")
 
 

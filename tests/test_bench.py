@@ -113,6 +113,22 @@ def test_spec_validation(inst_a):
         SweepSpec(instance="a", solver=cfg, axes=(("alpha", (1.0,)),))
 
 
+# a Python int beyond float range used to escape as OverflowError (dt's
+# was accepted)
+@pytest.mark.parametrize("make", [
+    lambda big, inst: SolverConfig(alpha=big),
+    lambda big, inst: SolverConfig(beta=big),
+    lambda big, inst: SolverConfig(gamma=big),
+    lambda big, inst: SolverConfig(init_amplitude=big),
+    lambda big, inst: SolverConfig(dt=big),
+    lambda big, inst: TbmParams(delta=big),
+    lambda big, inst: SweepSpec(instance=inst, solver=SolverConfig(), axes=(("alpha", (big,)),)),
+], ids=["alpha", "beta", "gamma", "init_amplitude", "dt", "tbm-delta", "axis-value"])
+def test_ints_beyond_float_range_rejected(inst_a, make):
+    with pytest.raises(ValidationError, match="finite"):
+        make(10**400, inst_a)
+
+
 # each spec used to be accepted: alpha on the bifurcation machine and
 # delta or xi0 on a relaxation solver changed nothing, so the sweep
 # reported seed noise as a trend, and gamma and dxi failed only at the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from plantbench import (
     CATALOGUE,
     Instance,
+    PatternSet,
     ValidationError,
     build_couplings,
     catalogue_pattern_set,
@@ -156,6 +157,50 @@ def test_instance_size_is_read_off_the_coupling():
     # an Instance used to take n=5 next to an 8 x 8 coupling block
     inst = Instance(coupling=np.zeros((8, 8)), pattern_set=None, spectrum=None, label="z")
     assert inst.n == 8
+
+
+# each used to be accepted when made, and then fail inside run_batch or
+# brute_force, or (asymmetric) run with a quietly symmetrised energy
+@pytest.mark.parametrize("coupling, with_patterns, message", [
+    (np.zeros((3, 4)), False, r"must be square, got shape \(3, 4\)"),
+    (np.zeros((2, 2, 2)), False, "must be square"),
+    (np.array([[0.0, np.nan], [np.nan, 0.0]]), False,
+     "z: couplings or planted energies are not finite"),
+    (np.array([[0.0, 1.0], [0.5, 0.0]]), False, "coupling matrix is not symmetric"),
+    (np.eye(2), False, "coupling diagonal must be zero"),
+    (np.zeros((4, 4)), True, "pattern set and instance dimensions differ"),
+], ids=["3x4", "3d", "nan", "asymmetric", "diagonal", "pattern-n"])
+def test_instance_rejects_what_is_no_coupling_matrix(coupling, with_patterns, message):
+    ps = catalogue_pattern_set("c") if with_patterns else None
+    with pytest.raises(ValidationError, match=message):
+        Instance(coupling=coupling, pattern_set=ps, spectrum=None, label="z")
+
+
+@pytest.mark.parametrize("patterns, weights, perturbations, message", [
+    (np.ones(4), np.ones(1), None, r"patterns must be a \(k, n\) matrix"),
+    (np.ones((0, 4)), np.ones(0), None, "need at least one pattern"),
+    (np.array([[1, 2], [1, -1]]), np.ones(2), None, r"pattern entries must be \+1 or -1"),
+    (np.ones((2, 4)), np.ones(3), None, r"weights must have shape \(2,\)"),
+    (np.ones((2, 4)), np.ones(2), np.ones((2, 3)), r"perturbations must have shape \(2, 4\)"),
+], ids=["1d", "k0", "entry-2", "weights-shape", "perturbations-shape"])
+def test_pattern_set_rejects_malformed_fields(patterns, weights, perturbations, message):
+    with pytest.raises(ValidationError, match=message):
+        PatternSet(patterns, weights, perturbations)
+
+
+def test_pattern_set_and_instance_store_read_only_arrays():
+    patterns = np.array([[1, 1], [1, -1]])
+    weights = np.array([1.0, 2.0])
+    ps = PatternSet(patterns, weights, np.zeros((2, 2)))
+    assert ps.perturbations is None and not ps.is_perturbed()
+    perturbed = PatternSet(patterns, weights, [[0.0, 0.5], [0.0, 0.0]])
+    coupling = np.array([[0.0, 3.0], [3.0, 0.0]])
+    inst = Instance(coupling=coupling, pattern_set=ps, spectrum=None, label="z")
+    assert ps.patterns.dtype == np.int8 and perturbed.perturbations.dtype == np.float64
+    for stored in (ps.patterns, ps.weights, perturbed.perturbations, inst.coupling):
+        assert not stored.flags.writeable
+    # the caller's own arrays stay writable
+    assert weights.flags.writeable and coupling.flags.writeable
 
 
 # ---------------------------------------------------------------------------

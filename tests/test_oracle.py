@@ -17,6 +17,7 @@ from plantbench import (
     max_eigenvalue,
     perturb_patterns,
 )
+from plantbench import oracle
 from plantbench.oracle import BRUTE_FORCE_LIMIT, FULL_SPECTRUM_LIMIT
 
 from conftest import exhaustive_minimum, random_symmetric
@@ -233,7 +234,9 @@ def test_max_eigenvalue_falls_back_when_only_the_trace_fails(monkeypatch):
     # holds, and it moves the n - K complement eigenvalues from -W to
     # c - W.  With c = 2W they become +W: the Frobenius norm is unchanged
     # and only the trace, now c (n - K), tells; at K = 12 > n/2, W is
-    # above the top pattern eigenvalue, so the closed form would be wrong
+    # above the top pattern eigenvalue, so the closed form would be wrong.
+    # Such a J has a non-zero diagonal, so no Instance holds it; the
+    # certificate still sees raw matrices
     n = 16
     ps = generate_orthogonal_patterns(n, 12, seed=5, dw=0.01)
     inst = build_couplings(ps)
@@ -248,7 +251,9 @@ def test_max_eigenvalue_falls_back_when_only_the_trace_fails(monkeypatch):
     assert float(np.trace(j)) == pytest.approx(2.0 * total * (n - 12))
     want = float(np.linalg.eigvalsh(j)[-1])
     assert want == pytest.approx(total) and want > float(lam.max()) + 1.0
-    assert max_eigenvalue(replace(inst, coupling=j)) == want
+    with pytest.raises(ValidationError, match="diagonal must be zero"):
+        replace(inst, coupling=j)
+    assert oracle._certified_closed_form(j, ps) is None
     # the unaltered instance still takes the certified closed form
     _forbid_eigvalsh(monkeypatch)
     assert max_eigenvalue(inst) == float(lam.max())
