@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
@@ -78,7 +77,7 @@ import numpy as np
 from . import energy as energy_mod
 from .errors import ValidationError
 from .instance import Instance
-from .textio import _check_finite, _check_int, _is_finite
+from .textio import _check_finite, _check_int, _is_finite, _is_real, _shown
 
 __all__ = [
     "Schedule",
@@ -170,19 +169,20 @@ class SolverConfig:
         if not (isinstance(self.nonlinearity, str) and self.nonlinearity in _NONLINEARITIES):
             raise ValidationError(f"unknown nonlinearity {self.nonlinearity!r}; "
                                   f"choose from {sorted(_NONLINEARITIES)}")
-        if not (isinstance(self.derivative_window, numbers.Real) and self.derivative_window > 0):
-            raise ValidationError(
-                f"derivative window must be positive, got {self.derivative_window!r}"
-            )
+        if not (_is_real(self.derivative_window) and self.derivative_window > 0):
+            raise ValidationError("derivative window must be positive (finite or inf), "
+                                  f"got {_shown(self.derivative_window)}")
         if not (_is_finite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
+            raise ValidationError(f"dt must be positive and finite, got {_shown(self.dt)}")
         _check_int(self.max_steps, "max_steps", least=1)
-        if not (isinstance(self.steady_tol, numbers.Real) and self.steady_tol >= 0):
-            raise ValidationError(f"steady_tol must be >= 0, got {self.steady_tol!r}")
+        if not (_is_real(self.steady_tol) and self.steady_tol >= 0):
+            raise ValidationError(
+                f"steady_tol must be >= 0 (finite or inf), got {_shown(self.steady_tol)}"
+            )
         _check_amplitude(self.init_amplitude)
         if (self.kind == "TBM") != isinstance(self.tbm, TbmParams):
             raise ValidationError("TBM runs need cfg.tbm parameters and no other kind reads "
-                                  f"them; got kind {self.kind} with tbm={self.tbm!r}")
+                                  f"them; got kind {self.kind} with tbm={_shown(self.tbm)}")
         # TBM derives its own (_tbm_mapped); an overflowing delta * xi0 diverges its rows
         for name in () if self.kind == "TBM" else ("alpha", "beta", "gamma"):
             if not callable(getattr(self, name)):
@@ -195,7 +195,7 @@ class RunOutcome:
 
     final_spins is sign(x) with sign(0) := +1.  label is never None: a
     diverged run is labelled diverged, and a run on an instance without
-    a pattern set and planted spectrum unlabelled.
+    a pattern set (hence without a planted spectrum) unlabelled.
     seed is the row's entry of the seeds given to run_batch, or None
     when none were given.
     """
@@ -213,7 +213,7 @@ def _check_amplitude(amplitude: float) -> float:
     # numpy's uniform needs the width 2a finite as well
     if not (_is_finite(amplitude) and amplitude > 0 and math.isfinite(2.0 * float(amplitude))):
         raise ValidationError(
-            f"amplitude must be positive and finite (2*amplitude too), got {amplitude!r}"
+            f"amplitude must be positive and finite (2*amplitude too), got {_shown(amplitude)}"
         )
     return float(amplitude)
 
@@ -607,7 +607,7 @@ def run_batch(
 
     A single run is a one-row block.  Diverged rows come back flagged,
     so harnesses count them as a failure category.  When the instance
-    carries a pattern set and planted spectrum, one OutcomeClassifier
+    carries a pattern set, and so a planted spectrum, one OutcomeClassifier
     built for the block labels every row that did not diverge.
     """
     x0_block = np.asarray(x0_block, dtype=np.float64)
@@ -626,7 +626,7 @@ def run_batch(
     energies = energy_mod.qubo_energy_many(inst.coupling, spins)
     classifier = None
     ps = inst.pattern_set
-    if ps is not None and inst.spectrum is not None:
+    if ps is not None:
         classifier = energy_mod.OutcomeClassifier(ps, inst.spectrum)
     outcomes = []
     columns = zip(spins, energies.tolist(), steps.tolist(), status.tolist(), seed_column)

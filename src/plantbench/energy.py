@@ -314,8 +314,8 @@ def measure_bins(spectrum: PlantedSpectrum, energies: np.ndarray) -> dict[str, i
 def gauge_transform(inst: Instance, flips) -> Instance:
     """Flip the listed sites: J'_ij = s_i s_j J_ij with s_i = -1 on flips.
 
-    Patterns and perturbations transform the same way, so planted
-    energies are preserved exactly and the spectrum object is reused.
+    Patterns and perturbations transform the same way, so the recomputed
+    planted energies equal the originals bit for bit (terms only flip sign).
     """
     s = np.ones(inst.n, dtype=np.int8)
     flips = np.asarray(list(flips), dtype=np.int64)

@@ -19,9 +19,10 @@ and an Instance check their fields when made, so every one, however
 built, coarse-grained, transformed or loaded, holds one invariant: k >= 1
 +-1 patterns with weights and perturbations of matching shape, and a
 square, finite, exactly symmetric coupling matrix with a zero diagonal
-and its pattern set's n, all in read-only arrays.  Weights and couplings
-are computed with overflow warnings off; _with_spectrum rejects planted
-energies that overflow.
+and its pattern set's n, all in read-only arrays.  An Instance computes
+its planted spectrum when made, so it is never passed in or stale.
+Weights, couplings and planted energies are computed with overflow
+warnings off; planted energies that overflow are rejected.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .textio import CATALOGUE, _finite, _fmt, _int, _read_text, _write_text
+from .textio import CATALOGUE, _finite, _fmt, _int, _is_finite, _read_text, _shown, _write_text
 
 __all__ = [
     "PatternSet",
@@ -67,6 +68,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _floats(a, what: str) -> np.ndarray:
+    """a as a float64 array, or a ValidationError naming what."""
+    try:
+        return np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be an array of real numbers") from None
+
+
 @dataclass(frozen=True, eq=False)
 class PatternSet:
     """K patterns of dimension n with their weight ladder.
@@ -95,11 +104,11 @@ class PatternSet:
             raise ValidationError("need at least one pattern")
         if not np.isin(patterns, (-1, 1)).all():
             raise ValidationError("pattern entries must be +1 or -1")
-        weights = np.asarray(self.weights, dtype=np.float64)
+        weights = _floats(self.weights, "weights")
         if weights.shape != (k,):
             raise ValidationError(f"weights must have shape ({k},)")
         if self.perturbations is not None:
-            pert = np.asarray(self.perturbations, dtype=np.float64)
+            pert = _floats(self.perturbations, "perturbations")
             if pert.shape != (k, n):
                 raise ValidationError(f"perturbations must have shape ({k}, {n})")
             object.__setattr__(self, "perturbations", _readonly(pert) if pert.any() else None)
@@ -142,20 +151,24 @@ class Instance:
     """A coupling matrix together with its provenance.
 
     pattern_set is the PatternSet the couplings were built from, or None
-    for an external matrix loaded without pattern data.  spectrum holds
-    the planted energies (see energy.PlantedSpectrum) when a pattern set
-    is available.  coarse_delta records the quantisation step if the
-    matrix was coarse-grained.  n is read off the coupling.
+    for an external matrix loaded without pattern data.  coarse_delta
+    records the quantisation step if the matrix was coarse-grained.  n
+    is read off the coupling.  spectrum is computed when the instance is
+    made, not passed: the planted energies of the pattern set on the
+    coupling (see energy.planted_spectrum), or None without a pattern set.
     """
 
     coupling: np.ndarray            # (n, n) float64, symmetric, zero diagonal
     pattern_set: PatternSet | None
-    spectrum: "object | None"
     label: str
     coarse_delta: float | None = None
+    spectrum: "object | None" = field(init=False)   # energy.PlantedSpectrum
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
-        j = np.asarray(self.coupling, dtype=np.float64)
+        from . import energy  # energy imports this module
+
+        j = _floats(self.coupling, "coupling")
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValidationError(f"coupling matrix must be square, got shape {j.shape}")
         if not np.isfinite(j).all():
@@ -164,9 +177,14 @@ class Instance:
             raise ValidationError("coupling matrix is not symmetric")
         if np.any(np.diagonal(j) != 0.0):
             raise ValidationError("coupling diagonal must be zero")
-        if self.pattern_set is not None and self.pattern_set.n != j.shape[0]:
+        ps = self.pattern_set
+        if ps is not None and ps.n != j.shape[0]:
             raise ValidationError("pattern set and instance dimensions differ")
         object.__setattr__(self, "coupling", _readonly(j))
+        spectrum = None if ps is None else energy.planted_spectrum(ps, self)
+        if spectrum is not None and not np.isfinite(spectrum.energies).all():
+            raise ValidationError(f"{self.label}: couplings or planted energies are not finite")
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def n(self) -> int:
@@ -418,29 +436,15 @@ def build_couplings(ps: PatternSet, label: str | None = None) -> Instance:
     J = sum_m w_m xi^m (xi^m)^T with the diagonal zeroed, using the
     effective (perturbed) patterns.  The upper triangle is mirrored onto
     the lower, since with perturbations the product is not bitwise
-    symmetric.  The planted energies of the binary patterns on the
-    finished matrix are attached as the instance spectrum.
+    symmetric.  The instance computes its planted spectrum on the
+    finished matrix.
     """
     eff = ps.effective_patterns()
     j = _mirror_upper((eff * ps.weights[:, None]).T @ eff)
     if label is None:
         kind = ps.generator[0] if ps.generator else "hebb"
         label = f"{kind}-n{ps.n}-k{ps.k}"
-    return _with_spectrum(Instance(coupling=j, pattern_set=ps, spectrum=None, label=label))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _with_spectrum(inst: Instance) -> Instance:
-    """inst with the planted energies of its pattern set (None without one)
-    attached, once they are finite: every instance that is built,
-    coarse-grained or loaded passes here."""
-    from . import energy  # energy imports this module
-
-    ps = inst.pattern_set
-    spectrum = None if ps is None else energy.planted_spectrum(ps, inst)
-    if spectrum is not None and not np.isfinite(spectrum.energies).all():
-        raise ValidationError(f"{inst.label}: couplings or planted energies are not finite")
-    return replace(inst, spectrum=spectrum)
+    return Instance(coupling=j, pattern_set=ps, label=label)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -449,16 +453,16 @@ def coarse_grain(inst: Instance, delta_j: float) -> Instance:
 
     Off-diagonal entries become floor(J_ij / delta_j); the floor is
     applied to the upper triangle and mirrored, and the diagonal stays
-    zero.  The planted spectrum is recomputed on the quantised matrix.
+    zero.  The result computes its planted spectrum on the new matrix.
     Raises for a delta_j that is not positive and finite, and for a
     quotient that overflows.
     """
-    if not (delta_j > 0 and np.isfinite(delta_j)):
+    if not (_is_finite(delta_j) and delta_j > 0):
         raise ValidationError(
-            f"coarse-graining step must be positive and finite, got {delta_j}"
+            f"coarse-graining step must be positive and finite, got {_shown(delta_j)}"
         )
     j = _mirror_upper(np.floor(inst.coupling / delta_j))
-    return _with_spectrum(replace(inst, coupling=j, coarse_delta=float(delta_j)))
+    return replace(inst, coupling=j, coarse_delta=float(delta_j))
 
 
 def hamming_distances(ps: PatternSet) -> np.ndarray:
@@ -559,10 +563,10 @@ def load_instance(path: str | os.PathLike) -> Instance:
     The file must declare its sizes, hold finite numbers and +-1 pattern
     entries, and give a weights line whenever it declares k; what it
     describes must then hold the invariant of every Instance and
-    PatternSet (see the module docstring).  Violations, unparsable
-    values and unknown or repeated keys raise ValidationError.  The
-    retired keys seed, w0 and dw are skipped, so older files holding
-    them load.
+    PatternSet, planted spectrum included (see the module docstring).
+    Violations, unparsable values and unknown or repeated keys raise
+    ValidationError.  The retired keys seed, w0 and dw are skipped, so
+    older files holding them load.
     """
     fields: dict[str, str] = {}
     pattern_rows: list[list[int]] = []
@@ -628,10 +632,10 @@ def load_instance(path: str | os.PathLike) -> Instance:
     coarse = _finite(fields["coarse_grain"], "coarse_grain") if "coarse_grain" in fields else None
 
     if coupling_rows:
-        return _with_spectrum(Instance(
+        return Instance(
             coupling=_block(coupling_rows, n, n, "coupling", np.float64), pattern_set=ps,
-            spectrum=None, label=label, coarse_delta=coarse,
-        ))
+            label=label, coarse_delta=coarse,
+        )
 
     if ps is None:
         raise ValidationError("instance file has neither patterns nor couplings")

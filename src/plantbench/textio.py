@@ -7,7 +7,8 @@ ids without importing the numeric modules.  _int, _finite and _positive
 parse one number, raising a ValidationError that names it, for file
 fields and command-line flags alike, and _check_int and _check_finite
 (on _is_finite) check a value the library is given; _no_repeats rejects a list whose
-entries must be distinct.  Every CSV table goes out through _write_csv.
+entries must be distinct.  Messages show a value the library is given
+through _shown.  Every CSV table goes out through _write_csv.
 """
 
 from __future__ import annotations
@@ -147,21 +148,38 @@ def _check_int(value, what: str, least: int | None = None) -> None:
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
             or (least is not None and value < least)):
         at_least = "" if least is None else f" >= {least}"
-        raise ValidationError(f"{what} must be an integer{at_least}, got {value!r}")
+        raise ValidationError(f"{what} must be an integer{at_least}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """repr(value), or the size of an int too long for repr (Python's digit limit)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
+def _is_real(value) -> bool:
+    """Whether value is a real number a float can hold, inf and nan included
+    (an int past float range is not)."""
+    if not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _is_finite(value) -> bool:
-    """Whether value is a real number, finite as a float (an int past float range is not)."""
-    try:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
-    except OverflowError:
-        return False
+    """Whether value is a real number, finite as a float (see _is_real)."""
+    return _is_real(value) and math.isfinite(value)
 
 
 def _check_finite(value, what: str) -> None:
     """Raise unless value is a finite real number (see _is_finite)."""
     if not _is_finite(value):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
+        raise ValidationError(f"{what} must be finite, got {_shown(value)}")
 
 
 def _no_repeats(keys, what: str) -> None:

@@ -123,7 +123,15 @@ def test_spec_validation(inst_a):
     lambda big, inst: SolverConfig(dt=big),
     lambda big, inst: TbmParams(delta=big),
     lambda big, inst: SweepSpec(instance=inst, solver=SolverConfig(), axes=(("alpha", (big,)),)),
-], ids=["alpha", "beta", "gamma", "init_amplitude", "dt", "tbm-delta", "axis-value"])
+    # these used to be accepted and overflow in run_batch, to raise a
+    # ValueError formatting the message (past Python's 4300-digit limit),
+    # and to raise a TypeError
+    lambda big, inst: SolverConfig(derivative_window=big),
+    lambda big, inst: SolverConfig(steady_tol=big),
+    lambda big, inst: SolverConfig(alpha=big ** 13),
+    lambda big, inst: coarse_grain(inst, big),
+], ids=["alpha", "beta", "gamma", "init_amplitude", "dt", "tbm-delta", "axis-value",
+        "derivative-window", "steady-tol", "alpha-5200-digits", "coarse-step"])
 def test_ints_beyond_float_range_rejected(inst_a, make):
     with pytest.raises(ValidationError, match="finite"):
         make(10**400, inst_a)

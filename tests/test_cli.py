@@ -714,7 +714,7 @@ def test_sweep_sr_on_an_instance_without_patterns(tmp_path, capsys):
     # no pattern set: every run is unlabelled, no band is counted, and a
     # hit is a run ending at the brute-force ground energy
     coupling = build_couplings(catalogue_pattern_set("a")).coupling
-    bare = Instance(coupling=coupling, pattern_set=None, spectrum=None, label="bare-a")
+    bare = Instance(coupling=coupling, pattern_set=None, label="bare-a")
     path = tmp_path / "bare.inst"
     save_instance(bare, path)
     csv = tmp_path / "sr.csv"
@@ -740,8 +740,7 @@ def test_sweep_sr_on_an_instance_without_patterns(tmp_path, capsys):
 def test_sweep_sr_beyond_brute_force_needs_patterns(tmp_path, planted, capsys, trajectories):
     inst = load_instance(planted["n32"])
     bare = tmp_path / "bare.inst"
-    save_instance(Instance(coupling=inst.coupling, pattern_set=None, spectrum=None,
-                           label="bare-32"), bare)
+    save_instance(Instance(coupling=inst.coupling, pattern_set=None, label="bare-32"), bare)
     csv = tmp_path / "sr.csv"
     assert run_cli(["sweep-sr", "--instance", str(bare), "--alpha-grid", "1", "--runs", "2",
                     "--threads", "1", "--out", str(csv)]) == 3

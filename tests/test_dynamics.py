@@ -33,8 +33,7 @@ from plantbench import dynamics
 def zero_instance(n):
     """Instance with no couplings: pure single-site dynamics."""
     return Instance(
-        coupling=np.zeros((n, n)), pattern_set=None,
-        spectrum=None, label=f"zero-{n}",
+        coupling=np.zeros((n, n)), pattern_set=None, label=f"zero-{n}",
     )
 
 
@@ -67,8 +66,7 @@ def test_class1_two_spin_fixed_point():
     # symmetric ferromagnetic pair with J12 = 2: the attractor solves
     # x = 2 tanh(x); bisection gives the root independently
     j = np.array([[0.0, 2.0], [2.0, 0.0]])
-    inst = Instance(coupling=j, pattern_set=None, spectrum=None,
-                    label="pair")
+    inst = Instance(coupling=j, pattern_set=None, label="pair")
     lo, hi = 1.0, 3.0
     for _ in range(200):
         mid = (lo + hi) / 2

@@ -15,12 +15,17 @@ from plantbench import (
     build_couplings,
     catalogue_pattern_set,
     coarse_grain,
+    SolverConfig,
     gauge_transform,
     generate_orthogonal_patterns,
+    generate_small_scale,
     hamming_distances,
+    initial_states,
     load_instance,
     make_pattern_set,
     perturb_patterns,
+    planted_spectrum,
+    run_batch,
     save_instance,
     shared_sign_coordinate,
 )
@@ -155,7 +160,7 @@ def test_coupling_matrix_structure():
 
 def test_instance_size_is_read_off_the_coupling():
     # an Instance used to take n=5 next to an 8 x 8 coupling block
-    inst = Instance(coupling=np.zeros((8, 8)), pattern_set=None, spectrum=None, label="z")
+    inst = Instance(coupling=np.zeros((8, 8)), pattern_set=None, label="z")
     assert inst.n == 8
 
 
@@ -169,11 +174,14 @@ def test_instance_size_is_read_off_the_coupling():
     (np.array([[0.0, 1.0], [0.5, 0.0]]), False, "coupling matrix is not symmetric"),
     (np.eye(2), False, "coupling diagonal must be zero"),
     (np.zeros((4, 4)), True, "pattern set and instance dimensions differ"),
-], ids=["3x4", "3d", "nan", "asymmetric", "diagonal", "pattern-n"])
+    # these used to escape as ValueError and OverflowError
+    ("abc", False, "coupling must be an array of real numbers"),
+    ([[0, 10**400], [10**400, 0]], False, "coupling must be an array of real numbers"),
+], ids=["3x4", "3d", "nan", "asymmetric", "diagonal", "pattern-n", "text", "int-overflow"])
 def test_instance_rejects_what_is_no_coupling_matrix(coupling, with_patterns, message):
     ps = catalogue_pattern_set("c") if with_patterns else None
     with pytest.raises(ValidationError, match=message):
-        Instance(coupling=coupling, pattern_set=ps, spectrum=None, label="z")
+        Instance(coupling=coupling, pattern_set=ps, label="z")
 
 
 @pytest.mark.parametrize("patterns, weights, perturbations, message", [
@@ -182,7 +190,11 @@ def test_instance_rejects_what_is_no_coupling_matrix(coupling, with_patterns, me
     (np.array([[1, 2], [1, -1]]), np.ones(2), None, r"pattern entries must be \+1 or -1"),
     (np.ones((2, 4)), np.ones(3), None, r"weights must have shape \(2,\)"),
     (np.ones((2, 4)), np.ones(2), np.ones((2, 3)), r"perturbations must have shape \(2, 4\)"),
-], ids=["1d", "k0", "entry-2", "weights-shape", "perturbations-shape"])
+    # these used to escape as ValueError
+    (np.ones((2, 4)), "abc", None, "weights must be an array of real numbers"),
+    (np.ones((2, 4)), np.ones(2), "abc", "perturbations must be an array of real numbers"),
+], ids=["1d", "k0", "entry-2", "weights-shape", "perturbations-shape", "weights-text",
+        "perturbations-text"])
 def test_pattern_set_rejects_malformed_fields(patterns, weights, perturbations, message):
     with pytest.raises(ValidationError, match=message):
         PatternSet(patterns, weights, perturbations)
@@ -194,13 +206,89 @@ def test_pattern_set_and_instance_store_read_only_arrays():
     ps = PatternSet(patterns, weights, np.zeros((2, 2)))
     assert ps.perturbations is None and not ps.is_perturbed()
     perturbed = PatternSet(patterns, weights, [[0.0, 0.5], [0.0, 0.0]])
-    coupling = np.array([[0.0, 3.0], [3.0, 0.0]])
-    inst = Instance(coupling=coupling, pattern_set=ps, spectrum=None, label="z")
+    # the Hebb coupling of ps: J_12 = 1*1*1 + 2*1*(-1)
+    coupling = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    inst = Instance(coupling=coupling, pattern_set=ps, label="z")
     assert ps.patterns.dtype == np.int8 and perturbed.perturbations.dtype == np.float64
     for stored in (ps.patterns, ps.weights, perturbed.perturbations, inst.coupling):
         assert not stored.flags.writeable
     # the caller's own arrays stay writable
     assert weights.flags.writeable and coupling.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# planted spectrum
+
+
+def _saved_and_loaded(inst, path):
+    save_instance(inst, path)
+    return load_instance(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: build_couplings(catalogue_pattern_set("c")),
+    lambda tmp: build_couplings(perturb_patterns(catalogue_pattern_set("c"), [(0, 1, -0.7)])),
+    lambda tmp: coarse_grain(build_couplings(catalogue_pattern_set("a")), 0.5),
+    lambda tmp: _saved_and_loaded(generate_small_scale("d"), tmp / "dense.inst"),
+    lambda tmp: _saved_and_loaded(build_couplings(_n128()), tmp / "rebuild.inst"),
+    lambda tmp: _saved_and_loaded(coarse_grain(build_couplings(_n128()), 0.5),
+                                  tmp / "coarse.inst"),
+    lambda tmp: gauge_transform(build_couplings(_n128()), [0, 5, 17]),
+    lambda tmp: gauge_transform(coarse_grain(build_couplings(_n128()), 0.5), [0, 5, 17]),
+    lambda tmp: replace(generate_small_scale("c"), label="relabelled"),
+    lambda tmp: replace(generate_small_scale("c"), pattern_set=None),
+    lambda tmp: Instance(coupling=generate_small_scale("b").coupling,
+                         pattern_set=catalogue_pattern_set("b"), label="direct"),
+    lambda tmp: Instance(coupling=np.zeros((8, 8)), pattern_set=None, label="bare"),
+], ids=["build", "build-perturbed", "coarse", "load-dense", "load-rebuild",
+        "load-coarse-rebuild", "gauge", "gauge-coarse", "replace-label", "replace-no-patterns",
+        "direct", "direct-bare"])
+def test_every_instance_computes_its_planted_spectrum(tmp_path, make):
+    # the spectrum used to be an argument: only the builders filled it in
+    inst = make(tmp_path)
+    if inst.pattern_set is None:
+        assert inst.spectrum is None
+        return
+    want = planted_spectrum(inst.pattern_set, inst)
+    assert inst.spectrum.energies.tobytes() == want.energies.tobytes()
+    assert (inst.spectrum.e_min, inst.spectrum.e_max) == (want.e_min, want.e_max)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_couplings(_n128()),
+    lambda: coarse_grain(build_couplings(_n128()), 0.5),
+    lambda: build_couplings(perturb_patterns(catalogue_pattern_set("c"), [(0, 1, -0.7)])),
+], ids=["closed-form", "coarse", "perturbed"])
+def test_gauge_transform_keeps_planted_energies_bit_for_bit(make):
+    # the transformed instance recomputes its spectrum; flipping signs is exact
+    inst = make()
+    flipped = gauge_transform(inst, [0, 5, 7])
+    assert flipped.spectrum.energies.tobytes() == inst.spectrum.energies.tobytes()
+
+
+def test_spectrum_is_no_argument():
+    inst = generate_small_scale("c")
+    with pytest.raises(TypeError):
+        Instance(coupling=inst.coupling, pattern_set=None, spectrum=None, label="z")
+    with pytest.raises(ValueError):
+        replace(inst, spectrum=inst.spectrum)
+
+
+def test_scaled_and_direct_instances_score_against_their_own_energies():
+    # replacing the coupling used to keep the stored range (-29.6, -23.2)
+    # of catalogue c, so every run on 2 J fell below it
+    inst = generate_small_scale("c")
+    scaled = replace(inst, coupling=2 * inst.coupling)
+    assert scaled.spectrum.e_min == pytest.approx(-59.2)
+    assert scaled.spectrum.e_max == pytest.approx(-46.4)
+    # a directly made instance used to carry no spectrum, so its runs
+    # were all unlabelled
+    direct = Instance(coupling=inst.coupling, pattern_set=inst.pattern_set, label="direct")
+    seeds = np.arange(20)
+    cfg = SolverConfig(kind="I", alpha=3.0, max_steps=200)
+    labels = [o.label.category for o in run_batch(
+        direct, cfg, initial_states(direct.n, cfg.init_amplitude, seeds), seeds=seeds)]
+    assert "unlabelled" not in labels and "planted" in labels
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +350,7 @@ def test_coarse_grain_rejects_nonpositive_step():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_coarse_grain_without_patterns_checks_finiteness():
     # a matrix without a pattern set used to come back with inf couplings
-    inst = replace(build_couplings(catalogue_pattern_set("c")), pattern_set=None,
-                   spectrum=None)
+    inst = replace(build_couplings(catalogue_pattern_set("c")), pattern_set=None)
     with pytest.raises(ValidationError, match="not finite"):
         coarse_grain(inst, 1e-320)
     assert coarse_grain(inst, 0.5).spectrum is None
@@ -324,7 +411,7 @@ def test_round_trip_above_the_dense_limit(tmp_path, make, dense):
 def test_external_instance_round_trip(tmp_path):
     # a bare matrix is an instance without a pattern set: always dense
     built = build_couplings(catalogue_pattern_set("d"))
-    inst = replace(built, pattern_set=None, spectrum=None)
+    inst = replace(built, pattern_set=None)
     path = tmp_path / "external.txt"
     save_instance(inst, path)
     back = load_instance(path)

@@ -182,7 +182,8 @@ def test_max_eigenvalue_closed_form(monkeypatch, n, k, w0, dw):
 
 
 def _altered_couplings(kind):
-    """Orthogonal instance whose couplings no longer match its patterns."""
+    """Orthogonal instance and a copy of its couplings that no longer
+    match its patterns."""
     # at weights near 1e300 the squares of the Frobenius check overflow
     scale = 1e300 if kind == "frobenius-1e300" else 1.0
     extra = generate_orthogonal_patterns(32, 6, seed=5, dw=0.01)
@@ -198,7 +199,7 @@ def _altered_couplings(kind):
         u, v = extra.patterns[4:].astype(np.float64)
         j += 2.0 * scale * (np.outer(u, u) - np.outer(v, v))
     j.setflags(write=False)
-    return replace(inst, coupling=j)
+    return inst, j
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -216,14 +217,22 @@ def test_max_eigenvalue_falls_back_to_eigvalsh(case):
         inst = generate_small_scale("c")
     elif case == "ndarray":
         inst = np.array(build_couplings(ps).coupling)
+    elif case == "eigenvector":
+        # the extra coupling moves planted energies, so no Instance holds
+        # it; the certificate and the fallback still see the raw matrix
+        built, inst = _altered_couplings(case)
+        with pytest.raises(ValidationError, match="planted energies disagree"):
+            replace(built, coupling=inst)
+        assert oracle._certified_closed_form(inst, built.pattern_set) is None
     else:
-        inst = _altered_couplings(case)
+        built, j = _altered_couplings(case)
+        inst = replace(built, coupling=j)
     coupling = inst if isinstance(inst, np.ndarray) else inst.coupling
     want = float(np.linalg.eigvalsh(coupling)[-1])
     assert max_eigenvalue(inst) == want
     if case.startswith(("eigenvector", "frobenius")):
-        closed = 32 * float(inst.pattern_set.weights.max()) - float(
-            np.sum(inst.pattern_set.weights)
+        closed = 32 * float(built.pattern_set.weights.max()) - float(
+            np.sum(built.pattern_set.weights)
         )
         assert abs(want - closed) > 0.05
 
@@ -265,8 +274,12 @@ def test_max_eigenvalue_falls_back_on_zero_weights_with_couplings():
     inst = build_couplings(ps)
     assert not np.any(inst.coupling)
     j = random_symmetric(16, seed=4)
-    altered = replace(inst, coupling=j)
+    # j moves the planted energies off 0, so no Instance holds it; the
+    # certificate and the fallback still see the raw matrix
+    with pytest.raises(ValidationError, match="planted energies disagree"):
+        replace(inst, coupling=j)
+    assert oracle._certified_closed_form(j, ps) is None
     want = float(np.linalg.eigvalsh(j)[-1])
     assert want > 0
-    assert max_eigenvalue(altered) == want
+    assert max_eigenvalue(j) == want
     assert max_eigenvalue(inst) == 0.0
