@@ -34,7 +34,7 @@ from plantbench import (
     default_alpha_grid,
     generate_small_scale,
     max_eigenvalue,
-    scan_transition,
+    sweep_sr,
     write_sweep_csv,
 )
 from plantbench.cli import main as cli_main
@@ -65,7 +65,7 @@ def main() -> int:
             runs_per_point=args.runs,
             base_seed=0,
         )
-        result = scan_transition(spec)
+        result = sweep_sr(spec)
         grid = result.sr_grid
         print(f"scan {name} on ({base_id}): {args.runs} runs/point")
         for i, value in enumerate(values):

@@ -79,12 +79,10 @@ __all__ = [
     "CataloguePerturbationFactory",
     "CatalogueWeightStepFactory",
     "EquidistantPerturbationFactory",
-    "SCAN_FACTORIES",
     "derive_seed",
     "derive_seeds",
     "default_alpha_grid",
     "sweep_sr",
-    "scan_transition",
     "sweep_k",
     "histogram",
     "write_sweep_csv",
@@ -261,7 +259,8 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# instance factories for transition scans
+# instance factories for transition scans: sweep_sr on a spec whose
+# instance is one of these deforms the instance along the first axis
 
 
 def _scaled_edit(ps, pattern_index: int, coordinate: int, scale: float, value: float):
@@ -431,29 +430,6 @@ def sweep_sr(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """
     points = _map_in_order(partial(_eval_point, spec), range(spec.n_points), threads)
     return SweepResult(spec=spec, points=tuple(points))
-
-
-SCAN_FACTORIES = {
-    "dxi": CataloguePerturbationFactory,
-    "dw": CatalogueWeightStepFactory,
-    "p": EquidistantPerturbationFactory,
-}
-
-
-def scan_transition(spec: SweepSpec, threads: int = 1) -> SweepResult:
-    """Complexity-transition scan: first axis deforms the instance.
-
-    The instance must be one of the scan factories (coordinate
-    perturbation, weight-step override, or the equidistant-set
-    deformation); the optional second axis is a solver parameter,
-    normally alpha.
-    """
-    if not isinstance(spec.instance, tuple(SCAN_FACTORIES.values())):
-        raise ValidationError(
-            "scan_transition needs an instance factory, one of "
-            + ", ".join(c.__name__ for c in SCAN_FACTORIES.values())
-        )
-    return sweep_sr(spec, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -369,12 +369,13 @@ def _cmd_sweep_sr(args, out, sidecar) -> list[str]:
     return inputs
 
 
-# One entry per key of bench.SCAN_FACTORIES; the parser takes the scan
-# kinds from here, so building it imports no numeric module.
-_SCAN_DEFAULT_VALUES = {
-    "dxi": "-2:0:21",
-    "dw": "0:0.5:21",
-    "p": "0:2:21",
+# Each scan kind's bench factory, by name, and its default --values.
+# The parser takes the kinds from here, so building it imports no
+# numeric module.
+_SCAN_KINDS = {
+    "dxi": ("CataloguePerturbationFactory", "-2:0:21"),
+    "dw": ("CatalogueWeightStepFactory", "0:0.5:21"),
+    "p": ("EquidistantPerturbationFactory", "0:2:21"),
 }
 
 
@@ -382,11 +383,14 @@ def _cmd_scan(args, out, sidecar) -> list[str]:
     from . import bench, oracle
     from .dynamics import SolverConfig
 
-    ident = args.id if args.id is not None else ("f" if args.kind == "p" else "c")
-    factory = bench.SCAN_FACTORIES[args.kind](ident)
+    name, default_values = _SCAN_KINDS[args.kind]
+    make = getattr(bench, name)
+    # without --id the factory's own catalogue entry is scanned
+    factory = make() if args.id is None else make(args.id)
+    ident = factory.catalogue_id
     values = args.values
     if values is None:
-        values = _parse_grid(_SCAN_DEFAULT_VALUES[args.kind])
+        values = _parse_grid(default_values)
     alphas = args.alpha_grid
     if alphas is None:
         alphas = bench.default_alpha_grid(oracle.max_eigenvalue(factory(values[0])))
@@ -397,7 +401,7 @@ def _cmd_scan(args, out, sidecar) -> list[str]:
         runs_per_point=args.runs,
         base_seed=args.seed,
     )
-    result = bench.scan_transition(spec, threads=_threads(args))
+    result = bench.sweep_sr(spec, threads=_threads(args))
     bench.write_sweep_csv(result, out)
     bench.write_sidecar(result, sidecar)
     print(f"scan {args.kind} on {ident}: grid {spec.grid_shape} max SR {result.max_sr()!r}")
@@ -610,7 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_sr, outputs=with_sidecar)
 
     p = sub.add_parser("scan", help="complexity-transition scan")
-    p.add_argument("--kind", required=True, choices=list(_SCAN_DEFAULT_VALUES))
+    p.add_argument("--kind", required=True, choices=list(_SCAN_KINDS))
     p.add_argument("--id", type=_catalogue_id, choices=sorted(CATALOGUE))
     flag(p, "--values", _parse_grid)
     flag(p, "--alpha-grid", _parse_grid)

@@ -7,8 +7,9 @@ Three solver families share one pair of integrators:
   second order (kind III):
       d2x_i/dt2 = gamma dx_i/dt - alpha x_i + beta sum_j J_ij phi(x_j)
 
-Kind I takes constant coefficients, kind II lets alpha and beta be
-schedules (functions of the step index), kind III adds the velocity
+Kinds I and II are one first-order path: both take constant alpha and
+beta or schedules (functions of the step index), and kind II keeps its
+name because callers construct it.  Kind III adds the velocity
 term.  The bifurcation-machine mode (kind TBM) is kind III with the
 sign nonlinearity, gamma = 0, the pump p = LinearRamp(0, 2, max_steps),
 and coefficients alpha(t) = delta * (delta - p(t)), beta = delta *

@@ -12,7 +12,10 @@ form
 
 because J = sum_k w_k xi^k (xi^k)^T - (sum_k w_k) I and xi^m hits its
 own outer product with overlap n while every other term vanishes.
-planted_spectrum evaluates both routes and insists they agree.
+It makes each pattern an eigenvector, eigenvalue n w_m - sum_k w_k.
+planted_spectrum, run once when an Instance is made, evaluates both
+energy routes, insists they agree, and certifies the closed-form top
+eigenvalue against the matrix for oracle.max_eigenvalue.
 
 Solver outcomes are labelled structurally: exact match to a planted
 pattern, to its mirror (global flip, an exact symmetry of E), or to a
@@ -111,11 +114,14 @@ def _energies(j: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PlantedSpectrum:
-    """Energies of the planted patterns on a coupling matrix."""
+    """Energies of the planted patterns on a coupling matrix, and
+    lambda_max: its top eigenvalue from the orthogonal closed form,
+    certified once when the instance is made (None where it is not)."""
 
     energies: np.ndarray            # (k,) float64, pattern order
     e_min: float
     e_max: float
+    lambda_max: float | None = None
 
     @property
     def ground_index(self) -> int:
@@ -131,35 +137,61 @@ def closed_form_applies(ps: PatternSet, inst: Instance) -> bool:
     """Whether the orthogonal closed forms describe ps on inst.
 
     They need an orthogonal, unperturbed pattern set and couplings that
-    were not coarse-grained.  planted_spectrum and oracle.max_eigenvalue
-    both ask this one predicate, and both still verify the closed form
-    against the matrix itself before trusting it.
+    were not coarse-grained.  planted_spectrum still verifies both
+    closed forms against the matrix itself before trusting them.
     """
     return ps.is_orthogonal() and not ps.is_perturbed() and inst.coarse_delta is None
 
 
-def planted_spectrum(ps: PatternSet, inst: Instance, method: str = "auto") -> PlantedSpectrum:
+def _certified_lambda_max(j: np.ndarray, pj: np.ndarray, ps: PatternSet) -> float | None:
+    """Largest eigenvalue of j from the orthogonal closed form, or None.
+
+    pj is P @ j for the patterns P as float64 rows.  The closed form is
+    accepted only when the matrix confirms it, each check to 1e-9
+    relative: J xi^m = lam_m xi^m for every pattern, and
+    ||J||_F^2 = sum(lam_m^2) + (n - K) W^2 with W = sum(w).  The first
+    check fixes K eigenpairs; the zero trace of every Instance and the
+    Frobenius norm then give the other n - K eigenvalues sum -(n - K) W
+    and sum of squares (n - K) W^2, which by Cauchy-Schwarz pins every
+    one of them to -W (within sqrt(1e-9) * ||J||_F).  A non-finite
+    residual fails.
+    """
+    n, k = ps.n, ps.k
+    total = float(np.sum(ps.weights))
+    lam = n * ps.weights - total
+    # the claimed spectral norm of J; checks in its units cannot overflow
+    norm = max(float(np.max(np.abs(lam))), abs(total))
+    if norm == 0:  # all weights zero claim J = 0
+        return 0.0 if not np.any(j) else None
+    ls, ws = lam / norm, total / norm
+    if not np.max(np.abs(pj / norm - ps.patterns * ls[:, None])) <= _REL_TOL:
+        return None
+    js = j / norm
+    want = float(np.sum(ls * ls)) + (n - k) * ws * ws
+    if not abs(float(np.vdot(js, js)) - want) <= _REL_TOL * want:
+        return None
+    top = float(lam.max())
+    return max(top, -total) if k < n else top
+
+
+def planted_spectrum(ps: PatternSet, inst: Instance) -> PlantedSpectrum:
     """Planted energies of the binary patterns of ps on inst.coupling.
 
-    method "direct" evaluates qubo_energy on each pattern.  method
-    "closed" uses the orthogonal closed form (errors when the set is
-    perturbed, non-orthogonal, or the matrix was coarse-grained).
-    "auto" takes the closed form whenever it applies and cross-checks
-    it against the direct route to 1e-9 relative; disagreement means
-    the couplings do not belong to this pattern set and raises.
+    The energies are evaluated directly on each pattern.  Where the
+    orthogonal closed form applies (closed_form_applies), it is taken
+    instead, after a cross-check against the direct route to 1e-9
+    relative; disagreement means the couplings do not belong to this
+    pattern set and raises.  There the closed-form top eigenvalue is
+    also certified from the same pattern product into lambda_max.
     """
     j = inst.coupling
     if j.shape[0] != ps.n:
         raise ValidationError("pattern set and instance dimensions differ")
-    closed_ok = closed_form_applies(ps, inst)
-    if method == "closed" and not closed_ok:
-        raise ValidationError(
-            "closed form needs an orthogonal unperturbed set on uncoarsened couplings"
-        )
-    direct = _energies(j, ps.patterns.astype(np.float64))
-    if method == "direct" or not closed_ok:
-        energies = direct
-    else:
+    p = ps.patterns.astype(np.float64)
+    pj = p @ j
+    direct = -0.5 * np.einsum("ri,ri->r", pj, p)   # _energies on the shared product
+    energies, lambda_max = direct, None
+    if closed_form_applies(ps, inst):
         total = float(np.sum(ps.weights))
         closed = -(ps.weights * ps.n ** 2 - ps.n * total) / 2.0
         scale = np.maximum(1.0, np.maximum(np.abs(closed), np.abs(direct)))
@@ -169,11 +201,12 @@ def planted_spectrum(ps: PatternSet, inst: Instance, method: str = "auto") -> Pl
                 "closed-form and direct planted energies disagree "
                 f"(pattern {worst + 1}: {float(closed[worst])!r} vs {float(direct[worst])!r})"
             )
-        energies = closed
+        energies, lambda_max = closed, _certified_lambda_max(j, pj, ps)
     return PlantedSpectrum(
         energies=_readonly(energies.astype(np.float64)),
         e_min=float(energies.min()),
         e_max=float(energies.max()),
+        lambda_max=lambda_max,
     )
 
 

@@ -19,8 +19,10 @@ and an Instance check their fields when made, so every one, however
 built, coarse-grained, transformed or loaded, holds one invariant: k >= 1
 +-1 patterns with weights and perturbations of matching shape, and a
 square, finite, exactly symmetric coupling matrix with a zero diagonal
-and its pattern set's n, all in read-only arrays.  An Instance computes
-its planted spectrum when made, so it is never passed in or stale.
+and its pattern set's n, all in read-only arrays, a one-line label,
+and a positive finite coarse-graining step when there is one.  An
+Instance computes its planted spectrum when made, so it is never passed
+in or stale; the orthogonal closed form is certified there, once.
 Weights, couplings and planted energies are computed with overflow
 warnings off; planted energies that overflow are rejected.
 """
@@ -152,10 +154,10 @@ class Instance:
 
     pattern_set is the PatternSet the couplings were built from, or None
     for an external matrix loaded without pattern data.  coarse_delta
-    records the quantisation step if the matrix was coarse-grained.  n
-    is read off the coupling.  spectrum is computed when the instance is
-    made, not passed: the planted energies of the pattern set on the
-    coupling (see energy.planted_spectrum), or None without a pattern set.
+    records the positive quantisation step if the matrix was
+    coarse-grained, and label is one line of text.  n is read off the
+    coupling.  spectrum is computed when the instance is made, not
+    passed (see energy.planted_spectrum), or None without a pattern set.
     """
 
     coupling: np.ndarray            # (n, n) float64, symmetric, zero diagonal
@@ -168,6 +170,16 @@ class Instance:
     def __post_init__(self):
         from . import energy  # energy imports this module
 
+        # a saved file holds the label on one line
+        if not isinstance(self.label, str) or "\n" in self.label or "\r" in self.label:
+            raise ValidationError(f"label must be text on one line, got {_shown(self.label)}")
+        ps = self.pattern_set
+        if ps is not None and not isinstance(ps, PatternSet):
+            raise ValidationError(
+                f"pattern_set must be a PatternSet or None, got {type(ps).__name__}"
+            )
+        if self.coarse_delta is not None:
+            _check_coarse_step(self.coarse_delta)
         j = _floats(self.coupling, "coupling")
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValidationError(f"coupling matrix must be square, got shape {j.shape}")
@@ -177,7 +189,6 @@ class Instance:
             raise ValidationError("coupling matrix is not symmetric")
         if np.any(np.diagonal(j) != 0.0):
             raise ValidationError("coupling diagonal must be zero")
-        ps = self.pattern_set
         if ps is not None and ps.n != j.shape[0]:
             raise ValidationError("pattern set and instance dimensions differ")
         object.__setattr__(self, "coupling", _readonly(j))
@@ -447,6 +458,14 @@ def build_couplings(ps: PatternSet, label: str | None = None) -> Instance:
     return Instance(coupling=j, pattern_set=ps, label=label)
 
 
+def _check_coarse_step(delta_j) -> None:
+    """Raise unless delta_j is a positive, finite real number."""
+    if not (_is_finite(delta_j) and delta_j > 0):
+        raise ValidationError(
+            f"coarse-graining step must be positive and finite, got {_shown(delta_j)}"
+        )
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def coarse_grain(inst: Instance, delta_j: float) -> Instance:
     """Quantise couplings to integer multiples of delta_j.
@@ -457,10 +476,7 @@ def coarse_grain(inst: Instance, delta_j: float) -> Instance:
     Raises for a delta_j that is not positive and finite, and for a
     quotient that overflows.
     """
-    if not (_is_finite(delta_j) and delta_j > 0):
-        raise ValidationError(
-            f"coarse-graining step must be positive and finite, got {_shown(delta_j)}"
-        )
+    _check_coarse_step(delta_j)
     j = _mirror_upper(np.floor(inst.coupling / delta_j))
     return replace(inst, coupling=j, coarse_delta=float(delta_j))
 

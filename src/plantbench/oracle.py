@@ -4,13 +4,13 @@ brute_force enumerates half the hypercube (the first spin is pinned to
 +1, since E(x) = E(-x) makes mirror pairs redundant) in vectorised
 chunks, so n = 24 is the practical ceiling.
 
-max_eigenvalue takes one of two direct routes.  On an orthogonal
-unperturbed pattern set with uncoarsened couplings,
-J = sum_m w_m xi^m (xi^m)^T - W*I with W = sum(w), so each pattern is an
-eigenvector with eigenvalue n*w_m - W and the n - K directions
-orthogonal to all patterns share the eigenvalue -W.  That closed form
-is used only after the matrix itself certifies it; everything else
-goes to a dense symmetric eigensolver.
+max_eigenvalue reads the top eigenvalue an Instance certified when it
+was made.  On an orthogonal unperturbed pattern set with uncoarsened
+couplings, J = sum_m w_m xi^m (xi^m)^T - W*I with W = sum(w), so each
+pattern is an eigenvector with eigenvalue n*w_m - W and the n - K
+directions orthogonal to all patterns share the eigenvalue -W;
+energy.planted_spectrum certifies that closed form once, against the
+matrix itself.  Everything else goes to a dense symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _coupling_of, _energies, closed_form_applies
+from .energy import _coupling_of, _energies
 from .errors import ValidationError
-from .instance import Instance, PatternSet, _readonly
+from .instance import Instance, _readonly
 
 __all__ = ["SpectrumReport", "brute_force", "max_eigenvalue"]
 
@@ -29,9 +29,6 @@ BRUTE_FORCE_LIMIT = 24
 FULL_SPECTRUM_LIMIT = 16
 
 _CHUNK_BITS = 16
-
-# Relative tolerance of the closed-form eigenvalue certificate.
-_CERT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,50 +99,14 @@ def brute_force(inst: "Instance | np.ndarray", full_spectrum: bool = False) -> S
     )
 
 
-def _certified_closed_form(j: np.ndarray, ps: PatternSet) -> float | None:
-    """Largest eigenvalue from the orthogonal closed form, or None.
-
-    The closed form is accepted only when the matrix confirms it, each
-    check to _CERT_TOL relative: J xi^m = lam_m xi^m for every pattern,
-    trace(J) = 0, and ||J||_F^2 = sum(lam_m^2) + (n - K) W^2.  The first
-    check fixes K eigenpairs; the trace and Frobenius norm then give
-    the other n - K eigenvalues sum -(n - K) W and sum of squares
-    (n - K) W^2, which by Cauchy-Schwarz pins every one of them to -W
-    (within sqrt(_CERT_TOL) * ||J||_F).
-    """
-    n, k = ps.n, ps.k
-    total = float(np.sum(ps.weights))
-    lam = n * ps.weights - total
-    # the claimed spectral norm of J; checks in its units cannot overflow
-    norm = max(float(np.max(np.abs(lam))), abs(total))
-    if norm == 0:  # all weights zero claim J = 0
-        return 0.0 if not np.any(j) else None
-    js, ls, ws = j / norm, lam / norm, total / norm
-    p = ps.patterns.T.astype(np.float64)
-    if np.max(np.abs(js @ p - p * ls)) > _CERT_TOL:
-        return None
-    if abs(float(np.trace(js))) > _CERT_TOL:
-        return None
-    want = float(np.sum(ls * ls)) + (n - k) * ws * ws
-    if abs(float(np.vdot(js, js)) - want) > _CERT_TOL * want:
-        return None
-    top = float(lam.max())
-    return max(top, -total) if k < n else top
-
-
 def max_eigenvalue(inst: "Instance | np.ndarray") -> float:
     """Largest eigenvalue of the coupling matrix.
 
-    Instances whose pattern set admits the orthogonal closed form (see
-    energy.closed_form_applies) get n*max(w) - sum(w), or -sum(w) when
-    K < n and that is larger, once the certificate of
-    _certified_closed_form holds.  Every other input, a failed certificate included, takes
-    the last value of np.linalg.eigvalsh.
+    An Instance whose planted spectrum certified the orthogonal closed
+    form when it was made returns that lambda_max.  Every other input
+    takes the last value of np.linalg.eigvalsh.
     """
-    j = _coupling_of(inst)
-    ps = inst.pattern_set if isinstance(inst, Instance) else None
-    if ps is not None and closed_form_applies(ps, inst):
-        top = _certified_closed_form(j, ps)
-        if top is not None:
-            return top
-    return float(np.linalg.eigvalsh(j)[-1])
+    spectrum = inst.spectrum if isinstance(inst, Instance) else None
+    if spectrum is not None and spectrum.lambda_max is not None:
+        return spectrum.lambda_max
+    return float(np.linalg.eigvalsh(_coupling_of(inst))[-1])

@@ -27,16 +27,15 @@ from plantbench import (
     generate_orthogonal_patterns,
     generate_small_scale,
     max_eigenvalue,
-    planted_spectrum,
     qubo_energy_many,
     random_initial,
     run_batch,
-    scan_transition,
     sweep_k,
     sweep_sr,
     trajectory,
 )
 from plantbench.cli import main as cli_main
+from plantbench.energy import closed_form_applies
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +128,9 @@ def test_planted_energy_closed_form_matches_direct():
         dw = float(rng.uniform(0.001, 1.0) / k)
         ps = generate_orthogonal_patterns(n, k, seed=int(rng.integers(2**31)), dw=dw)
         inst = build_couplings(ps)
-        closed = planted_spectrum(ps, inst, method="closed").energies
-        direct = planted_spectrum(ps, inst, method="direct").energies
+        assert closed_form_applies(ps, inst)
+        closed = inst.spectrum.energies
+        direct = qubo_energy_many(inst, ps.patterns)
         scale = np.maximum(1.0, np.abs(direct))
         assert float(np.max(np.abs(closed - direct) / scale)) <= 1e-9
 
@@ -186,7 +186,7 @@ def test_perturbation_and_weight_step_move_the_easy_region():
         runs_per_point=200,
         base_seed=12,
     )
-    flip_grid = scan_transition(flip).sr_grid
+    flip_grid = sweep_sr(flip).sr_grid
     assert np.count_nonzero(flip_grid[0] == 1.0) >= 1   # full coordinate flip
     assert np.count_nonzero(flip_grid[1] == 1.0) == 0   # untouched instance
 
@@ -197,7 +197,7 @@ def test_perturbation_and_weight_step_move_the_easy_region():
         runs_per_point=200,
         base_seed=11,
     )
-    step_grid = scan_transition(steps).sr_grid
+    step_grid = sweep_sr(steps).sr_grid
     assert np.count_nonzero(step_grid[0] == 1.0) == 0   # catalogue weight step
     assert np.count_nonzero(step_grid[1] == 1.0) >= 1   # widened weight ladder
 

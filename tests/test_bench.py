@@ -26,7 +26,6 @@ from plantbench import (
     qubo_energy,
     random_initial,
     run_batch,
-    scan_transition,
     shared_sign_coordinate,
     sweep_k,
     sweep_sr,
@@ -360,14 +359,6 @@ def test_equidistant_factory_edits():
     assert factory(0.0).pattern_set.is_perturbed() is False
 
 
-def test_scan_transition_requires_factory(inst_a):
-    spec = SweepSpec(
-        instance=inst_a, solver=SolverConfig(), axes=(("alpha", (1.0,)),)
-    )
-    with pytest.raises(ValidationError):
-        scan_transition(spec)
-
-
 def test_scan_transition_runs_end_to_end():
     spec = SweepSpec(
         instance=CataloguePerturbationFactory("c"),
@@ -376,7 +367,7 @@ def test_scan_transition_runs_end_to_end():
         runs_per_point=30,
         base_seed=1,
     )
-    result = scan_transition(spec, threads=2)
+    result = sweep_sr(spec, threads=2)
     assert result.sr_grid.shape == (2, 3)
     # full flip turns (c) easy; the unperturbed instance stays hard
     assert result.sr_grid[0].max() == 1.0

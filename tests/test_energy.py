@@ -21,7 +21,12 @@ from plantbench import (
     qubo_energy,
     qubo_energy_many,
 )
-from plantbench.energy import DEFAULT_FRACTIONS, DEFAULT_MIXED_CAP, PlantedSpectrum
+from plantbench.energy import (
+    DEFAULT_FRACTIONS,
+    DEFAULT_MIXED_CAP,
+    PlantedSpectrum,
+    _certified_lambda_max,
+)
 
 from conftest import random_symmetric
 
@@ -72,19 +77,24 @@ def test_mirror_invariance(seed):
 def test_closed_form_matches_direct():
     ps = generate_orthogonal_patterns(64, 9, seed=7, dw=0.004)
     inst = build_couplings(ps)
-    spec = planted_spectrum(ps, inst, method="closed")
-    direct = planted_spectrum(ps, inst, method="direct")
-    np.testing.assert_allclose(spec.energies, direct.energies, rtol=1e-9)
+    spec = planted_spectrum(ps, inst)
+    total = float(np.sum(ps.weights))
+    assert np.array_equal(spec.energies, -(ps.weights * 64 ** 2 - 64 * total) / 2.0)
+    np.testing.assert_allclose(spec.energies, qubo_energy_many(inst, ps.patterns), rtol=1e-9)
     assert spec.ground_index == ps.k - 1  # heaviest pattern sits lowest
 
 
-def test_closed_form_refuses_perturbed_sets():
-    from plantbench import perturb_patterns
-
-    ps = perturb_patterns(catalogue_pattern_set("c"), [(0, 1, -0.5)])
+def test_lambda_max_certificate_fails_on_a_non_finite_residual():
+    # the certificate runs with overflow warnings off, so an overflowing
+    # pattern product must fail it rather than pass a comparison
+    ps = generate_orthogonal_patterns(16, 3, seed=0, dw=0.01)
     inst = build_couplings(ps)
-    with pytest.raises(ValidationError):
-        planted_spectrum(ps, inst, method="closed")
+    pj = ps.patterns.astype(np.float64) @ inst.coupling
+    assert _certified_lambda_max(inst.coupling, pj, ps) == inst.spectrum.lambda_max
+    for bad in (np.inf, -np.inf, np.nan):
+        spoiled = pj.copy()
+        spoiled[0, 0] = bad
+        assert _certified_lambda_max(inst.coupling, spoiled, ps) is None
 
 
 def test_spectrum_detects_foreign_couplings():

@@ -165,23 +165,36 @@ def test_instance_size_is_read_off_the_coupling():
 
 
 # each used to be accepted when made, and then fail inside run_batch or
-# brute_force, or (asymmetric) run with a quietly symmetrised energy
-@pytest.mark.parametrize("coupling, with_patterns, message", [
-    (np.zeros((3, 4)), False, r"must be square, got shape \(3, 4\)"),
-    (np.zeros((2, 2, 2)), False, "must be square"),
-    (np.array([[0.0, np.nan], [np.nan, 0.0]]), False,
+# brute_force, or (asymmetric) run with a quietly symmetrised energy;
+# fields override pattern_set=None and label="z"
+@pytest.mark.parametrize("coupling, fields, message", [
+    (np.zeros((3, 4)), {}, r"must be square, got shape \(3, 4\)"),
+    (np.zeros((2, 2, 2)), {}, "must be square"),
+    (np.array([[0.0, np.nan], [np.nan, 0.0]]), {},
      "z: couplings or planted energies are not finite"),
-    (np.array([[0.0, 1.0], [0.5, 0.0]]), False, "coupling matrix is not symmetric"),
-    (np.eye(2), False, "coupling diagonal must be zero"),
-    (np.zeros((4, 4)), True, "pattern set and instance dimensions differ"),
+    (np.array([[0.0, 1.0], [0.5, 0.0]]), {}, "coupling matrix is not symmetric"),
+    (np.eye(2), {}, "coupling diagonal must be zero"),
+    (np.zeros((4, 4)), {"pattern_set": catalogue_pattern_set("c")},
+     "pattern set and instance dimensions differ"),
     # these used to escape as ValueError and OverflowError
-    ("abc", False, "coupling must be an array of real numbers"),
-    ([[0, 10**400], [10**400, 0]], False, "coupling must be an array of real numbers"),
-], ids=["3x4", "3d", "nan", "asymmetric", "diagonal", "pattern-n", "text", "int-overflow"])
-def test_instance_rejects_what_is_no_coupling_matrix(coupling, with_patterns, message):
-    ps = catalogue_pattern_set("c") if with_patterns else None
+    ("abc", {}, "coupling must be an array of real numbers"),
+    ([[0, 10**400], [10**400, 0]], {}, "coupling must be an array of real numbers"),
+    # this used to escape as AttributeError
+    (np.zeros((2, 2)), {"pattern_set": "x"}, "pattern_set must be a PatternSet or None, got str"),
+    # save_instance used to fail on the first; the others saved and loaded,
+    # though coarse_grain takes no such step
+    (np.zeros((2, 2)), {"coarse_delta": "abc"}, "step must be positive and finite, got 'abc'"),
+    (np.zeros((2, 2)), {"coarse_delta": -1.0}, "step must be positive and finite, got -1.0"),
+    (np.zeros((2, 2)), {"coarse_delta": 0}, "step must be positive and finite, got 0"),
+    # used to save a file that load_instance rejects ("key 'n' repeated")
+    (np.zeros((2, 2)), {"label": "t\nn: 3"}, "label must be text on one line"),
+    (np.zeros((2, 2)), {"label": None}, "label must be text on one line, got None"),
+], ids=["3x4", "3d", "nan", "asymmetric", "diagonal", "pattern-n", "text", "int-overflow",
+        "pattern-set-text", "coarse-text", "coarse-negative", "coarse-zero",
+        "label-line-break", "label-none"])
+def test_instance_rejects_what_is_no_coupling_matrix(coupling, fields, message):
     with pytest.raises(ValidationError, match=message):
-        Instance(coupling=coupling, pattern_set=ps, label="z")
+        Instance(**{"coupling": coupling, "pattern_set": None, "label": "z", **fields})
 
 
 @pytest.mark.parametrize("patterns, weights, perturbations, message", [

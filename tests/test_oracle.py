@@ -17,7 +17,6 @@ from plantbench import (
     max_eigenvalue,
     perturb_patterns,
 )
-from plantbench import oracle
 from plantbench.oracle import BRUTE_FORCE_LIMIT, FULL_SPECTRUM_LIMIT
 
 from conftest import exhaustive_minimum, random_symmetric
@@ -202,39 +201,64 @@ def _altered_couplings(kind):
     return inst, j
 
 
+def _uncertified_instance(case):
+    """An Instance on which the orthogonal closed form is not certified."""
+    ps = generate_orthogonal_patterns(32, 4, seed=5, dw=0.01)
+    if case == "perturbed":
+        return build_couplings(perturb_patterns(ps, [(0, 3, 0.25)]))
+    if case == "coarse":
+        return coarse_grain(build_couplings(ps), 0.3)
+    if case == "catalogue":
+        return generate_small_scale("c")
+    if case == "external":
+        return replace(build_couplings(ps), pattern_set=None)
+    built, j = _altered_couplings(case)
+    return replace(built, coupling=j)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "case", ["perturbed", "coarse", "catalogue", "ndarray", "eigenvector", "frobenius",
              "frobenius-1e300"]
 )
 def test_max_eigenvalue_falls_back_to_eigvalsh(case):
-    ps = generate_orthogonal_patterns(32, 4, seed=5, dw=0.01)
-    if case == "perturbed":
-        inst = build_couplings(perturb_patterns(ps, [(0, 3, 0.25)]))
-    elif case == "coarse":
-        inst = coarse_grain(build_couplings(ps), 0.3)
-    elif case == "catalogue":
-        inst = generate_small_scale("c")
-    elif case == "ndarray":
-        inst = np.array(build_couplings(ps).coupling)
+    if case == "ndarray":
+        inst = np.array(_uncertified_instance("external").coupling)
     elif case == "eigenvector":
         # the extra coupling moves planted energies, so no Instance holds
-        # it; the certificate and the fallback still see the raw matrix
+        # it; the fallback still sees the raw matrix
         built, inst = _altered_couplings(case)
         with pytest.raises(ValidationError, match="planted energies disagree"):
             replace(built, coupling=inst)
-        assert oracle._certified_closed_form(inst, built.pattern_set) is None
+        ps = built.pattern_set
     else:
-        built, j = _altered_couplings(case)
-        inst = replace(built, coupling=j)
+        inst = _uncertified_instance(case)
+        ps = inst.pattern_set
     coupling = inst if isinstance(inst, np.ndarray) else inst.coupling
     want = float(np.linalg.eigvalsh(coupling)[-1])
     assert max_eigenvalue(inst) == want
     if case.startswith(("eigenvector", "frobenius")):
-        closed = 32 * float(built.pattern_set.weights.max()) - float(
-            np.sum(built.pattern_set.weights)
-        )
+        closed = 32 * float(ps.weights.max()) - float(np.sum(ps.weights))
         assert abs(want - closed) > 0.05
+
+
+@pytest.mark.parametrize(
+    "case", _CLOSED_FORM_CASES + ["perturbed", "coarse", "catalogue", "external", "frobenius"],
+    ids=lambda case: case if isinstance(case, str) else "-".join(map(str, case)),
+)
+def test_spectrum_holds_the_certified_lambda_max(case):
+    if isinstance(case, str):
+        spectrum = _uncertified_instance(case).spectrum
+        assert spectrum is None or spectrum.lambda_max is None
+        return
+    n, k, w0, dw = case
+    ps = generate_orthogonal_patterns(n, k, seed=3, w0=w0, dw=dw)
+    # the closed form, evaluated as the oracle always has: the largest
+    # lam_m = n w_m - W, or -W when K < n and that is larger
+    total = float(np.sum(ps.weights))
+    top = float((n * ps.weights - total).max())
+    want = max(top, -total) if k < n else top
+    assert build_couplings(ps).spectrum.lambda_max.hex() == want.hex()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -244,8 +268,9 @@ def test_max_eigenvalue_falls_back_when_only_the_trace_fails(monkeypatch):
     # c - W.  With c = 2W they become +W: the Frobenius norm is unchanged
     # and only the trace, now c (n - K), tells; at K = 12 > n/2, W is
     # above the top pattern eigenvalue, so the closed form would be wrong.
-    # Such a J has a non-zero diagonal, so no Instance holds it; the
-    # certificate still sees raw matrices
+    # Such a J has a non-zero diagonal, so no Instance holds it and the
+    # certificate, which runs only when an Instance is made, never sees
+    # it; the raw matrix takes eigvalsh
     n = 16
     ps = generate_orthogonal_patterns(n, 12, seed=5, dw=0.01)
     inst = build_couplings(ps)
@@ -262,7 +287,7 @@ def test_max_eigenvalue_falls_back_when_only_the_trace_fails(monkeypatch):
     assert want == pytest.approx(total) and want > float(lam.max()) + 1.0
     with pytest.raises(ValidationError, match="diagonal must be zero"):
         replace(inst, coupling=j)
-    assert oracle._certified_closed_form(j, ps) is None
+    assert max_eigenvalue(j) == want
     # the unaltered instance still takes the certified closed form
     _forbid_eigvalsh(monkeypatch)
     assert max_eigenvalue(inst) == float(lam.max())
@@ -275,10 +300,9 @@ def test_max_eigenvalue_falls_back_on_zero_weights_with_couplings():
     assert not np.any(inst.coupling)
     j = random_symmetric(16, seed=4)
     # j moves the planted energies off 0, so no Instance holds it; the
-    # certificate and the fallback still see the raw matrix
+    # fallback still sees the raw matrix
     with pytest.raises(ValidationError, match="planted energies disagree"):
         replace(inst, coupling=j)
-    assert oracle._certified_closed_form(j, ps) is None
     want = float(np.linalg.eigvalsh(j)[-1])
     assert want > 0
     assert max_eigenvalue(j) == want

@@ -6,8 +6,9 @@ from plantbench import bench, dynamics, energy, errors, instance, oracle
 # Every name the package exported before the per-kind run aliases, the
 # one-off classifier wrapper, DegenerateSpectrumError, the bare-matrix
 # file format, the cluster and mode helpers, mirror, the one-row run
-# with its DivergenceError, PumpRamp, and every exception type but
-# ValidationError were deleted.
+# with its DivergenceError, PumpRamp, every exception type but
+# ValidationError, and scan_transition with its SCAN_FACTORIES table (a
+# transition scan is sweep_sr on a factory) were deleted.
 STILL_EXPORTED = [
     "__version__", "ValidationError", "CATALOGUE", "PatternSet", "Instance", "make_pattern_set",
     "generate_orthogonal_patterns", "catalogue_pattern_set",
@@ -22,7 +23,7 @@ STILL_EXPORTED = [
     "trajectory", "SweepSpec", "PointResult", "SweepResult",
     "HistogramReport", "KSweepEntry", "CataloguePerturbationFactory",
     "CatalogueWeightStepFactory", "EquidistantPerturbationFactory",
-    "derive_seed", "default_alpha_grid", "sweep_sr", "scan_transition",
+    "derive_seed", "default_alpha_grid", "sweep_sr",
     "sweep_k", "histogram", "write_sweep_csv", "write_ksweep_csv",
     "write_hist_csv", "write_sidecar",
 ]
@@ -33,6 +34,7 @@ DELETED = [
     "count_modes", "cluster_split", "cluster_report", "mirror",
     "run", "DivergenceError", "PumpRamp",
     "PlantbenchError", "UnsupportedDimensionError", "CapacityError",
+    "scan_transition", "SCAN_FACTORIES",
 ]
 
 

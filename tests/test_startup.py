@@ -88,4 +88,6 @@ def _choices(command: str, dest: str):
 def test_parser_choices_match_the_package_tables():
     assert _choices("gen-small", "id") == sorted(CATALOGUE)
     assert _choices("sweep-sr", "small") == sorted(CATALOGUE)
-    assert _choices("scan", "kind") == list(bench.SCAN_FACTORIES)
+    assert _choices("scan", "kind") == list(cli._SCAN_KINDS)
+    for name, _ in cli._SCAN_KINDS.values():
+        assert name in bench.__all__
