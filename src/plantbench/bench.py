@@ -55,7 +55,7 @@ import numpy as np
 
 from . import energy as energy_mod
 from . import oracle as oracle_mod
-from .dynamics import SolverConfig, initial_states, run_batch
+from .dynamics import _READS, SolverConfig, initial_states, run_batch
 from .errors import ValidationError
 from .instance import (
     Instance,
@@ -134,9 +134,10 @@ def default_alpha_grid(lam_max: float, num: int = 50) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # sweep specification
 
-# The parameters a solver axis may set, per SolverConfig kind: the
-# bifurcation machine derives alpha and beta from its tbm delta and xi0.
-_SOLVER_AXES = dict.fromkeys(("I", "II", "III"), ("alpha", "beta")) | {"TBM": ("delta", "xi0")}
+# The parameters a solver axis may set, per SolverConfig kind: those of
+# alpha, beta, delta and xi0 the kind reads (dynamics._READS).
+_SOLVER_AXES = {kind: tuple(name for name in ("alpha", "beta", "delta", "xi0") if name in reads)
+                for kind, reads in _READS.items()}
 
 
 def _axis(axis) -> tuple[str, tuple[float, ...]]:

@@ -19,7 +19,7 @@ spelled bstar.
 Each numeric, grid and K-list flag is parsed and range-checked once, by
 its argparse type, so a bad value fails before any output check or
 work.  A solver flag left out keeps the default of SolverConfig or
-TbmParams, and one that --solver does not read (_SOLVER_FLAGS), or
+TbmParams, and one that --solver does not read (dynamics._READS), or
 whose value a sweep axis sets, fails; so does a sweep-k K-range flag
 next to --k-list.
 
@@ -242,31 +242,28 @@ def _cmd_gen_small(args, out=None) -> list[str]:
 # schedule, and with constant coefficients kind II is class1 bit for bit.
 _SOLVER_KINDS = {"class1": "I", "class3": "III", "tbm": "TBM"}
 
-# The solver flags each --solver reads (tbm derives alpha, beta, gamma and
-# the nonlinearity); a sweep-sr --<name>-grid needs <name> in bench._SOLVER_AXES.
-_CLASS1_FLAGS = ("--alpha", "--beta", "--nonlinearity", "--dt", "--steps", "--amplitude")
-_SOLVER_FLAGS = {
-    "class1": _CLASS1_FLAGS,
-    "class3": _CLASS1_FLAGS + ("--gamma", "--window"),
-    "tbm": ("--delta", "--xi0", "--window", "--dt", "--steps", "--amplitude"),
-}
-# the SolverConfig field of each solver flag not named after it
-_FIELDS = {"--window": "derivative_window", "--steps": "max_steps",
-           "--amplitude": "init_amplitude"}
+# Each solver flag and the parameter it sets, a SolverConfig field or
+# delta and xi0 of TbmParams: a flag applies to a --solver whose kind
+# reads that parameter (dynamics._READS), and a sweep-sr --<name>-grid
+# needs <name> in bench._SOLVER_AXES.
+_FIELDS = {"--alpha": "alpha", "--beta": "beta", "--nonlinearity": "nonlinearity",
+           "--dt": "dt", "--steps": "max_steps", "--amplitude": "init_amplitude",
+           "--gamma": "gamma", "--window": "derivative_window", "--delta": "delta",
+           "--xi0": "xi0"}
 
 
 def _solver_config(args, axes: tuple[str, ...] = ()) -> SolverConfig:
     """The solver the flags name; fails on a flag it does not read or that axes set."""
-    from .dynamics import SolverConfig, TbmParams
+    from .dynamics import _READS, SolverConfig, TbmParams
 
+    kind = _SOLVER_KINDS[args.solver]
     given = {}
-    for name in dict.fromkeys(sum(_SOLVER_FLAGS.values(), ())):  # every solver flag
+    for name, field in _FIELDS.items():
         value = getattr(args, name[2:])
         if value is not None:
-            if name not in _SOLVER_FLAGS[args.solver] or name[2:] in axes:
+            if field not in _READS[kind] or field in axes:
                 raise ValidationError(f"{name} does not apply to --solver {args.solver}")
-            given[_FIELDS.get(name, name[2:])] = value
-    kind = _SOLVER_KINDS[args.solver]
+            given[field] = value
     tbm = {f: given.pop(f) for f in ("delta", "xi0") if f in given}
     return SolverConfig(kind=kind, tbm=TbmParams(**tbm) if kind == "TBM" else None, **given)
 

@@ -70,7 +70,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -137,6 +138,18 @@ _NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
+# The parameters each solver kind reads, SolverConfig fields and TBM's
+# delta and xi0 (in tbm); bench's sweep axes and cli's solver flags follow.
+_FIRST_ORDER_READS = ("alpha", "beta", "nonlinearity", "dt", "max_steps", "steady_tol",
+                      "init_amplitude")
+_READS = {
+    "I": _FIRST_ORDER_READS,
+    "II": _FIRST_ORDER_READS,
+    "III": _FIRST_ORDER_READS + ("gamma", "derivative_window"),
+    "TBM": ("delta", "xi0", "derivative_window", "dt", "max_steps", "init_amplitude"),
+}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver selection and integration parameters.
@@ -149,7 +162,8 @@ class SolverConfig:
     disable).  init_amplitude (a real > 0, twice it finite) is the
     half-width of the uniform initial condition.  dt must be finite and
     > 0, max_steps an integer >= 1 and steady_tol >= 0.  Every field is
-    checked when made.
+    checked when made, and a field the kind does not read (_READS) must
+    keep its default, so SolverConfig(kind="I", gamma=0.5) raises.
     """
 
     kind: str = "I"
@@ -165,7 +179,7 @@ class SolverConfig:
     tbm: TbmParams | None = None
 
     def __post_init__(self):
-        if self.kind not in ("I", "II", "III", "TBM"):
+        if not (isinstance(self.kind, str) and self.kind in _READS):
             raise ValidationError(f"unknown solver kind {self.kind!r}")
         if not (isinstance(self.nonlinearity, str) and self.nonlinearity in _NONLINEARITIES):
             raise ValidationError(f"unknown nonlinearity {self.nonlinearity!r}; "
@@ -184,10 +198,13 @@ class SolverConfig:
         if (self.kind == "TBM") != isinstance(self.tbm, TbmParams):
             raise ValidationError("TBM runs need cfg.tbm parameters and no other kind reads "
                                   f"them; got kind {self.kind} with tbm={_shown(self.tbm)}")
-        # TBM derives its own (_tbm_mapped); an overflowing delta * xi0 diverges its rows
-        for name in () if self.kind == "TBM" else ("alpha", "beta", "gamma"):
+        for name in ("alpha", "beta", "gamma"):
             if not callable(getattr(self, name)):
                 _check_finite(getattr(self, name), name)
+        for f in fields(self):
+            if (f.name not in ("kind", "tbm", *_READS[self.kind])
+                    and getattr(self, f.name) != f.default):
+                raise ValidationError(f"{f.name} does not apply to solver kind {self.kind}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +214,8 @@ class RunOutcome:
     final_spins is sign(x) with sign(0) := +1.  label is never None: a
     diverged run is labelled diverged, and a run on an instance without
     a pattern set (hence without a planted spectrum) unlabelled.
-    seed is the row's entry of the seeds given to run_batch, or None
-    when none were given.
+    seed is the row's entry of the seeds given to run_batch, an int
+    exactly as given, or None when none were given.
     """
 
     final_spins: np.ndarray
@@ -293,6 +310,19 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return new_hi, new_lo
 
 
+def _seed_column(seeds) -> np.ndarray:
+    """seeds as a 1-D uint64 array of integers in [0, 2^64), no bools."""
+    # entry by entry: np.asarray makes [2**63 + 5, 7] float64, losing digits
+    column = seeds if isinstance(seeds, np.ndarray) else np.array(seeds, dtype=object)
+    integers = column.dtype.kind in "iu" or (column.dtype == object and all(
+        isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in column.flat))
+    if column.ndim != 1 or (column.size and not integers):
+        raise ValidationError("seeds must be a 1-D array of integers")
+    if column.size and (column.min() < 0 or column.max() >= 2**64):
+        raise ValidationError("seeds must be >= 0 and < 2^64")
+    return column.astype(np.uint64)
+
+
 def initial_states(n: int, amplitude: float, seeds) -> np.ndarray:
     """(len(seeds), n) block whose row i equals random_initial(n, amplitude, seeds[i]).
 
@@ -304,12 +334,8 @@ def initial_states(n: int, amplitude: float, seeds) -> np.ndarray:
     a = _check_amplitude(amplitude)
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    seeds = np.asarray(seeds)
-    if seeds.ndim != 1 or (seeds.size and seeds.dtype.kind not in "iu"):
-        raise ValidationError("seeds must be a 1-D array of integers")
-    if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
-        raise ValidationError("seeds must be >= 0")
-    state_hi, state_lo, seq_hi, seq_lo = _seed_words(seeds.astype(np.uint64))
+    seeds = _seed_column(seeds)
+    state_hi, state_lo, seq_hi, seq_lo = _seed_words(seeds)
     # PCG64 srandom: inc = 2 * seq + 1, state = (inc + state) * MULT + inc
     inc_hi = (seq_hi << 1) | (seq_lo >> 63)
     inc_lo = (seq_lo << 1) | 1
@@ -510,16 +536,28 @@ def _first_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list 
     return rows.result(x)
 
 
+def _second_order_coefficients(cfg: SolverConfig):
+    """alpha, beta, gamma, nonlinearity and steady_tol: kind III's own, or TBM's."""
+    # The pump keeps TBM's coefficients time dependent for the whole
+    # schedule, so the machine integrates a fixed step count instead of
+    # stopping at an intermediate wall-pinned state.
+    if cfg.kind == "III":
+        return cfg.alpha, cfg.beta, cfg.gamma, cfg.nonlinearity, cfg.steady_tol
+    delta, pump = cfg.tbm.delta, LinearRamp(0.0, 2.0, cfg.max_steps)
+    return lambda step: delta * (delta - pump(step)), delta * cfg.tbm.xi0, 0.0, "sign", 0.0
+
+
 def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list | None):
+    alpha, beta, gamma, nonlinearity, steady_tol = _second_order_coefficients(cfg)
     dt, window, steps = cfg.dt, cfg.derivative_window, cfg.max_steps
-    phi = _NONLINEARITIES[cfg.nonlinearity]
-    alphas, alpha_values = _per_step(cfg.alpha, steps)
-    betas, beta_values = _per_step(cfg.beta, steps)
-    gammas, _ = _per_step(cfg.gamma, steps)
-    damped = callable(cfg.gamma) or cfg.gamma != 0
+    phi = _NONLINEARITIES[nonlinearity]
+    alphas, alpha_values = _per_step(alpha, steps)
+    betas, beta_values = _per_step(beta, steps)
+    gammas, _ = _per_step(gamma, steps)
+    damped = callable(gamma) or gamma != 0
     bounded = not damped and _second_order_bounded(j, x0, dt, steps, window,
                                                    alpha_values, beta_values)
-    rows = _Rows(x0, steps, cfg.steady_tol * dt, record, bounded)
+    rows = _Rows(x0, steps, steady_tol * dt, record, bounded)
     x, v = rows.x.copy(), np.zeros_like(rows.x)
     # x and x_new swap every step; f holds phi(x), then a * x, then
     # |x_new|, then the divergence scratch
@@ -562,22 +600,6 @@ def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list
     return rows.result(x)
 
 
-def _tbm_mapped(cfg: SolverConfig) -> SolverConfig:
-    """Rewrite a TBM config with its class-III coefficients; the kind stays TBM."""
-    delta, pump = cfg.tbm.delta, LinearRamp(0.0, 2.0, cfg.max_steps)
-    # The pump keeps the coefficients time dependent for the whole
-    # schedule, so the machine integrates a fixed step count instead of
-    # stopping at an intermediate wall-pinned state.
-    return replace(
-        cfg,
-        alpha=lambda step: delta * (delta - pump(step)),
-        beta=delta * cfg.tbm.xi0,
-        gamma=0.0,
-        nonlinearity="sign",
-        steady_tol=0.0,
-    )
-
-
 # A finite but huge coefficient can overflow mid-step: the row then holds
 # inf or nan and retires as diverged, which is data, not a warning.
 @np.errstate(over="ignore", invalid="ignore")
@@ -587,11 +609,8 @@ def _integrate_block(
     x0: np.ndarray,
     record: list | None = None,
 ):
-    if cfg.kind in ("I", "II"):
-        return _first_order(inst.coupling, x0, cfg, record)
-    if cfg.kind == "TBM":
-        cfg = _tbm_mapped(cfg)
-    return _second_order(inst.coupling, x0, cfg, record)
+    integrate = _first_order if cfg.kind in ("I", "II") else _second_order
+    return integrate(inst.coupling, x0, cfg, record)
 
 
 def _spins(x: np.ndarray) -> np.ndarray:
@@ -618,10 +637,9 @@ def run_batch(
     if seeds is None:
         seed_column = [None] * r
     else:
-        seeds = np.asarray(seeds, dtype=np.int64)
-        if seeds.shape != (r,):
+        seed_column = _seed_column(seeds).tolist()
+        if len(seed_column) != r:
             raise ValidationError(f"seeds must hold one entry per row ({r})")
-        seed_column = seeds.tolist()
     x, steps, status = _integrate_block(inst, cfg, x0_block)
     spins = _spins(x)
     energies = energy_mod.qubo_energy_many(inst.coupling, spins)

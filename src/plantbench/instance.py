@@ -599,7 +599,8 @@ def load_instance(path: str | os.PathLike) -> Instance:
             raise ValidationError(f"malformed line in instance file: {line!r}")
         key, _, value = line.partition(":")
         key = key.strip()
-        value = value.strip()
+        # the label is the text after "label: ", spaces and all
+        value = value.removeprefix(" ") if key == "label" else value.strip()
         if key == "pattern":
             pattern_rows.append(_pattern_row(value))
         elif key == "perturbation":

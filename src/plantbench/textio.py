@@ -8,7 +8,9 @@ parse one number, raising a ValidationError that names it, for file
 fields and command-line flags alike, and _check_int and _check_finite
 (on _is_finite) check a value the library is given; _no_repeats rejects a list whose
 entries must be distinct.  Messages show a value the library is given
-through _shown.  Every CSV table goes out through _write_csv.
+through _shown.  Every table of numbers goes out through _write_csv;
+solve's CSV, whose label and true/false cells are not numbers, goes out
+through _write_text.
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ def _shown(value) -> str:
 
 def _is_real(value) -> bool:
     """Whether value is a real number a float can hold, inf and nan included
-    (an int past float range is not)."""
-    if not isinstance(value, numbers.Real):
+    (an int past float range is not, nor is a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:
         float(value)

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plantbench.cli import _SOLVER_FLAGS, main
+from plantbench.cli import _FIELDS, _SOLVER_KINDS, main
+from plantbench.dynamics import _READS
 
 SETTINGS = settings(
     max_examples=60,
@@ -76,7 +77,8 @@ SOLVERS = st.sampled_from(["class1", "class3", "tbm"])
 
 def _solver_flags(solver, axes=()):
     """--steps, and some of the other flags solver reads whose value no axis sets."""
-    reads = [name for name in _SOLVER_FLAGS[solver] if name[2:] not in axes]
+    reads = [name for name, field in _FIELDS.items()
+             if field in _READS[_SOLVER_KINDS[solver]] and field not in axes]
     scalars = [name for name in reads if name not in ("--nonlinearity", "--steps")]
     return _concat(
         _some(scalars, NUMBERS, 3),

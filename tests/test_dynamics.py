@@ -5,7 +5,7 @@ explicitly re-run schedules) rather than imported from the module under
 test.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -169,7 +169,7 @@ def test_class3_negative_window_rejected():
     with pytest.raises(ValidationError):
         SolverConfig(kind="III", derivative_window=0.0)
     # a window that is not a number used to escape as a TypeError
-    for window in ("1", None, float("nan")):
+    for window in ("1", None, float("nan"), True):
         with pytest.raises(ValidationError, match="derivative window must be positive"):
             SolverConfig(kind="III", derivative_window=window)
     assert SolverConfig(kind="III", derivative_window=float("inf")).derivative_window == np.inf
@@ -441,9 +441,9 @@ def test_unbounded_rows_fall_back_to_the_row_test(inst_c, kind, bad):
     # a NaN entry (row 4) and a row beyond the limit (row 11) inside an
     # otherwise bounded block: the block maximum fails, and the row-wise
     # test must retire exactly those rows at the first step
-    cfg = SolverConfig(kind=kind, alpha=3.0, beta=1.0, gamma=-1.0, dt=0.1,
-                       max_steps=600, steady_tol=1e-6,
-                       derivative_window=float("inf"))
+    second = {"gamma": -1.0, "derivative_window": float("inf")} if kind == "III" else {}
+    cfg = SolverConfig(kind=kind, alpha=3.0, beta=1.0, dt=0.1,
+                       max_steps=600, steady_tol=1e-6, **second)
     x0 = start_block(8, 30)
     if 4 in bad:
         x0[4, 2] = np.nan
@@ -586,9 +586,10 @@ def test_proven_bounded_blocks_match_the_masked_loop(inst_c, kind, alpha_dt, dt,
                                                       nonlinearity):
     # whether the block skips the divergence scan or not, its rows end
     # as the masked loop's do, and a block proven bounded never diverges
+    second = {"derivative_window": window} if kind == "III" else {}
     cfg = SolverConfig(kind=kind, alpha=alpha_dt / dt, beta=beta, gamma=0.0, dt=dt,
-                       max_steps=120, steady_tol=steady_tol, derivative_window=window,
-                       nonlinearity=nonlinearity)
+                       max_steps=120, steady_tol=steady_tol, nonlinearity=nonlinearity,
+                       **second)
     x0 = _scaled_block(x_max)
     _, ref_status = _check_against_masked_loop(inst_c, cfg, x0)
     if _proven_bounded(inst_c, cfg, x0):
@@ -715,7 +716,8 @@ def test_initial_states_rows_are_random_initial():
         assert initial_states(n, 0.5, seeds).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1e308, "x", None])
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1e308, "x", None,
+                                       True])
 def test_initial_amplitude_must_be_positive_and_finite(amplitude):
     # nan and inf used to escape as numpy's OverflowError
     with pytest.raises(ValidationError, match="amplitude"):
@@ -733,6 +735,44 @@ def test_initial_states_rejects_bad_seeds(seeds):
         initial_states(4, 0.5, np.array(seeds))
 
 
+# one rule for both: run_batch used to record the uint64 seed 2**63 + 5 as
+# a negative int64, raise OverflowError on the Python int, record 1.7 as
+# 1 and take -3, and initial_states refused the list [2**63 + 5, 7]
+@pytest.mark.parametrize("seeds, error", [
+    ([2**63 + 5, 7], None),
+    (np.array([2**63 + 5, 7], dtype=np.uint64), None),
+    ((2**64 - 1, 0), None),
+    (np.array([3, 1], dtype=np.int64), None),
+    ([1.7, 2], "must be a 1-D array of integers"),
+    ([True, 2], "must be a 1-D array of integers"),
+    (np.array([0.0, 1.0]), "must be a 1-D array of integers"),
+    ([[1, 2]], "must be a 1-D array of integers"),
+    ([-3, 2], "must be >= 0 and < 2\\^64"),
+    (np.array([-3, 2]), "must be >= 0 and < 2\\^64"),
+    ([2**64, 2], "must be >= 0 and < 2\\^64"),
+], ids=["python-int", "uint64", "tuple-edge", "int64", "float", "bool", "float-array",
+        "2-d", "negative", "negative-array", "2^64"])
+@pytest.mark.parametrize("use", ["initial_states", "run_batch"])
+def test_one_seed_rule_for_initial_states_and_run_batch(inst_c, use, seeds, error):
+    def call():
+        if use == "initial_states":
+            return initial_states(8, 0.5, seeds)
+        return run_batch(inst_c, SolverConfig(max_steps=5), np.zeros((len(seeds), 8)),
+                         seeds=seeds)
+
+    if error is not None:
+        with pytest.raises(ValidationError, match=f"seeds {error}"):
+            call()
+        return
+    given = [int(s) for s in seeds]
+    if use == "initial_states":
+        want = np.vstack([random_initial(8, 0.5, s) for s in given])
+        assert call().tobytes() == want.tobytes()
+    else:
+        recorded = [o.seed for o in call()]
+        assert recorded == given and all(type(s) is int for s in recorded)
+
+
 def test_unknown_nonlinearity_rejected():
     with pytest.raises(ValidationError):
         SolverConfig(nonlinearity="relu")
@@ -746,7 +786,7 @@ def test_unknown_kind_rejected():
         SolverConfig(kind="IV")
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf"), "0.1"])
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf"), "0.1", True])
 def test_dt_must_be_positive_and_finite(dt):
     # a negative or NaN dt used to report every row as diverged
     with pytest.raises(ValidationError, match="dt must be positive and finite"):
@@ -760,7 +800,7 @@ def test_max_steps_must_be_a_positive_integer(max_steps):
         SolverConfig(max_steps=max_steps)
 
 
-@pytest.mark.parametrize("steady_tol", [-1e-9, float("nan")])
+@pytest.mark.parametrize("steady_tol", [-1e-9, float("nan"), True])
 def test_steady_tol_must_be_non_negative(steady_tol):
     with pytest.raises(ValidationError, match="steady_tol must be >= 0"):
         SolverConfig(steady_tol=steady_tol)
@@ -770,19 +810,49 @@ def test_steady_tol_must_be_non_negative(steady_tol):
 # each of these used to be accepted and diverged every row at step 1 or 2
 @pytest.mark.parametrize("kind", ["I", "II", "III"])
 @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "1.0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "1.0", False])
 def test_constant_coefficients_must_be_finite(kind, field, value):
     with pytest.raises(ValidationError, match=f"{field} must be finite"):
         SolverConfig(kind=kind, **{field: value})
 
 
-def test_coefficient_schedules_and_tbm_are_not_checked():
+def test_coefficient_schedules_are_not_checked_and_tbm_takes_no_coefficient():
     # a schedule is not evaluated when the config is made (its NaN step
-    # diverges the rows, see test_non_finite_state_counts_as_diverged),
-    # and TBM derives its coefficients from tbm
+    # diverges the rows, see test_non_finite_state_counts_as_diverged);
+    # TBM derives its coefficients from tbm, and a NaN alpha it would
+    # ignore used to be accepted
     SolverConfig(kind="II", alpha=lambda step: float("nan"))
-    cfg = SolverConfig(kind="TBM", alpha=float("nan"), tbm=TbmParams())
-    assert np.isnan(cfg.alpha)
+    with pytest.raises(ValidationError, match="alpha must be finite"):
+        SolverConfig(kind="TBM", alpha=float("nan"), tbm=TbmParams())
+    with pytest.raises(ValidationError, match="alpha does not apply to solver kind TBM"):
+        SolverConfig(kind="TBM", alpha=2.0, tbm=TbmParams())
+
+
+# a value for each field away from its default; each used to be accepted
+# and ignored by a kind that does not read it
+_SET = {"alpha": 2.0, "beta": 0.5, "gamma": -0.5, "nonlinearity": "sign",
+        "derivative_window": 2.0, "dt": 0.05, "max_steps": 7, "steady_tol": 1e-3,
+        "init_amplitude": 0.25}
+
+
+@pytest.mark.parametrize("kind", sorted(dynamics._READS))
+@pytest.mark.parametrize("field", [f.name for f in fields(SolverConfig)
+                                   if f.name not in ("kind", "tbm")])
+def test_each_kind_takes_exactly_the_fields_it_reads(kind, field):
+    tbm = TbmParams() if kind == "TBM" else None
+    set_fields = [{field: _SET[field]}]
+    if field in ("alpha", "beta", "gamma"):
+        set_fields.append({field: LinearRamp(0.0, 1.0, 10)})
+    for given in set_fields:
+        if field in dynamics._READS[kind]:
+            assert getattr(SolverConfig(kind=kind, tbm=tbm, **given), field) == given[field]
+        else:
+            with pytest.raises(ValidationError,
+                               match=f"^{field} does not apply to solver kind {kind}$"):
+                SolverConfig(kind=kind, tbm=tbm, **given)
+    # the default value is no setting, so it passes whatever the kind
+    default = SolverConfig(kind=kind, tbm=tbm)
+    assert SolverConfig(kind=kind, tbm=tbm, **{field: getattr(default, field)}) == default
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -795,7 +865,7 @@ def test_tbm_coefficient_overflow_diverges_every_row(inst_c):
 
 
 @pytest.mark.parametrize("field", ["delta", "xi0"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), None])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), None, True])
 def test_tbm_params_must_be_finite(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be finite"):
         TbmParams(**{field: value})

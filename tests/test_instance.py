@@ -386,6 +386,10 @@ def test_instance_round_trip(tmp_path):
     assert bps is not None
     assert np.array_equal(bps.patterns, ps.patterns)
     np.testing.assert_array_equal(bps.weights, ps.weights)
+    # a label's outer spaces used to be stripped on load
+    for label in (" t ", ""):
+        save_instance(replace(inst, label=label), path)
+        assert load_instance(path).label == label
 
 
 def test_perturbed_instance_round_trip(tmp_path):
