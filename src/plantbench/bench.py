@@ -55,7 +55,7 @@ import numpy as np
 
 from . import energy as energy_mod
 from . import oracle as oracle_mod
-from .dynamics import _READS, SolverConfig, initial_states, run_batch
+from .dynamics import _READS, DIVERGED, SolverConfig, initial_states, run_batch
 from .errors import ValidationError
 from .instance import (
     Instance,
@@ -368,13 +368,11 @@ def _run_point(
     ground energy (0 when ground is None).
     """
     x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
+    batch = run_batch(inst, cfg, x0, seeds=seeds)
     counts = dict.fromkeys(energy_mod.LABEL_CATEGORIES, 0)
-    kept: list[float] = []
-    for out in run_batch(inst, cfg, x0, seeds=seeds):
-        counts[out.label.category] += 1
-        if not out.diverged:
-            kept.append(out.final_energy)
-    e = np.array(kept)
+    for label in batch.labels:
+        counts[label.category] += 1
+    e = batch.energies[batch.status != DIVERGED]
     if inst.spectrum is None:
         bands = dict.fromkeys(energy_mod.BAND_KEYS, 0)
     else:

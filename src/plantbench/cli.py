@@ -270,20 +270,19 @@ def _solver_config(args, axes: tuple[str, ...] = ()) -> SolverConfig:
 
 def _cmd_solve(args, out=None) -> list[str]:
     from . import bench
-    from .dynamics import initial_states, run_batch
+    from .dynamics import CONVERGED, initial_states, run_batch
     from .instance import load_instance
 
     cfg = _solver_config(args)
     inst = load_instance(args.instance)
     seeds = bench.derive_seeds(args.seed, "solve", count=args.runs)
     x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
-    outcomes = run_batch(inst, cfg, x0, seeds=seeds)
+    batch = run_batch(inst, cfg, x0, seeds=seeds)
+    rows = zip(batch.seeds.tolist(), batch.energies.tolist(), batch.labels,
+               batch.steps.tolist(), (batch.status == CONVERGED).tolist())
     lines = ["seed,energy,label,steps,converged"]
-    for o in outcomes:
-        lines.append(
-            f"{o.seed},{o.final_energy!r},{o.label.short()},{o.steps_used},"
-            f"{'true' if o.converged else 'false'}"
-        )
+    lines += [f"{seed},{energy!r},{label.short()},{steps},{'true' if converged else 'false'}"
+              for seed, energy, label, steps, converged in rows]
     text = "\n".join(lines) + "\n"
     if out is not None:
         _write_text(out, text)

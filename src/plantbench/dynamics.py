@@ -51,13 +51,17 @@ Each block decides before its first step what it can never do:
 Whole blocks of trajectories integrate together as (runs, n) arrays.
 Each step touches only the rows still running, held as compact arrays;
 a row that converges or diverges is written back into the block once
-and dropped.  Output bytes are deterministic: the same inputs give the
-same bits on replay and at any worker count, because workers never
-change a block's shape.  BLAS may round the coupling product of a row
-differently depending on how many rows share it, so a row run alone
-and the same row inside a block agree in spins, steps, status and
-label, and in states and energies to 1e-12 relative, but not
-necessarily bit for bit.
+and dropped.  A row test (every entry steady, every entry within the
+limit) is one byte-string comparison over the block (_all_rows), not
+a call per row.  run_batch returns the block as one Batch of arrays:
+final spins, energies, steps, status codes, labels and seeds; a
+RunOutcome is one row of it, made only when asked for.  Output bytes
+are deterministic: the same inputs give the same bits on replay and at
+any worker count, because workers never change a block's shape.  BLAS
+may round the coupling product of a row differently depending on how
+many rows share it, so a row run alone and the same row inside a block
+agree in spins, steps, status and label, and in states and energies to
+1e-12 relative, but not necessarily bit for bit.
 
 Initial states are uniform on [-a, a]^n, and second-order runs start
 at rest (zero velocity).  random_initial draws one row
@@ -71,6 +75,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable, Union
 
@@ -87,6 +92,7 @@ __all__ = [
     "TbmParams",
     "SolverConfig",
     "RunOutcome",
+    "Batch",
     "random_initial",
     "initial_states",
     "run_batch",
@@ -207,15 +213,20 @@ class SolverConfig:
                 raise ValidationError(f"{f.name} does not apply to solver kind {self.kind}")
 
 
+# a row's status code in a Batch (RUNNING: stopped at max_steps unconverged)
+RUNNING, CONVERGED, DIVERGED = 0, 1, 2
+
+
 @dataclass(frozen=True, eq=False)
 class RunOutcome:
-    """Result of one trajectory.
+    """Result of one trajectory: one row of a Batch.
 
-    final_spins is sign(x) with sign(0) := +1.  label is never None: a
-    diverged run is labelled diverged, and a run on an instance without
-    a pattern set (hence without a planted spectrum) unlabelled.
-    seed is the row's entry of the seeds given to run_batch, an int
-    exactly as given, or None when none were given.
+    final_spins is sign(x) with sign(0) := +1, a view into the batch's
+    spins.  label is never None: a diverged run is labelled diverged,
+    and a run on an instance without a pattern set (hence without a
+    planted spectrum) unlabelled.  seed is the row's entry of the seeds
+    given to run_batch, an int exactly as given, or None when none were
+    given.
     """
 
     final_spins: np.ndarray
@@ -225,6 +236,45 @@ class RunOutcome:
     diverged: bool
     label: energy_mod.OutcomeLabel
     seed: int | None
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Result of run_batch: one entry per row of the initial block, as arrays.
+
+    spins is the (r, n) int8 block of final signs, energies their
+    energies, steps the steps each row used and status its code:
+    CONVERGED, DIVERGED, or RUNNING for a row that stopped at max_steps.
+    labels holds one OutcomeLabel per row, and seeds the seeds given to
+    run_batch as a uint64 column, or None when none were given.
+    batch[i], and iteration, give row i as a RunOutcome.
+    """
+
+    spins: np.ndarray
+    energies: np.ndarray
+    steps: np.ndarray
+    status: np.ndarray
+    labels: list[energy_mod.OutcomeLabel]
+    seeds: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i: int) -> RunOutcome:
+        i = operator.index(i)
+        code = int(self.status[i])
+        return RunOutcome(
+            final_spins=self.spins[i],
+            final_energy=float(self.energies[i]),
+            steps_used=int(self.steps[i]),
+            converged=code == CONVERGED,
+            diverged=code == DIVERGED,
+            label=self.labels[i],
+            seed=None if self.seeds is None else int(self.seeds[i]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 def _check_amplitude(amplitude: float) -> float:
@@ -237,8 +287,13 @@ def _check_amplitude(amplitude: float) -> float:
 
 
 def random_initial(n: int, amplitude: float = 0.5, seed: int = 0) -> np.ndarray:
-    """Uniform initial state on [-amplitude, amplitude]^n."""
+    """Uniform initial state on [-amplitude, amplitude]^n.
+
+    n is an integer >= 0 and seed one entry under initial_states' seed rule.
+    """
     a = _check_amplitude(amplitude)
+    _check_int(n, "n", least=0)
+    _seed_column([seed])
     return np.random.default_rng(seed).uniform(-a, a, size=n)
 
 
@@ -332,8 +387,7 @@ def initial_states(n: int, amplitude: float, seeds) -> np.ndarray:
     output column at a time, so every temporary has one entry per row.
     """
     a = _check_amplitude(amplitude)
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
+    _check_int(n, "n", least=0)
     seeds = _seed_column(seeds)
     state_hi, state_lo, seq_hi, seq_lo = _seed_words(seeds)
     # PCG64 srandom: inc = 2 * seq + 1, state = (inc + state) * MULT + inc
@@ -351,8 +405,6 @@ def initial_states(n: int, amplitude: float, seeds) -> np.ndarray:
         out[:, col] = low + width * ((u >> 11) * 2.0**-53)
     return out
 
-
-RUNNING, CONVERGED, DIVERGED = 0, 1, 2
 
 # Far below the largest float, 1.8e308: a magnitude under it leaves room
 # for the sums and rounding of one step without reaching inf.
@@ -419,6 +471,21 @@ def _second_order_bounded(j, x0, dt, steps, window, alphas, betas) -> bool:
     return m * max(1.0, steps * dt, steps * dt * dt) < _SAFE
 
 
+def _all_rows(flags: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = flags[i].all() for a C-contiguous (r, n) bool block.
+
+    all(axis=1) pays a call per row.  Here each row is read as one
+    n-byte string, which equals n bytes of 1 (True) exactly when every
+    entry is True, so the whole block is one comparison.
+    """
+    n = flags.shape[1]
+    if n == 0:
+        out.fill(True)
+    else:
+        np.equal(flags.view(f"S{n}")[:, 0], b"\x01" * n, out=out)
+    return out
+
+
 class _Rows:
     """Status and step bookkeeping of a (runs, n) block of trajectories.
 
@@ -444,10 +511,11 @@ class _Rows:
         self.scan = not bounded
         self.idle = bounded and not self.steady and record is None
         self.record = record
-        # Per-row flags live in one preallocated buffer: numpy keeps
-        # freed arrays under 1 KiB for reuse, one set per byte size, so
-        # fresh flag arrays at every live count would pin that memory.
+        # Per-row and per-entry flags live in preallocated buffers: numpy
+        # keeps freed arrays under 1 KiB for reuse, one set per byte size,
+        # so fresh flag arrays at every live count would pin that memory.
         self._flags = np.empty((3, r), dtype=bool)
+        self._entries = np.empty(self.x.shape, dtype=bool)
         if record is not None:
             record.append(self.x.copy())
 
@@ -472,17 +540,19 @@ class _Rows:
         bounded = not self.scan or np.abs(x, out=scratch).max() <= DIVERGENCE_LIMIT
         if bounded and move is None:
             return None
-        diverged, done, keep = self._flags[:, : len(x)]
+        m = len(x)
+        done, entries = self._flags[1, :m], self._entries[:m]
         if move is not None:
-            (move < self.threshold).all(axis=1, out=done)
+            _all_rows(np.less(move, self.threshold, out=entries), done)
         if not bounded:
-            (scratch <= DIVERGENCE_LIMIT).all(axis=1, out=diverged)
+            diverged = self._flags[0, :m]
+            _all_rows(np.less_equal(scratch, DIVERGENCE_LIMIT, out=entries), diverged)
             np.logical_not(diverged, out=diverged)
             if move is None:
                 done[:] = diverged
             else:
                 done |= diverged
-        if not done.any():
+        if not np.count_nonzero(done):  # a C call, where done.any() goes through Python
             return None
         rows = self.live[done]
         self.x[rows] = x[done]
@@ -490,7 +560,7 @@ class _Rows:
             CONVERGED if bounded else np.where(diverged[done], DIVERGED, CONVERGED)
         )
         self.steps[rows] = step + 1
-        np.logical_not(done, out=keep)
+        keep = np.logical_not(done, out=self._flags[2, :m])
         self.live = self.live[keep]
         return keep
 
@@ -622,53 +692,34 @@ def run_batch(
     cfg: SolverConfig,
     x0_block: np.ndarray,
     seeds: np.ndarray | None = None,
-) -> list[RunOutcome]:
+) -> Batch:
     """Integrate a (runs, n) block of initial states in one sweep.
 
     A single run is a one-row block.  Diverged rows come back flagged,
     so harnesses count them as a failure category.  When the instance
     carries a pattern set, and so a planted spectrum, one OutcomeClassifier
-    built for the block labels every row that did not diverge.
+    built for the block labels every row that did not diverge.  The
+    result is one Batch of arrays; batch[i] is row i as a RunOutcome.
     """
     x0_block = np.asarray(x0_block, dtype=np.float64)
     if x0_block.ndim != 2 or x0_block.shape[1] != inst.n:
         raise ValidationError(f"initial block must be (runs, {inst.n})")
     r = x0_block.shape[0]
-    if seeds is None:
-        seed_column = [None] * r
-    else:
-        seed_column = _seed_column(seeds).tolist()
-        if len(seed_column) != r:
+    if seeds is not None:
+        seeds = _seed_column(seeds)
+        if len(seeds) != r:
             raise ValidationError(f"seeds must hold one entry per row ({r})")
     x, steps, status = _integrate_block(inst, cfg, x0_block)
     spins = _spins(x)
     energies = energy_mod.qubo_energy_many(inst.coupling, spins)
-    classifier = None
-    ps = inst.pattern_set
-    if ps is not None:
-        classifier = energy_mod.OutcomeClassifier(ps, inst.spectrum)
-    outcomes = []
-    columns = zip(spins, energies.tolist(), steps.tolist(), status.tolist(), seed_column)
-    for row_spins, energy, steps_used, code, seed in columns:
-        diverged = code == DIVERGED
-        if diverged:
-            label = energy_mod._DIVERGED
-        elif classifier is None:
-            label = energy_mod._UNLABELLED
-        else:
-            label = classifier.classify(row_spins, energy)
-        outcomes.append(
-            RunOutcome(
-                final_spins=row_spins,
-                final_energy=energy,
-                steps_used=steps_used,
-                converged=code == CONVERGED,
-                diverged=diverged,
-                label=label,
-                seed=seed,
-            )
-        )
-    return outcomes
+    kept = (status != DIVERGED).tolist()
+    if inst.pattern_set is None:
+        labels = [energy_mod._UNLABELLED if k else energy_mod._DIVERGED for k in kept]
+    else:
+        classify = energy_mod.OutcomeClassifier(inst.pattern_set, inst.spectrum).classify
+        labels = [classify(row, energy) if k else energy_mod._DIVERGED
+                  for k, row, energy in zip(kept, spins, energies.tolist())]
+    return Batch(spins, energies, steps, status, labels, seeds)
 
 
 def trajectory(inst: Instance, cfg: SolverConfig, x0: np.ndarray) -> np.ndarray:

@@ -1,14 +1,19 @@
 """Sweep harness: seeds, grids, factories, histograms, CSV emission."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plantbench import (
     CataloguePerturbationFactory,
     CatalogueWeightStepFactory,
     EquidistantPerturbationFactory,
+    Instance,
+    OutcomeClassifier,
     SolverConfig,
     SweepSpec,
     TbmParams,
@@ -22,6 +27,9 @@ from plantbench import (
     derive_seeds,
     generate_orthogonal_patterns,
     histogram,
+    initial_states,
+    max_eigenvalue,
+    measure_bins,
     perturb_patterns,
     qubo_energy,
     random_initial,
@@ -34,7 +42,7 @@ from plantbench import (
     write_sidecar,
     write_sweep_csv,
 )
-from plantbench import bench
+from plantbench import bench, energy
 from plantbench.textio import _write_csv
 
 
@@ -280,6 +288,74 @@ def test_hits_count_every_state_of_a_degenerate_ground():
     point = sweep_sr(spec).points[0]
     labels = dict(point.label_counts)
     assert point.hits == labels["planted"] + labels["mirror"] == 60
+
+
+@pytest.fixture(scope="module")
+def tally_cases(inst_a):
+    """Instance, solver and ground energy: catalogue (a), (c) where runs
+    end in mixtures, (a) without its pattern set (every row unlabelled),
+    and n = 64, K = 40, whose classifier skips the mixtures."""
+    inst_c = build_couplings(catalogue_pattern_set("c"))
+    bare = Instance(coupling=inst_a.coupling, pattern_set=None, label="bare-a")
+    n64 = build_couplings(generate_orthogonal_patterns(64, 40, seed=3, dw=0.001))
+    assert OutcomeClassifier(n64.pattern_set, n64.spectrum).mixed_skipped
+    alpha = max_eigenvalue(n64) / 2.0
+    dt = min(0.1, 0.5 / (alpha + float(np.sum(n64.pattern_set.weights))))
+    return {
+        "a": (inst_a, SolverConfig(kind="I", alpha=3.0, max_steps=400),
+              brute_force(inst_a).ground_energy),
+        "c": (inst_c, SolverConfig(kind="I", alpha=4.5, max_steps=400),
+              brute_force(inst_c).ground_energy),
+        "bare": (bare, SolverConfig(kind="I", alpha=3.0, max_steps=400),
+                 brute_force(bare).ground_energy),
+        "n64": (n64, SolverConfig(kind="I", alpha=alpha, dt=dt, max_steps=300),
+                n64.spectrum.e_min),
+    }
+
+
+def _per_row_tally(inst, cfg, x0, seeds, ground):
+    """Label counts, kept energies and hits, one RunOutcome at a time."""
+    counts = dict.fromkeys(energy.LABEL_CATEGORIES, 0)
+    kept = []
+    for out in run_batch(inst, cfg, x0, seeds=seeds):
+        counts[out.label.category] += 1
+        if not out.diverged:
+            kept.append(out.final_energy)
+    e = np.array(kept)
+    hits = 0
+    if ground is not None:
+        hits = int(np.count_nonzero(np.abs(e - ground) <= energy._tolerance(ground)))
+    return counts, e, hits
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(["a", "c", "bare", "n64"]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    blown=st.lists(st.booleans(), min_size=1, max_size=24),
+    alpha_scale=st.sampled_from([0.3, 1.0, 1.5]),
+    max_steps=st.sampled_from([40, 400]),
+    with_ground=st.booleans(),
+)
+def test_run_point_tally_matches_the_per_row_tally(tally_cases, case, seed, blown, alpha_scale,
+                                                    max_steps, with_ground):
+    inst, cfg, ground = tally_cases[case]
+    cfg = replace(cfg, alpha=cfg.alpha * alpha_scale, max_steps=max_steps)
+    ground = ground if with_ground else None
+    seeds = derive_seeds(seed, "tally", count=len(blown))
+    x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
+    x0[np.array(blown), 0] = 1e7  # beyond the divergence limit: diverged at the first step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "initial_states", lambda n, a, s: x0.copy())
+        counts, bands, e, hits = bench._run_point(inst, cfg, seeds, ground)
+    want_counts, want_e, want_hits = _per_row_tally(inst, cfg, x0, seeds, ground)
+    assert counts == want_counts and list(counts) == list(energy.LABEL_CATEGORIES)
+    assert counts["diverged"] == sum(blown)
+    assert counts["unlabelled"] == (0 if case != "bare" else len(blown) - sum(blown))
+    assert e.dtype == want_e.dtype and e.tobytes() == want_e.tobytes()
+    assert hits == want_hits
+    if inst.spectrum is not None:
+        assert bands == measure_bins(inst.spectrum, want_e)
 
 
 def test_ground_energy_brute_force_then_lowest_planted(inst_a, monkeypatch):

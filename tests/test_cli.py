@@ -1,6 +1,7 @@
 """Command-line behaviour: subcommands, exit codes, manifests, replay."""
 
 import argparse
+import hashlib
 import os
 import re
 import shlex
@@ -132,6 +133,23 @@ def test_solve_csv_schema_and_determinism(tmp_path, small_c, capsys):
         seed, energy, label, steps, converged = line.split(",")
         float(energy), int(seed), int(steps)
         assert converged in ("true", "false")
+
+
+# blake2b digests of solve's CSV as the per-row writer made it: catalogue
+# (c) under class1 with converged and unconverged rows, under tbm, and
+# with a beta that diverges every row
+@pytest.mark.parametrize("argv, digest", [
+    (["--solver", "class1", "--alpha", "3", "--steps", "130", "--runs", "40", "--seed", "1"],
+     "14ded7aa78d68dd62fcc2d6e4ffdac72"),
+    (["--solver", "tbm", "--delta", "4.6", "--xi0", "0.64", "--runs", "20", "--seed", "3"],
+     "0e5fd31e8c40b60941326ebd9c9cac44"),
+    (["--solver", "class1", "--beta", "1e308", "--runs", "5"],
+     "f9756b1d9777439be8ee8b3ee4f2c774"),
+], ids=["class1", "tbm", "diverged"])
+def test_solve_output_is_pinned(small_c, capsys, argv, digest):
+    assert run_cli(["solve", "--instance", str(small_c), *argv]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
 
 
 def test_solve_missing_instance_exits_3(tmp_path, capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plantbench import (
     Instance,
@@ -623,6 +624,51 @@ def test_batch_shape_validation(inst_c):
         run_batch(inst_c, cfg, np.zeros((4, 8)), seeds=np.arange(3))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(min_value=0, max_value=40),
+    n=st.integers(min_value=0, max_value=70) | st.sampled_from([1, 3, 7, 8, 9, 63, 64, 65]),
+    data=st.data(),
+)
+def test_all_rows_is_all_along_each_row(rows, n, data):
+    # the steady and divergence tests: every entry of move below the
+    # threshold, NaN entries included (NaN < t is False)
+    values = st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, 1.0, float("nan"), float("inf")])
+    move = data.draw(hnp.arrays(np.float64, (rows, n), elements=values))
+    move[data.draw(hnp.arrays(bool, rows))] = 0.0  # rows of all True occur
+    entries, out = np.empty((rows, n), dtype=bool), np.empty(rows, dtype=bool)
+    assert dynamics._all_rows(np.less(move, 1e-9, out=entries), out) is out
+    assert np.array_equal(out, (move < 1e-9).all(axis=1))
+    flags = data.draw(hnp.arrays(bool, (rows, n)))
+    assert np.array_equal(dynamics._all_rows(flags, out), flags.all(axis=1))
+
+
+def test_batch_rows_are_outcome_views(inst_c):
+    seeds = [3, 2**63 + 5, 7]
+    cfg = SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=130)
+    x0 = initial_states(8, cfg.init_amplitude, seeds)
+    x0[1, 0] = 1e7  # beyond the divergence limit: diverged at its first step
+    batch = run_batch(inst_c, cfg, x0, seeds=seeds)
+    assert len(batch) == 3 and batch.spins.shape == (3, 8) and batch.spins.dtype == np.int8
+    assert batch.status.tolist()[1] == dynamics.DIVERGED
+    assert batch.seeds.dtype == np.uint64 and batch.seeds.tolist() == seeds
+    for i, row in enumerate(batch):
+        assert np.shares_memory(row.final_spins, batch.spins)
+        assert np.array_equal(row.final_spins, batch.spins[i])
+        assert type(row.final_energy) is float and row.final_energy == batch.energies[i]
+        assert type(row.steps_used) is int and row.steps_used == batch.steps[i]
+        assert row.converged is (int(batch.status[i]) == dynamics.CONVERGED)
+        assert row.diverged is (i == 1)
+        assert row.label is batch.labels[i]
+        assert type(row.seed) is int and row.seed == seeds[i]
+    assert batch[-1].seed == seeds[2]
+    assert [o.seed for o in run_batch(inst_c, cfg, x0)] == [None] * 3
+    with pytest.raises(IndexError):
+        batch[3]
+    with pytest.raises(TypeError):
+        batch[0:2]
+
+
 def test_converged_runs_are_stable_under_longer_budget(inst_c):
     x0 = random_initial(8, seed=31)
     short = SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=1000)
@@ -684,6 +730,23 @@ def test_random_initial_bounds_and_determinism():
     assert np.abs(a).max() <= 0.3
     with pytest.raises(ValidationError):
         random_initial(4, amplitude=0.0)
+
+
+# each escaped as numpy's ValueError or TypeError, and a bool seed ran
+@pytest.mark.parametrize("call, message", [
+    (lambda: random_initial(4, 0.5, -1), "seeds must be >= 0 and < 2\\^64"),
+    (lambda: random_initial(4, 0.5, 2**64), "seeds must be >= 0 and < 2\\^64"),
+    (lambda: random_initial(-1, 0.5, 1), "n must be an integer >= 0, got -1"),
+    (lambda: random_initial(4, 0.5, 1.5), "seeds must be a 1-D array of integers"),
+    (lambda: random_initial(4, 0.5, True), "seeds must be a 1-D array of integers"),
+    (lambda: random_initial(2.5, 0.5, 1), "n must be an integer >= 0, got 2.5"),
+    (lambda: initial_states(2.5, 0.5, [1]), "n must be an integer >= 0, got 2.5"),
+    (lambda: initial_states(-1, 0.5, [1]), "n must be an integer >= 0, got -1"),
+], ids=["negative-seed", "seed-2^64", "negative-n", "float-seed", "bool-seed", "float-n",
+        "initial-states-float-n", "initial-states-negative-n"])
+def test_initial_state_n_and_seed_rules(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 # seeds where SeedSequence's entropy changes word count or saturates
