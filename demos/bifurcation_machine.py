@@ -20,7 +20,6 @@ import pathlib
 from plantbench import (
     SolverConfig,
     SweepSpec,
-    TbmParams,
     generate_small_scale,
     sweep_sr,
     write_sweep_csv,
@@ -43,7 +42,7 @@ def main() -> int:
 
     spec = SweepSpec(
         instance=generate_small_scale("c"),
-        solver=SolverConfig(kind="TBM", dt=0.1, max_steps=1000, tbm=TbmParams()),
+        solver=SolverConfig(kind="TBM", dt=0.1, max_steps=1000),
         axes=(("delta", DELTAS), ("xi0", XI0S)),
         runs_per_point=args.runs,
         base_seed=0,

@@ -33,8 +33,9 @@ no timestamps are written anywhere, which keeps replays byte-identical.
 
 K sweeps regenerate an orthogonal instance per K (dw = 0.001), set the
 projection strength to half the dominant eigenvalue, and aggregate an
-energy histogram (uniform bins between the found extremes, log density
-shifted by render.LOG_SHIFT = 3e-5, Gaussian smoothing of one bin width for
+energy histogram (uniform bins between the found extremes, one bin when
+they lie within energy's 1e-9 relative tolerance, log density shifted
+by render.LOG_SHIFT = 3e-5, Gaussian smoothing of one bin width for
 plotting only) together with the label and band tallies; a K whose
 runs all diverge has nothing to aggregate and raises ValidationError.
 
@@ -342,12 +343,6 @@ class EquidistantPerturbationFactory:
 # point evaluation
 
 
-def _apply_solver_param(cfg: SolverConfig, name: str, value: float) -> SolverConfig:
-    if name in _SOLVER_AXES["TBM"]:
-        return replace(cfg, tbm=replace(cfg.tbm, **{name: float(value)}))
-    return replace(cfg, **{name: float(value)})
-
-
 def _ground_energy(inst: Instance) -> float:
     """Brute-force ground energy up to the oracle's limit, lowest planted energy beyond."""
     if inst.n <= oracle_mod.BRUTE_FORCE_LIMIT:
@@ -391,9 +386,7 @@ def _eval_point(spec: SweepSpec, index: int) -> PointResult:
     else:
         inst = spec.instance(coords[0][1])
         solver_axes = coords[1:]
-    cfg = spec.solver
-    for name, value in solver_axes:
-        cfg = _apply_solver_param(cfg, name, value)
+    cfg = replace(spec.solver, **dict(solver_axes))
     seeds = derive_seeds(spec.base_seed, index, count=spec.runs_per_point)
     counts, bands, _, hits = _run_point(inst, cfg, seeds, _ground_energy(inst))
     return PointResult(
@@ -442,8 +435,9 @@ class HistogramReport:
     density integrates to 1 over the found range; log_density_shifted
     is log(density + LOG_SHIFT) so empty bins sit at a finite floor.
     smoothed_density convolves density with a unit-bin-width Gaussian
-    for plotting only; counts stay raw.  A degenerate report (all
-    energies equal) uses one bin of nominal width 1.
+    for plotting only; counts stay raw.  A degenerate report (the
+    extremes within energy's 1e-9 relative tolerance, so all energies
+    one level) uses one bin of nominal width 1.
     """
 
     edges: tuple[float, ...]
@@ -470,12 +464,14 @@ def histogram(energies: Sequence[float]) -> HistogramReport:
     if e.size < 1:
         raise ValidationError("histogram needs at least one energy")
     lo, hi = float(e.min()), float(e.max())
-    degenerate = lo == hi
+    # HIST_BINS bins between extremes a few ulps apart would be narrower
+    # than the float spacing there
+    degenerate = hi - lo <= energy_mod._tolerance(lo, hi)
     if degenerate:
         lo, hi = lo - 0.5, hi + 0.5
     try:
         counts, edges = np.histogram(e, bins=1 if degenerate else HIST_BINS, range=(lo, hi))
-    except ValueError as exc:  # a range too narrow for its magnitude, or not finite
+    except ValueError as exc:  # lo +- 0.5 rounds back at this magnitude, or not finite
         raise ValidationError(f"cannot bin energies in [{lo!r}, {hi!r}]: {exc}") from None
     # a degenerate bin has width 1 by definition, whatever lo +- 0.5 rounds to
     width = 1.0 if degenerate else edges[1] - edges[0]

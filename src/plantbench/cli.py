@@ -18,10 +18,9 @@ spelled bstar.
 
 Each numeric, grid and K-list flag is parsed and range-checked once, by
 its argparse type, so a bad value fails before any output check or
-work.  A solver flag left out keeps the default of SolverConfig or
-TbmParams, and one that --solver does not read (dynamics._READS), or
-whose value a sweep axis sets, fails; so does a sweep-k K-range flag
-next to --k-list.
+work.  A solver flag left out keeps the SolverConfig default, and one
+that --solver does not read (dynamics._READS), or whose value a sweep
+axis sets, fails; so does a sweep-k K-range flag next to --k-list.
 
 Exit codes: 0 success, 2 usage error (unknown or missing flag, invalid
 choice, sweep-sr without exactly one of --instance and --small), 3
@@ -242,10 +241,9 @@ def _cmd_gen_small(args, out=None) -> list[str]:
 # schedule, and with constant coefficients kind II is class1 bit for bit.
 _SOLVER_KINDS = {"class1": "I", "class3": "III", "tbm": "TBM"}
 
-# Each solver flag and the parameter it sets, a SolverConfig field or
-# delta and xi0 of TbmParams: a flag applies to a --solver whose kind
-# reads that parameter (dynamics._READS), and a sweep-sr --<name>-grid
-# needs <name> in bench._SOLVER_AXES.
+# Each solver flag and the SolverConfig field it sets: a flag applies to
+# a --solver whose kind reads that field (dynamics._READS), and a
+# sweep-sr --<name>-grid needs <name> in bench._SOLVER_AXES.
 _FIELDS = {"--alpha": "alpha", "--beta": "beta", "--nonlinearity": "nonlinearity",
            "--dt": "dt", "--steps": "max_steps", "--amplitude": "init_amplitude",
            "--gamma": "gamma", "--window": "derivative_window", "--delta": "delta",
@@ -254,7 +252,7 @@ _FIELDS = {"--alpha": "alpha", "--beta": "beta", "--nonlinearity": "nonlinearity
 
 def _solver_config(args, axes: tuple[str, ...] = ()) -> SolverConfig:
     """The solver the flags name; fails on a flag it does not read or that axes set."""
-    from .dynamics import _READS, SolverConfig, TbmParams
+    from .dynamics import _READS, SolverConfig
 
     kind = _SOLVER_KINDS[args.solver]
     given = {}
@@ -264,8 +262,7 @@ def _solver_config(args, axes: tuple[str, ...] = ()) -> SolverConfig:
             if field not in _READS[kind] or field in axes:
                 raise ValidationError(f"{name} does not apply to --solver {args.solver}")
             given[field] = value
-    tbm = {f: given.pop(f) for f in ("delta", "xi0") if f in given}
-    return SolverConfig(kind=kind, tbm=TbmParams(**tbm) if kind == "TBM" else None, **given)
+    return SolverConfig(kind=kind, **given)
 
 
 def _cmd_solve(args, out=None) -> list[str]:
@@ -570,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen_small, outputs=out_only)
 
-    # None leaves the SolverConfig / TbmParams default in force
+    # None leaves the SolverConfig default in force
     def solver_flags(p):
         p.add_argument("--solver", choices=sorted(_SOLVER_KINDS), default="class1")
         for name in ("--alpha", "--beta", "--gamma", "--delta", "--xi0"):

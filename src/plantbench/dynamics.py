@@ -89,7 +89,6 @@ from .textio import _check_finite, _check_int, _is_finite, _is_real, _shown
 __all__ = [
     "Schedule",
     "LinearRamp",
-    "TbmParams",
     "SolverConfig",
     "RunOutcome",
     "Batch",
@@ -118,21 +117,6 @@ class LinearRamp:
         return self.start + (self.stop - self.start) * step / self.num_steps
 
 
-@dataclass(frozen=True)
-class TbmParams:
-    """Bifurcation-machine knobs: finite detuning delta, coupling scale xi0.
-
-    The pump is LinearRamp(0.0, 2.0, max_steps) of the run's SolverConfig.
-    """
-
-    delta: float = 1.0
-    xi0: float = 0.1
-
-    def __post_init__(self):
-        _check_finite(self.delta, "delta")
-        _check_finite(self.xi0, "xi0")
-
-
 def _clip_unit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.clip(x, -1.0, 1.0, out=out)
 
@@ -144,8 +128,8 @@ _NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-# The parameters each solver kind reads, SolverConfig fields and TBM's
-# delta and xi0 (in tbm); bench's sweep axes and cli's solver flags follow.
+# The SolverConfig fields each solver kind reads; every other field keeps
+# its default.  bench's sweep axes and cli's solver flags follow.
 _FIRST_ORDER_READS = ("alpha", "beta", "nonlinearity", "dt", "max_steps", "steady_tol",
                       "init_amplitude")
 _READS = {
@@ -162,14 +146,16 @@ class SolverConfig:
 
     kind: "I", "II", "III", or "TBM".  alpha, beta, gamma accept finite
     constants or per-step schedules (not evaluated here); kind TBM
-    derives them from tbm, a TbmParams given exactly when the kind is
-    TBM.  nonlinearity is a key of _NONLINEARITIES.  derivative_window
-    (a real > 0) bounds second-order trajectories (use float("inf") to
-    disable).  init_amplitude (a real > 0, twice it finite) is the
-    half-width of the uniform initial condition.  dt must be finite and
-    > 0, max_steps an integer >= 1 and steady_tol >= 0.  Every field is
-    checked when made, and a field the kind does not read (_READS) must
-    keep its default, so SolverConfig(kind="I", gamma=0.5) raises.
+    derives them from its finite detuning delta and coupling scale xi0
+    under the pump LinearRamp(0.0, 2.0, max_steps).  nonlinearity is a
+    key of _NONLINEARITIES.  derivative_window (a real > 0) bounds
+    second-order trajectories (use float("inf") to disable).
+    init_amplitude (a real > 0, twice it finite) is the half-width of
+    the uniform initial condition.  dt must be finite and > 0, max_steps
+    an integer >= 1 and steady_tol >= 0.  Every field is checked when
+    made, and a field the kind does not read (_READS) must keep its
+    default, so SolverConfig(kind="I", gamma=0.5) raises and
+    SolverConfig(kind="TBM") runs with delta 1.0 and xi0 0.1.
     """
 
     kind: str = "I"
@@ -182,7 +168,8 @@ class SolverConfig:
     max_steps: int = 1000
     steady_tol: float = 1e-9
     init_amplitude: float = 0.5
-    tbm: TbmParams | None = None
+    delta: float = 1.0
+    xi0: float = 0.1
 
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in _READS):
@@ -201,14 +188,13 @@ class SolverConfig:
                 f"steady_tol must be >= 0 (finite or inf), got {_shown(self.steady_tol)}"
             )
         _check_amplitude(self.init_amplitude)
-        if (self.kind == "TBM") != isinstance(self.tbm, TbmParams):
-            raise ValidationError("TBM runs need cfg.tbm parameters and no other kind reads "
-                                  f"them; got kind {self.kind} with tbm={_shown(self.tbm)}")
         for name in ("alpha", "beta", "gamma"):
             if not callable(getattr(self, name)):
                 _check_finite(getattr(self, name), name)
+        _check_finite(self.delta, "delta")
+        _check_finite(self.xi0, "xi0")
         for f in fields(self):
-            if (f.name not in ("kind", "tbm", *_READS[self.kind])
+            if (f.name not in ("kind", *_READS[self.kind])
                     and getattr(self, f.name) != f.default):
                 raise ValidationError(f"{f.name} does not apply to solver kind {self.kind}")
 
@@ -613,8 +599,8 @@ def _second_order_coefficients(cfg: SolverConfig):
     # stopping at an intermediate wall-pinned state.
     if cfg.kind == "III":
         return cfg.alpha, cfg.beta, cfg.gamma, cfg.nonlinearity, cfg.steady_tol
-    delta, pump = cfg.tbm.delta, LinearRamp(0.0, 2.0, cfg.max_steps)
-    return lambda step: delta * (delta - pump(step)), delta * cfg.tbm.xi0, 0.0, "sign", 0.0
+    delta, pump = cfg.delta, LinearRamp(0.0, 2.0, cfg.max_steps)
+    return lambda step: delta * (delta - pump(step)), delta * cfg.xi0, 0.0, "sign", 0.0
 
 
 def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list | None):

@@ -18,7 +18,6 @@ from plantbench import (
     CatalogueWeightStepFactory,
     SolverConfig,
     SweepSpec,
-    TbmParams,
     brute_force,
     build_couplings,
     default_alpha_grid,
@@ -209,7 +208,7 @@ def test_perturbation_and_weight_step_move_the_easy_region():
 def test_bifurcation_machine_reaches_certain_success():
     spec = SweepSpec(
         instance=generate_small_scale("c"),
-        solver=SolverConfig(kind="TBM", dt=0.1, max_steps=1000, tbm=TbmParams()),
+        solver=SolverConfig(kind="TBM", dt=0.1, max_steps=1000),
         axes=(
             ("delta", (3.8, 4.0, 4.2, 4.4, 4.6, 4.8, 5.0)),
             ("xi0", (0.56, 0.60, 0.64, 0.68, 0.72)),
@@ -333,7 +332,7 @@ def test_solvers_never_undershoot_exact_ground_energy():
             SolverConfig(kind="I", alpha=lam / 2.0),
             SolverConfig(kind="II", alpha=lam / 2.0, dt=0.05),
             SolverConfig(kind="III", alpha=lam / 2.0, gamma=0.1, dt=0.05),
-            SolverConfig(kind="TBM", dt=0.1, max_steps=1000, tbm=TbmParams(delta=4.6, xi0=0.64)),
+            SolverConfig(kind="TBM", dt=0.1, max_steps=1000, delta=4.6, xi0=0.64),
         )
         for cfg in configs:
             seeds = np.array(

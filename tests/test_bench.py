@@ -16,7 +16,6 @@ from plantbench import (
     OutcomeClassifier,
     SolverConfig,
     SweepSpec,
-    TbmParams,
     ValidationError,
     brute_force,
     build_couplings,
@@ -128,7 +127,7 @@ def test_spec_validation(inst_a):
     lambda big, inst: SolverConfig(gamma=big),
     lambda big, inst: SolverConfig(init_amplitude=big),
     lambda big, inst: SolverConfig(dt=big),
-    lambda big, inst: TbmParams(delta=big),
+    lambda big, inst: SolverConfig(kind="TBM", delta=big),
     lambda big, inst: SweepSpec(instance=inst, solver=SolverConfig(), axes=(("alpha", (big,)),)),
     # these used to be accepted and overflow in run_batch, to raise a
     # ValueError formatting the message (past Python's 4300-digit limit),
@@ -149,7 +148,7 @@ def test_ints_beyond_float_range_rejected(inst_a, make):
 # reported seed noise as a trend, and gamma and dxi failed only at the
 # first grid point
 @pytest.mark.parametrize("solver, axes", [
-    (SolverConfig(kind="TBM", tbm=TbmParams()), (("alpha", (1.0, 2.0)),)),
+    (SolverConfig(kind="TBM"), (("alpha", (1.0, 2.0)),)),
     (SolverConfig(kind="I"), (("delta", (1.0, 2.0)),)),
     (SolverConfig(kind="III"), (("alpha", (1.0,)), ("xi0", (0.1, 0.2)))),
     (SolverConfig(kind="III"), (("gamma", (0.0, 0.1)),)),
@@ -500,6 +499,24 @@ def test_histogram_smoothing_keeps_one_value_per_bin(n_bins):
 def test_histogram_rejects_empty():
     with pytest.raises(ValidationError):
         histogram([])
+
+
+def test_histogram_energies_within_tolerance_are_one_level():
+    # 60 bins between energies 1 ulp apart used to raise numpy's "Too
+    # many bins for data range", so a valid sweep-k exited 3
+    report = histogram([1.0, np.nextafter(1.0, 2.0), 1.0])
+    assert report.degenerate
+    assert report.counts == (3,)
+    assert report.density == (1.0,)
+    # within the 1e-9 relative tolerance at any scale, beyond it binned
+    assert histogram([-100.0, -100.0 + 5e-8]).degenerate
+    assert not histogram([-100.0, -100.0 + 2e-7]).degenerate
+
+
+@pytest.mark.parametrize("energies", [[1.0, np.inf], [-np.inf, 1.0], [np.inf], [np.nan, 1.0]])
+def test_histogram_rejects_non_finite_energies(energies):
+    with pytest.raises(ValidationError, match="cannot bin energies"):
+        histogram(energies)
 
 
 # ---------------------------------------------------------------------------

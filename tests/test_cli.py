@@ -16,7 +16,6 @@ import pytest
 from plantbench import (
     Instance,
     SolverConfig,
-    TbmParams,
     bench,
     brute_force,
     build_couplings,
@@ -620,7 +619,7 @@ def test_no_flag_is_parsed_by_bare_int_or_float():
     (["solve", "--instance", "c.txt"], SolverConfig(kind="I")),
     (["sweep-sr", "--small", "c", "--out", "x.csv"], SolverConfig(kind="I")),
     (["sweep-sr", "--small", "c", "--solver", "tbm", "--out", "x.csv"],
-     SolverConfig(kind="TBM", tbm=TbmParams())),
+     SolverConfig(kind="TBM")),
 ], ids=["solve", "sweep-sr", "tbm"])
 def test_solver_flags_left_out_keep_the_library_defaults(argv, config):
     assert cli._solver_config(cli._build_parser().parse_args(argv)) == config

@@ -17,7 +17,6 @@ from plantbench import (
     Instance,
     LinearRamp,
     SolverConfig,
-    TbmParams,
     ValidationError,
     build_couplings,
     catalogue_pattern_set,
@@ -185,8 +184,7 @@ def test_tbm_equals_mapped_class3(inst_c):
     # alpha(t) = delta (delta - p(t)), beta = delta xi0, sign nonlinearity
     delta, xi0, steps = 4.2, 0.64, 600
     x0 = random_initial(8, amplitude=0.5, seed=3)
-    tbm_cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps,
-                           tbm=TbmParams(delta=delta, xi0=xi0))
+    tbm_cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps, delta=delta, xi0=xi0)
     pump = LinearRamp(0.0, 2.0, steps)
     manual = SolverConfig(
         kind="III",
@@ -205,8 +203,7 @@ def test_tbm_equals_mapped_class3(inst_c):
 
 def test_tbm_runs_the_full_pump_schedule(inst_c):
     # wall-pinned intermediate states must not freeze the machine early
-    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=1000,
-                       tbm=TbmParams(delta=4.2, xi0=0.64))
+    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=1000, delta=4.2, xi0=0.64)
     out = run_batch(inst_c, cfg, random_initial(8, seed=17)[None])[0]
     assert out.steps_used == 1000
     assert not out.converged
@@ -216,30 +213,16 @@ def test_tbm_uncoupled_bifurcation_keeps_sign():
     # below threshold the pump lifts each coordinate along its initial
     # sign once p(t) exceeds delta; with delta = 0.1 the sign survives
     inst = zero_instance(4)
-    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=1000,
-                       tbm=TbmParams(delta=0.1, xi0=0.1))
+    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=1000, delta=0.1, xi0=0.1)
     out = run_batch(inst, cfg, np.full((1, 4), 0.1))[0]
     assert np.array_equal(out.final_spins, np.ones(4, dtype=np.int8))
 
 
 def test_tbm_zero_state_reports_plus_spins():
     inst = zero_instance(3)
-    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=200,
-                       tbm=TbmParams(delta=1.0, xi0=0.1))
+    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=200, delta=1.0, xi0=0.1)
     out = run_batch(inst, cfg, np.zeros((1, 3)))[0]
     assert np.array_equal(out.final_spins, np.ones(3, dtype=np.int8))
-
-
-def test_tbm_requires_params():
-    with pytest.raises(ValidationError, match="TBM runs need cfg.tbm parameters"):
-        SolverConfig(kind="TBM")
-    # a tuple used to fail at run_batch's first block, with an AttributeError
-    with pytest.raises(ValidationError, match="TBM runs need cfg.tbm parameters"):
-        SolverConfig(kind="TBM", tbm=(1.0, 0.1))
-    # and tbm on another kind used to be ignored
-    for kind in ("I", "II", "III"):
-        with pytest.raises(ValidationError, match=f"no other kind reads them; got kind {kind}"):
-            SolverConfig(kind=kind, tbm=TbmParams())
 
 
 def test_pump_ramp_saturates():
@@ -281,8 +264,7 @@ def test_batch_rows_are_independent(inst_c, inst_n64):
     # 1e-12 relative rather than bit for bit.
     cases = [
         (inst_c, SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=500), 6),
-        (inst_c, SolverConfig(kind="TBM", dt=0.1, max_steps=300,
-                              tbm=TbmParams(delta=4.2, xi0=0.64)), 6),
+        (inst_c, SolverConfig(kind="TBM", dt=0.1, max_steps=300, delta=4.2, xi0=0.64), 6),
         (inst_n64, n64_config(inst_n64), 8),
     ]
     for inst, cfg, rows in cases:
@@ -390,8 +372,7 @@ def test_active_rows_match_masked_loop_second_order(inst_c):
 
 def test_active_rows_match_masked_loop_tbm(inst_c):
     delta, xi0, steps = 4.2, 0.64, 400
-    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps,
-                       tbm=TbmParams(delta=delta, xi0=xi0))
+    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps, delta=delta, xi0=xi0)
     pump = LinearRamp(0.0, 2.0, steps)
     x0 = start_block(8, 100)
     ref = masked_reference(inst_c.coupling, x0,
@@ -488,8 +469,7 @@ def test_zero_gamma_skips_the_velocity_term_bit_for_bit(inst_c, kind):
         alpha, beta, phi = 2.0, 0.7, np.tanh
     else:
         delta, xi0, pump = 4.2, 0.64, LinearRamp(0.0, 2.0, steps)
-        cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps,
-                           tbm=TbmParams(delta=delta, xi0=xi0))
+        cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps, delta=delta, xi0=xi0)
         alpha, beta, phi = (lambda s: delta * (delta - pump(s))), delta * xi0, np.sign
     ref_x, ref_steps, ref_status = masked_reference(
         inst_c.coupling, x0, alpha, beta, 0.0, phi, 0.1, steps, 0.0, window=1.0)
@@ -882,47 +862,45 @@ def test_constant_coefficients_must_be_finite(kind, field, value):
 def test_coefficient_schedules_are_not_checked_and_tbm_takes_no_coefficient():
     # a schedule is not evaluated when the config is made (its NaN step
     # diverges the rows, see test_non_finite_state_counts_as_diverged);
-    # TBM derives its coefficients from tbm, and a NaN alpha it would
-    # ignore used to be accepted
+    # TBM derives its coefficients from delta and xi0, and a NaN alpha it
+    # would ignore used to be accepted
     SolverConfig(kind="II", alpha=lambda step: float("nan"))
     with pytest.raises(ValidationError, match="alpha must be finite"):
-        SolverConfig(kind="TBM", alpha=float("nan"), tbm=TbmParams())
+        SolverConfig(kind="TBM", alpha=float("nan"))
     with pytest.raises(ValidationError, match="alpha does not apply to solver kind TBM"):
-        SolverConfig(kind="TBM", alpha=2.0, tbm=TbmParams())
+        SolverConfig(kind="TBM", alpha=2.0)
 
 
 # a value for each field away from its default; each used to be accepted
 # and ignored by a kind that does not read it
 _SET = {"alpha": 2.0, "beta": 0.5, "gamma": -0.5, "nonlinearity": "sign",
         "derivative_window": 2.0, "dt": 0.05, "max_steps": 7, "steady_tol": 1e-3,
-        "init_amplitude": 0.25}
+        "init_amplitude": 0.25, "delta": 2.0, "xi0": 0.5}
 
 
 @pytest.mark.parametrize("kind", sorted(dynamics._READS))
 @pytest.mark.parametrize("field", [f.name for f in fields(SolverConfig)
-                                   if f.name not in ("kind", "tbm")])
+                                   if f.name != "kind"])
 def test_each_kind_takes_exactly_the_fields_it_reads(kind, field):
-    tbm = TbmParams() if kind == "TBM" else None
     set_fields = [{field: _SET[field]}]
     if field in ("alpha", "beta", "gamma"):
         set_fields.append({field: LinearRamp(0.0, 1.0, 10)})
     for given in set_fields:
         if field in dynamics._READS[kind]:
-            assert getattr(SolverConfig(kind=kind, tbm=tbm, **given), field) == given[field]
+            assert getattr(SolverConfig(kind=kind, **given), field) == given[field]
         else:
             with pytest.raises(ValidationError,
                                match=f"^{field} does not apply to solver kind {kind}$"):
-                SolverConfig(kind=kind, tbm=tbm, **given)
+                SolverConfig(kind=kind, **given)
     # the default value is no setting, so it passes whatever the kind
-    default = SolverConfig(kind=kind, tbm=tbm)
-    assert SolverConfig(kind=kind, tbm=tbm, **{field: getattr(default, field)}) == default
+    default = SolverConfig(kind=kind)
+    assert SolverConfig(kind=kind, **{field: getattr(default, field)}) == default
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tbm_coefficient_overflow_diverges_every_row(inst_c):
     # beta = delta * xi0 = inf is derived, not given: it runs and diverges
-    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=50,
-                       tbm=TbmParams(delta=1e308, xi0=1e308))
+    cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=50, delta=1e308, xi0=1e308)
     out = run_batch(inst_c, cfg, start_block(8, 4))
     assert all(row.diverged for row in out)
 
@@ -931,8 +909,8 @@ def test_tbm_coefficient_overflow_diverges_every_row(inst_c):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), None, True])
 def test_tbm_params_must_be_finite(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be finite"):
-        TbmParams(**{field: value})
-    assert getattr(TbmParams(**{field: 1e308}), field) == 1e308
+        SolverConfig(kind="TBM", **{field: value})
+    assert getattr(SolverConfig(kind="TBM", **{field: 1e308}), field) == 1e308
 
 
 def test_sign_and_clip_nonlinearities_run(inst_c):

@@ -18,7 +18,7 @@ STILL_EXPORTED = [
     "qubo_energy", "qubo_energy_many", "PlantedSpectrum",
     "planted_spectrum", "OutcomeLabel", "OutcomeClassifier", "band_label",
     "measure_bins", "gauge_transform", "SpectrumReport",
-    "brute_force", "max_eigenvalue", "LinearRamp", "TbmParams",
+    "brute_force", "max_eigenvalue", "LinearRamp",
     "SolverConfig", "RunOutcome", "random_initial", "run_batch",
     "trajectory", "SweepSpec", "PointResult", "SweepResult",
     "HistogramReport", "KSweepEntry", "CataloguePerturbationFactory",
@@ -32,7 +32,7 @@ DELETED = [
     "run_class1", "run_class2", "run_class3", "run_tbm",
     "classify_outcome", "DegenerateSpectrumError", "save_dense", "load_dense",
     "count_modes", "cluster_split", "cluster_report", "mirror",
-    "run", "DivergenceError", "PumpRamp",
+    "run", "DivergenceError", "PumpRamp", "TbmParams",
     "PlantbenchError", "UnsupportedDimensionError", "CapacityError",
     "scan_transition", "SCAN_FACTORIES",
 ]
