@@ -189,6 +189,9 @@ class SweepSpec:
             raise ValidationError("axes must hold one or two (name, values) pairs")
         _check_int(self.runs_per_point, "runs_per_point", least=1)
         _check_int(self.base_seed, "base_seed")
+        # plain ints, so equal specs have equal reprs and so equal hashes
+        object.__setattr__(self, "runs_per_point", int(self.runs_per_point))
+        object.__setattr__(self, "base_seed", int(self.base_seed))
         object.__setattr__(self, "axes", tuple(_axis(axis) for axis in self.axes))
         # the CSV keys each row's cells by axis name
         _no_repeats(self.axis_names, "axis names")
@@ -363,7 +366,7 @@ def _run_point(
     ground energy (0 when ground is None).
     """
     x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
-    batch = run_batch(inst, cfg, x0, seeds=seeds)
+    batch = run_batch(inst, cfg, x0)
     counts = dict.fromkeys(energy_mod.LABEL_CATEGORIES, 0)
     for label in batch.labels:
         counts[label.category] += 1
@@ -399,18 +402,21 @@ def _eval_point(spec: SweepSpec, index: int) -> PointResult:
 
 
 def _map_in_order(fn: Callable, items: Sequence, threads: int) -> list:
-    """[fn(item) for item in items], over up to threads worker processes.
+    """[fn(item) for item in items], over min(threads, len(items)) worker processes.
 
+    A process pool starts all its workers at the first submit, so it
+    gets no more workers than items; a single worker is this process.
     Executor.map yields results in input order, so the worker count
     changes wall time only, never results.
     """
-    if threads <= 1:
+    workers = min(threads, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     # Imported here: the pool module pulls in multiprocessing, which a
     # serial run never needs and would pay for at start-up.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

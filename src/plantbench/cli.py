@@ -274,8 +274,8 @@ def _cmd_solve(args, out=None) -> list[str]:
     inst = load_instance(args.instance)
     seeds = bench.derive_seeds(args.seed, "solve", count=args.runs)
     x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
-    batch = run_batch(inst, cfg, x0, seeds=seeds)
-    rows = zip(batch.seeds.tolist(), batch.energies.tolist(), batch.labels,
+    batch = run_batch(inst, cfg, x0)
+    rows = zip(seeds.tolist(), batch.energies.tolist(), batch.labels,
                batch.steps.tolist(), (batch.status == CONVERGED).tolist())
     lines = ["seed,energy,label,steps,converged"]
     lines += [f"{seed},{energy!r},{label.short()},{steps},{'true' if converged else 'false'}"

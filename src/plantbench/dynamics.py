@@ -54,9 +54,9 @@ a row that converges or diverges is written back into the block once
 and dropped.  A row test (every entry steady, every entry within the
 limit) is one byte-string comparison over the block (_all_rows), not
 a call per row.  run_batch returns the block as one Batch of arrays:
-final spins, energies, steps, status codes, labels and seeds; a
-RunOutcome is one row of it, made only when asked for.  Output bytes
-are deterministic: the same inputs give the same bits on replay and at
+final spins, energies, steps, status codes and labels; a RunOutcome
+is one row of it, made only when asked for.  Output bytes are
+deterministic: the same inputs give the same bits on replay and at
 any worker count, because workers never change a block's shape.  BLAS
 may round the coupling product of a row differently depending on how
 many rows share it, so a row run alone and the same row inside a block
@@ -155,7 +155,9 @@ class SolverConfig:
     an integer >= 1 and steady_tol >= 0.  Every field is checked when
     made, and a field the kind does not read (_READS) must keep its
     default, so SolverConfig(kind="I", gamma=0.5) raises and
-    SolverConfig(kind="TBM") runs with delta 1.0 and xi0 0.1.
+    SolverConfig(kind="TBM") runs with delta 1.0 and xi0 0.1.  Each
+    constant is then stored as a Python float (max_steps as an int), so
+    equal configs have equal reprs, which sweep hashes digest.
     """
 
     kind: str = "I"
@@ -194,9 +196,12 @@ class SolverConfig:
         _check_finite(self.delta, "delta")
         _check_finite(self.xi0, "xi0")
         for f in fields(self):
-            if (f.name not in ("kind", *_READS[self.kind])
-                    and getattr(self, f.name) != f.default):
+            value = getattr(self, f.name)
+            if f.name not in ("kind", *_READS[self.kind]) and value != f.default:
                 raise ValidationError(f"{f.name} does not apply to solver kind {self.kind}")
+            if _is_real(value):
+                plain = int(value) if f.name == "max_steps" else float(value)
+                object.__setattr__(self, f.name, plain)
 
 
 # a row's status code in a Batch (RUNNING: stopped at max_steps unconverged)
@@ -210,9 +215,7 @@ class RunOutcome:
     final_spins is sign(x) with sign(0) := +1, a view into the batch's
     spins.  label is never None: a diverged run is labelled diverged,
     and a run on an instance without a pattern set (hence without a
-    planted spectrum) unlabelled.  seed is the row's entry of the seeds
-    given to run_batch, an int exactly as given, or None when none were
-    given.
+    planted spectrum) unlabelled.
     """
 
     final_spins: np.ndarray
@@ -221,7 +224,6 @@ class RunOutcome:
     converged: bool
     diverged: bool
     label: energy_mod.OutcomeLabel
-    seed: int | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,9 +233,8 @@ class Batch:
     spins is the (r, n) int8 block of final signs, energies their
     energies, steps the steps each row used and status its code:
     CONVERGED, DIVERGED, or RUNNING for a row that stopped at max_steps.
-    labels holds one OutcomeLabel per row, and seeds the seeds given to
-    run_batch as a uint64 column, or None when none were given.
-    batch[i], and iteration, give row i as a RunOutcome.
+    labels holds one OutcomeLabel per row.  batch[i], and iteration,
+    give row i as a RunOutcome.
     """
 
     spins: np.ndarray
@@ -241,7 +242,6 @@ class Batch:
     steps: np.ndarray
     status: np.ndarray
     labels: list[energy_mod.OutcomeLabel]
-    seeds: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -256,7 +256,6 @@ class Batch:
             converged=code == CONVERGED,
             diverged=code == DIVERGED,
             label=self.labels[i],
-            seed=None if self.seeds is None else int(self.seeds[i]),
         )
 
     def __iter__(self):
@@ -673,12 +672,7 @@ def _spins(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1, -1).astype(np.int8)
 
 
-def run_batch(
-    inst: Instance,
-    cfg: SolverConfig,
-    x0_block: np.ndarray,
-    seeds: np.ndarray | None = None,
-) -> Batch:
+def run_batch(inst: Instance, cfg: SolverConfig, x0_block: np.ndarray) -> Batch:
     """Integrate a (runs, n) block of initial states in one sweep.
 
     A single run is a one-row block.  Diverged rows come back flagged,
@@ -686,15 +680,11 @@ def run_batch(
     carries a pattern set, and so a planted spectrum, one OutcomeClassifier
     built for the block labels every row that did not diverge.  The
     result is one Batch of arrays; batch[i] is row i as a RunOutcome.
+    The seeds that made x0_block (initial_states) stay with the caller.
     """
     x0_block = np.asarray(x0_block, dtype=np.float64)
     if x0_block.ndim != 2 or x0_block.shape[1] != inst.n:
         raise ValidationError(f"initial block must be (runs, {inst.n})")
-    r = x0_block.shape[0]
-    if seeds is not None:
-        seeds = _seed_column(seeds)
-        if len(seeds) != r:
-            raise ValidationError(f"seeds must hold one entry per row ({r})")
     x, steps, status = _integrate_block(inst, cfg, x0_block)
     spins = _spins(x)
     energies = energy_mod.qubo_energy_many(inst.coupling, spins)
@@ -705,7 +695,7 @@ def run_batch(
         classify = energy_mod.OutcomeClassifier(inst.pattern_set, inst.spectrum).classify
         labels = [classify(row, energy) if k else energy_mod._DIVERGED
                   for k, row, energy in zip(kept, spins, energies.tolist())]
-    return Batch(spins, energies, steps, status, labels, seeds)
+    return Batch(spins, energies, steps, status, labels)
 
 
 def trajectory(inst: Instance, cfg: SolverConfig, x0: np.ndarray) -> np.ndarray:

@@ -82,29 +82,24 @@ def _coupling_of(inst: "Instance | np.ndarray") -> np.ndarray:
     return np.asarray(inst, dtype=np.float64)
 
 
-def _check_state(x: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(x)
-    if x.shape != (n,):
-        raise ValidationError(f"state must have shape ({n},), got {x.shape}")
-    if not np.isin(x, (-1, 1)).all():
-        raise ValidationError("state entries must be +1 or -1")
-    return x.astype(np.float64)
-
-
 def qubo_energy(inst: "Instance | np.ndarray", x: np.ndarray) -> float:
-    """E(x) = -1/2 x^T J x for a single +-1 state."""
+    """E(x) = -1/2 x^T J x for a single +-1 state: qubo_energy_many on one row."""
     j = _coupling_of(inst)
-    xf = _check_state(x, j.shape[0])
-    return float(-0.5 * (xf @ (j @ xf)))
+    x = np.asarray(x)
+    if x.shape != (j.shape[0],):
+        raise ValidationError(f"state must have shape ({j.shape[0]},), got {x.shape}")
+    return float(qubo_energy_many(j, x[None, :])[0])
 
 
 def qubo_energy_many(inst: "Instance | np.ndarray", states: np.ndarray) -> np.ndarray:
-    """Energies of a (r, n) block of +-1 states."""
+    """Energies of a (r, n) block of states whose entries are all +1 or -1."""
     j = _coupling_of(inst)
-    xs = np.asarray(states, dtype=np.float64)
+    xs = np.asarray(states)
     if xs.ndim != 2 or xs.shape[1] != j.shape[0]:
         raise ValidationError(f"states must be (r, {j.shape[0]}), got {xs.shape}")
-    return _energies(j, xs)
+    if not ((xs == 1) | (xs == -1)).all():
+        raise ValidationError("state entries must be +1 or -1")
+    return _energies(j, xs.astype(np.float64))
 
 
 def _energies(j: np.ndarray, xs: np.ndarray) -> np.ndarray:

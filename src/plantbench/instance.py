@@ -208,19 +208,19 @@ def make_pattern_set(
     w0: float = 1.0,
     dw: float = 0.0,
     weights: np.ndarray | None = None,
-    perturbations: np.ndarray | None = None,
     generator: tuple[str, int] | None = None,
 ) -> PatternSet:
     """A PatternSet, its weights the ladder w_m = w0 + m*dw unless given.
 
     The degeneracy split only works as intended for |dw| well below 1/k;
     that is a guideline for choosing dw, not a hard limit, since scans
-    deliberately push dw far beyond it.
+    deliberately push dw far beyond it.  The set is unperturbed;
+    perturb_patterns perturbs it.
     """
     if weights is None:
         k = len(np.atleast_2d(patterns))
         weights = w0 + np.arange(1, k + 1, dtype=np.float64) * dw
-    return PatternSet(patterns, weights, perturbations, generator)
+    return PatternSet(patterns, weights, generator=generator)
 
 
 def _sylvester_hadamard(n: int) -> np.ndarray:

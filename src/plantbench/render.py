@@ -108,7 +108,8 @@ def _tick_indices(count: int, max_ticks: int = 8) -> list[int]:
     return sorted({round(i * step) for i in range(max_ticks)})
 
 
-def _colorbar(lines: list[str], lo: float = 0.0, hi: float = 1.0) -> None:
+def _colorbar(lines: list[str]) -> None:
+    """The ramp from 0 at the bottom to 1 at the top, right of the plot."""
     x = _W - _RIGHT + 30
     steps = 40
     seg = _PLOT_H / steps
@@ -121,8 +122,7 @@ def _colorbar(lines: list[str], lo: float = 0.0, hi: float = 1.0) -> None:
         )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = _TOP + _PLOT_H * (1 - frac)
-        value = lo + (hi - lo) * frac
-        lines.append(_text(x + 24, y + 4, _fmt(value), anchor="start", size=11))
+        lines.append(_text(x + 24, y + 4, _fmt(frac), anchor="start", size=11))
 
 
 def heatmap_svg(
@@ -180,7 +180,6 @@ def histogram_svg(
     planted_min: float,
     planted_max: float,
     title: str,
-    x_label: str = "energy",
 ) -> str:
     """Log-shifted density (steps) with smoothed overlay and range markers."""
     if not lefts or len(lefts) != len(rights) or len(lefts) != len(log_density):
@@ -235,7 +234,7 @@ def histogram_svg(
         lines.append(
             _text(_LEFT - 8, y + 4, _fmt(vmin + (vmax - vmin) * frac), anchor="end", size=11)
         )
-    lines += _axis_labels(x_label, "log density (shifted)")
+    lines += _axis_labels("energy", "log density (shifted)")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

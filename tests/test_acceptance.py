@@ -340,7 +340,7 @@ def test_solvers_never_undershoot_exact_ground_energy():
                 dtype=np.int64,
             )
             x0 = np.vstack([random_initial(inst.n, 0.5, int(s)) for s in seeds])
-            for outcome in run_batch(inst, cfg, x0, seeds=seeds):
+            for outcome in run_batch(inst, cfg, x0):
                 assert outcome.final_energy >= ground - tol
 
 

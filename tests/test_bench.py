@@ -1,5 +1,6 @@
 """Sweep harness: seeds, grids, factories, histograms, CSV emission."""
 
+import concurrent.futures
 import re
 from dataclasses import replace
 
@@ -198,6 +199,25 @@ def test_spec_hash_tracks_content(inst_a):
     assert base.spec_hash() != other.spec_hash()
 
 
+# equal specs used to hash differently: spec_hash digests repr(solver), and
+# a SolverConfig or SweepSpec kept 2, 2.0 and np.float64(2.0) as given
+def test_equal_specs_hash_equal():
+    inst = build_couplings(catalogue_pattern_set("c"), label="small-c")
+
+    def spec(delta, max_steps, runs, seed):
+        return SweepSpec(instance=inst, solver=SolverConfig(kind="TBM", delta=delta,
+                                                            max_steps=max_steps),
+                         axes=(("xi0", (0.5,)),), runs_per_point=runs, base_seed=seed)
+
+    specs = [spec(2, 10, 3, 1), spec(2.0, np.int64(10), np.int64(3), np.int64(1)),
+             spec(np.float64(2.0), 10, 3, 1)]
+    assert specs[0] == specs[1] == specs[2]
+    assert len({s.spec_hash() for s in specs}) == 1
+    for s in specs:
+        assert type(s.solver.delta) is float and type(s.solver.max_steps) is int
+        assert type(s.runs_per_point) is int and type(s.base_seed) is int
+
+
 def test_point_coords_row_major(inst_a):
     spec = SweepSpec(
         instance=inst_a,
@@ -268,7 +288,7 @@ def test_hits_count_runs_ending_at_the_ground_energy(inst_a):
     report = brute_force(inst_a)
     ground = report.ground_state
     x0 = np.vstack([random_initial(8, cfg.init_amplitude, int(s)) for s in seeds])
-    spins = [o.final_spins for o in run_batch(inst_a, cfg, x0, seeds=seeds)]
+    spins = [o.final_spins for o in run_batch(inst_a, cfg, x0)]
     plain = sum(np.array_equal(s, ground) for s in spins)
     mirror = sum(np.array_equal(s, -ground) for s in spins)
     # (a) has one ground state, so the ground energy is hit by it and its mirror only
@@ -312,11 +332,11 @@ def tally_cases(inst_a):
     }
 
 
-def _per_row_tally(inst, cfg, x0, seeds, ground):
+def _per_row_tally(inst, cfg, x0, ground):
     """Label counts, kept energies and hits, one RunOutcome at a time."""
     counts = dict.fromkeys(energy.LABEL_CATEGORIES, 0)
     kept = []
-    for out in run_batch(inst, cfg, x0, seeds=seeds):
+    for out in run_batch(inst, cfg, x0):
         counts[out.label.category] += 1
         if not out.diverged:
             kept.append(out.final_energy)
@@ -347,7 +367,7 @@ def test_run_point_tally_matches_the_per_row_tally(tally_cases, case, seed, blow
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bench, "initial_states", lambda n, a, s: x0.copy())
         counts, bands, e, hits = bench._run_point(inst, cfg, seeds, ground)
-    want_counts, want_e, want_hits = _per_row_tally(inst, cfg, x0, seeds, ground)
+    want_counts, want_e, want_hits = _per_row_tally(inst, cfg, x0, ground)
     assert counts == want_counts and list(counts) == list(energy.LABEL_CATEGORIES)
     assert counts["diverged"] == sum(blown)
     assert counts["unlabelled"] == (0 if case != "bare" else len(blown) - sum(blown))
@@ -543,6 +563,36 @@ def test_sweep_k_threads_match():
     serial = sweep_k(16, [2, 3], runs_per_k=25, base_seed=0, threads=1)
     parallel = sweep_k(16, [2, 3], runs_per_k=25, base_seed=0, threads=2)
     assert serial == parallel
+
+
+# a process pool starts all its workers at the first submit, and the map
+# used to ask for `threads` of them however few items there were
+@pytest.mark.parametrize("threads, items, workers", [
+    (8, 0, []), (8, 1, []), (8, 3, [3]), (2, 5, [2]), (1, 4, []),
+])
+def test_map_in_order_starts_no_more_workers_than_items(monkeypatch, threads, items, workers):
+    made = []
+
+    class Pool:  # records the pool asked for and maps in this process
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values):
+            return map(fn, values)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    assert bench._map_in_order(lambda i: -i, range(items), threads) == [-i for i in range(items)]
+    assert made == workers
+    made.clear()
+    # one K at --threads 8 runs in this process
+    assert sweep_k(16, [2], runs_per_k=5, base_seed=0, threads=8)
+    assert made == []
 
 
 def test_sweep_k_rejects_empty():

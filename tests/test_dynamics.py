@@ -600,8 +600,6 @@ def test_batch_shape_validation(inst_c):
         run_batch(inst_c, cfg, np.zeros((4, 5)))
     with pytest.raises(ValidationError):
         trajectory(inst_c, cfg, np.zeros(5))
-    with pytest.raises(ValidationError):
-        run_batch(inst_c, cfg, np.zeros((4, 8)), seeds=np.arange(3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -628,10 +626,9 @@ def test_batch_rows_are_outcome_views(inst_c):
     cfg = SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=130)
     x0 = initial_states(8, cfg.init_amplitude, seeds)
     x0[1, 0] = 1e7  # beyond the divergence limit: diverged at its first step
-    batch = run_batch(inst_c, cfg, x0, seeds=seeds)
+    batch = run_batch(inst_c, cfg, x0)
     assert len(batch) == 3 and batch.spins.shape == (3, 8) and batch.spins.dtype == np.int8
     assert batch.status.tolist()[1] == dynamics.DIVERGED
-    assert batch.seeds.dtype == np.uint64 and batch.seeds.tolist() == seeds
     for i, row in enumerate(batch):
         assert np.shares_memory(row.final_spins, batch.spins)
         assert np.array_equal(row.final_spins, batch.spins[i])
@@ -640,9 +637,7 @@ def test_batch_rows_are_outcome_views(inst_c):
         assert row.converged is (int(batch.status[i]) == dynamics.CONVERGED)
         assert row.diverged is (i == 1)
         assert row.label is batch.labels[i]
-        assert type(row.seed) is int and row.seed == seeds[i]
-    assert batch[-1].seed == seeds[2]
-    assert [o.seed for o in run_batch(inst_c, cfg, x0)] == [None] * 3
+    assert batch[-1].label is batch.labels[2]
     with pytest.raises(IndexError):
         batch[3]
     with pytest.raises(TypeError):
@@ -778,9 +773,9 @@ def test_initial_states_rejects_bad_seeds(seeds):
         initial_states(4, 0.5, np.array(seeds))
 
 
-# one rule for both: run_batch used to record the uint64 seed 2**63 + 5 as
-# a negative int64, raise OverflowError on the Python int, record 1.7 as
-# 1 and take -3, and initial_states refused the list [2**63 + 5, 7]
+# initial_states used to refuse the list [2**63 + 5, 7]; run_batch, which
+# once echoed seeds under the same rule, no longer takes them, and the
+# one-value use parameter keeps the case ids
 @pytest.mark.parametrize("seeds, error", [
     ([2**63 + 5, 7], None),
     (np.array([2**63 + 5, 7], dtype=np.uint64), None),
@@ -795,25 +790,14 @@ def test_initial_states_rejects_bad_seeds(seeds):
     ([2**64, 2], "must be >= 0 and < 2\\^64"),
 ], ids=["python-int", "uint64", "tuple-edge", "int64", "float", "bool", "float-array",
         "2-d", "negative", "negative-array", "2^64"])
-@pytest.mark.parametrize("use", ["initial_states", "run_batch"])
-def test_one_seed_rule_for_initial_states_and_run_batch(inst_c, use, seeds, error):
-    def call():
-        if use == "initial_states":
-            return initial_states(8, 0.5, seeds)
-        return run_batch(inst_c, SolverConfig(max_steps=5), np.zeros((len(seeds), 8)),
-                         seeds=seeds)
-
+@pytest.mark.parametrize("use", ["initial_states"])
+def test_one_seed_rule_for_initial_states_and_run_batch(use, seeds, error):
     if error is not None:
         with pytest.raises(ValidationError, match=f"seeds {error}"):
-            call()
+            initial_states(8, 0.5, seeds)
         return
-    given = [int(s) for s in seeds]
-    if use == "initial_states":
-        want = np.vstack([random_initial(8, 0.5, s) for s in given])
-        assert call().tobytes() == want.tobytes()
-    else:
-        recorded = [o.seed for o in call()]
-        assert recorded == given and all(type(s) is int for s in recorded)
+    want = np.vstack([random_initial(8, 0.5, int(s)) for s in seeds])
+    assert initial_states(8, 0.5, seeds).tobytes() == want.tobytes()
 
 
 def test_unknown_nonlinearity_rejected():
@@ -895,6 +879,28 @@ def test_each_kind_takes_exactly_the_fields_it_reads(kind, field):
     # the default value is no setting, so it passes whatever the kind
     default = SolverConfig(kind=kind)
     assert SolverConfig(kind=kind, **{field: getattr(default, field)}) == default
+
+
+# each constant used to be stored as given, so equal configs could differ
+# in repr (delta=2 against delta=2.0), and so in the sweep hash
+@pytest.mark.parametrize("kind", sorted(dynamics._READS))
+def test_constants_are_stored_as_python_numbers(kind):
+    given = {"alpha": np.float32(2.5), "beta": 3, "gamma": np.int64(-1),
+             "derivative_window": np.float64(2.0), "dt": np.float16(0.125),
+             "max_steps": np.int64(7), "steady_tol": 0, "init_amplitude": 1,
+             "delta": 2, "xi0": np.float64(0.5)}
+    given = {name: value for name, value in given.items() if name in dynamics._READS[kind]}
+    cfg = SolverConfig(kind=kind, **given)
+    plain = SolverConfig(kind=kind, **{name: int(value) if name == "max_steps" else float(value)
+                                       for name, value in given.items()})
+    assert cfg == plain and repr(cfg) == repr(plain)
+    for f in fields(cfg):
+        if f.name not in ("kind", "nonlinearity"):
+            want = int if f.name == "max_steps" else float
+            assert type(getattr(cfg, f.name)) is want, f.name
+    ramp = LinearRamp(0.0, 1.0, 10)
+    if "alpha" in dynamics._READS[kind]:
+        assert SolverConfig(kind=kind, alpha=ramp).alpha is ramp
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

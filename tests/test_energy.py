@@ -60,6 +60,20 @@ def test_energy_rejects_non_binary_state():
         qubo_energy(j, np.array([1, 0, 1, -1]))
 
 
+# qubo_energy_many used to score rows of 0.5 and 2.0 (or NaN) as states,
+# which qubo_energy refused
+@pytest.mark.parametrize("bad", [0.5, 2.0, 0.0, np.nan])
+def test_energy_many_rejects_non_binary_states(bad):
+    j = random_symmetric(4, seed=4)
+    states = np.array([[1, -1, 1, -1], [1, 1, -1, -1]], dtype=np.float64)
+    states[1, 2] = bad
+    with pytest.raises(ValidationError, match="state entries must be \\+1 or -1"):
+        qubo_energy_many(j, states)
+    with pytest.raises(ValidationError, match="state entries must be \\+1 or -1"):
+        qubo_energy(j, states[1])
+    assert qubo_energy(j, states[0]) == qubo_energy_many(j, states[:1])[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_mirror_invariance(seed):

@@ -300,7 +300,7 @@ def test_scaled_and_direct_instances_score_against_their_own_energies():
     seeds = np.arange(20)
     cfg = SolverConfig(kind="I", alpha=3.0, max_steps=200)
     labels = [o.label.category for o in run_batch(
-        direct, cfg, initial_states(direct.n, cfg.init_amplitude, seeds), seeds=seeds)]
+        direct, cfg, initial_states(direct.n, cfg.init_amplitude, seeds))]
     assert "unlabelled" not in labels and "planted" in labels
 
 

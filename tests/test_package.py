@@ -1,7 +1,10 @@
 """The top-level namespace: one export list per module, nothing lost."""
 
+import inspect
+from dataclasses import fields
+
 import plantbench
-from plantbench import bench, dynamics, energy, errors, instance, oracle
+from plantbench import bench, dynamics, energy, errors, instance, oracle, render
 
 # Every name the package exported before the per-kind run aliases, the
 # one-off classifier wrapper, DegenerateSpectrumError, the bare-matrix
@@ -57,6 +60,19 @@ def test_errors_export_one_type():
 
 def test_log_shift_is_defined_once_in_render():
     assert plantbench.LOG_SHIFT is bench.LOG_SHIFT is plantbench.render.LOG_SHIFT == 3e-5
+
+
+# settable values that no caller set: run_batch's seed echo,
+# make_pattern_set's perturbations, the histogram's x label and the
+# colorbar's range
+def test_unset_parameters_are_gone():
+    assert list(inspect.signature(dynamics.run_batch).parameters) == ["inst", "cfg", "x0_block"]
+    assert [f.name for f in fields(dynamics.Batch)] == [
+        "spins", "energies", "steps", "status", "labels"]
+    assert "seed" not in {f.name for f in fields(dynamics.RunOutcome)}
+    assert "perturbations" not in inspect.signature(instance.make_pattern_set).parameters
+    assert "x_label" not in inspect.signature(render.histogram_svg).parameters
+    assert list(inspect.signature(render._colorbar).parameters) == ["lines"]
 
 
 def test_earlier_exports_kept_and_deleted_names_gone():
