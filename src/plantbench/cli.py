@@ -13,8 +13,8 @@ it returns, recording the input files the command reports it read.
 Grids are given as "lo:hi:num", "lo:hi:num:log", or an explicit comma
 list "0.1,0.2,0.4"; empty grids, nan and inf values, and specs asking
 for more than MAX_GRID_POINTS points are rejected.  Worker count comes
-from --threads, else the CPU count.  The catalogue id b* may also be
-spelled bstar.
+from --threads, else the number of CPUs the process may run on.  The
+catalogue id b* may also be spelled bstar.
 
 Each numeric, grid and K-list flag is parsed and range-checked once, by
 its argparse type, so a bad value fails before any output check or
@@ -156,7 +156,12 @@ def _catalogue_id(text: str) -> str:
 
 
 def _threads(args) -> int:
-    return args.threads or os.cpu_count() or 1
+    """--threads, else the number of CPUs this process may run on."""
+    if args.threads:
+        return args.threads
+    if hasattr(os, "sched_getaffinity"):  # honours taskset and cgroup cpusets
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _digest(path: str) -> str:

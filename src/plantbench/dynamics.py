@@ -21,8 +21,15 @@ second-order step advances the position by dt times the old velocity
 and the velocity by dt times the acceleration evaluated at the old
 state.  Second-order trajectories are confined to the derivative
 window [-w, w]: a coordinate crossing it is clamped to the boundary
-and its velocity zeroed, which acts as the threshold element of the
-bifurcation machine.  A trajectory is steady once
+and its velocity multiplied by zero, which acts as the threshold
+element of the bifurcation machine.  The step multiplies v by
+(clamped x == unclamped x).  For a finite velocity that is zeroing it,
+except that a negative one becomes -0.0; it sits at a coordinate
+clamped to +-w != 0, so no state, spin or energy depends on that sign.
+A NaN position compares unequal, and its row diverges at that step
+either way.  An inf or NaN velocity crossing the window becomes NaN
+(inf * 0), so its row diverges at the next step instead of resting at
+the wall.  A trajectory is steady once
 max_i |delta x_i| < steady_tol * dt; steady_tol = 0 therefore never
 converges and runs a fixed step count.  A state with an entry beyond
 |x| = 1e6, or a non-finite one, ends as a diverged row.  A SolverConfig
@@ -614,10 +621,12 @@ def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list
                                                    alpha_values, beta_values)
     rows = _Rows(x0, steps, steady_tol * dt, record, bounded)
     x, v = rows.x.copy(), np.zeros_like(rows.x)
-    # x and x_new swap every step; f holds phi(x), then a * x, then
-    # |x_new|, then the divergence scratch
+    # x, x_new and f rotate every step.  f holds phi(x), then a * x, then
+    # the clamped x_new, which becomes the new x.  The unclamped x_new
+    # becomes f, which retire overwrites as its divergence scratch, and
+    # the old x becomes the next x_new.
     x_new, f, acc, t = (np.empty_like(x) for _ in range(4))
-    over = np.empty(x.shape, dtype=bool)
+    inside = np.empty(x.shape, dtype=bool)
     for step, a, b, g in zip(range(steps), alphas, betas, gammas):
         if not len(x):
             break
@@ -633,10 +642,10 @@ def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list
         # x_new = x + dt * v; v += dt * acc
         np.add(x, np.multiply(v, dt, out=t), out=x_new)
         v += np.multiply(acc, dt, out=t)
-        np.greater(np.abs(x_new, out=f), window, out=over)
-        if over.any():
-            np.clip(x_new, -window, window, out=x_new)
-            np.putmask(v, over, 0.0)
+        # clamp to the window; v *= 0 where the clamp moved x (see the module doc)
+        np.clip(x_new, -window, window, out=f)
+        v *= np.equal(f, x_new, out=inside)
+        x_new, f = f, x_new
         move = None
         if rows.steady:
             # move = max(|x_new - x|, dt * |v|): steady only when both
@@ -651,7 +660,7 @@ def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list
         keep = rows.retire(step, x, move, f)
         if keep is not None:
             x, v = x[keep], v[keep]
-            x_new, f, acc, t, over = (a[: len(x)] for a in (x_new, f, acc, t, over))
+            x_new, f, acc, t, inside = (a[: len(x)] for a in (x_new, f, acc, t, inside))
     return rows.result(x)
 
 

@@ -371,6 +371,17 @@ def test_oracle_reports_ground_state(small_c, capsys):
 # sweeps and reports
 
 
+def test_default_threads_count_the_cpus_the_process_may_use(monkeypatch):
+    # under taskset or a cgroup cpuset the affinity mask is smaller than
+    # the machine, and only its CPUs can run workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert cli._threads(argparse.Namespace(threads=None)) == 2
+    assert cli._threads(argparse.Namespace(threads=5)) == 5
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._threads(argparse.Namespace(threads=None)) == 64
+
+
 def test_sweep_report_pipeline(tmp_path, capsys):
     csv = tmp_path / "sweep.csv"
     code = run_cli(["sweep-sr", "--small", "a", "--alpha-grid", "1:8:4",

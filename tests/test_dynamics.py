@@ -326,7 +326,7 @@ def masked_reference(j, x0, alpha, beta, gamma, phi, dt, max_steps, steady_tol,
             v_new = v + dt * acc
             over = np.abs(x_new) > window
             x_new = np.clip(x_new, -window, window)
-            v_new[over] = 0.0
+            v_new = np.where(over, v_new * 0.0, v_new)
             move = np.maximum(np.abs(x_new - x), dt * np.abs(v_new))
             v = np.where(running[:, None], v_new, v)
         x = np.where(running[:, None], x_new, x)
@@ -492,6 +492,75 @@ def test_zero_gamma_matches_a_zero_gamma_schedule_bit_for_bit(inst_c):
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
     assert len(set(got[1].tolist())) >= 10
+
+
+def putmask_clamp_reference(j, x0, alpha, beta, phi, dt, max_steps, steady_tol, window):
+    """Undamped second-order loop with the np.clip + np.putmask window clamp.
+
+    Like _second_order it steps only the rows still running, so every
+    coupling product covers the same rows and the bits can be compared.
+    Returns (states, steps, status) as _integrate_block does.
+    """
+    x, v = np.array(x0), np.zeros_like(x0)
+    final, live = x.copy(), np.arange(len(x))
+    steps = np.full(len(x), max_steps)
+    status = np.zeros(len(x), dtype=np.int8)
+    for step in range(max_steps):
+        if not len(live):
+            break
+        a = alpha(step) if callable(alpha) else alpha
+        acc = (phi(x) @ j) * beta - x * a
+        x_new = x + v * dt
+        v = v + acc * dt
+        over = np.abs(x_new) > window
+        x_new = np.clip(x_new, -window, window)
+        np.putmask(v, over, 0.0)
+        done = (np.maximum(np.abs(x_new - x), np.abs(v) * dt) < steady_tol * dt).all(axis=1)
+        x = x_new
+        final[live[done]], steps[live[done]], status[live[done]] = x[done], step + 1, 1
+        x, v, live = x[~done], v[~done], live[~done]
+    final[live] = x
+    return final, steps, status
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(kind="TBM", delta=3.8, xi0=0.56),
+    SolverConfig(kind="TBM", delta=4.4, xi0=0.64),
+    SolverConfig(kind="TBM", delta=5.0, xi0=0.72),
+    # rows pinned at the walls retire at many different steps
+    SolverConfig(kind="III", alpha=2.0, beta=0.3, gamma=0.0, derivative_window=0.5,
+                 max_steps=600, steady_tol=0.1),
+    SolverConfig(kind="III", alpha=0.5, beta=0.3, gamma=0.0, derivative_window=1.0,
+                 max_steps=600, steady_tol=0.1),
+], ids=["tbm-3.8-0.56", "tbm-4.4-0.64", "tbm-5.0-0.72", "III-w0.5", "III-w1"])
+def test_bounded_second_order_blocks_keep_their_bits(inst_c, cfg):
+    # where every value is finite, v *= (clamped == x_new) zeroes the same
+    # velocities as the putmask clamp, up to the sign of a zero velocity at
+    # a coordinate pinned to +-window, which no state bit reads
+    x0 = initial_states(8, 0.5, range(500))
+    alpha, beta, _, nonlinearity, steady_tol = dynamics._second_order_coefficients(cfg)
+    window = cfg.derivative_window
+    _, alphas = dynamics._per_step(alpha, cfg.max_steps)
+    assert dynamics._second_order_bounded(inst_c.coupling, x0, cfg.dt, cfg.max_steps,
+                                          window, alphas, np.array([beta]))
+    ref_x, ref_steps, ref_status = putmask_clamp_reference(
+        inst_c.coupling, x0, alpha, beta, dynamics._NONLINEARITIES[nonlinearity], cfg.dt,
+        cfg.max_steps, steady_tol, window)
+    x, steps, status = dynamics._integrate_block(inst_c, cfg, x0)
+    assert x.tobytes() == ref_x.tobytes()
+    assert np.array_equal(steps, ref_steps) and np.array_equal(status, ref_status)
+    assert (np.abs(x) == window).any()
+    if cfg.kind == "III":
+        assert len(set(steps[status == dynamics.CONVERGED].tolist())) >= 10
+
+
+def test_an_overflowing_velocity_is_not_hidden_by_the_wall(inst_c):
+    # beta = 1e308 overflows the acceleration, so the velocity turns inf;
+    # a coordinate crossing the window with it keeps inf * 0 = NaN, and its
+    # row diverges at the next step instead of resting at the wall
+    cfg = SolverConfig(kind="III", alpha=1.0, beta=1e308, gamma=0.0)
+    _, _, status = dynamics._integrate_block(inst_c, cfg, initial_states(8, 0.5, range(50)))
+    assert (status == dynamics.DIVERGED).all()
 
 
 def _check_against_masked_loop(inst, cfg, x0):
