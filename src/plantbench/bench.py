@@ -325,13 +325,10 @@ class EquidistantPerturbationFactory:
     def __call__(self, p: float) -> Instance:
         ps = catalogue_pattern_set(self.catalogue_id)
         pats = ps.patterns
-        coord = None
-        for j in range(ps.n):
-            if pats[0, j] == pats[1, j] != pats[2, j]:
-                coord = j
-                break
-        if coord is None:
+        split = np.flatnonzero((pats[0] == pats[1]) & (pats[1] != pats[2]))
+        if not split.size:
             raise ValidationError("no coordinate with patterns 1,2 vs 3 sign split")
+        coord = int(split[0])
         p = float(p)
         edits = [
             _scaled_edit(ps, 0, coord, 0.2, p),

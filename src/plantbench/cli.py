@@ -419,6 +419,9 @@ def _cmd_sweep_k(args, out, hist_path) -> list[str]:
         k_max = args.n if args.k_max is None else args.k_max
         k_step = 1 if args.k_step is None else args.k_step
         ks = list(range(k_min, k_max + 1, k_step))
+        if not ks:
+            raise ValidationError(f"--k-min {k_min} --k-max {k_max} --k-step {k_step} "
+                                  "gives no K")
     entries = bench.sweep_k(
         args.n,
         ks,

@@ -49,7 +49,7 @@ Each block decides before its first step what it can never do:
     (max|beta| s + max|alpha| max(window, max|x0|)) far below overflow,
     every clamp leaves |x| <= window and no inf or NaN can form.  Such a
     block that cannot converge either (steady_tol = 0, every TBM run)
-    skips the retire step altogether.
+    has no row to settle, so retire returns at once.
   * A constant gamma = 0 drops the gamma v term: the step computes
     b h - a x, not b h + (0 v - a x).  The two are equal except that an
     exact zero in v or in the acceleration may take the other sign, so
@@ -68,7 +68,9 @@ any worker count, because workers never change a block's shape.  BLAS
 may round the coupling product of a row differently depending on how
 many rows share it, so a row run alone and the same row inside a block
 agree in spins, steps, status and label, and in states and energies to
-1e-12 relative, but not necessarily bit for bit.
+1e-12 relative, but not necessarily bit for bit.  trajectory runs one
+row and hands the step loop a list, to which it appends a copy of the
+state after every step.
 
 Initial states are uniform on [-a, a]^n, and second-order runs start
 at rest (zero velocity).  random_initial draws one row
@@ -124,14 +126,11 @@ class LinearRamp:
         return self.start + (self.stop - self.start) * step / self.num_steps
 
 
-def _clip_unit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.clip(x, -1.0, 1.0, out=out)
-
-
 _NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "tanh": np.tanh,
     "sign": np.sign,
-    "identity-clip": _clip_unit,
+    # the clip ufunc itself: np.clip adds a Python-level dispatch per call
+    "identity-clip": lambda x, out=None: x.clip(-1.0, 1.0, out=out),
 }
 
 
@@ -487,12 +486,11 @@ class _Rows:
     dropped from ``live``.  With a threshold <= 0 no row can converge,
     so ``steady`` is False and the integrators skip the steady measure.
     A block proven bounded skips the divergence scan; when its rows
-    cannot converge either and nothing is recorded, ``idle`` is True
-    and the integrators never call retire.
+    cannot converge either, retire returns at once.  The bookkeeping is
+    of status only: trajectory's history is appended by the step loops.
     """
 
-    def __init__(self, x0: np.ndarray, max_steps: int, threshold: float,
-                 record: list | None, bounded: bool):
+    def __init__(self, x0: np.ndarray, max_steps: int, threshold: float, bounded: bool):
         self.x = np.array(x0, dtype=np.float64)
         r = self.x.shape[0]
         self.steps = np.full(r, max_steps, dtype=np.int64)
@@ -501,15 +499,11 @@ class _Rows:
         self.threshold = threshold
         self.steady = threshold > 0
         self.scan = not bounded
-        self.idle = bounded and not self.steady and record is None
-        self.record = record
         # Per-row and per-entry flags live in preallocated buffers: numpy
         # keeps freed arrays under 1 KiB for reuse, one set per byte size,
         # so fresh flag arrays at every live count would pin that memory.
         self._flags = np.empty((3, r), dtype=bool)
         self._entries = np.empty(self.x.shape, dtype=bool)
-        if record is not None:
-            record.append(self.x.copy())
 
     def retire(self, step: int, x: np.ndarray, move: np.ndarray | None,
                scratch: np.ndarray):
@@ -523,10 +517,6 @@ class _Rows:
         row keeps running; the mask is a view that the next call
         overwrites.
         """
-        if self.record is not None:
-            snapshot = self.x.copy()
-            snapshot[self.live] = x
-            self.record.append(snapshot)
         # The maximum is NaN when any entry is, and NaN <= limit is
         # False, so a bounded block has no diverged row.
         bounded = not self.scan or np.abs(x, out=scratch).max() <= DIVERGENCE_LIMIT
@@ -573,7 +563,7 @@ def _first_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list 
     dt, phi, steps = cfg.dt, _NONLINEARITIES[cfg.nonlinearity], cfg.max_steps
     alphas, alpha_values = _per_step(cfg.alpha, steps)
     betas, beta_values = _per_step(cfg.beta, steps)
-    rows = _Rows(x0, steps, cfg.steady_tol * dt, record,
+    rows = _Rows(x0, steps, cfg.steady_tol * dt,
                  _first_order_bounded(j, x0, dt, alpha_values, beta_values))
     x = rows.x.copy()
     # f holds phi(x), then a * x, then the divergence scratch
@@ -588,8 +578,8 @@ def _first_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list 
         dx -= np.multiply(x, a, out=f)
         dx *= dt
         x += dx
-        if rows.idle:
-            continue
+        if record is not None:
+            record.append(x.copy())
         move = np.abs(dx, out=dx) if rows.steady else None
         keep = rows.retire(step, x, move, f)
         if keep is not None:
@@ -619,7 +609,7 @@ def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list
     damped = callable(gamma) or gamma != 0
     bounded = not damped and _second_order_bounded(j, x0, dt, steps, window,
                                                    alpha_values, beta_values)
-    rows = _Rows(x0, steps, steady_tol * dt, record, bounded)
+    rows = _Rows(x0, steps, steady_tol * dt, bounded)
     x, v = rows.x.copy(), np.zeros_like(rows.x)
     # x, x_new and f rotate every step.  f holds phi(x), then a * x, then
     # the clamped x_new, which becomes the new x.  The unclamped x_new
@@ -643,7 +633,7 @@ def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list
         np.add(x, np.multiply(v, dt, out=t), out=x_new)
         v += np.multiply(acc, dt, out=t)
         # clamp to the window; v *= 0 where the clamp moved x (see the module doc)
-        np.clip(x_new, -window, window, out=f)
+        x_new.clip(-window, window, out=f)
         v *= np.equal(f, x_new, out=inside)
         x_new, f = f, x_new
         move = None
@@ -655,8 +645,8 @@ def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list
             move = np.abs(np.subtract(x_new, x, out=acc), out=acc)
             np.maximum(move, np.multiply(np.abs(v, out=t), dt, out=t), out=move)
         x, x_new = x_new, x
-        if rows.idle:
-            continue
+        if record is not None:
+            record.append(x.copy())
         keep = rows.retire(step, x, move, f)
         if keep is not None:
             x, v = x[keep], v[keep]
@@ -716,6 +706,6 @@ def trajectory(inst: Instance, cfg: SolverConfig, x0: np.ndarray) -> np.ndarray:
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (inst.n,):
         raise ValidationError(f"initial state must have shape ({inst.n},)")
-    record: list[np.ndarray] = []
-    _integrate_block(inst, cfg, x0[None, :], record=record)
-    return np.vstack([row[0][None, :] for row in record])
+    history = [x0[None, :]]
+    _integrate_block(inst, cfg, x0[None, :], record=history)
+    return np.vstack(history)

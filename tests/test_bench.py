@@ -452,6 +452,9 @@ def test_equidistant_factory_edits():
     assert pert[1, coord] == pytest.approx(0.2 * sign)
     assert pert[2, coord] == pytest.approx(-0.1 * float(ps.patterns[2, coord]))
     assert factory(0.0).pattern_set.is_perturbed() is False
+    # entry e has no coordinate where patterns 1 and 2 agree against 3
+    with pytest.raises(ValidationError, match="sign split"):
+        EquidistantPerturbationFactory("e")(1.0)
 
 
 def test_scan_transition_runs_end_to_end():

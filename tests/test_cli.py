@@ -537,6 +537,8 @@ def test_non_finite_couplings_exit_3(tmp_path, capsys, trajectories, argv):
      "--xi0-grid"),
     (["scan", "--kind", "dxi", "--values="], "--values"),
     (["sweep-k", "--n", "16", "--k-list="], "--k-list"),
+    # this one exited 3 naming k_values, a library parameter
+    (["sweep-k", "--n", "16", "--k-min", "5", "--k-max", "2"], "--k-min"),
 ])
 def test_empty_grid_or_k_list_exits_3_before_any_work(tmp_path, capsys, trajectories,
                                                       argv, flag):

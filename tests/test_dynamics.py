@@ -753,14 +753,35 @@ def test_outcomes_carry_labels_on_planted_instances(inst_c):
 
 
 def test_trajectory_is_consistent_with_run(inst_c):
-    cfg = SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=1000)
-    x0 = random_initial(8, seed=5)
-    out = run_batch(inst_c, cfg, x0[None])[0]
-    traj = trajectory(inst_c, cfg, x0)
-    assert traj.shape == (out.steps_used + 1, 8)
-    np.testing.assert_array_equal(traj[0], x0)
-    final_spins = np.where(traj[-1] >= 0, 1, -1)
-    assert np.array_equal(final_spins, out.final_spins)
+    # each way a step loop records and ends, with the status it ends in:
+    # first order constant and scheduled (converged) and diverging, kind
+    # III damped (at max_steps) and steady with steady_tol > 0
+    # (converged), and a tbm-catalogue point, a proven-bounded block with
+    # no steady measure whose retire returns at once
+    cases = [
+        (SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=1000), dynamics.CONVERGED),
+        (SolverConfig(kind="II", alpha=LinearRamp(0.5, 4.0, 300), dt=0.1, max_steps=500),
+         dynamics.CONVERGED),
+        (SolverConfig(kind="III", alpha=2.0, gamma=-0.3, dt=0.1, max_steps=800),
+         dynamics.RUNNING),
+        (SolverConfig(kind="III", alpha=2.0, steady_tol=0.1, dt=0.1, max_steps=800),
+         dynamics.CONVERGED),
+        (SolverConfig(kind="TBM", delta=4.6, xi0=0.64, dt=0.1, max_steps=1000),
+         dynamics.RUNNING),
+        (SolverConfig(kind="I", alpha=-5.0, beta=0.0, dt=0.5, max_steps=2000),
+         dynamics.DIVERGED),
+    ]
+    x0 = random_initial(8, seed=2)
+    for cfg, code in cases:
+        out = run_batch(inst_c, cfg, x0[None])[0]
+        x, steps, status = dynamics._integrate_block(inst_c, cfg, x0[None])
+        assert status[0] == code, cfg
+        traj = trajectory(inst_c, cfg, x0)
+        assert traj.shape == (steps[0] + 1, 8) == (out.steps_used + 1, 8), cfg
+        assert traj[0].tobytes() == x0.tobytes(), cfg
+        assert traj[-1].tobytes() == x[0].tobytes(), cfg
+        final_spins = np.where(traj[-1] >= 0, 1, -1)
+        assert np.array_equal(final_spins, out.final_spins), cfg
 
 
 # ---------------------------------------------------------------------------
