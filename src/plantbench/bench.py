@@ -126,9 +126,12 @@ def derive_seeds(base_seed: int, *parts, count: int) -> np.ndarray:
 
 
 def default_alpha_grid(lam_max: float, num: int = 50) -> tuple[float, ...]:
-    """Log-spaced projection strengths spanning [lam/20, 4*lam]."""
+    """num >= 1 log-spaced projection strengths spanning [lam/20, 4*lam],
+    for a finite lam_max > 0."""
+    _check_finite(lam_max, "lam_max")
     if lam_max <= 0:
         raise ValidationError("alpha grid needs a positive eigenvalue scale")
+    _check_int(num, "num", least=1)
     return tuple(float(v) for v in np.geomspace(lam_max / 20, 4 * lam_max, num))
 
 
@@ -563,12 +566,15 @@ def sweep_k(
     default to 1000 with 1000 steps below n = 1024, and to 100 with
     2000 steps at n >= 1024.  Histograms use HIST_BINS bins and bands
     energy.DEFAULT_FRACTIONS.  Each K may be listed once: the histogram
-    CSV keys its rows by K.  n must be a power of two >= 2, each K in
-    1..n, dw finite with each weight 1 + m*dw > 0, runs_per_k an
-    integer >= 1 and base_seed an integer, all checked before any K
-    runs.
+    CSV keys its rows by K.  n must be a power of two >= 2, each K an
+    integer in 1..n, dw finite with each weight 1 + m*dw > 0,
+    runs_per_k an integer >= 1 and base_seed an integer, all checked
+    before any K runs.
     """
-    ks = [int(k) for k in k_values]
+    ks = list(k_values)
+    for k in ks:
+        _check_int(k, "K")
+    ks = [int(k) for k in ks]
     if not ks:
         raise ValidationError("k_values is empty")
     _no_repeats(ks, "K values")

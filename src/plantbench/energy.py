@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .instance import Instance, PatternSet, _readonly
+from .textio import _check_int
 
 __all__ = [
     "PlantedSpectrum",
@@ -77,9 +78,20 @@ def _tolerance(*energies: float) -> float:
 
 
 def _coupling_of(inst: "Instance | np.ndarray") -> np.ndarray:
+    """inst's coupling matrix, or a bare array that is a real, square
+    (n, n) matrix with n >= 1, as float64 (its finiteness is not checked)."""
     if isinstance(inst, Instance):
         return inst.coupling
-    return np.asarray(inst, dtype=np.float64)
+    try:
+        j = np.asarray(inst)
+    except ValueError:  # a ragged nesting
+        j = np.asarray(None)
+    if j.dtype.kind not in "biuf" or j.ndim != 2 or not j.shape[0] == j.shape[1] >= 1:
+        raise ValidationError(
+            f"coupling must be a real square matrix of size >= 1, "
+            f"got shape {j.shape} and dtype {j.dtype}"
+        )
+    return j.astype(np.float64, copy=False)
 
 
 def qubo_energy(inst: "Instance | np.ndarray", x: np.ndarray) -> float:
@@ -344,13 +356,15 @@ def gauge_transform(inst: Instance, flips) -> Instance:
 
     Patterns and perturbations transform the same way, so the recomputed
     planted energies equal the originals bit for bit (terms only flip sign).
+    Each flip is an integer site index in 0..n-1 (not a bool).
     """
+    flips = list(flips)
+    for i in flips:
+        _check_int(i, "flip index")
+    if not all(0 <= i < inst.n for i in flips):
+        raise ValidationError("flip index outside instance")
     s = np.ones(inst.n, dtype=np.int8)
-    flips = np.asarray(list(flips), dtype=np.int64)
-    if flips.size:
-        if flips.min() < 0 or flips.max() >= inst.n:
-            raise ValidationError("flip index outside instance")
-        s[flips] = -1
+    s[np.array(flips, dtype=np.int64)] = -1
     sf = s.astype(np.float64)
     ps = inst.pattern_set
     if ps is not None:

@@ -10,19 +10,22 @@ the energy degeneracy of the stored patterns, so the heaviest pattern is
 planted as the intended ground state of E(x) = -1/2 x^T J x.
 
 Two pattern sources are supported: exactly orthogonal sets drawn from a
-Sylvester-Hadamard basis (any power-of-two n), and a small catalogue of
-hand-picked n = 8 triples/quadruples whose pairwise Hamming distances
-place the planted optimum in controlled competition with the other
-patterns.  Pattern entries can additionally be deformed by real-valued
-perturbations delta_xi to interpolate between instances.  A PatternSet
-and an Instance check their fields when made, so every one, however
-built, coarse-grained, transformed or loaded, holds one invariant: k >= 1
-+-1 patterns with weights and perturbations of matching shape, and a
-square, finite, exactly symmetric coupling matrix with a zero diagonal
-and its pattern set's n, all in read-only arrays, a one-line label,
-and a positive finite coarse-graining step when there is one.  An
-Instance computes its planted spectrum when made, so it is never passed
-in or stale; the orthogonal closed form is certified there, once.
+Sylvester-Hadamard basis (any power-of-two n = 2^m, whose row r is
+H[r, c] = (-1)^popcount(r & c), its row indices relabelled by a random
+linear map on GF(2)^m that is accepted when its n images are distinct),
+and a small catalogue of hand-picked n = 8 triples/quadruples whose pairwise
+Hamming distances place the planted optimum in controlled competition
+with the other patterns.  Pattern entries can additionally be deformed
+by real-valued perturbations delta_xi to interpolate between instances.
+A PatternSet and an Instance check their fields when made, so every one,
+however built, coarse-grained, transformed or loaded, holds one
+invariant: k >= 1 +-1 patterns with weights and perturbations of
+matching shape, and a square, finite, exactly symmetric coupling matrix
+with a zero diagonal and its pattern set's n, all in read-only arrays, a
+one-line label, and a positive finite coarse-graining step when there is
+one.  An Instance computes its planted spectrum when made, so it is
+never passed in or stale; the orthogonal closed form is certified there,
+once.
 Weights, couplings and planted energies are computed with overflow
 warnings off; planted energies that overflow are rejected.
 """
@@ -37,7 +40,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .textio import CATALOGUE, _finite, _fmt, _int, _is_finite, _read_text, _shown, _write_text
+from .textio import (
+    CATALOGUE, _check_int, _finite, _fmt, _int, _is_finite, _read_text, _shown, _write_text,
+)
 
 __all__ = [
     "PatternSet",
@@ -223,13 +228,6 @@ def make_pattern_set(
     return PatternSet(patterns, weights, generator=generator)
 
 
-def _sylvester_hadamard(n: int) -> np.ndarray:
-    h = np.ones((1, 1), dtype=np.int8)
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]]).astype(np.int8)
-    return h
-
-
 @functools.lru_cache(maxsize=None)
 def _row_selection_chain(n: int) -> tuple[int, ...]:
     """Fixed ordering of the nonzero Hadamard row indices 1..n-1.
@@ -246,55 +244,42 @@ def _row_selection_chain(n: int) -> tuple[int, ...]:
     univ = np.arange(n)
     pair_counts = np.zeros(n, dtype=np.int64)
     scores = np.zeros(n, dtype=np.int64)
-    remaining = np.ones(n, dtype=bool)
-    remaining[0] = False
+    taken = np.zeros(n, dtype=bool)
     # Index 0 joins as a virtual member: its constant row shows up in
     # any product relation through the global column signs whether or
     # not it is selected.
-    sel: list[int] = [0]
-    for _ in range(n - 1):
-        cand = np.nonzero(remaining)[0]
-        y = int(cand[np.argmin(scores[cand])])
+    sel = np.zeros(n, dtype=np.int64)
+    taken[0] = True
+    for i in range(1, n):
+        y = int(np.argmin(np.where(taken, np.iinfo(np.int64).max, scores)))
         scores += 3 * pair_counts[univ ^ y]
-        for a in sel:
-            pair_counts[y ^ a] += 1
-        sel.append(y)
-        remaining[y] = False
-    return tuple(sel[1:])
+        # y ^ a is distinct for distinct a, so no index repeats
+        pair_counts[y ^ sel[:i]] += 1
+        sel[i] = y
+        taken[y] = True
+    return tuple(sel[1:].tolist())
 
 
-def _random_gl2(m: int, rng: np.random.Generator) -> list[int]:
-    """Random invertible m x m bit matrix, returned as column masks."""
+def _gf2_images(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Images of 0..n-1 under a random invertible linear map on GF(2)^m, n = 2^m.
+
+    Each attempt draws m nonzero column masks; the image of an index is
+    the XOR of the masks of its set bits.  A linear map on GF(2)^m is
+    invertible exactly when it is injective, so a draw is kept once its
+    n images are distinct.
+    """
+    m = int(n).bit_length() - 1
+    bits = (np.arange(n)[:, None] >> np.arange(m)) & 1
     while True:
-        cols = [int(v) for v in rng.integers(1, 1 << m, size=m)]
-        # Gaussian elimination over GF(2) on a copy to test invertibility.
-        work = list(cols)
-        rank = 0
-        for bit in range(m):
-            pivot = next((i for i in range(rank, m) if work[i] >> bit & 1), None)
-            if pivot is None:
-                break
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for i in range(m):
-                if i != rank and work[i] >> bit & 1:
-                    work[i] ^= work[rank]
-            rank += 1
-        if rank == m:
-            return cols
-
-
-def _apply_gl2(cols: list[int], index: int) -> int:
-    out = 0
-    bit = 0
-    while index:
-        if index & 1:
-            out ^= cols[bit]
-        index >>= 1
-        bit += 1
-    return out
+        cols = rng.integers(1, n, size=m)
+        images = np.bitwise_xor.reduce(bits * cols, axis=1)
+        if np.bincount(images).max() == 1:  # n distinct images
+            return images
 
 
 def _check_orthogonal(n: int, k: int) -> None:
+    _check_int(n, "n")
+    _check_int(k, "k")
     if n < 2 or (n & (n - 1)) != 0:
         raise ValidationError(f"orthogonal construction needs n a power of two >= 2, got {n}")
     if k < 1:
@@ -308,34 +293,36 @@ def generate_orthogonal_patterns(
 ) -> PatternSet:
     """Draw k mutually orthogonal +-1 patterns of dimension n.
 
-    Rows are taken from the Sylvester-Hadamard basis H_n along a fixed
-    low-coherence order (see _row_selection_chain) that postpones index
-    triples whose XOR falls back into the selection, because such
-    triples would plant composite states energetically degenerate with
-    the patterns.  A seeded invertible GF(2) map rerandomizes the
-    concrete rows without touching that closure structure, and the
-    columns are then permuted and both rows and columns get random
+    Rows are taken from the Sylvester-Hadamard basis H_n, whose row r
+    is H[r, c] = (-1)^popcount(r & c), along a fixed low-coherence
+    order (see _row_selection_chain) that postpones index triples whose
+    XOR falls back into the selection, because such triples would plant
+    composite states energetically degenerate with the patterns.  A
+    seeded invertible GF(2) map rerandomizes the concrete row indices
+    without touching that closure structure: m = log2(n) random nonzero
+    column masks are redrawn until the n images they give are distinct.
+    The columns are then permuted and both rows and columns get random
     sign flips; every step preserves pairwise orthogonality exactly
     (integer arithmetic, no roundoff).  Deterministic for fixed
     (n, k, seed).
 
     n must be a power of two >= 2; k must be >= 1, and orthogonality
     caps it at n (the constant row joins only when k = n, completing
-    the full basis).  seed must be >= 0.
+    the full basis).  seed must be >= 0.  All three are integers.
     """
     _check_orthogonal(n, k)
+    _check_int(seed, "seed")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    cols = _random_gl2(n.bit_length() - 1, rng)
-    rows = [_apply_gl2(cols, c) for c in _row_selection_chain(n)[: min(k, n - 1)]]
-    if k == n:
-        rows.append(0)
-    h = _sylvester_hadamard(n)
+    images = _gf2_images(n, rng)
+    rows = images[list((*_row_selection_chain(n), 0)[:k])]
     col_perm = rng.permutation(n)
     col_signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
     row_signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(k, 1))
-    patterns = h[rows][:, col_perm] * col_signs * row_signs
+    # H_n[rows][:, col_perm], each entry (-1)^popcount(r & c)
+    h = 1 - 2 * (np.bitwise_count(rows[:, None] & col_perm) & 1).astype(np.int8)
+    patterns = h * col_signs * row_signs
     return make_pattern_set(patterns, w0=w0, dw=dw, generator=("hadamard", int(seed)))
 
 
@@ -347,32 +334,20 @@ def _flip_sets(dist: np.ndarray) -> list[tuple[int, ...]]:
 
     Pattern 1 is gauge-fixed to all +1; pattern m is all +1 with the
     coordinates in set S_m flipped, so |S_i symdiff S_j| must equal
-    dist[i, j].  S_2 can always be taken as the prefix {0..d12-1}; each
-    later set is the lexicographically first combination meeting every
-    pairwise constraint.
+    dist[i, j], that is 2 |S_i & S_j| = dist[0, i] + dist[0, j] -
+    dist[i, j].  Each set is the lexicographically first combination
+    meeting every pairwise constraint with the sets before it, so S_2
+    is the prefix {0..d12-1}.
     """
-    k = dist.shape[0]
     sets: list[tuple[int, ...]] = [()]
-    for m in range(1, k):
-        size = int(dist[0, m])
-        if m == 1:
-            sets.append(tuple(range(size)))
-            continue
-        found = None
-        for cand in itertools.combinations(range(_SMALL_N), size):
-            ok = True
-            cset = set(cand)
-            for j in range(1, m):
-                want = (dist[0, j] + dist[0, m] - dist[j, m])
-                if want % 2 or len(cset & set(sets[j])) * 2 != want:
-                    ok = False
-                    break
-            if ok:
-                found = cand
+    for m in range(1, dist.shape[0]):
+        for cand in itertools.combinations(range(_SMALL_N), int(dist[0, m])):
+            if all(2 * len(set(cand) & set(sets[j])) == dist[0, j] + dist[0, m] - dist[j, m]
+                   for j in range(1, m)):
+                sets.append(cand)
                 break
-        if found is None:
+        else:
             raise ValidationError("distance matrix admits no +-1 realisation at n=8")
-        sets.append(found)
     return sets
 
 

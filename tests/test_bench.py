@@ -82,8 +82,25 @@ def test_default_alpha_grid_spans_and_is_logarithmic():
     assert grid[-1] == pytest.approx(40.0)
     ratios = np.diff(np.log(np.array(grid)))
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="alpha grid needs a positive eigenvalue scale"):
         default_alpha_grid(0.0)
+
+
+# inf used to emit numpy's "invalid value encountered in subtract"
+# RuntimeWarning (an error in this suite), nan gave 50 NaNs and num=0
+# an empty grid
+@pytest.mark.parametrize("lam_max, num, message", [
+    (float("inf"), 50, "lam_max must be finite, got inf"),
+    (float("nan"), 50, "lam_max must be finite, got nan"),
+    ("10", 50, "lam_max must be finite, got '10'"),
+    (-1.0, 50, "alpha grid needs a positive eigenvalue scale"),
+    (10.0, 0, "num must be an integer >= 1, got 0"),
+    (10.0, 2.0, "num must be an integer >= 1, got 2.0"),
+    (10.0, True, "num must be an integer >= 1, got True"),
+])
+def test_default_alpha_grid_rejects_bad_arguments(lam_max, num, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        default_alpha_grid(lam_max, num)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +639,20 @@ def test_sweep_k_checks_runs_and_seed_before_any_k(monkeypatch, given, message):
     monkeypatch.setattr(bench, "run_batch", None)
     with pytest.raises(ValidationError, match=re.escape(message)):
         sweep_k(16, [4], **given)
+
+
+# a float n or K used to raise a TypeError from n & (n - 1), and K = 2.5
+# silently ran K = 2
+@pytest.mark.parametrize("n, ks, message", [
+    (16.0, [2], "n must be an integer, got 16.0"),
+    (16, [2.5], "K must be an integer, got 2.5"),
+    (16, [4, 2.0], "K must be an integer, got 2.0"),
+    (16, [True], "K must be an integer, got True"),
+])
+def test_sweep_k_rejects_non_integer_sizes(monkeypatch, n, ks, message):
+    monkeypatch.setattr(bench, "run_batch", None)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        sweep_k(n, ks, runs_per_k=2)
 
 
 def test_sweep_k_rejects_repeated_k():

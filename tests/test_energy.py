@@ -1,6 +1,7 @@
 """Energy evaluation, planted spectra, outcome labels, measure bands."""
 
 import itertools
+import re
 from math import comb
 
 import numpy as np
@@ -72,6 +73,30 @@ def test_energy_many_rejects_non_binary_states(bad):
     with pytest.raises(ValidationError, match="state entries must be \\+1 or -1"):
         qubo_energy(j, states[1])
     assert qubo_energy(j, states[0]) == qubo_energy_many(j, states[:1])[0]
+
+
+# a bare coupling array used to reach numpy unchecked: a 1-D or text
+# array raised numpy's ValueError, (0, 0) "negative shift count" in
+# brute force, and (2, 3) a broadcast ValueError or LinAlgError
+@pytest.mark.parametrize("coupling, shape", [
+    (np.zeros(3), "(3,)"),
+    (np.zeros((0, 0)), "(0, 0)"),
+    (np.zeros((2, 3)), "(2, 3)"),
+    (np.zeros((2, 2, 2)), "(2, 2, 2)"),
+    (np.array([["0", "1"], ["1", "0"]]), "(2, 2)"),
+    (np.eye(2, dtype=complex), "(2, 2)"),
+    ([[0.0, 1.0], [1.0]], "()"),
+])
+def test_bare_coupling_arrays_are_checked(coupling, shape):
+    from plantbench import brute_force, max_eigenvalue
+
+    message = f"coupling must be a real square matrix of size >= 1, got shape {shape}"
+    for call in (lambda: qubo_energy(coupling, np.ones(2)),
+                 lambda: qubo_energy_many(coupling, np.ones((1, 2))),
+                 lambda: brute_force(coupling),
+                 lambda: max_eigenvalue(coupling)):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call()
 
 
 @settings(max_examples=200, deadline=None)
@@ -483,3 +508,18 @@ def test_gauge_transform_rejects_out_of_range_site():
     inst = build_couplings(catalogue_pattern_set("a"))
     with pytest.raises(ValidationError):
         gauge_transform(inst, [8])
+
+
+@pytest.mark.parametrize("flips, message", [
+    ([-1], "flip index outside instance"),
+    ([2**70], "flip index outside instance"),
+    # 1.5 and True used to flip site 1
+    ([1.5], "flip index must be an integer, got 1.5"),
+    ([True], "flip index must be an integer, got True"),
+    (np.array([0.0]), "flip index must be an integer, got np.float64(0.0)"),
+])
+def test_gauge_transform_rejects_non_integer_and_outside_sites(flips, message):
+    inst = build_couplings(catalogue_pattern_set("a"))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        gauge_transform(inst, flips)
+    assert gauge_transform(inst, np.array([1, 2])).pattern_set.patterns[0, 1] == -1

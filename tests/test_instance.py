@@ -1,5 +1,7 @@
 """Pattern construction, catalogue geometry, the Hebb rule, file I/O."""
 
+import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +92,68 @@ def test_negative_seed_rejected():
     # numpy's ValueError used to escape from default_rng
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         generate_orthogonal_patterns(16, 2, seed=-1)
+
+
+# a float n or k used to raise a TypeError from n & (n - 1) or a slice,
+# and a float seed numpy's TypeError
+@pytest.mark.parametrize("n, k, seed, message", [
+    (8.0, 2, 0, "n must be an integer, got 8.0"),
+    (True, 1, 0, "n must be an integer, got True"),
+    (8, 2.0, 0, "k must be an integer, got 2.0"),
+    (8, 2, 1.5, "seed must be an integer, got 1.5"),
+    (8, 2, None, "seed must be an integer, got None"),
+])
+def test_non_integer_arguments_rejected(n, k, seed, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        generate_orthogonal_patterns(n, k, seed)
+
+
+def test_numpy_integer_arguments_accepted():
+    ps = generate_orthogonal_patterns(np.int64(8), np.int32(3), np.uint8(5))
+    assert np.array_equal(ps.patterns, generate_orthogonal_patterns(8, 3, 5).patterns)
+    assert ps.generator == ("hadamard", 5)
+
+
+def _digest(arrays) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Every generator bit is part of the contract: sweep-k rebuilds its
+# instances from seeds, and load_instance rebuilds patterns from a saved
+# "generator: hadamard <seed>" line.  The digests below pin the patterns
+# for k in {1, n/2, n-1, n} at seeds 0 and 7.
+@pytest.mark.parametrize("n, digest", [
+    (2, "0b02685b2210b64339566b579fe3068c"),
+    (4, "c418a2c07205a02d5d1c35ec879c4bb1"),
+    (8, "77cbd7a8c8212b2982c5973010eba01e"),
+    (64, "e5ddfbeb5d9b2437fbb0b280793f791d"),
+    (1024, "f99b8e05a449577d8768159204be858a"),
+])
+def test_generator_bits_are_pinned(n, digest):
+    ks = sorted({1, n // 2, n - 1, n})
+    assert _digest(generate_orthogonal_patterns(n, k, seed).patterns
+                   for k in ks for seed in (0, 7)) == digest
+
+
+# at n = 4 and 8 a random GF(2) map is often singular and redrawn, so
+# these pin the redraw rule along with the rest
+@pytest.mark.parametrize("n, digest", [
+    (4, "4ddb5fdafd0dfa97e0844ccfa8b632b1"),
+    (8, "b8ff3ee090b5e64dd43ba91f78d9ba41"),
+])
+def test_generator_bits_are_pinned_over_many_seeds(n, digest):
+    assert _digest(generate_orthogonal_patterns(n, n - 1, seed).patterns
+                   for seed in range(500)) == digest
+
+
+def test_catalogue_bits_are_pinned():
+    sets = [catalogue_pattern_set(i) for i in sorted(CATALOGUE)]
+    assert len(sets) == 7
+    assert (_digest(a for ps in sets for a in (ps.patterns, ps.weights))
+            == "7bd595e2c3a968bdcdcb2885a1003dd7")
 
 
 def test_gram_products_exact_at_full_load():
