@@ -425,7 +425,9 @@ def sweep_sr(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
     Output is byte-stable for a given spec: worker count only changes
     wall time, never results (points are reduced in index order).
+    threads must be an integer >= 1.
     """
+    _check_int(threads, "threads", least=1)
     points = _map_in_order(partial(_eval_point, spec), range(spec.n_points), threads)
     return SweepResult(spec=spec, points=tuple(points))
 
@@ -568,8 +570,8 @@ def sweep_k(
     energy.DEFAULT_FRACTIONS.  Each K may be listed once: the histogram
     CSV keys its rows by K.  n must be a power of two >= 2, each K an
     integer in 1..n, dw finite with each weight 1 + m*dw > 0,
-    runs_per_k an integer >= 1 and base_seed an integer, all checked
-    before any K runs.
+    runs_per_k and threads integers >= 1 and base_seed an integer, all
+    checked before any K runs.
     """
     ks = list(k_values)
     for k in ks:
@@ -594,6 +596,7 @@ def sweep_k(
         runs_per_k = 100 if n >= 1024 else 1000
     _check_int(runs_per_k, "runs_per_k", least=1)
     _check_int(base_seed, "base_seed")
+    _check_int(threads, "threads", least=1)
     evaluate = partial(_eval_k, n, runs=runs_per_k, base_seed=base_seed, dw=dw)
     return tuple(_map_in_order(evaluate, ks, threads))
 

@@ -28,7 +28,9 @@ validation error: every rejection the package makes is a
 ValidationError (unparsable, out-of-range or unread flag values, bad,
 unreadable or unwritable files, repeated instance keys or report rows,
 unsupported sizes, couplings or planted energies that are not
-finite), and main prints it as one "error:" line.  Diverging runs are
+finite), and main prints it as one "error:" line.  An allocation the
+process cannot make (a MemoryError, from this process or a worker)
+exits 3 with one "error: out of memory:" line too.  Diverging runs are
 data: solve labels them "diverged" and the sweeps count them.
 
 Each command imports the numeric modules it uses when it runs, so
@@ -231,7 +233,7 @@ def _cmd_gen_small(args, out=None) -> list[str]:
 
     ps = catalogue_pattern_set(args.id, literal_weights=args.literal_weights)
     inst = build_couplings(ps, label=f"small-{args.id}")
-    dists, cat_dw = CATALOGUE[args.id]
+    dists, cat_dw, _ = CATALOGUE[args.id]
     # Distances around the pattern cycle 1..k..1: (d12, d23, d13) for
     # three patterns, (d12, d23, d34, d14) for four.
     cyc = tuple(dists[i][(i + 1) % ps.k] for i in range(ps.k))
@@ -664,6 +666,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy fails an allocation before any work on the array, and
+        # its message names the size and shape
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -291,6 +291,7 @@ class OutcomeClassifier:
                     table.setdefault(state.tobytes(), label)
                     table.setdefault((-state).tobytes(), label)
         self._table = table
+        self._n = ps.n
         self._lo, self._hi = _planted_range(spectrum)
 
     def classify(self, x: np.ndarray, energy: float) -> OutcomeLabel:
@@ -298,7 +299,10 @@ class OutcomeClassifier:
         key = x.tobytes() if x.dtype == np.int8 else None
         label = self._table.get(key)
         if label is None:
-            # table keys are int8 rows of +-1, so only a miss needs the check
+            # table keys are int8 rows of n +-1 entries, so only a miss
+            # needs the checks
+            if x.shape != (self._n,):
+                raise ValidationError(f"state must have {self._n} entries, got shape {x.shape}")
             if not ((x == 1) | (x == -1)).all():
                 raise ValidationError("state entries must be +1 or -1")
             if key is None:

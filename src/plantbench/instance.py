@@ -11,11 +11,13 @@ planted as the intended ground state of E(x) = -1/2 x^T J x.
 
 Two pattern sources are supported: exactly orthogonal sets drawn from a
 Sylvester-Hadamard basis (any power-of-two n = 2^m, whose row r is
-H[r, c] = (-1)^popcount(r & c), its row indices relabelled by a random
+H[r, c] = (-1)^popcount(r & c), its row indices, taken along a fixed
+order built only as far as the k a set uses, relabelled by a random
 linear map on GF(2)^m that is accepted when its n images are distinct),
-and a small catalogue of hand-picked n = 8 triples/quadruples whose pairwise
-Hamming distances place the planted optimum in controlled competition
-with the other patterns.  Pattern entries can additionally be deformed
+and a small catalogue of hand-picked n = 8 triples/quadruples, stored
+as the flip sets that realise their pairwise Hamming distances, which
+place the planted optimum in controlled competition with the other
+patterns.  Pattern entries can additionally be deformed
 by real-valued perturbations delta_xi to interpolate between instances.
 A PatternSet and an Instance check their fields when made, so every one,
 however built, coarse-grained, transformed or loaded, holds one
@@ -32,8 +34,6 @@ warnings off; planted energies that overflow are rejected.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import os
 from dataclasses import dataclass, field, replace
 
@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .textio import (
-    CATALOGUE, _check_int, _finite, _fmt, _int, _is_finite, _read_text, _shown, _write_text,
+    CATALOGUE, _check_int, _check_real, _finite, _fmt, _int, _is_finite, _read_text, _shown,
+    _write_text,
 )
 
 __all__ = [
@@ -219,18 +220,20 @@ def make_pattern_set(
 
     The degeneracy split only works as intended for |dw| well below 1/k;
     that is a guideline for choosing dw, not a hard limit, since scans
-    deliberately push dw far beyond it.  The set is unperturbed;
-    perturb_patterns perturbs it.
+    deliberately push dw far beyond it.  w0 and dw must be real numbers
+    (a ladder that is not finite is left for the Instance check).  The
+    set is unperturbed; perturb_patterns perturbs it.
     """
+    _check_real(w0, "w0")
+    _check_real(dw, "dw")
     if weights is None:
         k = len(np.atleast_2d(patterns))
         weights = w0 + np.arange(1, k + 1, dtype=np.float64) * dw
     return PatternSet(patterns, weights, generator=generator)
 
 
-@functools.lru_cache(maxsize=None)
-def _row_selection_chain(n: int) -> tuple[int, ...]:
-    """Fixed ordering of the nonzero Hadamard row indices 1..n-1.
+def _row_selection_chain(n: int, k: int) -> list[int]:
+    """The first min(k, n-1) of a fixed ordering of the row indices 1..n-1.
 
     The elementwise product of rows a, b, c of H_n is row a^b^c, so a
     selected triple whose index XOR lands back in the selection (or
@@ -239,7 +242,9 @@ def _row_selection_chain(n: int) -> tuple[int, ...]:
     as, the patterns themselves.  The chain orders indices greedily so
     each prefix creates as few such closed index quadruples as
     possible (none at all while an XOR-free prefix exists); ties pick
-    the smallest index, making the chain a pure function of n.
+    the smallest index, making the chain a pure function of n.  The
+    order is greedy, so its first k picks are made in k steps and the
+    rest of it is never built.
     """
     univ = np.arange(n)
     pair_counts = np.zeros(n, dtype=np.int64)
@@ -248,16 +253,17 @@ def _row_selection_chain(n: int) -> tuple[int, ...]:
     # Index 0 joins as a virtual member: its constant row shows up in
     # any product relation through the global column signs whether or
     # not it is selected.
-    sel = np.zeros(n, dtype=np.int64)
+    m = min(k, n - 1)
+    sel = np.zeros(m + 1, dtype=np.int64)
     taken[0] = True
-    for i in range(1, n):
+    for i in range(1, m + 1):
         y = int(np.argmin(np.where(taken, np.iinfo(np.int64).max, scores)))
         scores += 3 * pair_counts[univ ^ y]
         # y ^ a is distinct for distinct a, so no index repeats
         pair_counts[y ^ sel[:i]] += 1
         sel[i] = y
         taken[y] = True
-    return tuple(sel[1:].tolist())
+    return sel[1:].tolist()
 
 
 def _gf2_images(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -282,6 +288,11 @@ def _check_orthogonal(n: int, k: int) -> None:
     _check_int(k, "k")
     if n < 2 or (n & (n - 1)) != 0:
         raise ValidationError(f"orthogonal construction needs n a power of two >= 2, got {n}")
+    # numpy cannot make an array of more than intp-max bytes at all, so an
+    # n x n float64 coupling matrix past that is refused here; a smaller
+    # one the process cannot hold fails as MemoryError when allocated
+    if int(n) ** 2 > np.iinfo(np.intp).max // 8:
+        raise ValidationError(f"n={n} is too large: an n x n coupling matrix cannot be allocated")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got k={k}")
     if k > n:
@@ -306,9 +317,12 @@ def generate_orthogonal_patterns(
     (integer arithmetic, no roundoff).  Deterministic for fixed
     (n, k, seed).
 
-    n must be a power of two >= 2; k must be >= 1, and orthogonality
-    caps it at n (the constant row joins only when k = n, completing
-    the full basis).  seed must be >= 0.  All three are integers.
+    n must be a power of two >= 2 small enough for numpy to address an
+    n x n float64 coupling matrix (n <= 2^29 on a 64-bit host), so a
+    size no process could build fails before any work; k must be >= 1,
+    and orthogonality caps it at n (the constant row joins only when
+    k = n, completing the full basis).  seed must be >= 0.  All three
+    are integers.
     """
     _check_orthogonal(n, k)
     _check_int(seed, "seed")
@@ -316,7 +330,7 @@ def generate_orthogonal_patterns(
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     images = _gf2_images(n, rng)
-    rows = images[list((*_row_selection_chain(n), 0)[:k])]
+    rows = images[list((*_row_selection_chain(n, k), 0)[:k])]
     col_perm = rng.permutation(n)
     col_signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
     row_signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(k, 1))
@@ -329,52 +343,31 @@ def generate_orthogonal_patterns(
 _SMALL_N = 8
 
 
-def _flip_sets(dist: np.ndarray) -> list[tuple[int, ...]]:
-    """Lowest-lexicographic coordinate flip sets realising a distance matrix.
-
-    Pattern 1 is gauge-fixed to all +1; pattern m is all +1 with the
-    coordinates in set S_m flipped, so |S_i symdiff S_j| must equal
-    dist[i, j], that is 2 |S_i & S_j| = dist[0, i] + dist[0, j] -
-    dist[i, j].  Each set is the lexicographically first combination
-    meeting every pairwise constraint with the sets before it, so S_2
-    is the prefix {0..d12-1}.
-    """
-    sets: list[tuple[int, ...]] = [()]
-    for m in range(1, dist.shape[0]):
-        for cand in itertools.combinations(range(_SMALL_N), int(dist[0, m])):
-            if all(2 * len(set(cand) & set(sets[j])) == dist[0, j] + dist[0, m] - dist[j, m]
-                   for j in range(1, m)):
-                sets.append(cand)
-                break
-        else:
-            raise ValidationError("distance matrix admits no +-1 realisation at n=8")
-    return sets
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def catalogue_pattern_set(
     instance_id: str, literal_weights: bool = False, dw: float | None = None
 ) -> PatternSet:
     """Patterns and weights for one catalogue entry.
 
-    Pattern 1 is all +1 and the remaining patterns are the
-    lowest-lexicographic flip sets reproducing the entry's Hamming
-    distances.  For entry (e), whose increment is negative while the
-    last pattern is planted heaviest, the default ladder is the formula
-    ladder in reversed order, (0.61, 0.74, 0.87); pass
-    literal_weights=True to apply w_m = 1 + m*dw verbatim instead.
-    dw overrides the catalogue increment when given (used by scans).
+    Pattern m is all +1 with the coordinates of the entry's stored flip
+    set S_m flipped (pattern 1 stays all +1), which reproduces the
+    entry's Hamming distances (see textio.CATALOGUE).  For entry (e),
+    whose increment is negative while the last pattern is planted
+    heaviest, the default ladder is the formula ladder in reversed
+    order, (0.61, 0.74, 0.87); pass literal_weights=True to apply
+    w_m = 1 + m*dw verbatim instead.  dw overrides the catalogue
+    increment when given (used by scans), and must then be a real
+    number.
     """
     if instance_id not in CATALOGUE:
         raise ValidationError(
             f"unknown catalogue id {instance_id!r}; choose from {sorted(CATALOGUE)}"
         )
-    dist_rows, cat_dw = CATALOGUE[instance_id]
+    _, cat_dw, sets = CATALOGUE[instance_id]
     if dw is None:
         dw = cat_dw
-    dist = np.array(dist_rows)
-    sets = _flip_sets(dist)
-    k = dist.shape[0]
+    _check_real(dw, "dw")
+    k = len(sets)
     patterns = np.ones((k, _SMALL_N), dtype=np.int8)
     for m, flips in enumerate(sets):
         patterns[m, list(flips)] = -1
@@ -395,14 +388,24 @@ def perturb_patterns(
     """Set delta_xi entries, returning a new PatternSet.
 
     edits is a list of (pattern index, coordinate index, delta), both
-    indices 0-based.  Entries are set, not accumulated, so an edit of
-    0.0 clears a previous one.  A delta of -2 on a +1 coordinate flips
-    it to an exact -1 in the effective pattern.
+    indices 0-based integers and delta a real number (one that is not
+    finite is left for build_couplings to reject).  Entries are set, not
+    accumulated, so an edit of 0.0 clears a previous one.  A delta of -2
+    on a +1 coordinate flips it to an exact -1 in the effective pattern.
     """
     pert = (
         np.zeros((ps.k, ps.n)) if ps.perturbations is None else ps.perturbations.copy()
     )
-    for m, j, delta in edits:
+    for edit in edits:
+        try:
+            m, j, delta = edit
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"an edit must be (pattern index, coordinate index, delta), got {_shown(edit)}"
+            ) from None
+        _check_int(m, "edit pattern index")
+        _check_int(j, "edit coordinate index")
+        _check_real(delta, "edit delta")
         if not (0 <= m < ps.k and 0 <= j < ps.n):
             raise ValidationError(f"edit ({m}, {j}) outside a {ps.k} x {ps.n} pattern set")
         pert[m, j] = delta

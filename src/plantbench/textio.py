@@ -2,15 +2,16 @@
 
 Every text file goes through _read_text and _write_text (UTF-8, "\\n"
 line ends, a ValidationError naming an unreadable or unwritable path).
-CATALOGUE is plain tuples, so the command-line parser can list catalogue
-ids without importing the numeric modules.  _int, _finite and _positive
+CATALOGUE is plain tuples, each entry's distances and the flip sets that
+realise them, so the command-line parser can list catalogue ids without
+importing the numeric modules.  _int, _finite and _positive
 parse one number, raising a ValidationError that names it, for file
-fields and command-line flags alike, and _check_int and _check_finite
-(on _is_finite) check a value the library is given; _no_repeats rejects a list whose
-entries must be distinct.  Messages show a value the library is given
-through _shown.  Every table of numbers goes out through _write_csv;
-solve's CSV, whose label and true/false cells are not numbers, goes out
-through _write_text.
+fields and command-line flags alike, and _check_int, _check_real (on
+_is_real) and _check_finite (on _is_finite) check a value the library
+is given; _no_repeats rejects a list whose entries must be distinct.
+Messages show a value the library is given through _shown.  Every
+table of numbers goes out through _write_csv; solve's CSV, whose label
+and true/false cells are not numbers, goes out through _write_text.
 """
 
 from __future__ import annotations
@@ -22,20 +23,27 @@ from collections import Counter
 
 from .errors import ValidationError
 
-# Hand-picked n = 8 catalogue: pairwise Hamming distance matrix and the
-# nominal weight increment.  Entry (e) lists dw = -0.13 but plants the
-# last pattern as the heaviest, so its default ladder is the reversed
-# formula ladder (see instance.catalogue_pattern_set).
-CATALOGUE: dict[str, tuple[tuple[tuple[int, ...], ...], float]] = {
-    "a": (((0, 1, 4), (1, 0, 3), (4, 3, 0)), 0.1),
-    "b": (((0, 4, 3), (4, 0, 3), (3, 3, 0)), 0.1),
-    "b*": (((0, 2, 2), (2, 0, 4), (2, 4, 0)), 0.3),
-    "c": (((0, 3, 4), (3, 0, 3), (4, 3, 0)), 0.1),
-    "d": (((0, 4, 2), (4, 0, 4), (2, 4, 0)), 0.1),
-    "e": (((0, 4, 3), (4, 0, 1), (3, 1, 0)), -0.13),
+# Hand-picked n = 8 catalogue: pairwise Hamming distance matrix, the
+# nominal weight increment, and the coordinate flip sets that realise
+# the distances.  Pattern m is all +1 with the coordinates in S_m
+# flipped, so pattern 1 (S_1 = ()) is gauge-fixed to all +1 and the
+# distance of patterns i and j is |S_i symdiff S_j|; each S_m is the
+# lowest-lexicographic set meeting its distances to the sets before it.
+# Entry (e) lists dw = -0.13 but plants the last pattern as the
+# heaviest, so its default ladder is the reversed formula ladder (see
+# instance.catalogue_pattern_set).
+_IntRows = tuple[tuple[int, ...], ...]
+CATALOGUE: dict[str, tuple[_IntRows, float, _IntRows]] = {
+    "a": (((0, 1, 4), (1, 0, 3), (4, 3, 0)), 0.1, ((), (0,), (0, 1, 2, 3))),
+    "b": (((0, 4, 3), (4, 0, 3), (3, 3, 0)), 0.1, ((), (0, 1, 2, 3), (0, 1, 4))),
+    "b*": (((0, 2, 2), (2, 0, 4), (2, 4, 0)), 0.3, ((), (0, 1), (2, 3))),
+    "c": (((0, 3, 4), (3, 0, 3), (4, 3, 0)), 0.1, ((), (0, 1, 2), (0, 1, 3, 4))),
+    "d": (((0, 4, 2), (4, 0, 4), (2, 4, 0)), 0.1, ((), (0, 1, 2, 3), (0, 4))),
+    "e": (((0, 4, 3), (4, 0, 1), (3, 1, 0)), -0.13, ((), (0, 1, 2, 3), (0, 1, 2))),
     "f": (
         ((0, 4, 4, 4), (4, 0, 4, 4), (4, 4, 0, 4), (4, 4, 4, 0)),
         0.1,
+        ((), (0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7)),
     ),
 }
 
@@ -176,6 +184,12 @@ def _is_real(value) -> bool:
 def _is_finite(value) -> bool:
     """Whether value is a real number, finite as a float (see _is_real)."""
     return _is_real(value) and math.isfinite(value)
+
+
+def _check_real(value, what: str) -> None:
+    """Raise unless value is a real number (see _is_real)."""
+    if not _is_real(value):
+        raise ValidationError(f"{what} must be a real number, got {_shown(value)}")
 
 
 def _check_finite(value, what: str) -> None:

@@ -273,6 +273,14 @@ def test_sweep_point_invariants(inst_a):
         assert sum(bands.values()) == 50 - labels["diverged"]
 
 
+@pytest.mark.parametrize("threads", [2.5, 0, -1, True])
+def test_sweep_sr_rejects_a_bad_thread_count_before_any_point(monkeypatch, inst_a, threads):
+    monkeypatch.setattr(bench, "run_batch", None)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"threads must be an integer >= 1, got {threads!r}")):
+        sweep_sr(small_sweep(inst_a), threads=threads)
+
+
 def test_sweep_easy_instance_has_plateau(inst_a):
     result = sweep_sr(small_sweep(inst_a, runs=80))
     assert result.max_sr() == 1.0
@@ -634,6 +642,12 @@ def test_sweep_k_rejects_empty():
     ({"dw": float("nan")}, "dw must be finite, got nan"),
     ({"dw": float("inf")}, "dw must be finite, got inf"),
     ({"dw": float("-inf")}, "dw must be finite, got -inf"),
+    # threads=2.5 used to raise a TypeError from the process pool, and 0,
+    # -1 and True ran serially
+    ({"threads": 2.5}, "threads must be an integer >= 1, got 2.5"),
+    ({"threads": 0}, "threads must be an integer >= 1, got 0"),
+    ({"threads": -1}, "threads must be an integer >= 1, got -1"),
+    ({"threads": True}, "threads must be an integer >= 1, got True"),
 ])
 def test_sweep_k_checks_runs_and_seed_before_any_k(monkeypatch, given, message):
     monkeypatch.setattr(bench, "run_batch", None)
@@ -648,6 +662,8 @@ def test_sweep_k_checks_runs_and_seed_before_any_k(monkeypatch, given, message):
     (16, [2.5], "K must be an integer, got 2.5"),
     (16, [4, 2.0], "K must be an integer, got 2.0"),
     (16, [True], "K must be an integer, got True"),
+    # an n whose coupling matrix numpy cannot allocate at all
+    (2**62, [2], "n=4611686018427387904 is too large"),
 ])
 def test_sweep_k_rejects_non_integer_sizes(monkeypatch, n, ks, message):
     monkeypatch.setattr(bench, "run_batch", None)

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -323,6 +324,46 @@ def test_non_utf8_argument_of_a_sweep_exits_3_before_any_work(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.count(b"\n") == 1 and b"text is not UTF-8" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def _run_with_address_limit(argv, limit=2 * 2**30):
+    """The CLI in a child process whose address space alone is capped at limit bytes."""
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    return subprocess.run(
+        [sys.executable, "-m", "plantbench.cli", *argv], capture_output=True, text=True,
+        timeout=60, preexec_fn=cap, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+
+
+# Under a 2 GiB address-space limit numpy fails to allocate the n x n
+# coupling matrix before any work on it.  Each command used to exit 1 with
+# a traceback, gen only after 2 s spent on the whole Hadamard row order and
+# the n = 65536 generator file after most of a minute; an n past what numpy
+# can address at all is refused before anything is allocated
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "16384", "--k", "2", "--out", "{dir}/a.inst"],
+    ["oracle", "--instance", "{dir}/big.inst"],
+    ["sweep-k", "--n", "65536", "--k-list", "2,3", "--threads", "2", "--out", "{dir}/k.csv"],
+    ["gen", "--n", "4611686018427387904", "--k", "2", "--out", "{dir}/x.inst"],
+], ids=["gen", "generator-file", "sweep-k-workers", "gen-past-intp"])
+def test_an_allocation_the_process_cannot_make_exits_3(tmp_path, argv):
+    (tmp_path / "big.inst").write_text(
+        "format_version: 1\nlabel: t\nn: 65536\nk: 2\nweights: 1.0 1.0\n"
+        "generator: hadamard 0\n"
+    )
+    start = time.perf_counter()
+    proc = _run_with_address_limit([a.format(dir=tmp_path) for a in argv])
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["big.inst"]
 
 
 @pytest.mark.parametrize("command", [

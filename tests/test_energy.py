@@ -284,6 +284,17 @@ def test_classify_outcome_one_off(c_classifier):
     assert label.short() == "planted:3"
 
 
+# a row of the wrong length used to be labelled by its energy alone: a
+# three-entry row on catalogue c came back "above"
+@pytest.mark.parametrize("row", [
+    np.ones(3, dtype=np.int8), np.ones(9, dtype=np.int8), np.ones(3), -np.ones((2, 8)),
+])
+def test_classify_rejects_a_row_of_the_wrong_length(c_classifier, row):
+    _, inst, clf = c_classifier
+    with pytest.raises(ValidationError, match="state must have 8 entries"):
+        clf.classify(row, inst.spectrum.e_max + 1.0)
+
+
 def _mirrored_c():
     """Catalogue c plus the mirror of its pattern 1: a planted/mirror tie."""
     from plantbench import make_pattern_set

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from plantbench import (
     save_instance,
     shared_sign_coordinate,
 )
+from plantbench import instance
 
 CATALOGUE_IDS = ("a", "b", "b*", "c", "d", "e", "f")
 
@@ -147,6 +149,29 @@ def test_generator_bits_are_pinned(n, digest):
 def test_generator_bits_are_pinned_over_many_seeds(n, digest):
     assert _digest(generate_orthogonal_patterns(n, n - 1, seed).patterns
                    for seed in range(500)) == digest
+
+
+# the row order is greedy, so a set needs only its first k picks: at
+# n = 65536 the whole order took most of a minute, its first two picks
+# take milliseconds; the digest was recorded from the whole order
+def test_generator_bits_are_pinned_at_a_large_n():
+    start = time.perf_counter()
+    ps = generate_orthogonal_patterns(65536, 2, 0)
+    assert time.perf_counter() - start < 5.0
+    assert _digest([ps.patterns]) == "0a913e69f1ae4a25384701796648477a"
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
+def test_row_order_prefixes_agree(n):
+    whole = instance._row_selection_chain(n, n)
+    assert sorted(whole) == list(range(1, n))
+    for k in range(1, n + 1):
+        assert instance._row_selection_chain(n, k) == whole[:k]
+
+
+def test_an_n_whose_coupling_matrix_numpy_cannot_allocate_is_rejected():
+    with pytest.raises(ValidationError, match="n=4611686018427387904 is too large"):
+        generate_orthogonal_patterns(2**62, 2, 0)
 
 
 def test_catalogue_bits_are_pinned():
@@ -387,6 +412,52 @@ def test_perturbation_bounds_checked():
         perturb_patterns(ps, [(3, 0, -1.0)])
     with pytest.raises(ValidationError):
         perturb_patterns(ps, [(0, 8, -1.0)])
+
+
+# a bool index used to edit pattern 1 silently, and the others escaped as
+# numpy's IndexError or an unpacking or float ValueError
+@pytest.mark.parametrize("edit, message", [
+    ((True, 1, 0.1), "edit pattern index must be an integer, got True"),
+    ((0.5, 1, 0.1), "edit pattern index must be an integer, got 0.5"),
+    ((0, np.float64(1.0), 0.1), "edit coordinate index must be an integer, got"),
+    ((0, 1, "x"), "edit delta must be a real number, got 'x'"),
+    ((0, 1, False), "edit delta must be a real number, got False"),
+    ((0, 1), "an edit must be (pattern index, coordinate index, delta), got (0, 1)"),
+    ((0, 1, 0.1, 0.2), "an edit must be (pattern index, coordinate index, delta)"),
+    (5, "an edit must be (pattern index, coordinate index, delta), got 5"),
+])
+def test_perturbation_edits_are_checked(edit, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        perturb_patterns(catalogue_pattern_set("c"), [edit])
+
+
+def test_perturbation_accepts_numpy_indices_and_leaves_nan_to_the_instance():
+    ps = perturb_patterns(catalogue_pattern_set("c"), [(np.int64(1), np.uint8(2), np.nan)])
+    assert np.isnan(ps.perturbations[1, 2])
+    with pytest.raises(ValidationError, match="couplings or planted energies are not finite"):
+        build_couplings(ps)
+
+
+# each used to escape as numpy's UFuncTypeError or a TypeError
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_pattern_set(np.ones((2, 4)), w0="x"), "w0 must be a real number, got 'x'"),
+    (lambda: make_pattern_set(np.ones((2, 4)), dw=None), "dw must be a real number, got None"),
+    (lambda: make_pattern_set(np.ones((2, 4)), w0=True), "w0 must be a real number, got True"),
+    (lambda: generate_orthogonal_patterns(8, 2, 0, w0="x"), "w0 must be a real number"),
+    (lambda: generate_orthogonal_patterns(8, 2, 0, dw=[0.1]), "dw must be a real number"),
+    (lambda: catalogue_pattern_set("c", dw="x"), "dw must be a real number, got 'x'"),
+    (lambda: catalogue_pattern_set("c", dw=False), "dw must be a real number, got False"),
+])
+def test_ladder_parameters_must_be_real_numbers(make, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make()
+
+
+@pytest.mark.parametrize("w0, dw", [(np.inf, 0.0), (1.0, np.nan), (1e308, 1e308)])
+def test_a_ladder_that_is_not_finite_is_left_to_the_instance(w0, dw):
+    ps = make_pattern_set(np.ones((2, 4)), w0=w0, dw=dw)
+    with pytest.raises(ValidationError, match="couplings or planted energies are not finite"):
+        build_couplings(ps)
 
 
 def test_shared_sign_coordinate_is_shared():
