@@ -521,10 +521,14 @@ def _eval_k(n: int, k: int, runs: int, base_seed: int, dw: float) -> KSweepEntry
     # Forward Euler needs (alpha + |eigenvalue|)*dt < 2 for every coupling
     # eigenvalue; with the positive weights sweep_k admits, the orthogonal
     # ladder's lower spectral edge is exactly -sum(weights), so cap the
-    # step with a 4x margin against both edges.
+    # step with a 4x margin against both edges.  With that margin no mode
+    # of the linearised step has a multiplier below 0.5, so none alternates
+    # in sign, and a row stops at steady_tol 1e-4, not SolverConfig's 1e-9,
+    # with the same final spins (see sweep_k).
     dt = min(0.1, 0.5 / (alpha + float(np.sum(ps.weights))))
     cfg = SolverConfig(
-        kind="I", alpha=alpha, beta=1.0, dt=dt, max_steps=2000 if n >= 1024 else 1000
+        kind="I", alpha=alpha, beta=1.0, dt=dt, max_steps=2000 if n >= 1024 else 1000,
+        steady_tol=1e-4,
     )
     counts, bands, e, _ = _run_point(inst, cfg, derive_seeds(base_seed, k, count=runs), None)
     if e.size == 0:
@@ -566,12 +570,20 @@ def sweep_k(
     [-0.5, 0.5]^n, with the step size capped by the spectral edges of
     the instance so forward Euler stays stable at any scale.  Runs
     default to 1000 with 1000 steps below n = 1024, and to 100 with
-    2000 steps at n >= 1024.  Histograms use HIST_BINS bins and bands
-    energy.DEFAULT_FRACTIONS.  Each K may be listed once: the histogram
-    CSV keys its rows by K.  n must be a power of two >= 2, each K an
-    integer in 1..n, dw finite with each weight 1 + m*dw > 0,
-    runs_per_k and threads integers >= 1 and base_seed an integer, all
-    checked before any K runs.
+    2000 steps at n >= 1024.  A row stops once max|delta x| < 1e-4 * dt,
+    not at SolverConfig's 1e-9: every output of a K is a function of the
+    final spins alone, and the step cap keeps (alpha + sum(w)) * dt <=
+    0.5, so no mode of the linearised step has a multiplier below 0.5
+    and none alternates in sign.  A slow drift can still carry a
+    coordinate across zero: 1e-3 flipped a row at K = 30, 34 or 39 in
+    three of five seeds at n = 64.  1e-4 kept every final spin, and so
+    every output byte, at n = 64 (K 1..64, seeds 0..4), n = 512 (K 100,
+    seeds 0 and 1) and n = 1024 (K 200, 300 and 500, seed 0).
+    Histograms use HIST_BINS bins and bands energy.DEFAULT_FRACTIONS.
+    Each K may be listed once: the histogram CSV keys its rows by K.  n
+    must be a power of two >= 2, each K an integer in 1..n, dw finite
+    with each weight 1 + m*dw > 0, runs_per_k and threads integers >= 1
+    and base_seed an integer, all checked before any K runs.
     """
     ks = list(k_values)
     for k in ks:

@@ -296,13 +296,14 @@ class OutcomeClassifier:
 
     def classify(self, x: np.ndarray, energy: float) -> OutcomeLabel:
         x = np.asarray(x)
+        # the bytes of an int8 block of any shape with n entries can match a key
+        if x.shape != (self._n,):
+            raise ValidationError(f"state must have {self._n} entries, got shape {x.shape}")
         key = x.tobytes() if x.dtype == np.int8 else None
         label = self._table.get(key)
         if label is None:
             # table keys are int8 rows of n +-1 entries, so only a miss
-            # needs the checks
-            if x.shape != (self._n,):
-                raise ValidationError(f"state must have {self._n} entries, got shape {x.shape}")
+            # needs the entry check
             if not ((x == 1) | (x == -1)).all():
                 raise ValidationError("state entries must be +1 or -1")
             if key is None:

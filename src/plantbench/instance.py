@@ -357,8 +357,10 @@ def catalogue_pattern_set(
     order, (0.61, 0.74, 0.87); pass literal_weights=True to apply
     w_m = 1 + m*dw verbatim instead.  dw overrides the catalogue
     increment when given (used by scans), and must then be a real
-    number.
+    number; literal_weights must be a bool.
     """
+    if not isinstance(literal_weights, bool):
+        raise ValidationError(f"literal_weights must be a bool, got {_shown(literal_weights)}")
     if instance_id not in CATALOGUE:
         raise ValidationError(
             f"unknown catalogue id {instance_id!r}; choose from {sorted(CATALOGUE)}"
@@ -393,6 +395,10 @@ def perturb_patterns(
     accumulated, so an edit of 0.0 clears a previous one.  A delta of -2
     on a +1 coordinate flips it to an exact -1 in the effective pattern.
     """
+    try:
+        edits = list(edits)
+    except TypeError:
+        raise ValidationError(f"edits must be a list of edits, got {_shown(edits)}") from None
     pert = (
         np.zeros((ps.k, ps.n)) if ps.perturbations is None else ps.perturbations.copy()
     )
@@ -516,6 +522,8 @@ def save_instance(inst: Instance, path: str | os.PathLike) -> None:
     (a gauge transform of coarse-grained couplings).  Floats are written
     with repr so the round-trip through load_instance is bit-exact.
     """
+    if not isinstance(inst, Instance):
+        raise ValidationError(f"inst must be an Instance, got {type(inst).__name__}")
     ps = inst.pattern_set
     lines = [f"format_version: {FORMAT_VERSION}"]
     lines.append(f"label: {inst.label}")

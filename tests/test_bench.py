@@ -587,6 +587,36 @@ def test_sweep_k_entries():
     assert k1["1"] + k1["below"] + k1["above"] == 40
 
 
+# A K-sweep row stops once its step falls below a looser tolerance than
+# SolverConfig's 1e-9, because every K-sweep output is a function of the
+# final spins alone.  That is safe only while no linearised mode's Euler
+# multiplier, 1 - (alpha + |lambda|) dt, falls below 0.5, so none of them
+# alternates in sign.
+def test_sweep_k_stops_rows_at_settled_spins(monkeypatch):
+    runs, ks = 200, (40, 48, 55)
+    batches = []
+
+    def recording(inst, cfg, x0):
+        batches.append((inst, cfg, run_batch(inst, cfg, x0)))
+        return batches[-1][2]
+
+    monkeypatch.setattr(bench, "run_batch", recording)
+    entries = sweep_k(64, ks, runs_per_k=runs, base_seed=0)
+    swept = list(batches)
+    assert [cfg.steady_tol for _, cfg, _ in swept] == [1e-4] * len(ks)
+    for entry, (inst, cfg, loose) in zip(entries, swept):
+        assert (cfg.alpha + float(np.sum(inst.pattern_set.weights))) * cfg.dt <= 0.5
+        counts, bands, _, _ = bench._run_point(
+            inst, replace(cfg, steady_tol=1e-9), derive_seeds(0, entry.k, count=runs), None
+        )
+        exact = batches[-1][2]  # the batch _run_point just integrated
+        np.testing.assert_array_equal(loose.spins, exact.spins)
+        assert loose.labels == exact.labels
+        assert entry.label_counts == tuple(counts.items())
+        assert entry.measure_counts == tuple(bands.items())
+        assert loose.steps.sum() < exact.steps.sum()
+
+
 def test_sweep_k_threads_match():
     serial = sweep_k(16, [2, 3], runs_per_k=25, base_seed=0, threads=1)
     parallel = sweep_k(16, [2, 3], runs_per_k=25, base_seed=0, threads=2)

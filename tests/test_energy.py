@@ -285,9 +285,12 @@ def test_classify_outcome_one_off(c_classifier):
 
 
 # a row of the wrong length used to be labelled by its energy alone: a
-# three-entry row on catalogue c came back "above"
+# three-entry row on catalogue c came back "above"; and an int8 block of
+# eight +-1 entries in another shape by its bytes: (1, 8) ones came back
+# "planted:1"
 @pytest.mark.parametrize("row", [
     np.ones(3, dtype=np.int8), np.ones(9, dtype=np.int8), np.ones(3), -np.ones((2, 8)),
+    np.ones((1, 8), dtype=np.int8), -np.ones((8, 1), dtype=np.int8),
 ])
 def test_classify_rejects_a_row_of_the_wrong_length(c_classifier, row):
     _, inst, clf = c_classifier

@@ -216,6 +216,13 @@ def test_catalogue_weight_ladders():
     np.testing.assert_allclose(ps_lit.weights, [0.87, 0.74, 0.61], atol=1e-15)
 
 
+# a non-bool literal_weights used to be accepted by its truth value
+@pytest.mark.parametrize("flag", ["x", 1, None])
+def test_catalogue_literal_weights_must_be_a_bool(flag):
+    with pytest.raises(ValidationError, match="literal_weights must be a bool"):
+        catalogue_pattern_set("c", literal_weights=flag)
+
+
 def test_catalogue_dw_override():
     ps = catalogue_pattern_set("c", dw=0.4)
     np.testing.assert_allclose(ps.weights, [1.4, 1.8, 2.2], atol=1e-15)
@@ -431,6 +438,13 @@ def test_perturbation_edits_are_checked(edit, message):
         perturb_patterns(catalogue_pattern_set("c"), [edit])
 
 
+# edits that are not a list used to escape as TypeError: 'int' object is
+# not iterable
+def test_perturbation_edits_must_be_a_list():
+    with pytest.raises(ValidationError, match="edits must be a list of edits, got 5"):
+        perturb_patterns(catalogue_pattern_set("c"), 5)
+
+
 def test_perturbation_accepts_numpy_indices_and_leaves_nan_to_the_instance():
     ps = perturb_patterns(catalogue_pattern_set("c"), [(np.int64(1), np.uint8(2), np.nan)])
     assert np.isnan(ps.perturbations[1, 2])
@@ -525,6 +539,15 @@ def test_instance_round_trip(tmp_path):
     for label in (" t ", ""):
         save_instance(replace(inst, label=label), path)
         assert load_instance(path).label == label
+
+
+# a non-instance used to escape as AttributeError: 'str' object has no
+# attribute 'pattern_set'; it is rejected before any file is opened
+def test_save_instance_rejects_a_non_instance(tmp_path):
+    path = tmp_path / "x.inst"
+    with pytest.raises(ValidationError, match="inst must be an Instance, got str"):
+        save_instance("x", path)
+    assert not path.exists()
 
 
 def test_perturbed_instance_round_trip(tmp_path):
