@@ -125,6 +125,18 @@ def derive_seeds(base_seed: int, *parts, count: int) -> np.ndarray:
     return words.astype(np.int64)
 
 
+def _block_seeds(n: int, base_seed: int, *parts, count: int) -> np.ndarray:
+    """derive_seeds(base_seed, *parts, count=count) for a block of count runs of n coordinates.
+
+    The block's (count, n) float64 initial states are allocated first and
+    released: a block the process cannot hold fails there at once, as
+    numpy's MemoryError naming the shape, not after count seeds have
+    been hashed one by one in Python.
+    """
+    np.empty((count, n))
+    return derive_seeds(base_seed, *parts, count=count)
+
+
 def default_alpha_grid(lam_max: float, num: int = 50) -> tuple[float, ...]:
     """num >= 1 log-spaced projection strengths spanning [lam/20, 4*lam],
     for a finite lam_max > 0."""
@@ -390,7 +402,7 @@ def _eval_point(spec: SweepSpec, index: int) -> PointResult:
         inst = spec.instance(coords[0][1])
         solver_axes = coords[1:]
     cfg = replace(spec.solver, **dict(solver_axes))
-    seeds = derive_seeds(spec.base_seed, index, count=spec.runs_per_point)
+    seeds = _block_seeds(inst.n, spec.base_seed, index, count=spec.runs_per_point)
     counts, bands, _, hits = _run_point(inst, cfg, seeds, _ground_energy(inst))
     return PointResult(
         coords=coords,
@@ -511,6 +523,28 @@ class KSweepEntry:
     hist: HistogramReport
 
 
+def _k_solver(n: int, alpha: float, weight_sum: float) -> SolverConfig:
+    """The first-order solver a K sweep at n runs with projection alpha.
+
+    Forward Euler needs (alpha + |eigenvalue|) * dt < 2 for every coupling
+    eigenvalue; with the positive weights sweep_k admits, the orthogonal
+    ladder's lower spectral edge is exactly -weight_sum.  The step takes
+    (alpha + weight_sum) * dt <= 1, a 2x margin against both edges, so
+    every mode of the linearised step has a multiplier >= 0 and none
+    alternates in sign.  max_steps holds the relaxation time max_steps *
+    dt, to within one step, at the horizon (2000 if n >= 1024 else 1000)
+    * min(0.1, 0.5 / (alpha + weight_sum)) that the K sweep's statistics
+    were recorded with: the horizon of a 4x margin at 1000 (2000) steps.
+    A row stops at steady_tol 1e-4, not SolverConfig's 1e-9, with the
+    same final spins (see sweep_k).
+    """
+    edges = alpha + weight_sum
+    horizon = (2000 if n >= 1024 else 1000) * min(0.1, 0.5 / edges)
+    dt = min(0.1, 1.0 / edges)
+    return SolverConfig(kind="I", alpha=alpha, beta=1.0, dt=dt,
+                        max_steps=round(horizon / dt), steady_tol=1e-4)
+
+
 def _eval_k(n: int, k: int, runs: int, base_seed: int, dw: float) -> KSweepEntry:
     ps = generate_orthogonal_patterns(
         n, k, seed=derive_seed(base_seed, "instance", k), dw=dw
@@ -518,19 +552,8 @@ def _eval_k(n: int, k: int, runs: int, base_seed: int, dw: float) -> KSweepEntry
     inst = build_couplings(ps, label=f"orthogonal-n{n}-k{k}")
     lam = oracle_mod.max_eigenvalue(inst)
     alpha = lam / 2.0
-    # Forward Euler needs (alpha + |eigenvalue|)*dt < 2 for every coupling
-    # eigenvalue; with the positive weights sweep_k admits, the orthogonal
-    # ladder's lower spectral edge is exactly -sum(weights), so cap the
-    # step with a 4x margin against both edges.  With that margin no mode
-    # of the linearised step has a multiplier below 0.5, so none alternates
-    # in sign, and a row stops at steady_tol 1e-4, not SolverConfig's 1e-9,
-    # with the same final spins (see sweep_k).
-    dt = min(0.1, 0.5 / (alpha + float(np.sum(ps.weights))))
-    cfg = SolverConfig(
-        kind="I", alpha=alpha, beta=1.0, dt=dt, max_steps=2000 if n >= 1024 else 1000,
-        steady_tol=1e-4,
-    )
-    counts, bands, e, _ = _run_point(inst, cfg, derive_seeds(base_seed, k, count=runs), None)
+    cfg = _k_solver(n, alpha, float(np.sum(ps.weights)))
+    counts, bands, e, _ = _run_point(inst, cfg, _block_seeds(n, base_seed, k, count=runs), None)
     if e.size == 0:
         raise ValidationError(
             f"K={k}: all {counts['diverged']} runs diverged, no energies to aggregate"
@@ -568,17 +591,21 @@ def sweep_k(
     a seed derived from (base_seed, "instance", K), then integrates
     runs_per_k first-order trajectories from uniform starts on
     [-0.5, 0.5]^n, with the step size capped by the spectral edges of
-    the instance so forward Euler stays stable at any scale.  Runs
-    default to 1000 with 1000 steps below n = 1024, and to 100 with
-    2000 steps at n >= 1024.  A row stops once max|delta x| < 1e-4 * dt,
-    not at SolverConfig's 1e-9: every output of a K is a function of the
-    final spins alone, and the step cap keeps (alpha + sum(w)) * dt <=
-    0.5, so no mode of the linearised step has a multiplier below 0.5
-    and none alternates in sign.  A slow drift can still carry a
-    coordinate across zero: 1e-3 flipped a row at K = 30, 34 or 39 in
-    three of five seeds at n = 64.  1e-4 kept every final spin, and so
-    every output byte, at n = 64 (K 1..64, seeds 0..4), n = 512 (K 100,
-    seeds 0 and 1) and n = 1024 (K 200, 300 and 500, seed 0).
+    the instance so forward Euler stays stable at any scale (_k_solver).
+    Runs default to 1000 below n = 1024 and to 100 at n >= 1024.  The
+    step dt = min(0.1, 1 / (alpha + sum(w))) and the relaxation time
+    max_steps * dt = (2000 if n >= 1024 else 1000) * min(0.1, 0.5 /
+    (alpha + sum(w))): 500 steps below n = 1024 and 1000 at n >= 1024
+    wherever the cap binds, 1000 and 2000 where 0.1 caps both.  A row stops
+    once max|delta x| < 1e-4 * dt, not at SolverConfig's 1e-9: every
+    output of a K is a function of the final spins alone, and (alpha +
+    sum(w)) * dt <= 1, so every mode of the linearised step has a
+    multiplier >= 0 and none alternates in sign.  A slow drift can still
+    carry a coordinate across zero: at half this step, 1e-3 flipped a
+    row at K = 30, 34 or 39 in three of five seeds at n = 64.  At this
+    step 1e-4 kept every final spin of 1e-9 at n = 64 (K 1..64, seeds
+    0..4), n = 512 (K 100, seeds 0 and 1) and n = 1024 (K 200, 300 and
+    500, seed 0).
     Histograms use HIST_BINS bins and bands energy.DEFAULT_FRACTIONS.
     Each K may be listed once: the histogram CSV keys its rows by K.  n
     must be a power of two >= 2, each K an integer in 1..n, dw finite

@@ -30,7 +30,8 @@ unreadable or unwritable files, repeated instance keys or report rows,
 unsupported sizes, couplings or planted energies that are not
 finite), and main prints it as one "error:" line.  An allocation the
 process cannot make (a MemoryError, from this process or a worker)
-exits 3 with one "error: out of memory:" line too.  Diverging runs are
+exits 3 with one "error: out of memory" line too, followed by numpy's
+text naming the size and shape when there is one.  Diverging runs are
 data: solve labels them "diverged" and the sweeps count them.
 
 Each command imports the numeric modules it uses when it runs, so
@@ -279,7 +280,7 @@ def _cmd_solve(args, out=None) -> list[str]:
 
     cfg = _solver_config(args)
     inst = load_instance(args.instance)
-    seeds = bench.derive_seeds(args.seed, "solve", count=args.runs)
+    seeds = bench._block_seeds(inst.n, args.seed, "solve", count=args.runs)
     x0 = initial_states(inst.n, cfg.init_amplitude, seeds)
     batch = run_batch(inst, cfg, x0)
     rows = zip(seeds.tolist(), batch.energies.tolist(), batch.labels,
@@ -669,8 +670,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except MemoryError as exc:
         # numpy fails an allocation before any work on the array, and
-        # its message names the size and shape
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        # its message names the size and shape; a MemoryError from
+        # Python itself (a list that cannot grow) has no text
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 3
 
 

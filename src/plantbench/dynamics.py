@@ -129,7 +129,10 @@ class LinearRamp:
 _NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "tanh": np.tanh,
     "sign": np.sign,
-    # the clip ufunc itself: np.clip adds a Python-level dispatch per call
+    # ndarray.clip skips np.clip's array-function dispatch, but it is not
+    # the bare clip ufunc either: numpy 2.4 routes every call, here and in
+    # _second_order's window clip, through the Python function
+    # numpy._core._methods._clip
     "identity-clip": lambda x, out=None: x.clip(-1.0, 1.0, out=out),
 }
 

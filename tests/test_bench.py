@@ -590,7 +590,7 @@ def test_sweep_k_entries():
 # A K-sweep row stops once its step falls below a looser tolerance than
 # SolverConfig's 1e-9, because every K-sweep output is a function of the
 # final spins alone.  That is safe only while no linearised mode's Euler
-# multiplier, 1 - (alpha + |lambda|) dt, falls below 0.5, so none of them
+# multiplier, 1 - (alpha + |lambda|) dt, falls below 0, so none of them
 # alternates in sign.
 def test_sweep_k_stops_rows_at_settled_spins(monkeypatch):
     runs, ks = 200, (40, 48, 55)
@@ -605,7 +605,7 @@ def test_sweep_k_stops_rows_at_settled_spins(monkeypatch):
     swept = list(batches)
     assert [cfg.steady_tol for _, cfg, _ in swept] == [1e-4] * len(ks)
     for entry, (inst, cfg, loose) in zip(entries, swept):
-        assert (cfg.alpha + float(np.sum(inst.pattern_set.weights))) * cfg.dt <= 0.5
+        assert (cfg.alpha + float(np.sum(inst.pattern_set.weights))) * cfg.dt <= 1.0 + 1e-12
         counts, bands, _, _ = bench._run_point(
             inst, replace(cfg, steady_tol=1e-9), derive_seeds(0, entry.k, count=runs), None
         )
@@ -615,6 +615,26 @@ def test_sweep_k_stops_rows_at_settled_spins(monkeypatch):
         assert entry.label_counts == tuple(counts.items())
         assert entry.measure_counts == tuple(bands.items())
         assert loose.steps.sum() < exact.steps.sum()
+
+
+# The K sweep's step has a 2x margin against forward Euler's stability
+# edge, (alpha + sum(w)) * dt <= 1; it used to have a 4x margin, and the
+# relaxation time each run gets, max_steps * dt, stays what that step gave.
+# The three n = 16 cases lie where 0.1 caps the step of the 4x margin only.
+@pytest.mark.parametrize("n, k, steps", [
+    (16, 1, 588), (16, 2, 554), (16, 3, 525), (16, 16, 500), (64, 1, 500), (64, 55, 500),
+    (1024, 200, 1000), (1024, 500, 1000),
+])
+def test_sweep_k_step_keeps_the_relaxation_time(n, k, steps):
+    ps = generate_orthogonal_patterns(n, k, seed=derive_seed(0, "instance", k), dw=0.001)
+    alpha = max_eigenvalue(build_couplings(ps, label="k")) / 2.0
+    edges = alpha + float(np.sum(ps.weights))
+    cfg = bench._k_solver(n, alpha, float(np.sum(ps.weights)))
+    horizon = (2000 if n >= 1024 else 1000) * min(0.1, 0.5 / edges)
+    assert edges * cfg.dt <= 1.0 + 1e-12
+    assert abs(cfg.max_steps * cfg.dt - horizon) <= cfg.dt
+    assert cfg.max_steps == steps
+    assert (cfg.kind, cfg.alpha, cfg.beta, cfg.steady_tol) == ("I", alpha, 1.0, 1e-4)
 
 
 def test_sweep_k_threads_match():

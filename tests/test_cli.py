@@ -366,6 +366,40 @@ def test_an_allocation_the_process_cannot_make_exits_3(tmp_path, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["big.inst"]
 
 
+# Under the same limit, a block of 50,000,000 runs used to spend 17-19 s
+# hashing its seeds in a Python loop until the list of digests could not
+# grow, and then printed "error: out of memory: " with nothing after it;
+# the block's initial states are allocated before its seeds are hashed
+@pytest.mark.parametrize("argv", [
+    ["sweep-k", "--n", "64", "--k-list", "2", "--runs", "50000000", "--threads", "1",
+     "--out", "{dir}/k.csv"],
+    ["sweep-sr", "--small", "c", "--alpha-grid", "1", "--runs", "50000000", "--threads", "1",
+     "--out", "{dir}/big.csv"],
+    ["solve", "--instance", "{dir}/c.inst", "--runs", "50000000"],
+], ids=["sweep-k", "sweep-sr", "solve"])
+def test_a_block_the_process_cannot_hold_fails_before_its_seeds(tmp_path, argv):
+    save_instance(build_couplings(catalogue_pattern_set("c"), label="c"), tmp_path / "c.inst")
+    start = time.perf_counter()
+    proc = _run_with_address_limit([a.format(dir=tmp_path) for a in argv])
+    assert time.perf_counter() - start < 4.0
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: out of memory: ")
+    assert "shape (50000000, " in proc.stderr
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.inst"]
+
+
+def test_a_memory_error_without_text_prints_no_colon(tmp_path, capsys, monkeypatch):
+    # a list that cannot grow raises MemoryError with no message
+    def no_room(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(bench, "_block_seeds", no_room)
+    save_instance(build_couplings(catalogue_pattern_set("c"), label="c"), tmp_path / "c.inst")
+    assert run_cli(["solve", "--instance", str(tmp_path / "c.inst"), "--runs", "2"]) == 3
+    assert _error_line(capsys) == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("command", [
     ["solve", "--instance"],
     ["report", "--kind", "heatmap", "--out", "{dir}/x.svg", "--in"],
