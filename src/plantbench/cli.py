@@ -13,7 +13,11 @@ it returns, recording the input files the command reports it read.
 Grids are given as "lo:hi:num", "lo:hi:num:log", or an explicit comma
 list "0.1,0.2,0.4"; empty grids, nan and inf values, and specs asking
 for more than MAX_GRID_POINTS points are rejected.  Worker count comes
-from --threads, else the number of CPUs the process may run on.  The
+from --threads, else the number of CPUs the process may run on.  With
+more than one worker, and none of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS set, main sets all three to the cores / workers
+share (at least 1) for the command's run, so that workers times BLAS
+threads do not exceed the cores; it cannot once numpy is loaded.  The
 catalogue id b* may also be spelled bstar.
 
 Each numeric, grid and K-list flag is parsed and range-checked once, by
@@ -158,13 +162,30 @@ def _catalogue_id(text: str) -> str:
     return "b*" if text == "bstar" else text
 
 
-def _threads(args) -> int:
-    """--threads, else the number of CPUs this process may run on."""
-    if args.threads:
-        return args.threads
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):  # honours taskset and cgroup cpusets
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _threads(args) -> int:
+    """--threads, else the number of CPUs this process may run on."""
+    return args.threads or _cpus()
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_share(environ, workers: int, cores: int) -> dict[str, str]:
+    """The BLAS thread variables that keep workers x BLAS threads <= cores.
+
+    Empty when one worker runs (it may use every core) or when any of
+    them is set already: the user's value wins.
+    """
+    if workers == 1 or any(name in environ for name in _BLAS_VARS):
+        return {}
+    return dict.fromkeys(_BLAS_VARS, str(max(1, cores // workers)))
 
 
 def _digest(path: str) -> str:
@@ -339,6 +360,18 @@ def _sweep_axes(args, inst: Instance) -> tuple[tuple[str, tuple[float, ...]], ..
     return tuple(axes)
 
 
+def _sweep(args, instance, solver: SolverConfig, axes, out: str, sidecar: str):
+    """The success-rate sweep sweep-sr and scan share, with its CSV and sidecar written."""
+    from . import bench
+
+    spec = bench.SweepSpec(instance=instance, solver=solver, axes=axes,
+                           runs_per_point=args.runs, base_seed=args.seed)
+    result = bench.sweep_sr(spec, threads=args.threads)
+    bench.write_sweep_csv(result, out)
+    bench.write_sidecar(result, sidecar)
+    return result
+
+
 def _cmd_sweep_sr(args, out, sidecar) -> list[str]:
     from . import bench
     from .instance import load_instance
@@ -356,17 +389,8 @@ def _cmd_sweep_sr(args, out, sidecar) -> list[str]:
     else:
         inst = load_instance(args.instance)
         inputs.append(args.instance)
-    spec = bench.SweepSpec(
-        instance=inst,
-        solver=cfg,
-        axes=_sweep_axes(args, inst),
-        runs_per_point=args.runs,
-        base_seed=args.seed,
-    )
-    result = bench.sweep_sr(spec, threads=_threads(args))
-    bench.write_sweep_csv(result, out)
-    bench.write_sidecar(result, sidecar)
-    print(f"grid {spec.grid_shape} runs/point {args.runs} max SR {result.max_sr()!r}")
+    result = _sweep(args, inst, cfg, _sweep_axes(args, inst), out, sidecar)
+    print(f"grid {result.spec.grid_shape} runs/point {args.runs} max SR {result.max_sr()!r}")
     return inputs
 
 
@@ -395,17 +419,10 @@ def _cmd_scan(args, out, sidecar) -> list[str]:
     alphas = args.alpha_grid
     if alphas is None:
         alphas = bench.default_alpha_grid(oracle.max_eigenvalue(factory(values[0])))
-    spec = bench.SweepSpec(
-        instance=factory,
-        solver=SolverConfig(kind="I"),
-        axes=((args.kind, values), ("alpha", alphas)),
-        runs_per_point=args.runs,
-        base_seed=args.seed,
-    )
-    result = bench.sweep_sr(spec, threads=_threads(args))
-    bench.write_sweep_csv(result, out)
-    bench.write_sidecar(result, sidecar)
-    print(f"scan {args.kind} on {ident}: grid {spec.grid_shape} max SR {result.max_sr()!r}")
+    result = _sweep(args, factory, SolverConfig(kind="I"),
+                    ((args.kind, values), ("alpha", alphas)), out, sidecar)
+    print(f"scan {args.kind} on {ident}: grid {result.spec.grid_shape} "
+          f"max SR {result.max_sr()!r}")
     return []
 
 
@@ -431,7 +448,7 @@ def _cmd_sweep_k(args, out, hist_path) -> list[str]:
         runs_per_k=args.runs,
         base_seed=args.seed,
         dw=args.dw,
-        threads=_threads(args),
+        threads=args.threads,
     )
     bench.write_ksweep_csv(entries, out)
     bench.write_hist_csv(entries, hist_path)
@@ -661,7 +678,19 @@ def main(argv: list[str] | None = None) -> int:
         outputs = [] if args.out is None else args.outputs(args.out)
         if outputs:
             _check_outputs(argv, *outputs)
-        inputs = args.func(args, *outputs)
+        blas = {}
+        if hasattr(args, "threads"):
+            args.threads = _threads(args)
+            # OpenBLAS sizes its pool when numpy loads, and forked workers
+            # keep that size; once numpy is in, the share can no longer move
+            if "numpy" not in sys.modules:
+                blas = _blas_share(os.environ, args.threads, _cpus())
+        os.environ.update(blas)
+        try:
+            inputs = args.func(args, *outputs)
+        finally:
+            for name in blas:
+                del os.environ[name]
         if outputs:
             _write_manifest(args.command, argv, inputs, outputs)
         return 0

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import json
 import os
 import re
 import shlex
@@ -455,6 +456,84 @@ def test_default_threads_count_the_cpus_the_process_may_use(monkeypatch):
     assert cli._threads(argparse.Namespace(threads=5)) == 5
     monkeypatch.delattr(os, "sched_getaffinity")
     assert cli._threads(argparse.Namespace(threads=None)) == 64
+
+
+BLAS_ONE = dict.fromkeys(cli._BLAS_VARS, "1")
+
+
+@pytest.mark.parametrize("environ, workers, cores, share", [
+    ({}, 2, 2, BLAS_ONE),
+    ({}, 2, 8, dict.fromkeys(cli._BLAS_VARS, "4")),
+    ({}, 3, 8, dict.fromkeys(cli._BLAS_VARS, "2")),
+    ({}, 8, 2, BLAS_ONE),  # more workers than cores: one BLAS thread each
+    ({}, 1, 8, {}),  # one worker may use every core
+    ({"OMP_NUM_THREADS": "3"}, 2, 8, {}),  # a value the user set wins
+    ({"MKL_NUM_THREADS": ""}, 2, 8, {}),
+])
+def test_blas_share_keeps_workers_times_blas_threads_within_the_cores(
+        environ, workers, cores, share):
+    assert cli._blas_share(environ, workers, cores) == share
+
+
+# A command run in a fresh process: the BLAS variables each command saw,
+# its exit code, and any variable left set once main returned.
+_SPY_BLAS = """
+import json, os, sys
+import plantbench.cli as cli  # "from plantbench import cli" would load numpy
+seen = []
+for name in ("_cmd_sweep_sr", "_cmd_scan", "_cmd_sweep_k"):
+    def spy(args, *outputs, run=getattr(cli, name)):
+        seen.append({v: os.environ.get(v) for v in cli._BLAS_VARS})
+        return run(args, *outputs)
+    setattr(cli, name, spy)
+code = cli.main(sys.argv[1:])
+print(json.dumps([seen, code, [v for v in cli._BLAS_VARS if v in os.environ]]))
+"""
+
+
+def _blas_spy(argv, **env):
+    base = {k: v for k, v in os.environ.items() if k not in cli._BLAS_VARS}
+    proc = subprocess.run([sys.executable, "-c", _SPY_BLAS, *argv], capture_output=True,
+                          text=True, timeout=120, env={**base, **env})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_default_sweeps_share_the_cores_and_keep_every_byte(tmp_path):
+    # default workers on a fresh process get the cores / workers BLAS
+    # share while the command runs, and the bytes of --threads 1 with one
+    # BLAS thread; main leaves no variable behind
+    cores = cli._cpus()
+    share = {v: None for v in cli._BLAS_VARS}
+    share.update(cli._blas_share({}, cores, cores))
+    outputs = {}
+    for name, flags, env in [("default", [], {}),
+                             ("serial", ["--threads", "1"], BLAS_ONE)]:
+        seen, code, left = _blas_spy(["sweep-k", "--n", "16", *flags, "--out",
+                                      str(tmp_path / f"{name}.csv")], **env)
+        assert code == 0 and left == list(env)
+        assert seen == [share if name == "default" else BLAS_ONE]
+        outputs[name] = [(tmp_path / f"{name}{ext}").read_bytes()
+                         for ext in (".csv", ".hist.csv")]
+    assert outputs["default"] == outputs["serial"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    # a value the user set wins, and stays set
+    (["sweep-sr", "--small", "c", "--alpha-grid", "1,2", "--runs", "5", "--threads", "2"],
+     {"OMP_NUM_THREADS": "2"}),
+    # one worker keeps the BLAS default
+    (["scan", "--kind", "dw", "--values", "0,0.1", "--alpha-grid", "1", "--runs", "5",
+      "--threads", "1"], {}),
+    # a lo:hi:num grid loads numpy as the parser reads it
+    (["sweep-sr", "--small", "c", "--alpha-grid", "1:2:2", "--runs", "5", "--threads", "2"],
+     {}),
+])
+def test_blas_variables_are_left_alone(tmp_path, argv, env):
+    seen, code, left = _blas_spy([*argv, "--out", str(tmp_path / "x.csv")], **env)
+    assert code == 0
+    assert seen == [{v: env.get(v) for v in cli._BLAS_VARS}]
+    assert left == list(env)
 
 
 def test_sweep_report_pipeline(tmp_path, capsys):
