@@ -26,8 +26,14 @@ _NUMERIC = ("instance", "energy", "oracle", "dynamics", "bench")
 
 
 def __getattr__(name: str):
-    if name in _NUMERIC:
-        return importlib.import_module(f"{__name__}.{name}")
+    # A submodule first: `from plantbench import cli` asks here before it
+    # imports cli, and must not load the numeric modules.
+    if name.isidentifier():
+        try:
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
     modules = [importlib.import_module(f"{__name__}.{mod}") for mod in _NUMERIC]
     if name == "__all__":
         value = ["__version__", *errors.__all__, *(n for m in modules for n in m.__all__)]

@@ -47,7 +47,6 @@ on an argument vector that holds one may load numpy too.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import shlex
 import sys
@@ -189,6 +188,9 @@ def _blas_share(environ, workers: int, cores: int) -> dict[str, str]:
 
 
 def _digest(path: str) -> str:
+    # Imported here: hashlib loads OpenSSL, which start-up never needs.
+    import hashlib
+
     h = hashlib.blake2b(digest_size=16)
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -54,6 +54,14 @@ Each block decides before its first step what it can never do:
     b h - a x, not b h + (0 v - a x).  The two are equal except that an
     exact zero in v or in the acceleration may take the other sign, so
     spins, energies and labels cannot change.
+  * A float32 block of kind I or II steps in float32 (J cast once per
+    block, coefficients rounded to float32) only when the first-order
+    bound holds for the rounded values with float32's contraction floor
+    and overflow margin (_first_order_bounded), so it is never scanned
+    for divergence.  Every other float32 block, and every second-order
+    one, runs in float64 from the rounded starts; a block of any other
+    dtype runs in float64.  Spins, energies and labels come from the
+    final signs in float64 either way.
 
 Whole blocks of trajectories integrate together as (runs, n) arrays.
 Each step touches only the rows still running, held as compact arrays;
@@ -400,9 +408,11 @@ def initial_states(n: int, amplitude: float, seeds) -> np.ndarray:
     return out
 
 
-# Far below the largest float, 1.8e308: a magnitude under it leaves room
-# for the sums and rounding of one step without reaching inf.
+# Far below the largest float64, 1.8e308, and float32, 3.4e38: a magnitude
+# under it leaves room for the sums and rounding of one step without
+# reaching inf.
 _SAFE = 1e300
+_SAFE32 = 1e30
 
 
 def _per_step(coeff: Schedule, count: int):
@@ -418,35 +428,42 @@ def _per_step(coeff: Schedule, count: int):
 
 
 def _sizes(j: np.ndarray, x0: np.ndarray) -> tuple[float, float]:
-    """max |x0|, and s, the largest column sum of |j|.
+    """max |x0|, and s, the largest column sum of |j| (summed in float64).
 
     Every |phi| <= 1, so s bounds every entry of phi(x) @ j.
     """
     return (float(np.abs(x0).max(initial=0.0)),
-            float(np.abs(j).sum(axis=0).max(initial=0.0)))
+            float(np.abs(j).sum(axis=0, dtype=np.float64).max(initial=0.0)))
 
 
 def _first_order_bounded(j, x0, dt, alphas, betas) -> bool:
     """True when no state of the block can reach half the divergence limit.
 
-    With 0 < a dt < 2 at every step and q = max |1 - a dt|, a step maps
-    |x| <= B to |x| <= q B + dt max|b| s <= B, so every state stays
-    within B = max(max|x0|, dt max|b| s / (1 - q)).  A contraction
-    1 - q >= 1e-9 dwarfs the few ulps a step rounds by, the factor 2
-    covers the rest, and a x and b (phi(x) @ j) below _SAFE cannot
-    overflow.
+    The block steps in x0's dtype, float64 or float32, with j and every
+    coefficient rounded to it, and the bound is taken on those rounded
+    values.  With 0 < a dt < 2 at every step and q = max |1 - a dt|, a
+    step maps |x| <= B to |x| <= q B + dt max|b| s <= B, so every state
+    stays within B = max(max|x0|, dt max|b| s / (1 - q)).  A contraction
+    1 - q >= 1e-9 in float64, or 1e-3 in float32, dwarfs the few ulps a
+    step rounds by (eps 2.2e-16 and 1.2e-7), the factor 2 covers the
+    rest, and a x and b (phi(x) @ j) below _SAFE (_SAFE32) cannot
+    overflow.  A j whose cast overflowed has s = inf and is not bounded.
     """
+    narrow = x0.dtype == np.float32
+    safe, contraction = (_SAFE32, 1e-3) if narrow else (_SAFE, 1e-9)
+    dt = float(x0.dtype.type(dt))
+    alphas, betas = (np.asarray(c, dtype=x0.dtype).astype(np.float64) for c in (alphas, betas))
     ad = alphas * dt
     if not ((ad > 0).all() and (ad < 2).all()):
         return False
     q = float(np.abs(1.0 - ad).max())
     x_max, s = _sizes(j, x0)
     push = float(np.abs(betas).max()) * s
-    if not (q <= 1.0 - 1e-9 and math.isfinite(x_max) and math.isfinite(push)):
+    if not (q <= 1.0 - contraction and math.isfinite(x_max) and math.isfinite(push)):
         return False
     bound = max(x_max, dt * push / (1.0 - q))
     return (2.0 * bound < DIVERGENCE_LIMIT
-            and float(np.abs(alphas).max()) * 2.0 * bound + push < _SAFE)
+            and float(np.abs(alphas).max()) * 2.0 * bound + push < safe)
 
 
 def _second_order_bounded(j, x0, dt, steps, window, alphas, betas) -> bool:
@@ -483,8 +500,9 @@ def _all_rows(flags: np.ndarray, out: np.ndarray) -> np.ndarray:
 class _Rows:
     """Status and step bookkeeping of a (runs, n) block of trajectories.
 
-    The integrators step compact arrays holding only the live rows, the
-    ones still running; ``live`` maps them to their rows in the block.
+    x is a copy of the start block in its dtype.  The integrators step
+    compact arrays holding only the live rows, the ones still running;
+    ``live`` maps them to their rows in the block.
     A row that converges or diverges is written into ``x`` once and
     dropped from ``live``.  With a threshold <= 0 no row can converge,
     so ``steady`` is False and the integrators skip the steady measure.
@@ -494,7 +512,7 @@ class _Rows:
     """
 
     def __init__(self, x0: np.ndarray, max_steps: int, threshold: float, bounded: bool):
-        self.x = np.array(x0, dtype=np.float64)
+        self.x = np.array(x0)  # a copy in x0's dtype, float64 or float32
         r = self.x.shape[0]
         self.steps = np.full(r, max_steps, dtype=np.int64)
         self.status = np.full(r, RUNNING, dtype=np.int8)
@@ -566,8 +584,14 @@ def _first_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list 
     dt, phi, steps = cfg.dt, _NONLINEARITIES[cfg.nonlinearity], cfg.max_steps
     alphas, alpha_values = _per_step(cfg.alpha, steps)
     betas, beta_values = _per_step(cfg.beta, steps)
-    rows = _Rows(x0, steps, cfg.steady_tol * dt,
-                 _first_order_bounded(j, x0, dt, alpha_values, beta_values))
+    # a float32 block steps in float32 only where its bound holds in float32
+    narrow = j.astype(np.float32) if x0.dtype == np.float32 else None
+    if narrow is not None and _first_order_bounded(narrow, x0, dt, alpha_values, beta_values):
+        j, bounded = narrow, True
+    else:
+        x0 = x0.astype(np.float64, copy=False)
+        bounded = _first_order_bounded(j, x0, dt, alpha_values, beta_values)
+    rows = _Rows(x0, steps, cfg.steady_tol * dt, bounded)
     x = rows.x.copy()
     # f holds phi(x), then a * x, then the divergence scratch
     f, dx = np.empty_like(x), np.empty_like(x)
@@ -666,8 +690,9 @@ def _integrate_block(
     x0: np.ndarray,
     record: list | None = None,
 ):
-    integrate = _first_order if cfg.kind in ("I", "II") else _second_order
-    return integrate(inst.coupling, x0, cfg, record)
+    if cfg.kind in ("I", "II"):
+        return _first_order(inst.coupling, x0, cfg, record)
+    return _second_order(inst.coupling, x0.astype(np.float64, copy=False), cfg, record)
 
 
 def _spins(x: np.ndarray) -> np.ndarray:
@@ -677,14 +702,16 @@ def _spins(x: np.ndarray) -> np.ndarray:
 def run_batch(inst: Instance, cfg: SolverConfig, x0_block: np.ndarray) -> Batch:
     """Integrate a (runs, n) block of initial states in one sweep.
 
-    A single run is a one-row block.  Diverged rows come back flagged,
-    so harnesses count them as a failure category.  When the instance
-    carries a pattern set, and so a planted spectrum, one OutcomeClassifier
-    built for the block labels every row that did not diverge.  The
-    result is one Batch of arrays; batch[i] is row i as a RunOutcome.
+    A float32 block runs kinds I and II in float32 where the module doc
+    allows it; any other block runs in float64.  A single run is a
+    one-row block.  Diverged rows come back flagged, so harnesses count
+    them as a failure category.  When the instance carries a pattern
+    set, and so a planted spectrum, one OutcomeClassifier built for the
+    block labels every row that did not diverge.  The result is one
+    Batch of arrays; batch[i] is row i as a RunOutcome.
     The seeds that made x0_block (initial_states) stay with the caller.
     """
-    x0_block = np.asarray(x0_block, dtype=np.float64)
+    x0_block = np.asarray(x0_block)  # the integrators take it to float64 or float32
     if x0_block.ndim != 2 or x0_block.shape[1] != inst.n:
         raise ValidationError(f"initial block must be (runs, {inst.n})")
     x, steps, status = _integrate_block(inst, cfg, x0_block)

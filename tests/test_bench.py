@@ -42,7 +42,7 @@ from plantbench import (
     write_sidecar,
     write_sweep_csv,
 )
-from plantbench import bench, energy
+from plantbench import bench, dynamics, energy
 from plantbench.textio import _write_csv
 
 
@@ -635,6 +635,43 @@ def test_sweep_k_step_keeps_the_relaxation_time(n, k, steps):
     assert abs(cfg.max_steps * cfg.dt - horizon) <= cfg.dt
     assert cfg.max_steps == steps
     assert (cfg.kind, cfg.alpha, cfg.beta, cfg.steady_tol) == ("I", alpha, 1.0, 1e-4)
+
+
+# A K sweep hands run_batch float32 starts, and a block proven bounded in
+# float32 integrates in float32; energies still come from the spins in
+# float64.  Rounding may flip the final spins of a rare row, one that
+# settles slowly near zero: allow one per 1000.
+def test_sweep_k_float32_spins_match_float64(monkeypatch):
+    runs, ks = 1000, (40, 44, 48, 52, 55)
+    batches = []
+
+    def recording(inst, cfg, x0):
+        batches.append((inst, cfg, x0, run_batch(inst, cfg, x0)))
+        return batches[-1][3]
+
+    monkeypatch.setattr(bench, "run_batch", recording)
+    sweep_k(64, ks, runs_per_k=runs, base_seed=0)
+    differ = 0
+    for inst, cfg, x0, narrow in batches:
+        assert x0.dtype == np.float32 and narrow.energies.dtype == np.float64
+        wide = run_batch(inst, cfg, x0.astype(np.float64))
+        differ += int(np.count_nonzero((narrow.spins != wide.spins).any(axis=1)))
+        assert (narrow.status != dynamics.DIVERGED).all()
+    assert differ <= runs * len(ks) // 1000
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_k_sweep_couplings_beyond_float32_run_in_float64():
+    # sweep-k --dw 1e300: J overflows float32, so the block keeps float64
+    ps = generate_orthogonal_patterns(16, 4, seed=derive_seed(0, "instance", 4), dw=1e300)
+    inst = build_couplings(ps, label="huge")
+    cfg = bench._k_solver(16, max_eigenvalue(inst) / 2.0, float(np.sum(ps.weights)))
+    x0 = initial_states(16, cfg.init_amplitude, derive_seeds(0, 4, count=20))
+    narrow = dynamics._integrate_block(inst, cfg, x0.astype(np.float32))
+    wide = dynamics._integrate_block(inst, cfg, x0.astype(np.float32).astype(np.float64))
+    assert narrow[0].dtype == np.float64
+    for a, b in zip(narrow, wide):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_sweep_k_threads_match():

@@ -5,6 +5,7 @@ explicitly re-run schedules) rather than imported from the module under
 test.
 """
 
+import hashlib
 from dataclasses import fields, replace
 
 import numpy as np
@@ -1015,3 +1016,80 @@ def test_sign_and_clip_nonlinearities_run(inst_c):
                            dt=0.1, max_steps=400)
         out = run_batch(inst_c, cfg, random_initial(8, seed=1)[None])[0]
         assert np.isin(out.final_spins, (-1, 1)).all()
+
+
+# ---------------------------------------------------------------------------
+# float32 blocks
+
+
+def test_bounded_float32_block_steps_in_float32(inst_n64):
+    # the K sweep's steady rule; 1e-9 * dt is below float32's resolution
+    cfg = replace(n64_config(inst_n64), steady_tol=1e-4)
+    x0 = start_block(64, 20).astype(np.float32)
+    x, steps, status = dynamics._integrate_block(inst_n64, cfg, x0)
+    assert x.dtype == np.float32 and (status != dynamics.DIVERGED).all()
+    wide = dynamics._integrate_block(inst_n64, cfg, x0.astype(np.float64))[0]
+    assert np.array_equal(x >= 0, wide >= 0)
+    batch = run_batch(inst_n64, cfg, x0)
+    assert batch.energies.dtype == np.float64
+    np.testing.assert_array_equal(batch.steps, steps)
+
+
+def _float64_fallback(inst, cfg, x0):
+    """A float32 block that must run the float64 path: float64 states, same bits."""
+    with np.errstate(over="raise", invalid="raise"):  # no float32 cast overflows
+        narrow = x0.astype(np.float32)
+    got = dynamics._integrate_block(inst, cfg, narrow)
+    want = dynamics._integrate_block(inst, cfg, narrow.astype(np.float64))
+    assert got[0].dtype == np.float64
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(kind="TBM", max_steps=300),
+    SolverConfig(kind="III", gamma=-0.3, derivative_window=0.5, steady_tol=0.1),
+    SolverConfig(kind="III", gamma=0.0, max_steps=200),
+], ids=["tbm", "damped", "undamped"])
+def test_second_order_float32_blocks_step_in_float64(inst_c, cfg):
+    _float64_fallback(inst_c, cfg, start_block(8, 10))
+
+
+@pytest.mark.parametrize("alpha_dt", [1e-4, 2.0, -0.1])
+def test_first_order_float32_blocks_not_proven_bounded_step_in_float64(inst_c, alpha_dt):
+    # a contraction of 1e-4 is proof enough in float64 (1e-9), not in float32 (1e-3)
+    cfg = SolverConfig(kind="I", alpha=alpha_dt / 0.1, dt=0.1, max_steps=300)
+    assert dynamics._first_order_bounded(inst_c.coupling, start_block(8, 10), 0.1,
+                                         np.array([cfg.alpha]), np.array([1.0])) == (
+        alpha_dt == 1e-4)
+    _float64_fallback(inst_c, cfg, start_block(8, 10))
+
+
+def _integer_instance(n=16, seed=7):
+    upper = np.triu(np.random.default_rng(seed).integers(-3, 4, size=(n, n)), 1)
+    return Instance(coupling=(upper + upper.T).astype(np.float64), pattern_set=None,
+                    label="integer")
+
+
+# Digests of _integrate_block's (states, steps, status) on float64 blocks,
+# recorded before float32 blocks existed.  Integer couplings and the sign
+# nonlinearity make every coupling product exact, so the bits do not
+# depend on the BLAS kernel or its summation order.
+@pytest.mark.parametrize("cfg, digest", [
+    (SolverConfig(kind="I", nonlinearity="sign", alpha=2.0, dt=0.05, max_steps=300),
+     "ddcc6d865843b02e"),
+    (SolverConfig(kind="II", nonlinearity="sign", alpha=LinearRamp(0.5, 3.0, 200), beta=0.7,
+                  dt=0.05, max_steps=300), "c2ecb0038210aa99"),
+    (SolverConfig(kind="I", nonlinearity="sign", alpha=-1.0, dt=0.1, max_steps=300),
+     "c30ede4ab6e3bdc4"),
+    (SolverConfig(kind="III", nonlinearity="sign", gamma=-0.5, derivative_window=2.0, dt=0.05,
+                  max_steps=300, steady_tol=1e-6), "3699191284c61aec"),
+    (SolverConfig(kind="TBM", max_steps=200), "b9d382f293bf56ee"),
+], ids=["I", "II-ramp", "I-diverging", "III", "TBM"])
+def test_float64_blocks_keep_their_bits(cfg, digest):
+    x0 = initial_states(16, 0.5, range(40))
+    h = hashlib.sha256()
+    for a in dynamics._integrate_block(_integer_instance(), cfg, x0):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    assert h.hexdigest()[:16] == digest

@@ -33,6 +33,7 @@ def _imports(tmp_path, *args):
 
 @pytest.mark.parametrize("argv, code", [
     (["-c", "import plantbench.cli"], 0),
+    (["-c", "from plantbench import cli"], 0),
     (["-m", "plantbench.cli", "--version"], 0),
     (["-m", "plantbench.cli", "gen", "--n", "16"], 2),
     (["-m", "plantbench.cli", "report", "--in", "{dir}/sr.csv", "--kind", "heatmap",
@@ -41,13 +42,21 @@ def _imports(tmp_path, *args):
       "--out", "{dir}/m.svg"], 0),
     (["-m", "plantbench.cli", "report", "--in", "{dir}/k.hist.csv", "--kind", "hist",
       "--k", "40", "--out", "{dir}/h.svg"], 0),
-], ids=["import-cli", "version", "usage-error", "report-heatmap", "report-measure",
+], ids=["import-cli", "from-import-cli", "version", "usage-error", "report-heatmap", "report-measure",
         "report-hist"])
 def test_start_up_imports_no_numpy(tmp_path, argv, code):
     (tmp_path / "sr.csv").write_text("alpha,sr\n1,0.5\n2,1\n")
     (tmp_path / "k.csv").write_text("k,n_runs,band:1,band:above\n40,3,2,1\n")
     (tmp_path / "k.hist.csv").write_text(HIST_CSV)
     assert _imports(tmp_path, *argv) == (code, [])
+
+
+def test_importing_cli_loads_no_openssl():
+    # hashlib loads OpenSSL's _hashlib; only writing a manifest needs it
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, plantbench.cli; print('_hashlib' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_a_sweep_still_imports_numpy(tmp_path):
