@@ -61,6 +61,7 @@ from .errors import ValidationError
 from .instance import (
     Instance,
     _check_orthogonal,
+    _reals,
     build_couplings,
     catalogue_pattern_set,
     generate_orthogonal_patterns,
@@ -480,10 +481,10 @@ def _gaussian_smooth(density: np.ndarray) -> np.ndarray:
 
 
 def histogram(energies: Sequence[float]) -> HistogramReport:
-    """Histogram of found energies in HIST_BINS bins with log-shifted density."""
-    e = np.asarray(list(energies), dtype=np.float64)
-    if e.size < 1:
-        raise ValidationError("histogram needs at least one energy")
+    """Histogram of found energies, a 1-D array, in HIST_BINS bins with log-shifted density."""
+    e = _reals(energies, "energies", np.float64)
+    if e.ndim != 1 or e.size < 1:
+        raise ValidationError(f"histogram needs a 1-D array of energies, got shape {e.shape}")
     lo, hi = float(e.min()), float(e.max())
     # HIST_BINS bins between extremes a few ulps apart would be narrower
     # than the float spacing there

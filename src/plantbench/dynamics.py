@@ -100,7 +100,7 @@ import numpy as np
 
 from . import energy as energy_mod
 from .errors import ValidationError
-from .instance import Instance
+from .instance import Instance, _reals
 from .textio import _check_finite, _check_int, _is_finite, _is_real, _shown
 
 __all__ = [
@@ -711,7 +711,7 @@ def run_batch(inst: Instance, cfg: SolverConfig, x0_block: np.ndarray) -> Batch:
     Batch of arrays; batch[i] is row i as a RunOutcome.
     The seeds that made x0_block (initial_states) stay with the caller.
     """
-    x0_block = np.asarray(x0_block)  # the integrators take it to float64 or float32
+    x0_block = _reals(x0_block, "initial block")  # the integrators take it to float64 or float32
     if x0_block.ndim != 2 or x0_block.shape[1] != inst.n:
         raise ValidationError(f"initial block must be (runs, {inst.n})")
     x, steps, status = _integrate_block(inst, cfg, x0_block)
@@ -733,7 +733,7 @@ def trajectory(inst: Instance, cfg: SolverConfig, x0: np.ndarray) -> np.ndarray:
     Row 0 is the initial state; integration stops at convergence,
     divergence, or max_steps exactly as in run_batch.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _reals(x0, "initial state", np.float64)
     if x0.shape != (inst.n,):
         raise ValidationError(f"initial state must have shape ({inst.n},)")
     history = [x0[None, :]]

@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import comb
 
 import numpy as np
 
 from .errors import ValidationError
-from .instance import Instance, PatternSet, _readonly
-from .textio import _check_int
+from .instance import Instance, PatternSet, _readonly, _reals
+from .textio import _check_int, _is_real, _shown
 
 __all__ = [
     "PlantedSpectrum",
@@ -80,24 +79,17 @@ def _tolerance(*energies: float) -> float:
 def _coupling_of(inst: "Instance | np.ndarray") -> np.ndarray:
     """inst's coupling matrix, or a bare array that is a real, square
     (n, n) matrix with n >= 1, as float64 (its finiteness is not checked)."""
-    if isinstance(inst, Instance):
-        return inst.coupling
-    try:
-        j = np.asarray(inst)
-    except ValueError:  # a ragged nesting
-        j = np.asarray(None)
-    if j.dtype.kind not in "biuf" or j.ndim != 2 or not j.shape[0] == j.shape[1] >= 1:
-        raise ValidationError(
-            f"coupling must be a real square matrix of size >= 1, "
-            f"got shape {j.shape} and dtype {j.dtype}"
-        )
-    return j.astype(np.float64, copy=False)
+    j = inst.coupling if isinstance(inst, Instance) else _reals(inst, "coupling", np.float64)
+    if j.ndim != 2 or not j.shape[0] == j.shape[1] >= 1:
+        raise ValidationError(f"coupling must be a real square matrix of size >= 1, "
+                              f"got shape {j.shape}")
+    return j
 
 
 def qubo_energy(inst: "Instance | np.ndarray", x: np.ndarray) -> float:
     """E(x) = -1/2 x^T J x for a single +-1 state: qubo_energy_many on one row."""
     j = _coupling_of(inst)
-    x = np.asarray(x)
+    x = _reals(x, "state")
     if x.shape != (j.shape[0],):
         raise ValidationError(f"state must have shape ({j.shape[0]},), got {x.shape}")
     return float(qubo_energy_many(j, x[None, :])[0])
@@ -106,7 +98,7 @@ def qubo_energy(inst: "Instance | np.ndarray", x: np.ndarray) -> float:
 def qubo_energy_many(inst: "Instance | np.ndarray", states: np.ndarray) -> np.ndarray:
     """Energies of a (r, n) block of states whose entries are all +1 or -1."""
     j = _coupling_of(inst)
-    xs = np.asarray(states)
+    xs = _reals(states, "states")
     if xs.ndim != 2 or xs.shape[1] != j.shape[0]:
         raise ValidationError(f"states must be (r, {j.shape[0]}), got {xs.shape}")
     if not ((xs == 1) | (xs == -1)).all():
@@ -295,21 +287,24 @@ class OutcomeClassifier:
         self._lo, self._hi = _planted_range(spectrum)
 
     def classify(self, x: np.ndarray, energy: float) -> OutcomeLabel:
-        x = np.asarray(x)
+        # an int8 row, what run_batch passes, is real and needs no conversion
+        int8 = isinstance(x, np.ndarray) and x.dtype == np.int8
+        x = x if int8 else _reals(x, "state")
         # the bytes of an int8 block of any shape with n entries can match a key
         if x.shape != (self._n,):
             raise ValidationError(f"state must have {self._n} entries, got shape {x.shape}")
-        key = x.tobytes() if x.dtype == np.int8 else None
-        label = self._table.get(key)
+        label = self._table.get(x.tobytes()) if int8 else None
         if label is None:
             # table keys are int8 rows of n +-1 entries, so only a miss
             # needs the entry check
             if not ((x == 1) | (x == -1)).all():
                 raise ValidationError("state entries must be +1 or -1")
-            if key is None:
+            if not int8:
                 label = self._table.get(x.astype(np.int8).tobytes())
         if label is not None:
             return label
+        if not (_is_real(energy) and energy == energy):
+            raise ValidationError(f"energy must be a real number, not NaN, got {_shown(energy)}")
         if energy < self._lo:
             return _BELOW
         if energy > self._hi:
@@ -318,9 +313,14 @@ class OutcomeClassifier:
 
 
 def band_label(fraction: float) -> str:
-    """Stable text key for a band fraction, e.g. 0.0625 -> "1/16"."""
-    frac = Fraction(fraction).limit_denominator(64)
-    return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+    """Stable text key for a band fraction, e.g. 0.0625 -> "1/16".
+
+    The key is the float's exact ratio, short for the dyadic
+    DEFAULT_FRACTIONS; a non-dyadic float gets its exact ratio too
+    (1/3 -> "6004799503160661/18014398509481984").
+    """
+    num, den = float(fraction).as_integer_ratio()
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # the keys of measure_bins, in column order: one band per fraction, then out of range
@@ -337,10 +337,13 @@ def measure_bins(spectrum: PlantedSpectrum, energies: np.ndarray) -> dict[str, i
     recomputed energy drifts an ulp never leaks into below/above.
     Keys are BAND_KEYS: band_label(f) per fraction, then "below" and
     "above".  A zero span (a single planted level) puts every energy
-    within that tolerance of the level in the full band "1".
+    within that tolerance of the level in the full band "1".  energies
+    must be 1-D and hold no NaN.
     """
     span = spectrum.span
-    e = np.asarray(energies, dtype=np.float64)
+    e = _reals(energies, "energies", np.float64)
+    if e.ndim != 1 or np.isnan(e).any():
+        raise ValidationError(f"energies must be a 1-D array without NaN, got shape {e.shape}")
     lo, hi = _planted_range(spectrum)
     thresholds = spectrum.e_min + span * np.array(DEFAULT_FRACTIONS)
     thresholds[-1] = spectrum.e_max

@@ -30,6 +30,14 @@ never passed in or stale; the orthogonal closed form is certified there,
 once.
 Weights, couplings and planted energies are computed with overflow
 warnings off; planted energies that overflow are rejected.
+
+_reals is the library's one gate for the arrays it is handed: these
+fields and every bare array of energy, oracle, dynamics and bench go
+through it.  It refuses a ragged nesting, text (numeric text too),
+complex entries and object entries that are no real number a float can
+hold (textio._is_real), each with "<what> must be an array of real
+numbers", and returns the rest in their own dtype, or cast to the dtype
+a field needs (float64 here).
 """
 
 from __future__ import annotations
@@ -41,8 +49,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .textio import (
-    CATALOGUE, _check_int, _check_real, _finite, _fmt, _int, _is_finite, _read_text, _shown,
-    _write_text,
+    CATALOGUE, _check_int, _check_real, _finite, _fmt, _int, _is_finite, _is_real, _read_text,
+    _shown, _write_text,
 )
 
 __all__ = [
@@ -76,12 +84,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _floats(a, what: str) -> np.ndarray:
-    """a as a float64 array, or a ValidationError naming what."""
+def _reals(a, what: str, dtype=None) -> np.ndarray:
+    """a as an array of real numbers, in its own dtype or cast to dtype.
+
+    Every array the library is handed comes through here.  A ragged
+    nesting, text (numeric text too), complex entries and object entries
+    that are no real number a float can hold (textio._is_real) raise a
+    ValidationError naming what.
+    """
     try:
-        return np.asarray(a, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be an array of real numbers") from None
+        arr = np.asarray(a)
+    except ValueError:  # a ragged nesting; None is no real number
+        arr = np.asarray(None)
+    if not (arr.dtype.kind in "biuf" or arr.dtype == object and all(map(_is_real, arr.flat))):
+        raise ValidationError(f"{what} must be an array of real numbers")
+    return arr if dtype is None else arr.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +121,7 @@ class PatternSet:
     generator: tuple[str, int] | None = None
 
     def __post_init__(self):
-        patterns = np.asarray(self.patterns)
+        patterns = _reals(self.patterns, "patterns")
         if patterns.ndim != 2:
             raise ValidationError("patterns must be a (k, n) matrix")
         k, n = patterns.shape
@@ -112,11 +129,11 @@ class PatternSet:
             raise ValidationError("need at least one pattern")
         if not np.isin(patterns, (-1, 1)).all():
             raise ValidationError("pattern entries must be +1 or -1")
-        weights = _floats(self.weights, "weights")
+        weights = _reals(self.weights, "weights", np.float64)
         if weights.shape != (k,):
             raise ValidationError(f"weights must have shape ({k},)")
         if self.perturbations is not None:
-            pert = _floats(self.perturbations, "perturbations")
+            pert = _reals(self.perturbations, "perturbations", np.float64)
             if pert.shape != (k, n):
                 raise ValidationError(f"perturbations must have shape ({k}, {n})")
             object.__setattr__(self, "perturbations", _readonly(pert) if pert.any() else None)
@@ -186,7 +203,7 @@ class Instance:
             )
         if self.coarse_delta is not None:
             _check_coarse_step(self.coarse_delta)
-        j = _floats(self.coupling, "coupling")
+        j = _reals(self.coupling, "coupling", np.float64)
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValidationError(f"coupling matrix must be square, got shape {j.shape}")
         if not np.isfinite(j).all():
@@ -227,7 +244,7 @@ def make_pattern_set(
     _check_real(w0, "w0")
     _check_real(dw, "dw")
     if weights is None:
-        k = len(np.atleast_2d(patterns))
+        k = len(np.atleast_2d(_reals(patterns, "patterns")))
         weights = w0 + np.arange(1, k + 1, dtype=np.float64) * dw
     return PatternSet(patterns, weights, generator=generator)
 

@@ -104,9 +104,13 @@ def max_eigenvalue(inst: "Instance | np.ndarray") -> float:
 
     An Instance whose planted spectrum certified the orthogonal closed
     form when it was made returns that lambda_max.  Every other input
-    takes the last value of np.linalg.eigvalsh.
+    takes the last value of np.linalg.eigvalsh; a bare coupling must be
+    finite.
     """
     spectrum = inst.spectrum if isinstance(inst, Instance) else None
     if spectrum is not None and spectrum.lambda_max is not None:
         return spectrum.lambda_max
-    return float(np.linalg.eigvalsh(_coupling_of(inst))[-1])
+    j = _coupling_of(inst)
+    if not np.isfinite(j).all():
+        raise ValidationError("coupling entries must be finite")
+    return float(np.linalg.eigvalsh(j)[-1])

@@ -91,6 +91,9 @@ def test_bare_coupling_arrays_are_checked(coupling, shape):
     from plantbench import brute_force, max_eigenvalue
 
     message = f"coupling must be a real square matrix of size >= 1, got shape {shape}"
+    if not isinstance(coupling, np.ndarray) or coupling.dtype.kind not in "biuf":
+        # the array gate refuses a text, complex or ragged array first
+        message = "coupling must be an array of real numbers"
     for call in (lambda: qubo_energy(coupling, np.ones(2)),
                  lambda: qubo_energy_many(coupling, np.ones((1, 2))),
                  lambda: brute_force(coupling),

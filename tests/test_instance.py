@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from plantbench import (
     CATALOGUE,
     Instance,
+    OutcomeClassifier,
     PatternSet,
     ValidationError,
+    brute_force,
     build_couplings,
     catalogue_pattern_set,
     coarse_grain,
@@ -23,14 +25,20 @@ from plantbench import (
     generate_orthogonal_patterns,
     generate_small_scale,
     hamming_distances,
+    histogram,
     initial_states,
     load_instance,
     make_pattern_set,
+    max_eigenvalue,
+    measure_bins,
     perturb_patterns,
     planted_spectrum,
+    qubo_energy,
+    qubo_energy_many,
     run_batch,
     save_instance,
     shared_sign_coordinate,
+    trajectory,
 )
 from plantbench import instance
 
@@ -307,6 +315,95 @@ def test_instance_rejects_what_is_no_coupling_matrix(coupling, fields, message):
 def test_pattern_set_rejects_malformed_fields(patterns, weights, perturbations, message):
     with pytest.raises(ValidationError, match=message):
         PatternSet(patterns, weights, perturbations)
+
+
+# The array gate (instance._reals): every array the library is handed is
+# converted there, and a ragged nesting, text, complex entries or an int
+# past float range raise ValidationError naming the array.  These used to
+# escape as numpy's ValueError or TypeError, convert numeric text, or turn
+# complex entries into their real parts with only a ComplexWarning.
+_PS = catalogue_pattern_set("c")
+_INST = build_couplings(_PS)
+_CFG = SolverConfig(kind="I", alpha=1.0, beta=1.0, dt=0.1, max_steps=10)
+_GATED = {
+    "instance-coupling": ((8, 8), "coupling", lambda a: Instance(a, None, "z")),
+    "patterns": ((3, 8), "patterns", lambda a: PatternSet(a, np.ones(3))),
+    "make-pattern-set": ((3, 8), "patterns", make_pattern_set),
+    "weights": ((3,), "weights", lambda a: PatternSet(_PS.patterns, a)),
+    "perturbations": ((3, 8), "perturbations", lambda a: PatternSet(_PS.patterns, np.ones(3), a)),
+    "qubo-energy-coupling": ((8, 8), "coupling", lambda a: qubo_energy(a, np.ones(8))),
+    "qubo-energy-state": ((8,), "state", lambda a: qubo_energy(_INST, a)),
+    "qubo-energy-many": ((3, 8), "states", lambda a: qubo_energy_many(_INST, a)),
+    "brute-force": ((8, 8), "coupling", brute_force),
+    "max-eigenvalue": ((8, 8), "coupling", max_eigenvalue),
+    "classify": ((8,), "state",
+                 lambda a: OutcomeClassifier(_PS, _INST.spectrum).classify(a, 0.0)),
+    "measure-bins": ((3,), "energies", lambda a: measure_bins(_INST.spectrum, a)),
+    "run-batch": ((3, 8), "initial block", lambda a: run_batch(_INST, _CFG, a)),
+    "trajectory": ((8,), "initial state", lambda a: trajectory(_INST, _CFG, a)),
+    "histogram": ((3,), "energies", histogram),
+}
+
+
+def _malformed(kind, shape):
+    if kind == "ragged":  # the last row, or entry, is one entry too long
+        nested = np.ones(shape).tolist()
+        nested[-1] = nested[-1] + [1.0] if len(shape) == 2 else [1.0, 1.0]
+        return nested
+    fill = {"text": "a", "numeric-text": "1", "complex": 1 + 0j, "int-overflow": 10**400}[kind]
+    return np.full(shape, fill, dtype=object if kind == "int-overflow" else None)
+
+
+@pytest.mark.parametrize("kind", ["ragged", "text", "numeric-text", "complex", "int-overflow"])
+@pytest.mark.parametrize("site", list(_GATED))
+def test_every_gated_array_refuses_what_is_no_real_array(site, kind):
+    shape, what, call = _GATED[site]
+    with pytest.raises(ValidationError, match=f"^{what} must be an array of real numbers$"):
+        call(_malformed(kind, shape))
+
+
+# measure_bins used to count a NaN in band 1 and flatten a 2-D block,
+# histogram to take a 2-D block, and classify to label a row outside its
+# table by a NaN energy (spurious)
+_MISS = np.array([-1, 1, 1, 1, 1, 1, 1, 1], dtype=np.int8)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: measure_bins(_INST.spectrum, [np.nan]), "without NaN"),
+    (lambda: measure_bins(_INST.spectrum, [[1.0]]), r"1-D array without NaN, got shape \(1, 1\)"),
+    (lambda: histogram([[1.0]]), r"1-D array of energies, got shape \(1, 1\)"),
+    (lambda: OutcomeClassifier(_PS, _INST.spectrum).classify(_MISS, np.nan),
+     "energy must be a real number, not NaN, got nan"),
+    (lambda: OutcomeClassifier(_PS, _INST.spectrum).classify(_MISS, "a"),
+     "energy must be a real number, not NaN, got 'a'"),
+], ids=["measure-nan", "measure-2d", "histogram-2d", "classify-nan", "classify-text"])
+def test_energies_must_be_one_dimensional_and_real(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+def test_classify_reads_no_energy_on_a_table_hit():
+    row = _PS.patterns[0]
+    assert OutcomeClassifier(_PS, _INST.spectrum).classify(row, np.nan).category == "planted"
+
+
+@pytest.mark.parametrize("a", [
+    [[0, 1], [1, 0]],
+    [[0.0, -2.5], [-2.5, 0.0]],
+    [[False, True], [True, False]],
+    np.array([[0, 3], [3, 0]], dtype=np.int8),
+    np.array([[0.1, 0.2]], dtype=np.float32),
+    [[0, 2**70], [2**70, 0]],
+    np.array([2**70, -1], dtype=object),
+    [1, 2**63],
+], ids=["ints", "floats", "bools", "int8", "float32", "int-2**70", "object-2**70", "past-int64"])
+@pytest.mark.parametrize("dtype", [None, np.float64])
+def test_the_gate_converts_real_arrays_as_numpy_does(a, dtype):
+    got = instance._reals(a, "x", dtype)
+    want = np.asarray(a, dtype=dtype)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    if isinstance(a, np.ndarray) and dtype in (None, a.dtype):
+        assert got is a  # an array in the asked dtype is not copied
 
 
 def test_pattern_set_and_instance_store_read_only_arrays():

@@ -105,6 +105,14 @@ def test_brute_force_rejects_non_finite_energies(big):
         brute_force(j)
 
 
+# a bare coupling with a NaN entry used to return eigvalsh's nan
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_max_eigenvalue_rejects_non_finite_couplings(bad):
+    j = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValidationError, match="coupling entries must be finite"):
+        max_eigenvalue(j)
+
+
 def test_degenerate_ground_counted_once_per_mirror_pair():
     # J = antiferromagnetic pair: ground states (+1,-1) and (-1,+1) are
     # one mirror pair, so degeneracy over the half-cube is 1

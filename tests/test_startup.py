@@ -59,6 +59,15 @@ def test_importing_cli_loads_no_openssl():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+def test_importing_energy_loads_no_fractions():
+    # band_label writes a float's exact ratio, so energy needs no Fraction
+    # (fractions imports decimal)
+    proc = subprocess.run([sys.executable, "-c", "import sys, plantbench.energy; "
+                           "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 def test_a_sweep_still_imports_numpy(tmp_path):
     # the control for the test above: the pattern does see numpy imports
     code, modules = _imports(tmp_path, "-m", "plantbench.cli", "gen-small", "--id", "c")
