@@ -175,9 +175,14 @@ def _axis(axis) -> tuple[str, tuple[float, ...]]:
 class SweepSpec:
     """One experiment grid, checked when it is made.
 
-    instance is either a fixed Instance or a picklable factory mapping
-    the first axis value to an Instance (lambdas will break process
-    pools), and solver a SolverConfig.  axes holds one or two (name,
+    instance is either a fixed Instance or a factory mapping the first
+    axis value to an Instance, and solver a SolverConfig.  spec_hash
+    and the sidecar record a factory by its repr, and worker processes
+    receive it pickled, so a factory whose repr names a memory address
+    (" at 0x...": a function, a lambda, a functools.partial, an object
+    with the default repr) is refused: it would hash differently in
+    every process.  A frozen dataclass, as the three shipped factories
+    are, replays and pickles.  axes holds one or two (name,
     values) pairs with distinct names and finite real values; grid
     points enumerate the cartesian product in row-major order.  runs_per_point is an integer >= 1 and
     base_seed an integer.  Each axis after a factory's first, or any
@@ -198,6 +203,11 @@ class SweepSpec:
         if not (isinstance(self.instance, Instance) or callable(self.instance)):
             raise ValidationError(
                 f"instance must be an Instance or a factory, got {self.instance!r}"
+            )
+        if not isinstance(self.instance, Instance) and " at 0x" in repr(self.instance):
+            raise ValidationError(
+                f"an instance factory's repr must not name a memory address, got "
+                f"{self.instance!r}; use a frozen dataclass"
             )
         if not isinstance(self.solver, SolverConfig):
             raise ValidationError(f"solver must be a SolverConfig, got {self.solver!r}")

@@ -7,9 +7,10 @@ Three solver families share one pair of integrators:
   second order (kind III):
       d2x_i/dt2 = gamma dx_i/dt - alpha x_i + beta sum_j J_ij phi(x_j)
 
-Kinds I and II are one first-order path: both take constant alpha and
-beta or schedules (functions of the step index), and kind II keeps its
-name because callers construct it.  Kind III adds the velocity
+Kinds I and II are one first-order path: each coefficient is a finite
+constant or a LinearRamp, a schedule that is data (checked when made,
+equal reprs for equal ramps, picklable), and kind II keeps its name
+because callers construct it.  Kind III adds the velocity
 term.  The bifurcation-machine mode (kind TBM) is kind III with the
 sign nonlinearity, gamma = 0, the pump p = LinearRamp(0, 2, max_steps),
 and coefficients alpha(t) = delta * (delta - p(t)), beta = delta *
@@ -38,8 +39,8 @@ trajectory and the step loops hold only arithmetic.
 
 Each block decides before its first step what it can never do:
 
-  * Schedules are evaluated once per block, one value per step; a
-    constant is only repeated.
+  * A LinearRamp is evaluated once per block, as one array of a value
+    per step (TBM's alpha too); a constant is only repeated.
   * A block proven bounded skips the divergence scan, which could not
     fire on it.  First order: with 0 < alpha dt < 2 at every step, every
     state stays within B = max(max|x0|, dt max|beta| s / (1 - q)), where
@@ -117,21 +118,50 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e6
 
-Schedule = Union[float, Callable[[int], float]]
-
 
 @dataclass(frozen=True)
 class LinearRamp:
-    """Linear schedule from start to stop over num_steps, then held."""
+    """Linear schedule from start to stop over num_steps, then held.
+
+    Checked when made: start and stop are finite reals, num_steps an
+    integer >= 1, and (stop - start) * num_steps is finite, so every
+    value the ramp takes is finite.  They are stored as Python floats
+    and an int, so equal ramps have equal reprs, which sweep hashes
+    digest.  A ramp is data: values(count) evaluates it.
+    """
 
     start: float
     stop: float
     num_steps: int
 
-    def __call__(self, step: int) -> float:
-        if step >= self.num_steps:
-            return self.stop
-        return self.start + (self.stop - self.start) * step / self.num_steps
+    def __post_init__(self):
+        _check_finite(self.start, "ramp start")
+        _check_finite(self.stop, "ramp stop")
+        _check_int(self.num_steps, "ramp num_steps", least=1)
+        start, stop, steps = float(self.start), float(self.stop), int(self.num_steps)
+        if not (_is_finite(steps) and math.isfinite((stop - start) * steps)):
+            raise ValidationError(f"ramp from {start!r} to {stop!r} overflows over "
+                                  f"{_shown(steps)} steps")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "num_steps", steps)
+
+    def values(self, count: int) -> np.ndarray:
+        """The ramp at steps 0 .. count - 1 as one float64 array.
+
+        Step s < num_steps takes start + (stop - start) * s / num_steps,
+        evaluated in that order, and every later step takes stop.
+        """
+        _check_int(count, "count", least=0)
+        out = np.full(count, self.stop)
+        ramped = min(count, self.num_steps)
+        steps = np.arange(ramped, dtype=np.float64)
+        out[:ramped] = self.start + (self.stop - self.start) * steps / self.num_steps
+        return out
+
+
+# a coefficient of kinds I-III: a finite constant or a ramp
+Schedule = Union[float, LinearRamp]
 
 
 _NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -161,10 +191,11 @@ _READS = {
 class SolverConfig:
     """Solver selection and integration parameters.
 
-    kind: "I", "II", "III", or "TBM".  alpha, beta, gamma accept finite
-    constants or per-step schedules (not evaluated here); kind TBM
-    derives them from its finite detuning delta and coupling scale xi0
-    under the pump LinearRamp(0.0, 2.0, max_steps).  nonlinearity is a
+    kind: "I", "II", "III", or "TBM".  alpha, beta, gamma each take a
+    finite constant or a LinearRamp (itself checked when made); any
+    other value, a function included, is refused.  Kind TBM derives
+    them from its finite detuning delta and coupling scale xi0 under
+    the pump LinearRamp(0.0, 2.0, max_steps).  nonlinearity is a
     key of _NONLINEARITIES.  derivative_window (a real > 0) bounds
     second-order trajectories (use float("inf") to disable).
     init_amplitude (a real > 0, twice it finite) is the half-width of
@@ -174,7 +205,8 @@ class SolverConfig:
     default, so SolverConfig(kind="I", gamma=0.5) raises and
     SolverConfig(kind="TBM") runs with delta 1.0 and xi0 0.1.  Each
     constant is then stored as a Python float (max_steps as an int), so
-    equal configs have equal reprs, which sweep hashes digest.
+    equal configs, ramps included, have equal reprs, which sweep hashes
+    digest.
     """
 
     kind: str = "I"
@@ -208,8 +240,10 @@ class SolverConfig:
             )
         _check_amplitude(self.init_amplitude)
         for name in ("alpha", "beta", "gamma"):
-            if not callable(getattr(self, name)):
-                _check_finite(getattr(self, name), name)
+            value = getattr(self, name)
+            if not (isinstance(value, LinearRamp) or _is_finite(value)):
+                raise ValidationError(f"{name} must be finite or a LinearRamp, "
+                                      f"got {_shown(value)}")
         _check_finite(self.delta, "delta")
         _check_finite(self.xi0, "xi0")
         for f in fields(self):
@@ -415,15 +449,17 @@ _SAFE = 1e300
 _SAFE32 = 1e30
 
 
-def _per_step(coeff: Schedule, count: int):
-    """coeff at steps 0 .. count - 1, and the values it takes as an array.
+def _per_step(coeff: Schedule | np.ndarray, count: int):
+    """coeff at steps 0 .. count - 1 as Python floats, and the values it takes as an array.
 
-    A schedule is called for every step here, once per block; a constant
-    is repeated, so a block never holds count copies of it.
+    A LinearRamp becomes one array of count values here, once per block,
+    as does TBM's derived alpha; a constant is repeated, so a block never
+    holds count copies of it.
     """
-    if callable(coeff):
-        values = [coeff(step) for step in range(count)]
-        return values, np.array(values, dtype=np.float64)
+    if isinstance(coeff, LinearRamp):
+        coeff = coeff.values(count)
+    if isinstance(coeff, np.ndarray):
+        return coeff.tolist(), coeff
     return itertools.repeat(coeff, count), np.array([coeff], dtype=np.float64)
 
 
@@ -483,18 +519,14 @@ def _second_order_bounded(j, x0, dt, steps, window, alphas, betas) -> bool:
 
 
 def _all_rows(flags: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i] = flags[i].all() for a C-contiguous (r, n) bool block.
+    """out[i] = flags[i].all() for a C-contiguous (r, n) bool block, n >= 1.
 
     all(axis=1) pays a call per row.  Here each row is read as one
     n-byte string, which equals n bytes of 1 (True) exactly when every
     entry is True, so the whole block is one comparison.
     """
-    n = flags.shape[1]
-    if n == 0:
-        out.fill(True)
-    else:
-        np.equal(flags.view(f"S{n}")[:, 0], b"\x01" * n, out=out)
-    return out
+    n = flags.shape[1]  # >= 1: an Instance has at least one spin
+    return np.equal(flags.view(f"S{n}")[:, 0], b"\x01" * n, out=out)
 
 
 class _Rows:
@@ -616,14 +648,18 @@ def _first_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list 
 
 
 def _second_order_coefficients(cfg: SolverConfig):
-    """alpha, beta, gamma, nonlinearity and steady_tol: kind III's own, or TBM's."""
+    """alpha, beta, gamma, nonlinearity and steady_tol: kind III's own, or TBM's.
+
+    TBM's alpha is one float64 array of a value per step.
+    """
     # The pump keeps TBM's coefficients time dependent for the whole
     # schedule, so the machine integrates a fixed step count instead of
     # stopping at an intermediate wall-pinned state.
     if cfg.kind == "III":
         return cfg.alpha, cfg.beta, cfg.gamma, cfg.nonlinearity, cfg.steady_tol
-    delta, pump = cfg.delta, LinearRamp(0.0, 2.0, cfg.max_steps)
-    return lambda step: delta * (delta - pump(step)), delta * cfg.xi0, 0.0, "sign", 0.0
+    delta, steps = cfg.delta, cfg.max_steps
+    alpha = delta * (delta - LinearRamp(0.0, 2.0, steps).values(steps))
+    return alpha, delta * cfg.xi0, 0.0, "sign", 0.0
 
 
 def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list | None):
@@ -633,7 +669,7 @@ def _second_order(j: np.ndarray, x0: np.ndarray, cfg: SolverConfig, record: list
     alphas, alpha_values = _per_step(alpha, steps)
     betas, beta_values = _per_step(beta, steps)
     gammas, _ = _per_step(gamma, steps)
-    damped = callable(gamma) or gamma != 0
+    damped = isinstance(gamma, LinearRamp) or gamma != 0
     bounded = not damped and _second_order_bounded(j, x0, dt, steps, window,
                                                    alpha_values, beta_values)
     rows = _Rows(x0, steps, steady_tol * dt, bounded)

@@ -21,9 +21,10 @@ patterns.  Pattern entries can additionally be deformed
 by real-valued perturbations delta_xi to interpolate between instances.
 A PatternSet and an Instance check their fields when made, so every one,
 however built, coarse-grained, transformed or loaded, holds one
-invariant: k >= 1 +-1 patterns with weights and perturbations of
-matching shape, and a square, finite, exactly symmetric coupling matrix
-with a zero diagonal and its pattern set's n, all in read-only arrays, a
+invariant: k >= 1 +-1 patterns of n >= 1 coordinates with weights and
+perturbations of matching shape, and a square, finite, exactly
+symmetric coupling matrix of n >= 1 spins with a zero diagonal and its
+pattern set's n, all in read-only arrays, a
 one-line label, and a positive finite coarse-graining step when there is
 one.  An Instance computes its planted spectrum when made, so it is
 never passed in or stale; the orthogonal closed form is certified there,
@@ -127,6 +128,8 @@ class PatternSet:
         k, n = patterns.shape
         if k < 1:
             raise ValidationError("need at least one pattern")
+        if n < 1:
+            raise ValidationError("patterns need at least one coordinate")
         if not np.isin(patterns, (-1, 1)).all():
             raise ValidationError("pattern entries must be +1 or -1")
         weights = _reals(self.weights, "weights", np.float64)
@@ -204,8 +207,9 @@ class Instance:
         if self.coarse_delta is not None:
             _check_coarse_step(self.coarse_delta)
         j = _reals(self.coupling, "coupling", np.float64)
-        if j.ndim != 2 or j.shape[0] != j.shape[1]:
-            raise ValidationError(f"coupling matrix must be square, got shape {j.shape}")
+        if j.ndim != 2 or not j.shape[0] == j.shape[1] >= 1:
+            raise ValidationError(f"coupling matrix must be square with at least one spin, "
+                                  f"got shape {j.shape}")
         if not np.isfinite(j).all():
             raise ValidationError(f"{self.label}: couplings or planted energies are not finite")
         if not np.array_equal(j, j.T):

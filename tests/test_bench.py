@@ -1,7 +1,10 @@
 """Sweep harness: seeds, grids, factories, histograms, CSV emission."""
 
 import concurrent.futures
+import functools
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +17,7 @@ from plantbench import (
     CatalogueWeightStepFactory,
     EquidistantPerturbationFactory,
     Instance,
+    LinearRamp,
     OutcomeClassifier,
     SolverConfig,
     SweepSpec,
@@ -205,6 +209,71 @@ def test_spec_checks_factory_axis_values():
     with pytest.raises(ValidationError, match="axis 'dxi' value must be finite"):
         SweepSpec(instance=CataloguePerturbationFactory("c"), solver=SolverConfig(),
                   axes=(("dxi", (float("nan"),)), ("alpha", (1.0,))))
+
+
+def _weight_step_instance(dw):
+    return build_couplings(catalogue_pattern_set("c", dw=dw), label="c")
+
+
+class _DefaultRepr:
+    def __call__(self, dw):
+        return _weight_step_instance(dw)
+
+
+# spec_hash and the sidecar record a factory by its repr, and workers get it
+# pickled: a module-level function's repr named its address, so its
+# spec_hash changed from one process to the next, and a lambda could not
+# reach a worker
+@pytest.mark.parametrize("factory", [
+    _weight_step_instance,
+    lambda dw: _weight_step_instance(dw),
+    functools.partial(CatalogueWeightStepFactory.__call__, CatalogueWeightStepFactory("c")),
+    _DefaultRepr(),
+], ids=["function", "lambda", "partial", "default-repr"])
+def test_spec_refuses_factories_whose_repr_names_an_address(factory):
+    with pytest.raises(ValidationError, match="must not name a memory address"):
+        SweepSpec(instance=factory, solver=SolverConfig(),
+                  axes=(("dw", (0.1,)), ("alpha", (1.0,))))
+
+
+@pytest.mark.parametrize("factory", [CataloguePerturbationFactory("c"),
+                                     CatalogueWeightStepFactory("c"),
+                                     EquidistantPerturbationFactory("f")])
+def test_shipped_factories_replay(factory):
+    spec = SweepSpec(instance=factory, solver=SolverConfig(), axes=(("v", (0.1,)),))
+    assert "0x" not in repr(spec.instance)
+
+
+# One ramp-scheduled factory sweep per fresh interpreter: the first runs
+# serially, the second over two worker processes, which receive the
+# factory and the ramp pickled.  Both must write the same bytes.
+_REPLAY = """
+import sys
+from plantbench import (CatalogueWeightStepFactory, LinearRamp, SolverConfig, SweepSpec,
+                        sweep_sr, write_sidecar, write_sweep_csv)
+out, threads = sys.argv[1], int(sys.argv[2])
+spec = SweepSpec(instance=CatalogueWeightStepFactory("c"),
+                 solver=SolverConfig(kind="II", alpha=LinearRamp(4.0, 1.0, 50), max_steps=300),
+                 axes=(("dw", (0.05, 0.1)), ("beta", (0.5, 1.0))), runs_per_point=20)
+result = sweep_sr(spec, threads=threads)
+write_sweep_csv(result, out + ".csv")
+write_sidecar(result, out + ".meta.txt")
+print(spec.spec_hash())
+"""
+
+
+def test_ramp_scheduled_sweep_replays_across_processes_and_workers(tmp_path):
+    hashes = []
+    for name, threads in (("serial", 1), ("workers", 2)):
+        proc = subprocess.run([sys.executable, "-c", _REPLAY, str(tmp_path / name), str(threads)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.strip())
+    assert hashes[0] == hashes[1] and len(hashes[0]) == 16
+    for suffix in (".csv", ".meta.txt"):
+        serial = (tmp_path / f"serial{suffix}").read_bytes()
+        assert serial == (tmp_path / f"workers{suffix}").read_bytes()
+    assert b"alpha=LinearRamp(start=4.0, stop=1.0, num_steps=50)" in serial
 
 
 def test_spec_hash_tracks_content(inst_a):

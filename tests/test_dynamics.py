@@ -5,12 +5,14 @@ explicitly re-run schedules) rather than imported from the module under
 test.
 """
 
+import functools
 import hashlib
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -57,6 +59,15 @@ def n64_config(inst):
 
 def start_block(n, rows, seed=0):
     return np.vstack([random_initial(n, seed=seed + r) for r in range(rows)])
+
+
+def ramp_at(ramp):
+    """A LinearRamp as a function of the step, written out from its definition."""
+    def at(step):
+        if step >= ramp.num_steps:
+            return ramp.stop
+        return ramp.start + (ramp.stop - ramp.start) * step / ramp.num_steps
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +126,7 @@ def test_class2_ramp_follows_schedule(inst_c):
     traj = trajectory(inst_c, cfg, x0)
     x = x0.copy()
     for step in range(60):
-        a = ramp_a(step)
+        a = ramp_at(ramp_a)(step)
         x = x + 0.1 * (np.tanh(x) @ inst_c.coupling - a * x)
     np.testing.assert_array_equal(traj[-1], x)
 
@@ -182,14 +193,27 @@ def test_class3_negative_window_rejected():
 
 def test_tbm_equals_mapped_class3(inst_c):
     # the TBM path must be arithmetic-identical to class III with
-    # alpha(t) = delta (delta - p(t)), beta = delta xi0, sign nonlinearity
-    delta, xi0, steps = 4.2, 0.64, 600
+    # alpha(t) = delta (delta - p(t)), beta = delta xi0, sign nonlinearity.
+    # TBM's alpha is that formula, bit for bit, at every step
+    steps = 600
+    pump = ramp_at(LinearRamp(0.0, 2.0, steps))
+    for delta in (4.2, 4.0, 1e-3):
+        alpha = dynamics._second_order_coefficients(
+            SolverConfig(kind="TBM", max_steps=steps, delta=delta, xi0=0.64))[0]
+        want = [delta * (delta - pump(s)) for s in range(steps)]
+        assert np.array(want).tobytes() == alpha.tobytes()
+    # With delta a power of two, delta (delta - 2 s / N) is the ramp from
+    # delta^2 to delta (delta - 2) bit for bit (scaling by a power of two
+    # commutes with rounding), so class III can take it as a LinearRamp
+    delta, xi0 = 4.0, 0.64
     x0 = random_initial(8, amplitude=0.5, seed=3)
     tbm_cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps, delta=delta, xi0=xi0)
-    pump = LinearRamp(0.0, 2.0, steps)
+    ramp = LinearRamp(delta * delta, delta * (delta - 2.0), steps)
+    tbm_alpha = dynamics._second_order_coefficients(tbm_cfg)[0]
+    assert ramp.values(steps).tobytes() == tbm_alpha.tobytes()
     manual = SolverConfig(
         kind="III",
-        alpha=lambda s: delta * (delta - pump(s)),
+        alpha=ramp,
         beta=delta * xi0,
         gamma=0.0,
         nonlinearity="sign",
@@ -230,17 +254,18 @@ def test_pump_ramp_saturates():
     # the bifurcation pump: 0.0 + y == y, so each step is exactly
     # min(2 * step / N, 2)
     for steps in (1, 3, 100, 997, 1000):
-        pump = LinearRamp(0.0, 2.0, steps)
+        pump = LinearRamp(0.0, 2.0, steps).values(steps + 3)
         for step in range(steps + 3):
-            assert pump(step) == min(2.0 * step / steps, 2.0)
-    assert LinearRamp(0.0, 2.0, 100)(10**6) == 2.0
+            assert pump[step] == min(2.0 * step / steps, 2.0)
+    assert LinearRamp(0.0, 2.0, 100).values(10**6 + 1)[10**6] == 2.0
 
 
 def test_linear_ramp_endpoints_and_hold():
-    ramp = LinearRamp(4.0, 1.0, 10)
-    assert ramp(0) == 4.0
-    assert ramp(10) == 1.0
-    assert ramp(25) == 1.0
+    ramp = LinearRamp(4.0, 1.0, 10).values(26)
+    assert ramp[0] == 4.0
+    assert ramp[10] == 1.0
+    assert ramp[25] == 1.0
+    assert LinearRamp(4.0, 1.0, 10).values(0).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +331,8 @@ def masked_reference(j, x0, alpha, beta, gamma, phi, dt, max_steps, steady_tol,
     2 diverged.
     """
     def value(coeff, step):
+        if isinstance(coeff, LinearRamp):
+            coeff = ramp_at(coeff)
         return coeff(step) if callable(coeff) else coeff
 
     x = np.array(x0, dtype=np.float64)
@@ -374,7 +401,7 @@ def test_active_rows_match_masked_loop_second_order(inst_c):
 def test_active_rows_match_masked_loop_tbm(inst_c):
     delta, xi0, steps = 4.2, 0.64, 400
     cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps, delta=delta, xi0=xi0)
-    pump = LinearRamp(0.0, 2.0, steps)
+    pump = ramp_at(LinearRamp(0.0, 2.0, steps))
     x0 = start_block(8, 100)
     ref = masked_reference(inst_c.coupling, x0,
                            lambda s: delta * (delta - pump(s)), delta * xi0,
@@ -384,11 +411,10 @@ def test_active_rows_match_masked_loop_tbm(inst_c):
 
 
 def test_active_rows_retire_diverged_rows_mid_block(inst_c):
-    # alpha < 0 for 20 steps lifts the scaled rows past the divergence
-    # limit; the other rows stay finite and converge once alpha = 3
-    def alpha(step):
-        return -5.0 if step < 20 else 3.0
-
+    # alpha ramps from -5 to 3 over 60 steps: while it is < 0 (37 steps)
+    # it lifts the scaled rows past the divergence limit; the other rows
+    # stay finite and converge once alpha settles
+    alpha = LinearRamp(-5.0, 3.0, 60)
     cfg = SolverConfig(kind="II", alpha=alpha, beta=1.0, dt=0.1, max_steps=800)
     x0 = start_block(8, 40)
     x0[::3] *= 1e3
@@ -403,9 +429,7 @@ def test_second_order_rows_retire_mid_block(inst_c, window):
     # damped second order: rows converge at many different steps, and
     # without a window the scaled rows escape while alpha < 0, so live
     # rows, their velocities included, are compacted again and again
-    def alpha(step):
-        return -5.0 if step < 30 else 3.0
-
+    alpha = LinearRamp(-5.0, 3.0, 60)
     cfg = SolverConfig(kind="III", alpha=alpha, beta=1.0, gamma=-1.5, dt=0.1,
                        max_steps=800, steady_tol=1e-6, derivative_window=window)
     x0 = start_block(8, 40)
@@ -448,7 +472,7 @@ def test_unit_beta_skips_the_multiply_bit_for_bit(inst_c):
     # schedule that returns 1.0 and a step written out in full agree
     x0 = start_block(8, 50)
     const = SolverConfig(kind="I", alpha=3.0, beta=1.0)
-    sched = SolverConfig(kind="II", alpha=3.0, beta=lambda step: 1.0)
+    sched = SolverConfig(kind="II", alpha=3.0, beta=LinearRamp(1.0, 1.0, 10))
     for a, b in zip(dynamics._integrate_block(inst_c, const, x0, None),
                     dynamics._integrate_block(inst_c, sched, x0, None)):
         assert a.tobytes() == b.tobytes()
@@ -469,7 +493,7 @@ def test_zero_gamma_skips_the_velocity_term_bit_for_bit(inst_c, kind):
                            max_steps=steps, steady_tol=0.0, derivative_window=1.0)
         alpha, beta, phi = 2.0, 0.7, np.tanh
     else:
-        delta, xi0, pump = 4.2, 0.64, LinearRamp(0.0, 2.0, steps)
+        delta, xi0, pump = 4.2, 0.64, ramp_at(LinearRamp(0.0, 2.0, steps))
         cfg = SolverConfig(kind="TBM", dt=0.1, max_steps=steps, delta=delta, xi0=xi0)
         alpha, beta, phi = (lambda s: delta * (delta - pump(s))), delta * xi0, np.sign
     ref_x, ref_steps, ref_status = masked_reference(
@@ -480,14 +504,14 @@ def test_zero_gamma_skips_the_velocity_term_bit_for_bit(inst_c, kind):
 
 
 def test_zero_gamma_matches_a_zero_gamma_schedule_bit_for_bit(inst_c):
-    # a gamma schedule keeps the full step; with rows escaping from
+    # a gamma ramp keeps the full step; with rows escaping from
     # scaled starts and retiring at many different steps, the constant
     # still agrees
     x0 = start_block(8, 60) * 10.0 ** (np.arange(60) % 6)[:, None]
     const = SolverConfig(kind="III", alpha=-2.0, beta=1.0, gamma=0.0, dt=0.1,
                          max_steps=800, steady_tol=1e-6,
                          derivative_window=float("inf"))
-    sched = replace(const, gamma=lambda step: 0.0)
+    sched = replace(const, gamma=LinearRamp(0.0, 0.0, 10))
     got = dynamics._integrate_block(inst_c, const, x0, None)
     want = dynamics._integrate_block(inst_c, sched, x0, None)
     for a, b in zip(got, want):
@@ -509,7 +533,7 @@ def putmask_clamp_reference(j, x0, alpha, beta, phi, dt, max_steps, steady_tol, 
     for step in range(max_steps):
         if not len(live):
             break
-        a = alpha(step) if callable(alpha) else alpha
+        a = alpha[step] if np.ndim(alpha) else alpha  # TBM's alpha is an array
         acc = (phi(x) @ j) * beta - x * a
         x_new = x + v * dt
         v = v + acc * dt
@@ -675,7 +699,7 @@ def test_batch_shape_validation(inst_c):
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.integers(min_value=0, max_value=40),
-    n=st.integers(min_value=0, max_value=70) | st.sampled_from([1, 3, 7, 8, 9, 63, 64, 65]),
+    n=st.integers(min_value=1, max_value=70) | st.sampled_from([1, 3, 7, 8, 9, 63, 64, 65]),
     data=st.data(),
 )
 def test_all_rows_is_all_along_each_row(rows, n, data):
@@ -735,16 +759,20 @@ def test_divergence_flags_the_row(inst_c):
 
 def test_non_finite_state_counts_as_diverged(inst_c):
     # NaN > limit is False and sign(NaN) would read as -1: a NaN row
-    # must still stop as diverged at the step that produced it
-    def alpha(step):
-        return float("nan") if step == 3 else 3.0
-
-    cfg = SolverConfig(kind="II", alpha=alpha, beta=1.0, dt=0.1, max_steps=500)
-    out = run_batch(inst_c, cfg, start_block(8, 3))
-    for row in out:
+    # must still stop as diverged at the step that produced it.  A huge
+    # anti-damping gamma overflows the velocity at step 3 while the wall
+    # holds every coordinate at +-1; inf * 0 makes the velocity NaN, and
+    # step 4 carries it into the state
+    cfg = SolverConfig(kind="III", alpha=3.0, beta=1.0, gamma=1e300, dt=0.1, max_steps=500)
+    x0 = start_block(8, 3)
+    out = run_batch(inst_c, cfg, x0)
+    for row, start in zip(out, x0):
         assert row.diverged and not row.converged
         assert row.label.category == "diverged"
         assert row.steps_used == 4
+        states = trajectory(inst_c, cfg, start)
+        assert len(states) == 5
+        assert (np.abs(states[:-1]) <= 1.0).all() and np.isnan(states[-1]).any()
 
 def test_outcomes_carry_labels_on_planted_instances(inst_c):
     cfg = SolverConfig(kind="I", alpha=3.0, dt=0.1, max_steps=1000)
@@ -925,6 +953,58 @@ def test_steady_tol_must_be_non_negative(steady_tol):
     assert SolverConfig(steady_tol=0.0).steady_tol == 0.0
 
 
+def _named_schedule(step):
+    return 1.0
+
+
+# A coefficient is a finite constant or a LinearRamp.  A function used to
+# be accepted and called per step unchecked, so text, a complex, None or
+# an int past float range escaped from run_batch as numpy's or Python's
+# error, [1.0] was accepted, its repr (a memory address) changed the
+# sweep hash in every process, and a lambda could not reach a worker.
+_REFUSED = {
+    **{f"{field}-{name}": (functools.partial(SolverConfig, kind="III", **{field: schedule}),
+                           f"{field} must be finite or a LinearRamp")
+       for field in ("alpha", "beta", "gamma")
+       for name, schedule in (("lambda", lambda step: 1.0), ("function", _named_schedule),
+                              ("partial", functools.partial(max, 1.0)))},
+    **{f"{end}-{name}": (functools.partial(LinearRamp, **{"start": 0.0, "stop": 1.0,
+                                                          "num_steps": 10, end: value}),
+                         f"ramp {end} must be finite")
+       for end in ("start", "stop")
+       for name, value in (("nan", float("nan")), ("inf", float("inf")), ("bool", True),
+                           ("text", "1.0"))},
+    **{f"num_steps-{value!r}": (functools.partial(LinearRamp, 0.0, 1.0, value),
+                                "ramp num_steps must be an integer >= 1")
+       for value in (0, 1.5, True)},
+    "span-overflow": (functools.partial(LinearRamp, 1e308, -1e308, 10),
+                      "ramp from 1e+308 to -1e+308 overflows over 10 steps"),
+    "steps-overflow": (functools.partial(LinearRamp, 0.0, 1e-300, 10**400), "overflows over"),
+    "values-count": (functools.partial(LinearRamp(0.0, 1.0, 10).values, 2.5),
+                     "count must be an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize("make, message", _REFUSED.values(), ids=_REFUSED.keys())
+def test_schedules_and_ramps_refuse_what_is_no_finite_ramp(make, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make()
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(-1e6, 1e6) | st.floats(allow_nan=False, allow_infinity=False),
+       stop=st.floats(-1e6, 1e6) | st.floats(allow_nan=False, allow_infinity=False),
+       num_steps=st.integers(1, 3000), extra=st.integers(0, 5))
+def test_ramp_values_are_the_per_step_formula_bit_for_bit(start, stop, num_steps, extra):
+    # every ramp that is made takes finite values only
+    assume(np.isfinite((stop - start) * num_steps))
+    ramp = LinearRamp(start, stop, num_steps)
+    got = ramp.values(num_steps + extra)
+    want = np.array([ramp_at(ramp)(s) for s in range(num_steps + extra)])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert np.isfinite(got).all()
+
+
 # each of these used to be accepted and diverged every row at step 1 or 2
 @pytest.mark.parametrize("kind", ["I", "II", "III"])
 @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
@@ -934,12 +1014,17 @@ def test_constant_coefficients_must_be_finite(kind, field, value):
         SolverConfig(kind=kind, **{field: value})
 
 
-def test_coefficient_schedules_are_not_checked_and_tbm_takes_no_coefficient():
-    # a schedule is not evaluated when the config is made (its NaN step
-    # diverges the rows, see test_non_finite_state_counts_as_diverged);
-    # TBM derives its coefficients from delta and xi0, and a NaN alpha it
-    # would ignore used to be accepted
-    SolverConfig(kind="II", alpha=lambda step: float("nan"))
+def test_coefficient_schedules_are_checked_when_made_and_tbm_takes_no_coefficient():
+    # a schedule is a LinearRamp, checked when it is made, so no step of
+    # it can be NaN; a function used to be accepted unchecked, and one
+    # returning NaN diverged every row (test_schedules_and_ramps_refuse_
+    # what_is_no_finite_ramp covers the rest); TBM derives its
+    # coefficients from delta and xi0, and a NaN alpha it would ignore
+    # used to be accepted
+    with pytest.raises(ValidationError, match="ramp stop must be finite"):
+        LinearRamp(0.0, float("nan"), 10)
+    with pytest.raises(ValidationError, match="alpha must be finite or a LinearRamp"):
+        SolverConfig(kind="II", alpha=lambda step: float("nan"))
     with pytest.raises(ValidationError, match="alpha must be finite"):
         SolverConfig(kind="TBM", alpha=float("nan"))
     with pytest.raises(ValidationError, match="alpha does not apply to solver kind TBM"):
@@ -992,6 +1077,9 @@ def test_constants_are_stored_as_python_numbers(kind):
     ramp = LinearRamp(0.0, 1.0, 10)
     if "alpha" in dynamics._READS[kind]:
         assert SolverConfig(kind=kind, alpha=ramp).alpha is ramp
+    # a ramp stores its fields the same way, so equal ramps have one repr
+    assert repr(LinearRamp(np.float32(0.5), 1, np.int64(10))) == (
+        "LinearRamp(start=0.5, stop=1.0, num_steps=10)")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -272,7 +272,10 @@ def test_instance_size_is_read_off_the_coupling():
 # brute_force, or (asymmetric) run with a quietly symmetrised energy;
 # fields override pattern_set=None and label="z"
 @pytest.mark.parametrize("coupling, fields, message", [
-    (np.zeros((3, 4)), {}, r"must be square, got shape \(3, 4\)"),
+    (np.zeros((3, 4)), {}, r"must be square with at least one spin, got shape \(3, 4\)"),
+    # n = 0 used to be accepted; save_instance then wrote a file that
+    # load_instance refuses, and run_batch failed after integrating
+    (np.zeros((0, 0)), {}, r"at least one spin, got shape \(0, 0\)"),
     (np.zeros((2, 2, 2)), {}, "must be square"),
     (np.array([[0.0, np.nan], [np.nan, 0.0]]), {},
      "z: couplings or planted energies are not finite"),
@@ -293,7 +296,7 @@ def test_instance_size_is_read_off_the_coupling():
     # used to save a file that load_instance rejects ("key 'n' repeated")
     (np.zeros((2, 2)), {"label": "t\nn: 3"}, "label must be text on one line"),
     (np.zeros((2, 2)), {"label": None}, "label must be text on one line, got None"),
-], ids=["3x4", "3d", "nan", "asymmetric", "diagonal", "pattern-n", "text", "int-overflow",
+], ids=["3x4", "n0", "3d", "nan", "asymmetric", "diagonal", "pattern-n", "text", "int-overflow",
         "pattern-set-text", "coarse-text", "coarse-negative", "coarse-zero",
         "label-line-break", "label-none"])
 def test_instance_rejects_what_is_no_coupling_matrix(coupling, fields, message):
@@ -304,13 +307,14 @@ def test_instance_rejects_what_is_no_coupling_matrix(coupling, fields, message):
 @pytest.mark.parametrize("patterns, weights, perturbations, message", [
     (np.ones(4), np.ones(1), None, r"patterns must be a \(k, n\) matrix"),
     (np.ones((0, 4)), np.ones(0), None, "need at least one pattern"),
+    (np.ones((1, 0)), [1.0], None, "patterns need at least one coordinate"),
     (np.array([[1, 2], [1, -1]]), np.ones(2), None, r"pattern entries must be \+1 or -1"),
     (np.ones((2, 4)), np.ones(3), None, r"weights must have shape \(2,\)"),
     (np.ones((2, 4)), np.ones(2), np.ones((2, 3)), r"perturbations must have shape \(2, 4\)"),
     # these used to escape as ValueError
     (np.ones((2, 4)), "abc", None, "weights must be an array of real numbers"),
     (np.ones((2, 4)), np.ones(2), "abc", "perturbations must be an array of real numbers"),
-], ids=["1d", "k0", "entry-2", "weights-shape", "perturbations-shape", "weights-text",
+], ids=["1d", "k0", "n0", "entry-2", "weights-shape", "perturbations-shape", "weights-text",
         "perturbations-text"])
 def test_pattern_set_rejects_malformed_fields(patterns, weights, perturbations, message):
     with pytest.raises(ValidationError, match=message):
@@ -690,6 +694,23 @@ def test_external_instance_round_trip(tmp_path):
     assert back.coupling.tobytes() == inst.coupling.tobytes()
     assert back.pattern_set is None and back.spectrum is None
     assert back.label == inst.label
+
+
+# n = 0 used to be accepted when made, and save_instance wrote a file that
+# load_instance refuses; the smallest instance that can be made, n = 1,
+# saves and loads
+@pytest.mark.parametrize("make", [
+    lambda: Instance(coupling=np.zeros((1, 1)), pattern_set=None, label="one"),
+    lambda: build_couplings(make_pattern_set(np.ones((1, 1))), label="one"),
+], ids=["external", "patterns"])
+def test_smallest_instance_round_trip(tmp_path, make):
+    inst = make()
+    path = tmp_path / "one.inst"
+    save_instance(inst, path)
+    back = load_instance(path)
+    assert back.n == 1 and back.coupling.tobytes() == inst.coupling.tobytes()
+    assert back.label == "one"
+    assert (back.pattern_set is None) == (inst.pattern_set is None)
 
 
 def _external(text):
